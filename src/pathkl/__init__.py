@@ -24,7 +24,6 @@ from .diffusion import (
     GaussianLaw,
     InitialLaw,
     PathEnsemble,
-    PathSample,
     TimeGrid,
     apply_generator,
     euler_step_law,
@@ -83,7 +82,7 @@ __all__ = [
     "InsufficientSamplingError", "ModelEvaluationError",
     "PositiveDefinitenessError",
     # models and sampling
-    "DiffusionSpec", "InitialLaw", "TimeGrid", "PathSample", "PathEnsemble",
+    "DiffusionSpec", "InitialLaw", "TimeGrid", "PathEnsemble",
     "GaussianLaw", "sample_paths", "euler_step_law", "apply_generator",
     "weighted_inner", "make_model", "register_model", "model_ids",
     "substream_seed",

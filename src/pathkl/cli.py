@@ -32,6 +32,7 @@ from .diffusion import (
     TimeGrid,
     make_model,
     model_ids,
+    model_params,
     sample_paths,
     substream_seed,
 )
@@ -44,22 +45,18 @@ from .errors import (
     exit_code_for,
 )
 from .girsanov import girsanov_entropy
-from .marginal import OptimizerConfig, dv_estimate, initial_entropy
+from .marginal import (
+    OptimizerConfig,
+    default_dv_basis,
+    dv_estimate,
+    initial_entropy,
+)
 from .sanov import RateExperiment, empirical_rate
 from .variational import basis_from_config, mixed_basis, residual_energy_profile
 
 __all__ = ["main", "run_config", "build_report"]
 
 ESTIMATORS = ("girsanov", "chain", "dv-marginal", "residual-energy", "sanov")
-
-_MODEL_PARAMS = {
-    "brownian": {"a"},
-    "constant_drift": {"theta", "a"},
-    "ou": {"gamma", "a"},
-    "double_well": {"a"},
-    "linear": {"A", "b0", "a"},
-    "sine_diffusion": {"a", "amplitude"},
-}
 
 _TOP_KEYS = {"model_mu", "model_P", "initial_mu", "initial_P", "grid",
              "estimator", "estimator_params", "n_paths", "seed"}
@@ -114,16 +111,10 @@ def _build_model(record: dict, dim: int, where: str) -> DiffusionSpec:
     params = record.get("params", {})
     if not isinstance(params, dict):
         raise ArgumentError(f"{where}.params must be an object")
-    known = _MODEL_PARAMS.get(model_id)
-    if known is None:
-        # make_model raises with the catalog listing
+    try:
         return make_model(model_id, params, dim)
-    unknown = set(params) - known
-    if unknown:
-        raise ArgumentError(
-            f"unknown params for model {model_id!r} in {where}: "
-            f"{sorted(unknown)}; allowed: {sorted(known)}")
-    return make_model(model_id, params, dim)
+    except ArgumentError as exc:
+        raise ArgumentError(f"{where}: {exc}") from exc
 
 
 def _build_initial(record: dict, where: str) -> InitialLaw:
@@ -226,6 +217,9 @@ def _jsonable(obj):
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    # bool before int: isinstance(True, int) holds
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -235,18 +229,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple, set)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def _default_marginal_basis(samples_mu, samples_nu):
-    pooled = np.concatenate([samples_mu, samples_nu])
-    lo = float(pooled.min())
-    hi = float(pooled.max())
-    pad = 0.35 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    width = hi - lo
-    span = (lo + 0.3 * width, hi - 0.3 * width)
-    return mixed_basis([lo], [hi], n_bumps=5, bump_scale=width / 3.2,
-                       degrees=[0, 1, 2], bump_span=span)
 
 
 def _default_energy_basis(ensemble):
@@ -356,7 +338,8 @@ def _run_dv_marginal(resolved, objs, threads):
             raise ArgumentError(
                 "default marginal basis is one-dimensional; supply a basis "
                 "config for multivariate runs")
-        basis = _default_marginal_basis(s_mu, s_p)
+        pooled = np.concatenate([s_mu, s_p])
+        basis = default_dv_basis(float(pooled.min()), float(pooled.max()))
     opt = OptimizerConfig(
         gtol=float(params.get("gtol", 1e-8)),
         max_iter=int(params.get("max_iter", 500)),
@@ -587,15 +570,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_list_models(args) -> int:
     for model_id in model_ids():
-        params = sorted(_MODEL_PARAMS.get(model_id, set()))
+        params = sorted(model_params(model_id))
         print(f"{model_id}  params: {', '.join(params) if params else '-'}")
     return EXIT_OK
 
 
 def _selftest_checks():
-    from .diffusion import euler_step_law, make_model
-    from .marginal import gaussian_kl
     from .diffusion import GaussianLaw
+    from .marginal import gaussian_kl
 
     def check_gaussian_kl():
         value = gaussian_kl(GaussianLaw(np.zeros(1), 4 * np.eye(1)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "DiffusionSpec",
     "InitialLaw",
     "TimeGrid",
-    "PathSample",
     "PathEnsemble",
     "GaussianLaw",
     "drift_eval",
@@ -42,6 +41,7 @@ __all__ = [
     "make_model",
     "register_model",
     "model_ids",
+    "model_params",
 ]
 
 # Smallest admissible eigenvalue of a diffusion matrix.
@@ -149,18 +149,6 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.points.shape[0] - 1
 
-    @property
-    def dt_max(self) -> float:
-        return float(np.diff(self.points).max())
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A single trajectory on a grid (zero-copy view into its ensemble)."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_times, d)
-
 
 @dataclass(frozen=True)
 class PathEnsemble:
@@ -178,12 +166,6 @@ class PathEnsemble:
     @property
     def dim(self) -> int:
         return self.states.shape[2]
-
-    def path(self, i: int) -> PathSample:
-        return PathSample(self.grid, self.states[i])
-
-    def __iter__(self) -> Iterator[PathSample]:
-        return (self.path(i) for i in range(self.n_paths))
 
 
 @dataclass(frozen=True)
@@ -222,9 +204,9 @@ def substream_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _path_generator(seed: int, index: int) -> np.random.Generator:
-    # Counter-based: the (seed, path index) key fixes the stream regardless
-    # of which thread evaluates it.
+def path_generator(seed: int, index: int) -> np.random.Generator:
+    # Counter-based: the (seed, index) key fixes the stream regardless of
+    # which thread evaluates it.
     return np.random.Generator(np.random.Philox(key=(seed, index)))
 
 
@@ -295,21 +277,37 @@ def apply_generator(spec: DiffusionSpec, t: float, f, x) -> float:
                  + b @ np.atleast_1d(grad_fn(x)))
 
 
-def _simulate_block(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
-                    seed: int, lo: int, hi: int, out: np.ndarray) -> None:
-    """Euler-Maruyama for paths [lo, hi), writing into out[lo:hi]."""
+def partition_blocks(n: int, threads: int,
+                     work: Callable[[int, int], object]) -> list:
+    """Run work(lo, hi) on contiguous blocks covering range(n), one per thread.
+
+    The partition only schedules work: callers key every random stream by
+    its item index, so results do not depend on the thread count.
+    """
+    if threads <= 1 or n < 2 * threads:
+        return [work(0, n)]
+    bounds = np.linspace(0, n, threads + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(work, int(bounds[j]), int(bounds[j + 1]))
+                   for j in range(threads) if bounds[j] < bounds[j + 1]]
+        return [fut.result() for fut in futures]
+
+
+def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
+                   z: np.ndarray, out: np.ndarray) -> None:
+    """Step start states x0 (n, d) with standard increments z (n, m, d).
+
+    Writes the n paths into out (n, m + 1, d).
+
+    Raises:
+        PositiveDefinitenessError: a diffusion matrix along the paths is
+            not positive definite.
+        ModelEvaluationError: the paths reach non-finite states.
+    """
     d = spec.dim
     times = grid.points
-    n_steps = grid.n_steps
-    nblk = hi - lo
-
-    z = np.empty((nblk, n_steps, d))
-    for i in range(nblk):
-        gen = _path_generator(seed, lo + i)
-        out[lo + i, 0] = init.draw(gen)
-        z[i] = gen.standard_normal((n_steps, d))
-
-    x = out[lo:hi, 0].copy()
+    out[:, 0] = x0
+    x = out[:, 0].copy()
     if spec.constant_diffusion:
         a0 = np.atleast_2d(np.asarray(
             spec.diffusion_matrix(times[0], x[0]), dtype=float))
@@ -319,7 +317,7 @@ def _simulate_block(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
             raise PositiveDefinitenessError(
                 f"Cholesky failed for {spec.model_id!r}") from exc
 
-    for k in range(n_steps):
+    for k in range(grid.n_steps):
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         step = spec.drift(t, x) * dt
@@ -328,7 +326,7 @@ def _simulate_block(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
         else:
             a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)
             if d == 1:
-                av = a.reshape(nblk)
+                av = a.reshape(x.shape[0])
                 if np.any(av <= EPS_PD):
                     raise PositiveDefinitenessError(
                         f"diffusion of {spec.model_id!r} not PD along path")
@@ -341,7 +339,11 @@ def _simulate_block(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
                         f"Cholesky failed for {spec.model_id!r}") from exc
                 noise = np.einsum("nij,nj->ni", chols, z[:, k])
         x = x + step + noise * math.sqrt(dt)
-        out[lo:hi, k + 1] = x
+        out[:, k + 1] = x
+
+    if not np.isfinite(out).all():
+        raise ModelEvaluationError(
+            f"simulation of {spec.model_id!r} produced non-finite states")
 
 
 def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
@@ -369,22 +371,16 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
         raise ArgumentError("initial law dimension does not match model")
     states = np.empty((n, grid.points.shape[0], spec.dim))
 
-    if threads <= 1 or n < 2 * threads:
-        _simulate_block(spec, init, grid, seed, 0, n, states)
-    else:
-        bounds = np.linspace(0, n, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_simulate_block, spec, init, grid, seed,
-                            int(bounds[j]), int(bounds[j + 1]), states)
-                for j in range(threads) if bounds[j] < bounds[j + 1]
-            ]
-            for fut in futures:
-                fut.result()
+    def simulate(lo: int, hi: int) -> None:
+        x0 = np.empty((hi - lo, spec.dim))
+        z = np.empty((hi - lo, grid.n_steps, spec.dim))
+        for i in range(hi - lo):
+            gen = path_generator(seed, lo + i)
+            x0[i] = init.draw(gen)
+            z[i] = gen.standard_normal((grid.n_steps, spec.dim))
+        euler_maruyama(spec, grid, x0, z, states[lo:hi])
 
-    if not np.isfinite(states).all():
-        raise ModelEvaluationError(
-            f"simulation of {spec.model_id!r} produced non-finite states")
+    partition_blocks(n, threads, simulate)
     return PathEnsemble(grid=grid, states=states, seed=seed,
                         model_id=spec.model_id)
 
@@ -516,13 +512,16 @@ def _build_sine_diffusion(params: dict, dim: int) -> DiffusionSpec:
                          constant_diffusion=False)
 
 
-_CATALOG: dict[str, Callable[[dict, int], DiffusionSpec]] = {
-    "brownian": _build_brownian,
-    "constant_drift": _build_constant_drift,
-    "ou": _build_ou,
-    "double_well": _build_double_well,
-    "linear": _build_linear,
-    "sine_diffusion": _build_sine_diffusion,
+Builder = Callable[[dict, int], DiffusionSpec]
+
+# model id -> (builder, accepted parameter names)
+_CATALOG: dict[str, tuple[Builder, tuple[str, ...]]] = {
+    "brownian": (_build_brownian, ("a",)),
+    "constant_drift": (_build_constant_drift, ("theta", "a")),
+    "ou": (_build_ou, ("gamma", "a")),
+    "double_well": (_build_double_well, ("a",)),
+    "linear": (_build_linear, ("A", "b0", "a")),
+    "sine_diffusion": (_build_sine_diffusion, ("a", "amplitude")),
 }
 
 
@@ -530,21 +529,37 @@ def make_model(model_id: str, params: dict | None = None, dim: int = 1) -> Diffu
     """Instantiate a catalog model.
 
     Raises:
-        ArgumentError: unknown model id or invalid parameters.
+        ArgumentError: unknown model id, unknown parameter names, or
+            invalid parameter values.
     """
     if model_id not in _CATALOG:
         known = ", ".join(sorted(_CATALOG))
         raise ArgumentError(f"unknown model {model_id!r}; catalog: {known}")
-    return _CATALOG[model_id](params or {}, dim)
+    builder, names = _CATALOG[model_id]
+    params = params or {}
+    unknown = set(params) - set(names)
+    if unknown:
+        raise ArgumentError(
+            f"unknown params for model {model_id!r}: {sorted(unknown)}; "
+            f"allowed: {sorted(names)}")
+    return builder(params, dim)
 
 
-def register_model(model_id: str,
-                   builder: Callable[[dict, int], DiffusionSpec]) -> None:
-    """Register a user model builder under a new catalog id."""
+def register_model(model_id: str, builder: Builder,
+                   params: tuple[str, ...] = ()) -> None:
+    """Register a user model builder and its parameter names under a new
+    catalog id."""
     if model_id in _CATALOG:
         raise ArgumentError(f"model id {model_id!r} already registered")
-    _CATALOG[model_id] = builder
+    _CATALOG[model_id] = (builder, tuple(params))
 
 
 def model_ids() -> list[str]:
     return sorted(_CATALOG)
+
+
+def model_params(model_id: str) -> tuple[str, ...]:
+    """Parameter names a catalog model accepts."""
+    if model_id not in _CATALOG:
+        raise ArgumentError(f"unknown model {model_id!r}")
+    return _CATALOG[model_id][1]

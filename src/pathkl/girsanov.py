@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import MatchReport, diffusion_match_check
+from .chain import diffusion_match_check
 from .diffusion import DiffusionSpec, InitialLaw, PathEnsemble
 from .errors import ArgumentError, CapabilityError
 from .estimates import EntropyEstimate

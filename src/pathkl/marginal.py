@@ -10,7 +10,7 @@ chain decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
@@ -377,17 +377,14 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis,
 # Initial-law dispatch
 
 
-def _default_dv_basis(samples: np.ndarray, law: GaussianLaw) -> FunctionBasis:
-    """Wide-scale basis sized to the pooled data range.
+def default_dv_basis(lo: float, hi: float) -> FunctionBasis:
+    """Wide-scale one-dimensional basis sized to the data range [lo, hi].
 
     All features have a length scale comparable to the data range: local
     capacity in regions the reference sample never visits inflates the
     estimate (structurally, not as a bug), so the default basis keeps every
     feature global.
     """
-    sd = float(np.sqrt(np.max(np.diag(law.covariance))))
-    lo = min(float(samples.min()), float(law.mean.min()) - 4 * sd)
-    hi = max(float(samples.max()), float(law.mean.max()) + 4 * sd)
     pad = 0.35 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     width = hi - lo
@@ -445,8 +442,12 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
             root = np.linalg.cholesky(init_P.covariance
                                       + 1e-15 * np.eye(init_P.dim))
             nu = init_P.mean + gen.standard_normal(samples.shape) @ root.T
-            use = basis or _default_dv_basis(samples, law)
-            est = dv_estimate(samples, nu, use, opt)
+            if basis is None:
+                sd = float(np.sqrt(np.max(np.diag(law.covariance))))
+                basis = default_dv_basis(
+                    min(float(samples.min()), float(law.mean.min()) - 4 * sd),
+                    max(float(samples.max()), float(law.mean.max()) + 4 * sd))
+            est = dv_estimate(samples, nu, basis, opt)
             est.diagnostics["initial_route"] = "empirical-vs-gaussian-dv"
             return est
         if method == "histogram":

@@ -3,15 +3,15 @@
 The probability that the empirical mean of N i.i.d. path observables
 exceeds a threshold decays exponentially in N; -(1/N) log P_N estimates
 the rate, and for a driftless constant-diffusion scalar model with the
-terminal observable the limiting rate is z^2 / (2 a T). Trials are driven
-by per-trial substreams so counts are deterministic for any thread count.
+terminal observable the limiting rate is z^2 / (2 a T). Trials run through
+the shared Euler-Maruyama simulator in batches, each on its own substream,
+so counts are deterministic for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .diffusion import (
     DiffusionSpec,
     InitialLaw,
     TimeGrid,
+    euler_maruyama,
+    partition_blocks,
+    path_generator,
     substream_seed,
 )
 from .errors import ArgumentError, CapabilityError, InsufficientSamplingError
@@ -33,6 +36,10 @@ __all__ = [
 ]
 
 OBSERVABLES = ("terminal", "time_average")
+
+# Paths stepped at once: trials are batched up to this many paths (and at
+# least one trial), which bounds the live noise and state arrays.
+BATCH_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -80,61 +87,53 @@ class RateTable:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _observable_values(spec: DiffusionSpec, init: InitialLaw,
-                       grid: TimeGrid, observable: str,
-                       gen: np.random.Generator, n: int) -> np.ndarray:
-    """Simulate n paths inside one trial's stream; return the observable."""
-    d = spec.dim
-    m = grid.n_steps
-    prev = np.empty((n, d))
-    for i in range(n):
-        prev[i] = init.draw(gen)
-    running = np.zeros(n)
-    vals_prev = prev[:, 0].copy()
-    for k in range(m):
-        t = float(grid.points[k])
-        dt = float(grid.points[k + 1] - grid.points[k])
-        b = np.asarray(spec.drift(t, prev), dtype=float)
-        a = np.asarray(spec.diffusion_matrix(t, prev), dtype=float)
-        noise = gen.standard_normal((n, d))
-        if d == 1:
-            step = np.sqrt(a[..., 0, 0] * dt)[:, None] * noise
-        else:
-            root = np.linalg.cholesky(a)
-            step = np.einsum("nij,nj->ni", root, noise) * math.sqrt(dt)
-        prev = prev + b * dt + step
-        if observable == "time_average":
-            vals = prev[:, 0]
-            running += 0.5 * (vals_prev + vals) * dt
-            vals_prev = vals
+def _observable(states: np.ndarray, grid: TimeGrid,
+                observable: str) -> np.ndarray:
+    """Per-path observable of the first state coordinate."""
+    x = states[:, :, 0]
     if observable == "terminal":
-        return prev[:, 0]
+        return x[:, -1]
+    # trapezoid rule summed in step order; np.trapezoid sums in another
+    # order and would move the trial means by ulps
+    running = np.zeros(x.shape[0])
+    for k in range(grid.n_steps):
+        dt = float(grid.points[k + 1] - grid.points[k])
+        running += 0.5 * (x[:, k] + x[:, k + 1]) * dt
     return running / grid.horizon
 
 
 def _row_counts(spec, init, grid, exp: RateExperiment, n: int,
                 row_index: int, threads: int) -> int:
-    """Exceedance count over all trials for one sample size."""
-    row_seed = substream_seed(exp.seed, row_index)
+    """Exceedance count over all trials for one sample size.
 
-    def run_block(lo: int, hi: int) -> int:
+    Trial j draws its n initial states, then all its increments, from the
+    stream keyed by (row seed, j). Trials are stepped together in batches
+    of at most BATCH_PATHS paths.
+    """
+    row_seed = substream_seed(exp.seed, row_index)
+    d, m = spec.dim, grid.n_steps
+    per_batch = max(1, BATCH_PATHS // n)
+
+    def count(lo: int, hi: int) -> int:
         c = 0
-        for trial in range(lo, hi):
-            gen = np.random.Generator(np.random.Philox(
-                key=(row_seed, trial)))
-            vals = _observable_values(spec, init, grid, exp.observable,
-                                      gen, n)
-            if vals.mean() > exp.threshold:
-                c += 1
+        for b_lo in range(lo, hi, per_batch):
+            trials = range(b_lo, min(b_lo + per_batch, hi))
+            x0 = np.empty((len(trials), n, d))
+            z = np.empty((len(trials), n, m, d))
+            for i, trial in enumerate(trials):
+                gen = path_generator(row_seed, trial)
+                for p in range(n):
+                    x0[i, p] = init.draw(gen)
+                z[i] = gen.standard_normal((m, n, d)).transpose(1, 0, 2)
+            states = np.empty((len(trials) * n, m + 1, d))
+            euler_maruyama(spec, grid, x0.reshape(-1, d),
+                           z.reshape(-1, m, d), states)
+            vals = _observable(states, grid, exp.observable)
+            means = vals.reshape(len(trials), n).mean(axis=1)
+            c += int(np.count_nonzero(means > exp.threshold))
         return c
 
-    if threads <= 1 or exp.trials < 2 * threads:
-        return run_block(0, exp.trials)
-    bounds = np.linspace(0, exp.trials, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ab: run_block(*ab),
-                              zip(bounds[:-1], bounds[1:])))
-    return sum(parts)
+    return sum(partition_blocks(exp.trials, threads, count))
 
 
 def empirical_rate(spec_P: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
@@ -149,6 +148,9 @@ def empirical_rate(spec_P: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
 
     Raises:
         InsufficientSamplingError: every row had zero exceedances.
+        PositiveDefinitenessError: a diffusion matrix along a trial's paths
+            is not positive definite.
+        ModelEvaluationError: a trial's paths reach non-finite states.
     """
     oracle_val = None
     # the closed-form rate is for the terminal observable only

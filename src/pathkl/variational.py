@@ -26,7 +26,6 @@ import numpy as np
 
 from .diffusion import DiffusionSpec, PathEnsemble
 from .errors import ArgumentError
-from .estimates import TOL_LINALG
 
 __all__ = [
     "SVD_RCOND",

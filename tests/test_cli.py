@@ -247,6 +247,20 @@ def test_compare_flags_infinite_row(tmp_path, capsys):
     assert report["z_scores"][0]["z"] is None
 
 
+def test_reports_carry_json_booleans(tmp_path, capsys):
+    # mismatched state-dependent diffusions: girsanov short-circuits to +inf
+    base = dict(model_mu={"id": "sine_diffusion", "params": {"a": 2.0}},
+                model_P={"id": "sine_diffusion", "params": {"a": 1.0}},
+                grid={"horizon": 1.0, "steps": 32}, n_paths=100)
+    g = _write(tmp_path, "g.json", _girsanov_cfg(**base))
+    assert main(["run", "--config", g]) == 0
+    text = capsys.readouterr().out
+    assert '"passed": false' in text
+    assert main(["compare", "--config", g, "--config", g]) == 0
+    text = capsys.readouterr().out
+    assert '"is_infinite": true' in text
+
+
 def test_compare_rejects_different_scenarios(tmp_path):
     a = _write(tmp_path, "a.json", _girsanov_cfg())
     b = _write(tmp_path, "b.json",
@@ -281,6 +295,18 @@ def test_list_models(capsys):
                      "linear", "sine_diffusion"):
         assert model_id in out
     assert "gamma" in out
+
+
+def test_list_models_reads_catalogue(capsys, monkeypatch):
+    from pathkl import diffusion, make_model, register_model
+
+    monkeypatch.setattr(diffusion, "_CATALOG", dict(diffusion._CATALOG))
+    register_model("listed_user_model",
+                   lambda params, dim: make_model("brownian", {}, dim),
+                   params=("kappa", "a"))
+    assert main(["list-models"]) == 0
+    out = capsys.readouterr().out
+    assert "listed_user_model  params: a, kappa" in out
 
 
 def test_self_test_passes(capsys):

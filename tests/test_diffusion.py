@@ -306,6 +306,12 @@ def test_register_model_duplicate():
         register_model("brownian", lambda params, dim: None)
 
 
+def test_make_model_rejects_unknown_params():
+    with pytest.raises(ArgumentError, match="gama"):
+        make_model("ou", {"gama": 2})
+    assert make_model("ou", {"gamma": 2}).params == {"gamma": 2}
+
+
 def test_sine_diffusion_validation():
     with pytest.raises(ArgumentError):
         make_model("sine_diffusion", {"amplitude": 1.0})

@@ -9,8 +9,11 @@ from scipy.stats import norm
 from pathkl import (
     ArgumentError,
     CapabilityError,
+    DiffusionSpec,
     InitialLaw,
     InsufficientSamplingError,
+    ModelEvaluationError,
+    PositiveDefinitenessError,
     RateExperiment,
     TimeGrid,
     cramer_rate,
@@ -188,3 +191,78 @@ def test_oracle_silently_skipped_when_unavailable():
     table = empirical_rate(spec, InitialLaw.point_mass([0.0]), grid, exp)
     assert table.rows[0].oracle is None
     assert table.rows[0].rate > 0.0
+
+
+# ---------------------------------------------------------------------------
+# trials share the sampler's path checks
+
+
+def test_negative_diffusion_raises():
+    _, init, grid = _bm_setup()
+    spec = make_model("brownian", {"a": -1.0})
+    exp = RateExperiment("terminal", 1.0, (2, 5), trials=200, seed=0)
+    with pytest.raises(PositiveDefinitenessError):
+        empirical_rate(spec, init, grid, exp)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_drift_raises():
+    _, init, grid = _bm_setup()
+    base = make_model("brownian", {})
+    spec = DiffusionSpec(
+        dim=1, drift=lambda t, x: 1e300 * (1.0 + np.abs(x)),
+        diffusion_matrix=base.diffusion_matrix, model_id="blowup",
+        constant_diffusion=True)
+    exp = RateExperiment("terminal", 1.0, (2, 5), trials=200, seed=0)
+    with pytest.raises(ModelEvaluationError):
+        empirical_rate(spec, init, grid, exp)
+
+
+# ---------------------------------------------------------------------------
+# pinned counts: trials run through the shared simulator in batches, and
+# these counts were recorded from the former per-trial loop. Trial counts
+# and sample sizes are chosen so that no batch boundary falls on a trial
+# boundary of the previous layout (1000 trials, n = 3 or 7, and so on).
+
+
+def _pinned_cases():
+    return [
+        ("brownian", {}, 1, InitialLaw.point_mass([0.0]), 16,
+         RateExperiment("terminal", 0.5, (3, 7), trials=1000, seed=11),
+         [175, 121]),
+        ("brownian", {}, 1, InitialLaw.point_mass([0.0]), 20,
+         RateExperiment("time_average", 0.3, (2, 5), trials=700, seed=12),
+         [170, 91]),
+        ("brownian", {"a": 2.0}, 1, InitialLaw.point_mass([0.0]), 16,
+         RateExperiment("terminal", 0.6, (3, 7), trials=1000, seed=21),
+         [251, 127]),
+        ("ou", {"gamma": 1.5, "a": 0.5}, 1,
+         InitialLaw.gaussian([0.2], [[0.3]]), 10,
+         RateExperiment("terminal", 0.4, (3, 6), trials=500, seed=13),
+         [43, 12]),
+        ("ou", {"gamma": 1.0}, 1, InitialLaw.gaussian([0.0], [[1.0]]), 16,
+         RateExperiment("time_average", 0.3, (3, 7), trials=1000, seed=16),
+         [226, 143]),
+        ("sine_diffusion", {"a": 1.0}, 1,
+         InitialLaw.empirical([-0.5, 0.0, 0.3, 1.1]), 12,
+         RateExperiment("time_average", 0.4, (5,), trials=300, seed=14),
+         [98]),
+        ("brownian", {"a": [[2.0, 0.5], [0.5, 1.0]]}, 2,
+         InitialLaw.gaussian([0.1, -0.2], [[0.3, 0.1], [0.1, 0.2]]), 8,
+         RateExperiment("terminal", 0.5, (3,), trials=400, seed=15),
+         [129]),
+    ]
+
+
+@pytest.mark.parametrize("case", _pinned_cases(),
+                         ids=lambda c: f"{c[0]}-{c[5].observable}-"
+                                       f"{c[3].kind}-seed{c[5].seed}")
+def test_pinned_counts(case):
+    model_id, params, dim, init, steps, exp, counts = case
+    spec = make_model(model_id, params, dim=dim)
+    grid = TimeGrid.uniform(1.0, steps)
+    table = empirical_rate(spec, init, grid, exp, with_oracle=False)
+    assert [r.count for r in table.rows] == counts
+    table2 = empirical_rate(spec, init, grid, exp, threads=3,
+                            with_oracle=False)
+    assert [r.count for r in table2.rows] == counts
