@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,30 +138,107 @@ def _grid_index(grid: TimeGrid, t: float) -> int:
     return idx
 
 
-def _gauss_interval_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                       x: np.ndarray, t_lo: float, dt: float) -> np.ndarray:
-    """Per-path KL of the frozen-coefficient Gaussian interval laws.
+class _PairCoefficients:
+    """Coefficients of (mu, P) on the columns of an ensemble.
 
-    KL(N(x + e dt, c dt) || N(x + b dt, a dt)) per path; the variance-ratio
-    part is dt-free, the drift part scales with dt.
+    A model flagged constant_diffusion has its matrix evaluated once per run
+    (at the first grid time and state) and inverted once; any other model's
+    matrix is evaluated and solved against at every (t, x) of a column.
     """
-    d = x.shape[1]
-    e = np.asarray(spec_mu.drift(t_lo, x), dtype=float)
-    b = np.asarray(spec_P.drift(t_lo, x), dtype=float)
-    c = np.asarray(spec_mu.diffusion_matrix(t_lo, x), dtype=float)
-    a = np.asarray(spec_P.diffusion_matrix(t_lo, x), dtype=float)
 
-    sign_a, logdet_a = np.linalg.slogdet(a)
-    sign_c, logdet_c = np.linalg.slogdet(c)
-    if np.any(sign_a <= 0):
-        raise PositiveDefinitenessError("reference diffusion not PD on paths")
-    if np.any(sign_c <= 0):
-        raise PositiveDefinitenessError("ensemble diffusion not PD on paths")
-    a_inv_c = np.linalg.solve(a, c)
-    trace = np.trace(a_inv_c, axis1=-2, axis2=-1)
-    gap = e - b
-    quad = np.einsum("nd,nd->n", gap, np.linalg.solve(a, gap[..., None])[..., 0])
-    return 0.5 * (trace - d + (logdet_a - logdet_c) + dt * quad)
+    def __init__(self, spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
+                 ensemble: PathEnsemble):
+        self.spec_mu, self.spec_P = spec_mu, spec_P
+        self.states = ensemble.states
+        self.times = ensemble.grid.points
+        self.c = self._constant(spec_mu)
+        self.a = self._constant(spec_P)
+        self.a_inv = None if self.a is None else np.linalg.inv(self.a)
+
+    def _constant(self, spec: DiffusionSpec) -> np.ndarray | None:
+        if not spec.constant_diffusion:
+            return None
+        return np.atleast_2d(np.asarray(spec.diffusion_matrix(
+            float(self.times[0]), self.states[0, 0]), dtype=float))
+
+    @cached_property
+    def fixed(self):
+        """The dt-free part once per run when both diffusions are constant,
+        else None."""
+        if self.a is None or self.c is None:
+            return None
+        return self._variance_part(self.a, self.c)
+
+    def _column(self, k: int):
+        return float(self.times[k]), self.states[:, k]
+
+    def _variance_part(self, a, c):
+        """tr(a^{-1} c) - d + logdet a - logdet c, the dt-free KL part."""
+        sign_a, logdet_a = np.linalg.slogdet(a)
+        sign_c, logdet_c = np.linalg.slogdet(c)
+        if np.any(sign_a <= 0):
+            raise PositiveDefinitenessError(
+                "reference diffusion not PD on paths")
+        if np.any(sign_c <= 0):
+            raise PositiveDefinitenessError(
+                "ensemble diffusion not PD on paths")
+        trace = np.trace(np.linalg.solve(a, c), axis1=-2, axis2=-1)
+        return trace - a.shape[-1] + (logdet_a - logdet_c)
+
+    def drift_quad(self, k: int, a=None) -> np.ndarray:
+        """Per-path (e - b)' a^{-1} (e - b) at column k; a as evaluated
+        there when P's diffusion is not constant."""
+        t, x = self._column(k)
+        gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
+               - np.asarray(self.spec_P.drift(t, x), dtype=float))
+        if self.a_inv is not None:
+            return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
+        if a is None:
+            a = np.asarray(self.spec_P.diffusion_matrix(t, x), dtype=float)
+        return np.einsum("nd,nd->n", gap,
+                         np.linalg.solve(a, gap[..., None])[..., 0])
+
+    def interval_parts(self, k: int):
+        """Per-path dt-free part and drift quadratic of the interval KL with
+        left endpoint at column k."""
+        t, x = self._column(k)
+        a = self.a if self.a is not None else np.asarray(
+            self.spec_P.diffusion_matrix(t, x), dtype=float)
+        c = self.c if self.c is not None else np.asarray(
+            self.spec_mu.diffusion_matrix(t, x), dtype=float)
+        return self._variance_part(a, c), self.drift_quad(k, a)
+
+
+def _interval_terms(spec_mu, spec_P, ensemble, columns):
+    """Parts of the frozen-coefficient Gaussian interval KLs at left endpoints.
+
+    KL(N(x + e dt, c dt) || N(x + b dt, a dt)) per path is
+    ½ (fixed + dt · quad): the variance part is dt-free and the drift part
+    depends on the left endpoint only, so nested partitions can share them.
+
+    Returns:
+        (fixed, quad), each of shape (n_paths, len(columns)); fixed is one
+        value of shape (1, 1) when both diffusions are constant.
+    """
+    pair = _PairCoefficients(spec_mu, spec_P, ensemble)
+    n = ensemble.states.shape[0]
+    quad = np.empty((n, len(columns)))
+    if pair.fixed is not None:
+        for j, k in enumerate(columns):
+            quad[:, j] = pair.drift_quad(int(k))
+        return np.full((1, 1), pair.fixed), quad
+    fixed = np.empty((n, len(columns)))
+    for j, k in enumerate(columns):
+        fixed[:, j], quad[:, j] = pair.interval_parts(int(k))
+    return fixed, quad
+
+
+def _interval_kls(fixed, quad, dt) -> np.ndarray:
+    """Per-path interval KLs ½ (fixed + dt · quad) from _interval_terms."""
+    out = quad * dt
+    out += fixed
+    out *= 0.5
+    return out
 
 
 def _dv_interval_kl(spec_mu, spec_P, x, t_lo, dt, *, seed, n_cloud,
@@ -221,7 +299,8 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     x = ensemble_mu.states[:, idx_lo]
 
     if method == "gauss":
-        values = _gauss_interval_kl(spec_mu, spec_P, x, t_lo, dt)
+        fixed, quad = _interval_terms(spec_mu, spec_P, ensemble_mu, [idx_lo])
+        values = _interval_kls(fixed, quad, dt)[:, 0]
     elif method == "dv":
         values = _dv_interval_kl(
             spec_mu, spec_P, x, t_lo, dt,
@@ -235,14 +314,52 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     return float(values.mean()), se
 
 
-def _per_path_interval_values(spec_mu, spec_P, ensemble, partition):
-    """Matrix of per-path gauss interval KLs, shape (n_paths, n_intervals)."""
-    cols = []
-    for t_lo, t_hi in partition.intervals():
-        idx_lo = _grid_index(ensemble.grid, t_lo)
-        x = ensemble.states[:, idx_lo]
-        cols.append(_gauss_interval_kl(spec_mu, spec_P, x, t_lo, t_hi - t_lo))
-    return np.column_stack(cols)
+def _infinite_chain(partition: Partition, method: str) -> ChainEstimate:
+    total = EntropyEstimate(value=math.inf, std_error=0.0,
+                            method=f"chain-{method}",
+                            diagnostics={"divergent_term": "initial"})
+    return ChainEstimate(total=total, initial_term=math.inf,
+                         contributions=(), partition=partition,
+                         method=method)
+
+
+def _chain_result(initial: EntropyEstimate, terms, total_se: float,
+                  partition: Partition, method: str,
+                  n_paths: int) -> ChainEstimate:
+    """The total as the plain left-to-right sum of the initial term and the
+    interval means, so the reported decomposition is an identity."""
+    total_value = initial.value
+    for term in terms:
+        total_value = total_value + term.value
+    combined_se = math.sqrt(initial.std_error ** 2 + total_se ** 2)
+    total = EntropyEstimate(
+        value=max(total_value, 0.0), std_error=combined_se,
+        method=f"chain-{method}",
+        diagnostics={"n_paths": n_paths,
+                     "n_intervals": partition.n_intervals,
+                     "initial_method": initial.method})
+    return ChainEstimate(total=total, initial_term=initial.value,
+                         contributions=terms, partition=partition,
+                         method=method)
+
+
+def _gauss_chain(initial: EntropyEstimate, fixed, quad,
+                 partition: Partition) -> ChainEstimate:
+    """Chain estimate from the interval parts at the partition's left
+    endpoints (columns of fixed and quad in interval order)."""
+    per_path = _interval_kls(fixed, quad, np.diff(partition.times))
+    n = per_path.shape[0]
+    means = per_path.mean(axis=0)
+    ses = per_path.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 \
+        else np.zeros(per_path.shape[1])
+    path_totals = per_path.sum(axis=1)
+    total_se = float(path_totals.std(ddof=1) / math.sqrt(n)) if n > 1 \
+        else 0.0
+    terms = tuple(
+        StepTerm(t_lo=lo, t_hi=hi, value=float(means[j]),
+                 std_error=float(ses[j]))
+        for j, (lo, hi) in enumerate(partition.intervals()))
+    return _chain_result(initial, terms, total_se, partition, "gauss", n)
 
 
 def chain_estimate(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -272,49 +389,21 @@ def chain_estimate(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                                 threads=threads)
     initial = initial_entropy(init_mu, init_P)
     if initial.is_infinite:
-        total = EntropyEstimate(value=math.inf, std_error=0.0,
-                                method=f"chain-{method}",
-                                diagnostics={"divergent_term": "initial"})
-        return ChainEstimate(total=total, initial_term=math.inf,
-                             contributions=(), partition=partition,
-                             method=method)
+        return _infinite_chain(partition, method)
 
     if method == "gauss":
-        per_path = _per_path_interval_values(spec_mu, spec_P, ensemble,
-                                             partition)
-        n = per_path.shape[0]
-        means = per_path.mean(axis=0)
-        ses = per_path.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 \
-            else np.zeros(per_path.shape[1])
-        path_totals = per_path.sum(axis=1)
-        total_se = float(path_totals.std(ddof=1) / math.sqrt(n)) if n > 1 \
-            else 0.0
-        terms = tuple(
-            StepTerm(t_lo=lo, t_hi=hi, value=float(means[j]),
-                     std_error=float(ses[j]))
-            for j, (lo, hi) in enumerate(partition.intervals()))
-    else:
-        terms = []
-        for lo, hi in partition.intervals():
-            value, se = step_kl(spec_mu, spec_P, ensemble, (lo, hi), method)
-            terms.append(StepTerm(t_lo=lo, t_hi=hi, value=value,
-                                  std_error=se))
-        terms = tuple(terms)
-        total_se = math.sqrt(sum(t.std_error ** 2 for t in terms))
+        columns = [_grid_index(ensemble.grid, t_lo)
+                   for t_lo, _ in partition.intervals()]
+        fixed, quad = _interval_terms(spec_mu, spec_P, ensemble, columns)
+        return _gauss_chain(initial, fixed, quad, partition)
 
-    total_value = initial.value
-    for term in terms:
-        total_value = total_value + term.value
-    combined_se = math.sqrt(initial.std_error ** 2 + total_se ** 2)
-    total = EntropyEstimate(
-        value=max(total_value, 0.0), std_error=combined_se,
-        method=f"chain-{method}",
-        diagnostics={"n_paths": ensemble.n_paths,
-                     "n_intervals": partition.n_intervals,
-                     "initial_method": initial.method})
-    return ChainEstimate(total=total, initial_term=initial.value,
-                         contributions=terms, partition=partition,
-                         method=method)
+    terms = []
+    for lo, hi in partition.intervals():
+        value, se = step_kl(spec_mu, spec_P, ensemble, (lo, hi), method)
+        terms.append(StepTerm(t_lo=lo, t_hi=hi, value=value, std_error=se))
+    total_se = math.sqrt(sum(t.std_error ** 2 for t in terms))
+    return _chain_result(initial, tuple(terms), total_se, partition, method,
+                         ensemble.n_paths)
 
 
 def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
@@ -358,10 +447,23 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     partitions = refine_sequence(grid, levels)
     ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
                             threads=threads)
-    estimates = tuple(
-        chain_estimate(spec_mu, spec_P, init_mu, init_P, part,
-                       method=method, ensemble=ensemble)
-        for part in partitions)
+    initial = initial_entropy(init_mu, init_P)
+    if method == "gauss" and not initial.is_infinite:
+        # every level's left endpoints are finest-level left endpoints
+        finest = partitions[-1]
+        fixed, quad = _interval_terms(spec_mu, spec_P, ensemble,
+                                      finest.indices[:-1])
+        estimates = []
+        for part in partitions:
+            step = finest.n_intervals // part.n_intervals
+            estimates.append(_gauss_chain(initial, fixed[:, ::step],
+                                          quad[:, ::step], part))
+        estimates = tuple(estimates)
+    else:
+        estimates = tuple(
+            chain_estimate(spec_mu, spec_P, init_mu, init_P, part,
+                           method=method, ensemble=ensemble)
+            for part in partitions)
 
     violations = []
     for prev, curr in zip(estimates, estimates[1:]):

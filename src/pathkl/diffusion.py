@@ -55,8 +55,10 @@ class DiffusionSpec:
     drift maps (t, x) -> R^d and diffusion_matrix maps (t, x) -> symmetric
     positive definite d x d. Both must broadcast over a leading batch axis of
     x: x of shape (..., d) yields (..., d) and (..., d, d). constant_diffusion
-    marks models whose a(t, x) never varies, enabling a single Cholesky
-    factorization per sampling run.
+    marks models whose a(t, x) never varies. It is trusted, not checked:
+    sampling factorizes a once per run, and girsanov and the chain estimators
+    evaluate a(t, x) once per run (at the first grid time and state) and
+    reuse that matrix, its inverse and its log-determinant at every slice.
     """
 
     dim: int
@@ -69,7 +71,11 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Time-zero law: point mass, Gaussian, or empirical sample list."""
+    """Time-zero law: point mass, Gaussian, or empirical sample list.
+
+    A Gaussian law factorizes its covariance once, when it is made; every
+    draw reuses that square root.
+    """
 
     kind: str
     dim: int
@@ -77,6 +83,12 @@ class InitialLaw:
     mean: np.ndarray | None = None
     covariance: np.ndarray | None = None
     samples: np.ndarray | None = None
+    root: np.ndarray | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def __post_init__(self):
+        if self.kind == "gaussian":
+            object.__setattr__(self, "root", _psd_root(self.covariance))
 
     @classmethod
     def point_mass(cls, x0) -> "InitialLaw":
@@ -110,8 +122,7 @@ class InitialLaw:
         if self.kind == "point":
             return self.point.copy()
         if self.kind == "gaussian":
-            root = _psd_root(self.covariance)
-            return self.mean + root @ gen.standard_normal(self.dim)
+            return self.mean + self.root @ gen.standard_normal(self.dim)
         if self.kind == "empirical":
             return self.samples[gen.integers(self.samples.shape[0])].copy()
         raise CapabilityError(f"unsupported initial law kind {self.kind!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import diffusion_match_check
+from .chain import _PairCoefficients, diffusion_match_check
 from .diffusion import DiffusionSpec, InitialLaw, PathEnsemble
 from .errors import ArgumentError, CapabilityError
 from .estimates import EntropyEstimate
@@ -35,20 +35,12 @@ __all__ = [
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                       ensemble: PathEnsemble) -> np.ndarray:
     """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}."""
-    states = ensemble.states
-    n, m_plus_1, d = states.shape
-    grid = ensemble.grid.points
+    pair = _PairCoefficients(spec_mu, spec_P, ensemble)
+    n, m_plus_1, _ = ensemble.states.shape
     integrand = np.empty((n, m_plus_1))
     for k in range(m_plus_1):
-        t = float(grid[k])
-        x = states[:, k]
-        e = np.asarray(spec_mu.drift(t, x), dtype=float)
-        b = np.asarray(spec_P.drift(t, x), dtype=float)
-        a = np.asarray(spec_P.diffusion_matrix(t, x), dtype=float)
-        gap = b - e
-        integrand[:, k] = np.einsum(
-            "nd,nd->n", gap, np.linalg.solve(a, gap[..., None])[..., 0])
-    return np.trapezoid(integrand, grid, axis=1)
+        integrand[:, k] = pair.drift_quad(k)
+    return np.trapezoid(integrand, ensemble.grid.points, axis=1)
 
 
 def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,6 +83,8 @@ class _Window:
         self.center = 0.5 * (self.lo + self.hi)
         self.half = 0.5 * (self.hi - self.lo)
         self.margin = margin
+        # windows with equal boxes evaluate identically; the basis groups by it
+        self.key = (self.lo.tobytes(), self.hi.tobytes(), margin)
 
     def _axis_parts(self, x: np.ndarray):
         """Per-axis window value and first two derivatives in x units."""
@@ -127,6 +130,117 @@ class _Window:
                     hess[..., i, j] = w1[..., i] * w1[..., j] * rest
         return total, grad, hess
 
+    def parts(self, x: np.ndarray, order: int):
+        """Value, gradient and Hessian up to `order` (None above it)."""
+        if order == 0:
+            return self.value(x), None, None
+        return self.triple(x)
+
+
+# ---------------------------------------------------------------------------
+# Catalog cores: the structure of a windowed catalog function. A basis
+# evaluates all cores of one family under one window as a single stack. The
+# stacks put the core axis K first, so every elementwise operation runs over
+# the long point axes and the product rule reads as for a single function.
+
+
+def _leading(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-core array (K, *rest) reshaped to broadcast against (K, ...x.shape)."""
+    return a.reshape(a.shape[:1] + (1,) * (x.ndim - 1) + a.shape[1:])
+
+
+@dataclass(frozen=True, eq=False)
+class _BumpCore:
+    """Gaussian bump exp(-|x - center|² / (2 scale²))."""
+
+    center: np.ndarray
+    scale: float
+    window: _Window
+
+    @staticmethod
+    def stack(cores, x: np.ndarray, order: int):
+        """Values (K, ...), gradients (K, ..., d), Hessians (K, ..., d, d)
+        of the K cores at x of shape (..., d), up to `order` (None above)."""
+        centers = _leading(np.stack([c.center for c in cores]), x)
+        s2 = _leading(np.array([c.scale * c.scale for c in cores]), x)
+        diff = x - centers
+        value = np.exp(-0.5 * np.sum(diff * diff, axis=-1) / s2)
+        grad = hess = None
+        if order >= 1:
+            grad = -(diff / s2[..., None]) * value[..., None]
+        if order >= 2:
+            d = x.shape[-1]
+            outer = diff[..., :, None] * diff[..., None, :] \
+                / (s2 * s2)[..., None, None]
+            hess = value[..., None, None] * (
+                outer - np.eye(d) / s2[..., None, None])
+        return value, grad, hess
+
+
+@dataclass(frozen=True, eq=False)
+class _MonomialCore:
+    """Monomial prod_i u_i^{degree_i} in the window's box coordinates u."""
+
+    degree: np.ndarray
+    window: _Window
+
+    @staticmethod
+    def stack(cores, x: np.ndarray, order: int):
+        """Same contract as _BumpCore.stack; the cores share one window."""
+        window = cores[0].window
+        degs = _leading(np.stack([c.degree for c in cores]), x)
+        half = window.half
+        d = x.shape[-1]
+        u = (x - window.center) / half
+
+        def powers(drop):
+            # u ** max(degree - drop, 0) per core: numpy's power rounds
+            # differently when an exponent is broadcast along its inner
+            # loop, so each core keeps the single-function operand shapes.
+            return np.stack([u ** np.maximum(c.degree - drop, 0)
+                             for c in cores])
+
+        p = powers(0)
+        value = np.prod(p, axis=-1)
+        grad = hess = None
+        if order >= 1:
+            dp = np.where(degs > 0, degs * powers(1), 0.0) / half
+            grad = np.empty_like(p)
+            for i in range(d):
+                grad[..., i] = dp[..., i] * np.prod(
+                    np.delete(p, i, axis=-1), axis=-1)
+        if order >= 2:
+            ddp = np.where(degs > 1, degs * (degs - 1) * powers(2),
+                           0.0) / (half * half)
+            hess = np.empty(p.shape + (d,))
+            for i in range(d):
+                for j in range(d):
+                    if i == j:
+                        hess[..., i, i] = ddp[..., i] * np.prod(
+                            np.delete(p, i, axis=-1), axis=-1)
+                    else:
+                        rest = np.prod(np.delete(p, (i, j), axis=-1),
+                                       axis=-1) if d > 2 else 1.0
+                        hess[..., i, j] = dp[..., i] * dp[..., j] * rest
+        return value, grad, hess
+
+
+def _windowed_stack(cores, x: np.ndarray, order: int,
+                    window_parts) -> np.ndarray:
+    """Window times each core of one family, differentiated `order` times by
+    the product rule; shape (K, ...) + (d,) * order. The window parts (value,
+    gradient, Hessian at x) broadcast over the leading core axis."""
+    w, wg, wh = window_parts
+    cv, cg, ch = type(cores[0]).stack(cores, x, order)
+    if order == 0:
+        return w * cv
+    if order == 1:
+        return w[..., None] * cg + cv[..., None] * wg
+    cross = cg[..., :, None] * wg[..., None, :]
+    return (w[..., None, None] * ch
+            + cross + np.swapaxes(cross, -1, -2)
+            + cv[..., None, None] * wh)
+
 
 # ---------------------------------------------------------------------------
 # Basis functions
@@ -138,7 +252,10 @@ class BasisFunction:
 
     value maps (..., d) -> (...); gradient maps to (..., d); hessian to
     (..., d, d). All catalog members are exactly zero outside their window
-    box.
+    box. core is the catalog structure (window and core parameters) that a
+    FunctionBasis evaluates in one stack with its family; it is None for
+    custom functions, which are evaluated one at a time through the three
+    callables.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -146,32 +263,22 @@ class BasisFunction:
     hessian: Callable[[np.ndarray], np.ndarray]
     family: str = "custom"
     meta: dict = field(default_factory=dict)
+    core: _BumpCore | _MonomialCore | None = field(default=None,
+                                                   compare=False)
 
 
-def _windowed(core, window: _Window, family: str, meta: dict) -> BasisFunction:
-    """Combine a smooth core triple with the window by the product rule."""
-    core_value, core_grad, core_hess = core
+def _catalog_function(core, family: str, meta: dict) -> BasisFunction:
+    """A catalog function: the one-core stack of its family."""
 
-    def value(x):
+    def evaluate(x, order):
         x = np.asarray(x, dtype=float)
-        return window.value(x) * core_value(x)
+        return _windowed_stack((core,), x, order,
+                               core.window.parts(x, order))[0]
 
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        w, wg, _ = window.triple(x)
-        return w[..., None] * core_grad(x) + core_value(x)[..., None] * wg
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        w, wg, wh = window.triple(x)
-        g = core_grad(x)
-        cross = g[..., :, None] * wg[..., None, :]
-        return (w[..., None, None] * core_hess(x)
-                + cross + np.swapaxes(cross, -1, -2)
-                + core_value(x)[..., None, None] * wh)
-
-    return BasisFunction(value=value, gradient=gradient, hessian=hessian,
-                         family=family, meta=meta)
+    return BasisFunction(value=lambda x: evaluate(x, 0),
+                         gradient=lambda x: evaluate(x, 1),
+                         hessian=lambda x: evaluate(x, 2),
+                         family=family, meta=meta, core=core)
 
 
 def gaussian_bump(center, scale: float, lo, hi,
@@ -189,25 +296,9 @@ def gaussian_bump(center, scale: float, lo, hi,
         raise ArgumentError("bump scale must be positive")
     window = _Window(np.broadcast_to(lo, center.shape),
                      np.broadcast_to(hi, center.shape), margin)
-    s2 = scale * scale
-
-    def value(x):
-        diff = x - center
-        return np.exp(-0.5 * np.sum(diff * diff, axis=-1) / s2)
-
-    def grad(x):
-        diff = x - center
-        return -(diff / s2) * value(x)[..., None]
-
-    def hess(x):
-        diff = x - center
-        v = value(x)
-        d = center.shape[0]
-        outer = diff[..., :, None] * diff[..., None, :] / (s2 * s2)
-        return v[..., None, None] * (outer - np.eye(d) / s2)
-
-    return _windowed((value, grad, hess), window, "bump",
-                     {"center": center.tolist(), "scale": float(scale)})
+    core = _BumpCore(center=center, scale=float(scale), window=window)
+    return _catalog_function(core, "bump", {"center": center.tolist(),
+                                            "scale": float(scale)})
 
 
 def windowed_monomial(degree, lo, hi, margin: float = 0.25) -> BasisFunction:
@@ -226,52 +317,25 @@ def windowed_monomial(degree, lo, hi, margin: float = 0.25) -> BasisFunction:
             raise ArgumentError("degree tuple must match dimension")
     if np.any(degs < 0):
         raise ArgumentError("monomial degrees must be nonnegative")
-    window = _Window(lo, hi, margin)
-    center, half = window.center, window.half
+    core = _MonomialCore(degree=degs, window=_Window(lo, hi, margin))
+    return _catalog_function(core, "poly", {"degree": degs.tolist()})
 
-    def _axis_pows(x):
-        u = (x - center) / half
-        p = u ** degs
-        dp = np.where(degs > 0, degs * u ** np.maximum(degs - 1, 0), 0.0) / half
-        ddp = np.where(degs > 1,
-                       degs * (degs - 1) * u ** np.maximum(degs - 2, 0),
-                       0.0) / (half * half)
-        return p, dp, ddp
 
-    def value(x):
-        p, _, _ = _axis_pows(x)
-        return np.prod(p, axis=-1)
-
-    def grad(x):
-        p, dp, _ = _axis_pows(x)
-        d = lo.shape[0]
-        out = np.empty_like(p)
-        for i in range(d):
-            out[..., i] = dp[..., i] * np.prod(np.delete(p, i, axis=-1), axis=-1)
-        return out
-
-    def hess(x):
-        p, dp, ddp = _axis_pows(x)
-        d = lo.shape[0]
-        out = np.empty(x.shape + (d,))
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    out[..., i, i] = ddp[..., i] * np.prod(
-                        np.delete(p, i, axis=-1), axis=-1)
-                else:
-                    rest = np.prod(np.delete(p, (i, j), axis=-1), axis=-1) \
-                        if d > 2 else 1.0
-                    out[..., i, j] = dp[..., i] * dp[..., j] * rest
-        return out
-
-    return _windowed((value, grad, hess), window, "poly",
-                     {"degree": degs.tolist()})
+def _positions(idx: list[int]):
+    if idx == list(range(idx[0], idx[-1] + 1)):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
 
 
 @dataclass(frozen=True)
 class FunctionBasis:
-    """Ordered test functions sharing a domain box."""
+    """Ordered test functions sharing a domain box.
+
+    The stacks evaluate each window once per point set and each family of
+    catalog cores under it as one array; custom functions are evaluated
+    one at a time. Either way the stacks equal the per-function values
+    bit for bit.
+    """
 
     functions: tuple[BasisFunction, ...]
     lo: np.ndarray
@@ -285,6 +349,24 @@ class FunctionBasis:
                            np.atleast_1d(np.asarray(self.lo, dtype=float)))
         object.__setattr__(self, "hi",
                            np.atleast_1d(np.asarray(self.hi, dtype=float)))
+        # window key -> (window, {core type -> function indices})
+        groups: dict = {}
+        custom = []
+        for k, f in enumerate(self.functions):
+            if f.core is None:
+                custom.append(k)
+                continue
+            window = f.core.window
+            families = groups.setdefault(window.key, (window, {}))[1]
+            families.setdefault(type(f.core), []).append(k)
+        # (window, ((positions, cores), ...)) with one entry per family; a
+        # run of positions becomes a slice, which numpy assigns much faster
+        object.__setattr__(self, "_groups", tuple(
+            (window, tuple((_positions(idx),
+                            tuple(self.functions[k].core for k in idx))
+                           for idx in families.values()))
+            for window, families in groups.values()))
+        object.__setattr__(self, "_custom", tuple(custom))
 
     @property
     def size(self) -> int:
@@ -294,20 +376,32 @@ class FunctionBasis:
     def dim(self) -> int:
         return self.lo.shape[0]
 
+    def _stack(self, x, order: int) -> np.ndarray:
+        """Shape (..., K) + (d,) * order: values, gradients or Hessians."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (self.size,) + x.shape[-1:] * order)
+        by_function = np.moveaxis(out, x.ndim - 1, 0)   # view, (K, ...)
+        for window, families in self._groups:
+            parts = window.parts(x, order)
+            for positions, cores in families:
+                by_function[positions] = _windowed_stack(cores, x, order,
+                                                         parts)
+        for k in self._custom:
+            f = self.functions[k]
+            by_function[k] = (f.value, f.gradient, f.hessian)[order](x)
+        return out
+
     def value_matrix(self, x: np.ndarray) -> np.ndarray:
         """Stack of function values, shape (..., K)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([f.value(x) for f in self.functions], axis=-1)
+        return self._stack(x, 0)
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
         """Gradients, shape (..., K, d)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([f.gradient(x) for f in self.functions], axis=-2)
+        return self._stack(x, 1)
 
     def hessian_stack(self, x: np.ndarray) -> np.ndarray:
         """Hessians, shape (..., K, d, d)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([f.hessian(x) for f in self.functions], axis=-3)
+        return self._stack(x, 2)
 
     def describe(self) -> list[dict]:
         return [dict(family=f.family, **f.meta) for f in self.functions]
@@ -403,6 +497,11 @@ class GramData:
     t: float
     condition: float
 
+    @cached_property
+    def pseudo_inverse(self) -> np.ndarray:
+        """Q⁺ with relative cutoff SVD_RCOND, computed once per Gram matrix."""
+        return np.linalg.pinv(self.matrix, rcond=SVD_RCOND, hermitian=True)
+
 
 @dataclass(frozen=True)
 class FokkerPlanckResidual:
@@ -447,7 +546,8 @@ class DriftCorrection:
 
 
 def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
-                basis: FunctionBasis) -> GramData:
+                basis: FunctionBasis, *,
+                gradients: np.ndarray | None = None) -> GramData:
     """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
 
     Args:
@@ -455,13 +555,16 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
         t: time label of the marginal.
         marginal_samples: points of shape (n, d) distributed as the marginal.
         basis: test functions.
+        gradients: basis.gradient_stack(marginal_samples) when the caller
+            has already evaluated it.
     """
     y = np.asarray(marginal_samples, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
     if y.shape[0] == 0:
         raise ArgumentError("gram matrix needs at least one sample")
-    grads = basis.gradient_stack(y)                      # (n, K, d)
+    grads = basis.gradient_stack(y) if gradients is None \
+        else gradients                                   # (n, K, d)
     a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
     q = np.einsum("nkd,nde,nle->kl", grads, a, grads) / y.shape[0]
     q = 0.5 * (q + q.T)
@@ -472,14 +575,17 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
 
 def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                            basis: FunctionBasis, t_index: int,
-                           window: int = 1) -> FokkerPlanckResidual:
+                           window: int = 1, *,
+                           gradients: np.ndarray | None = None
+                           ) -> FokkerPlanckResidual:
     """Residual of the reference Fokker-Planck identity on the basis.
 
     Under the reference law P the marginals satisfy d/dt <mu_t, f> =
     <mu_t, L f> for every test f; a nonzero residual is the signature of a
     drift discrepancy. The time derivative is a central difference over
     ``window`` grid steps on each path; the generator term is averaged at
-    the central slice.
+    the central slice. gradients, when given, is basis.gradient_stack of
+    the central slice, already evaluated by the caller.
 
     Raises:
         ArgumentError: when t_index ± window leaves the grid.
@@ -499,7 +605,8 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
 
     diff = (basis.value_matrix(x_hi) - basis.value_matrix(x_lo)) / span
 
-    grads = basis.gradient_stack(x_mid)                  # (n, K, d)
+    grads = basis.gradient_stack(x_mid) if gradients is None \
+        else gradients                                   # (n, K, d)
     hesss = basis.hessian_stack(x_mid)                   # (n, K, d, d)
     a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
     b = np.asarray(spec_P.drift(t, x_mid), dtype=float)
@@ -525,7 +632,7 @@ def dual_energy(c: np.ndarray, gram: GramData) -> DualSolution:
     q = gram.matrix
     if c.shape != (q.shape[0],):
         raise ArgumentError("residual and Gram dimensions differ")
-    g = np.linalg.pinv(q, rcond=SVD_RCOND, hermitian=True) @ c
+    g = gram.pseudo_inverse @ c
     value = 0.5 * float(g @ (q @ g))
     return DualSolution(value=value, coefficients=g)
 
@@ -563,14 +670,17 @@ class EnergyProfile:
 
 
 def _debiased_slice(ensemble, spec_P, basis, idx, window, debias):
-    res = fokker_planck_residual(ensemble, spec_P, basis, idx, window)
-    gram = gram_matrix(spec_P, res.t, ensemble.states[:, idx], basis)
+    # the residual and the Gram matrix share the gradients at the slice
+    x_mid = ensemble.states[:, idx]
+    grads = basis.gradient_stack(x_mid)
+    res = fokker_planck_residual(ensemble, spec_P, basis, idx, window,
+                                 gradients=grads)
+    gram = gram_matrix(spec_P, res.t, x_mid, basis, gradients=grads)
     sol = dual_energy(res.values, gram)
     value = sol.value
     if debias:
         # E[½ c'Q⁺c] inflates by ½ tr(Q⁺ Σ_c) under residual noise.
-        qinv = np.linalg.pinv(gram.matrix, rcond=SVD_RCOND, hermitian=True)
-        value -= 0.5 * float(np.trace(qinv @ res.cov_mean))
+        value -= 0.5 * float(np.trace(gram.pseudo_inverse @ res.cov_mean))
     se = math.sqrt(max(float(sol.coefficients @ res.cov_mean
                              @ sol.coefficients), 0.0))
     return res.t, value, se

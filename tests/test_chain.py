@@ -290,3 +290,94 @@ def test_match_check_tolerance_band():
                                    tol_match=1e-6)
     assert report.passed
     assert report.max_distance <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# constant diffusions: evaluated once per run vs at every (path, interval)
+
+A_FULL = [[1.0, 0.3], [0.3, 0.5]]
+HOIST_PAIRS = [
+    # (mu, P, dim, exact): exact where the hoisted and per-path solves
+    # must agree bit for bit
+    (("ou", {"gamma": 1.0, "a": 1.0}), ("brownian", {"a": 1.0}), 1, True),
+    (("ou", {"gamma": 1.0, "a": 0.7}), ("brownian", {"a": 0.7}), 1, False),
+    (("ou", {"gamma": 1.0, "a": 0.7}), ("brownian", {"a": 1.4}), 1, False),
+    (("linear", {"A": [[-1.0, 0.4], [0.0, -0.5]], "b0": [0.2, 0.0],
+                 "a": A_FULL}),
+     ("brownian", {"a": A_FULL}), 2, False),
+]
+
+
+def _generic(spec):
+    import dataclasses
+    return dataclasses.replace(spec, constant_diffusion=False)
+
+
+def _assert_close(got, want, exact, scale=0.0):
+    # scale: the size of the estimate; a term that is pure roundoff (the
+    # spread of a column of equal values) is compared against it
+    if exact:
+        assert got == want
+    else:
+        assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("mu,p,dim,exact", HOIST_PAIRS)
+def test_chain_constant_diffusion_matches_per_path(mu, p, dim, exact):
+    spec_mu = make_model(*mu, dim=dim)
+    spec_p = make_model(*p, dim=dim)
+    init = InitialLaw.point_mass([0.3] * dim)
+    grid = TimeGrid.uniform(1.0, 16)
+    ens = sample_paths(spec_mu, init, grid, 200, 4)
+    part = Partition.from_times(grid, [0.0, 0.25, 0.3125, 0.75, 1.0])
+    hoisted = chain_estimate(spec_mu, spec_p, init, init, part, ensemble=ens)
+    generic = chain_estimate(_generic(spec_mu), _generic(spec_p), init, init,
+                             part, ensemble=ens)
+    scale = generic.total.value
+    _assert_close(hoisted.total.value, generic.total.value, exact)
+    _assert_close(hoisted.total.std_error, generic.total.std_error, exact)
+    for h, g in zip(hoisted.contributions, generic.contributions):
+        _assert_close(h.value, g.value, exact, scale)
+        _assert_close(h.std_error, g.std_error, exact, scale)
+    # only one side constant: hoisted a with per-path c, and the reverse
+    for half in (chain_estimate(spec_mu, _generic(spec_p), init, init, part,
+                                ensemble=ens),
+                 chain_estimate(_generic(spec_mu), spec_p, init, init, part,
+                                ensemble=ens)):
+        _assert_close(half.total.value, generic.total.value, exact)
+
+
+@pytest.mark.parametrize("mu,p,dim,exact", HOIST_PAIRS)
+def test_step_kl_constant_diffusion_matches_per_path(mu, p, dim, exact):
+    spec_mu = make_model(*mu, dim=dim)
+    spec_p = make_model(*p, dim=dim)
+    init = InitialLaw.point_mass([0.3] * dim)
+    grid = TimeGrid.uniform(1.0, 8)
+    ens = sample_paths(spec_mu, init, grid, 150, 6)
+    hoisted = step_kl(spec_mu, spec_p, ens, (0.25, 0.625))
+    generic = step_kl(_generic(spec_mu), _generic(spec_p), ens, (0.25, 0.625))
+    for h, g in zip(hoisted, generic):
+        _assert_close(h, g, exact)
+
+
+@pytest.mark.parametrize("mu,p", [
+    (("ou", {"gamma": 1.0, "a": 0.7}), ("brownian", {"a": 0.7})),
+    (("sine_diffusion", {"a": 2.0, "amplitude": 0.5}),
+     ("sine_diffusion", {"a": 1.0, "amplitude": 0.5})),
+])
+def test_sweep_levels_equal_per_level_chain_estimates(mu, p):
+    # the sweep shares finest-level left endpoints across its levels; each
+    # level must still equal its own chain_estimate exactly
+    spec_mu, spec_p = make_model(*mu), make_model(*p)
+    init = InitialLaw.point_mass([0.0])
+    grid = TimeGrid.uniform(1.0, 32)
+    sweep = refinement_sweep(spec_mu, spec_p, init, init, grid, 6,
+                             n_paths=120, seed=9)
+    ens = sample_paths(spec_mu, init, grid, 120, 9)
+    for est, part in zip(sweep.estimates, refine_sequence(grid, 6)):
+        alone = chain_estimate(spec_mu, spec_p, init, init, part,
+                               ensemble=ens)
+        assert est.total.value == alone.total.value
+        assert est.total.std_error == alone.total.std_error
+        assert [(t.value, t.std_error) for t in est.contributions] \
+            == [(t.value, t.std_error) for t in alone.contributions]

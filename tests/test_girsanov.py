@@ -23,6 +23,9 @@ OU_VS_BM_G1 = 0.1419169104045766    # gamma=1, T=1
 OU_VS_BM_G2 = 0.3772894548610918    # gamma=2, T=1
 
 
+A_FULL = [[1.0, 0.3], [0.3, 0.5]]
+
+
 def _paths(model_id, params, steps=256, n=2000, seed=0, horizon=1.0,
            init=None):
     grid = TimeGrid.uniform(horizon, steps)
@@ -229,3 +232,33 @@ def test_time_additivity():
     first, _ = quad(lambda t: 0.25 * (1 - math.exp(-2 * t)), 0.0, 1.0)
     second, _ = quad(lambda t: 0.25 * (1 - math.exp(-2 * t)), 1.0, 2.0)
     assert total == pytest.approx(first + second, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# constant diffusions: evaluated once per run vs at every (path, slice)
+
+
+@pytest.mark.parametrize("mu,p,dim,exact", [
+    (("ou", {"gamma": 1.0, "a": 1.0}), ("brownian", {"a": 1.0}), 1, True),
+    (("ou", {"gamma": 2.0, "a": 0.7}), ("brownian", {"a": 0.7}), 1, False),
+    (("linear", {"A": [[-1.0, 0.4], [0.0, -0.5]], "b0": [0.2, 0.0],
+                 "a": A_FULL}),
+     ("brownian", {"a": A_FULL}), 2, False),
+])
+def test_constant_diffusion_matches_per_path(mu, p, dim, exact):
+    import dataclasses
+    spec_mu = make_model(*mu, dim=dim)
+    spec_p = make_model(*p, dim=dim)
+    init = InitialLaw.point_mass([0.3] * dim)
+    ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, 32), 300, 2)
+    hoisted = girsanov_entropy(spec_mu, spec_p, init, init, ens)
+    generic = girsanov_entropy(
+        dataclasses.replace(spec_mu, constant_diffusion=False),
+        dataclasses.replace(spec_p, constant_diffusion=False),
+        init, init, ens)
+    for key in ("value", "std_error"):
+        got, want = getattr(hoisted, key), getattr(generic, key)
+        if exact:
+            assert got == want
+        else:
+            assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)

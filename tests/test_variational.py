@@ -367,3 +367,87 @@ def test_recovered_field_ou_shape():
     ys = np.linspace(-0.9, 0.9, 9)[:, None]
     h = corr.field(ys)[:, 0]
     np.testing.assert_allclose(h, -gamma * ys[:, 0], atol=0.12)
+
+
+# ---------------------------------------------------------------------------
+# stacked basis evaluation equals per-function evaluation bit for bit
+
+
+def _wrapped(f, family):
+    # a custom function around a catalog one: same values, no catalog core
+    return BasisFunction(value=lambda x: f.value(x),
+                         gradient=lambda x: f.gradient(x),
+                         hessian=lambda x: f.hessian(x),
+                         family=family, meta=dict(f.meta))
+
+
+def _box2(lo=(-2.0, -1.0), hi=(2.0, 3.0)):
+    return list(lo), list(hi)
+
+
+def _basis_2d():
+    lo, hi = _box2()
+    fns = (gaussian_bump([0.3, -0.2], 0.8, lo, hi),
+           gaussian_bump([-0.5, 0.5], 1.3, lo, hi),
+           windowed_monomial([1, 2], lo, hi),
+           windowed_monomial([0, 0], lo, hi),
+           windowed_monomial([3, 1], lo, hi))
+    return FunctionBasis(functions=fns, lo=lo, hi=hi)
+
+
+def _basis_mixed_with_custom():
+    base = mixed_basis([-2.5], [2.5], 4, 0.9, [0, 1, 2])
+    fns = list(base.functions)
+    fns.insert(1, _linear_fn())
+    fns.insert(3, _wrapped(fns[4], "bump"))          # labelled like a bump
+    fns.append(_wrapped(gaussian_bump([0.2], 0.5, [-2.5], [2.5]), "custom"))
+    # a catalog bump on another box, between the families of the first
+    fns.insert(5, gaussian_bump([0.0], 1.1, [-4.0], [4.0], margin=0.3))
+    return FunctionBasis(functions=tuple(fns), lo=base.lo, hi=base.hi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bump_basis([-3.0], [2.0], 12),
+    lambda: mixed_basis([-2.5], [2.5], 4, 0.9, [0, 1, 2]),
+    lambda: mixed_basis([-2.5], [2.5], 5, 0.9, [0, 1, 2, 3],
+                        bump_span=(-1.0, 1.0)),
+    _basis_2d,
+    _basis_mixed_with_custom,
+], ids=["bumps", "mixed", "mixed-span", "2d", "with-custom"])
+def test_stacks_equal_per_function_evaluation(make):
+    basis = make()
+    rng = np.random.default_rng(5)
+    # points inside the core, in the window margins and outside the box
+    x = rng.uniform(-4.5, 4.5, size=(400, basis.dim))
+    fns = basis.functions
+    assert np.array_equal(basis.value_matrix(x),
+                          np.stack([f.value(x) for f in fns], axis=-1))
+    assert np.array_equal(basis.gradient_stack(x),
+                          np.stack([f.gradient(x) for f in fns], axis=-2))
+    assert np.array_equal(basis.hessian_stack(x),
+                          np.stack([f.hessian(x) for f in fns], axis=-3))
+    # one point of shape (d,), and a batch with two leading axes
+    one = x[7]
+    assert np.array_equal(basis.hessian_stack(one),
+                          np.stack([f.hessian(one) for f in fns], axis=-3))
+    grid = x[:12].reshape(3, 4, basis.dim)
+    assert np.array_equal(basis.gradient_stack(grid),
+                          np.stack([f.gradient(grid) for f in fns], axis=-2))
+
+
+def test_custom_bump_label_keeps_its_own_callables():
+    # a custom function evaluates through its callables whatever its label
+    base = bump_basis([-2.0], [2.0], 3)
+    scaled = BasisFunction(value=lambda x: 2.0 * base.functions[0].value(x),
+                           gradient=lambda x: 2.0 * base.functions[0]
+                           .gradient(x),
+                           hessian=lambda x: 2.0 * base.functions[0]
+                           .hessian(x),
+                           family="bump", meta=base.functions[0].meta)
+    basis = FunctionBasis(functions=(scaled,) + base.functions[1:],
+                          lo=base.lo, hi=base.hi)
+    x = np.linspace(-2.5, 2.5, 21)[:, None]
+    np.testing.assert_array_equal(basis.value_matrix(x)[:, 0],
+                                  2.0 * base.value_matrix(x)[:, 0])
+    np.testing.assert_array_equal(basis.value_matrix(x)[:, 1:],
+                                  base.value_matrix(x)[:, 1:])
