@@ -24,6 +24,7 @@ from .diffusion import (
     InitialLaw,
     PathEnsemble,
     TimeGrid,
+    path_generator,
     sample_paths,
     substream_seed,
 )
@@ -67,11 +68,8 @@ class Partition:
             raise ArgumentError("partition must span [0, T]")
         if not np.all(np.diff(times) > 0):
             raise ArgumentError("partition times must increase")
-        idx = np.searchsorted(grid.points, times)
-        idx = np.clip(idx, 0, grid.points.shape[0] - 1)
-        if not np.allclose(grid.points[idx], times, rtol=0, atol=1e-12):
-            raise ArgumentError("partition times must lie on the grid")
-        return cls(times=grid.points[idx].copy(), indices=idx)
+        idx = np.array([grid.index_of(t) for t in times])
+        return cls(times=grid.points[idx], indices=idx)
 
     @property
     def n_intervals(self) -> int:
@@ -128,14 +126,6 @@ class MatchReport:
     tol_match: float
     n_evaluated: int
     argmax_time: float
-
-
-def _grid_index(grid: TimeGrid, t: float) -> int:
-    idx = int(np.searchsorted(grid.points, t))
-    idx = min(idx, grid.points.shape[0] - 1)
-    if not math.isclose(float(grid.points[idx]), t, rel_tol=0, abs_tol=1e-12):
-        raise ArgumentError(f"time {t} is not on the ensemble grid")
-    return idx
 
 
 class _PairCoefficients:
@@ -248,8 +238,7 @@ def _dv_interval_kl(spec_mu, spec_P, x, t_lo, dt, *, seed, n_cloud,
 
     values = np.empty(x.shape[0])
     for i in range(x.shape[0]):
-        gen = np.random.Generator(np.random.Philox(
-            key=(substream_seed(seed, i), 3)))
+        gen = path_generator(substream_seed(seed, i), 3)
         law_mu = euler_step_law(spec_mu, t_lo, x[i], dt)
         law_p = euler_step_law(spec_P, t_lo, x[i], dt)
         root_mu = np.linalg.cholesky(law_mu.covariance)
@@ -293,8 +282,8 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     t_lo, t_hi = float(interval[0]), float(interval[1])
     if t_hi <= t_lo:
         raise ArgumentError("interval must have positive length")
-    idx_lo = _grid_index(ensemble_mu.grid, t_lo)
-    _grid_index(ensemble_mu.grid, t_hi)
+    idx_lo = ensemble_mu.grid.index_of(t_lo)
+    ensemble_mu.grid.index_of(t_hi)
     dt = t_hi - t_lo
     x = ensemble_mu.states[:, idx_lo]
 
@@ -392,7 +381,7 @@ def chain_estimate(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         return _infinite_chain(partition, method)
 
     if method == "gauss":
-        columns = [_grid_index(ensemble.grid, t_lo)
+        columns = [ensemble.grid.index_of(t_lo)
                    for t_lo, _ in partition.intervals()]
         fixed, quad = _interval_terms(spec_mu, spec_P, ensemble, columns)
         return _gauss_chain(initial, fixed, quad, partition)

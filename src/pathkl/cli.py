@@ -320,14 +320,11 @@ def _run_dv_marginal(resolved, objs, threads):
     t = float(params.get("t", grid.horizon))
     n = int(params.get("n_samples", resolved["n_paths"]))
     seed = resolved["seed"]
+    idx = grid.index_of(t)
 
     ens_mu = sample_paths(spec_mu, init_mu, grid, n, seed, threads=threads)
     ens_p = sample_paths(spec_p, init_p, grid, n,
                          substream_seed(seed, 1), threads=threads)
-    idx = int(np.searchsorted(grid.points, t))
-    idx = min(idx, grid.points.shape[0] - 1)
-    if not math.isclose(float(grid.points[idx]), t, abs_tol=1e-12):
-        raise ArgumentError(f"marginal time {t} is not on the grid")
     s_mu = ens_mu.states[:, idx]
     s_p = ens_p.states[:, idx]
 

@@ -117,14 +117,20 @@ class InitialLaw:
             raise ArgumentError("empirical initial law needs samples")
         return cls(kind="empirical", dim=samples.shape[1], samples=samples)
 
-    def draw(self, gen: np.random.Generator) -> np.ndarray:
-        """One draw using the caller's (per-path) generator."""
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """size draws of shape (size, d) from the caller's generator.
+
+        The rows carry the same bits as size single draws in turn, and the
+        generator ends at the same position.
+        """
         if self.kind == "point":
-            return self.point.copy()
+            return np.tile(self.point, (size, 1))
         if self.kind == "gaussian":
-            return self.mean + self.root @ gen.standard_normal(self.dim)
+            z = gen.standard_normal((size, self.dim))
+            # root @ z per row; z @ root.T rounds differently for d >= 2
+            return self.mean + (self.root @ z[..., None])[..., 0]
         if self.kind == "empirical":
-            return self.samples[gen.integers(self.samples.shape[0])].copy()
+            return self.samples[gen.integers(self.samples.shape[0], size=size)]
         raise CapabilityError(f"unsupported initial law kind {self.kind!r}")
 
 
@@ -159,6 +165,19 @@ class TimeGrid:
     @property
     def n_steps(self) -> int:
         return self.points.shape[0] - 1
+
+    def index_of(self, t: float) -> int:
+        """Index of the grid point nearest t.
+
+        Raises:
+            ArgumentError: no grid point lies within 1e-12 of t.
+        """
+        pts = self.points
+        hi = min(int(np.searchsorted(pts, t)), pts.shape[0] - 1)
+        idx = hi - 1 if hi > 0 and t - pts[hi - 1] < pts[hi] - t else hi
+        if not abs(float(pts[idx]) - t) <= 1e-12:
+            raise ArgumentError(f"time {t} is not on the grid")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -219,6 +238,29 @@ def path_generator(seed: int, index: int) -> np.random.Generator:
     # Counter-based: the (seed, index) key fixes the stream regardless of
     # which thread evaluates it.
     return np.random.Generator(np.random.Philox(key=(seed, index)))
+
+
+def stream_inputs(init: InitialLaw, seed: int, streams: range,
+                  per_stream: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start states and standard increments for the paths of some streams.
+
+    Stream j is path_generator(seed, j). It draws per_stream initial states,
+    then one (steps, per_stream, d) increment block, and its paths are
+    consecutive rows of the output.
+
+    Returns:
+        x0 of shape (len(streams) * per_stream, d) and z of shape
+        (len(streams) * per_stream, steps, d), in the form euler_maruyama
+        takes.
+    """
+    d = init.dim
+    x0 = np.empty((len(streams), per_stream, d))
+    z = np.empty((len(streams), per_stream, steps, d))
+    for i, j in enumerate(streams):
+        gen = path_generator(seed, j)
+        x0[i] = init.draw(gen, per_stream)
+        z[i] = gen.standard_normal((steps, per_stream, d)).transpose(1, 0, 2)
+    return x0.reshape(-1, d), z.reshape(-1, steps, d)
 
 
 def drift_eval(spec: DiffusionSpec, t: float, x) -> np.ndarray:
@@ -361,9 +403,9 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
                  n: int, seed: int, threads: int = 1) -> PathEnsemble:
     """Sample n Euler-Maruyama paths.
 
-    Path i draws its initial state and all its increments from the Philox
-    substream keyed by (seed, i), so the ensemble is bit-identical for any
-    thread count.
+    Path i is stream i of stream_inputs: it draws its initial state and all
+    its increments from the Philox substream keyed by (seed, i), so the
+    ensemble is bit-identical for any thread count.
 
     Args:
         spec: the diffusion law to simulate.
@@ -383,12 +425,7 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
     states = np.empty((n, grid.points.shape[0], spec.dim))
 
     def simulate(lo: int, hi: int) -> None:
-        x0 = np.empty((hi - lo, spec.dim))
-        z = np.empty((hi - lo, grid.n_steps, spec.dim))
-        for i in range(hi - lo):
-            gen = path_generator(seed, lo + i)
-            x0[i] = init.draw(gen)
-            z[i] = gen.standard_normal((grid.n_steps, spec.dim))
+        x0, z = stream_inputs(init, seed, range(lo, hi), 1, grid.n_steps)
         euler_maruyama(spec, grid, x0, z, states[lo:hi])
 
     partition_blocks(n, threads, simulate)
@@ -410,76 +447,62 @@ def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
 # Model catalog
 
 
-def _const_matrix(value, dim: int) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
+def _constant_model(model_id: str, params: dict, dim: int,
+                    drift) -> DiffusionSpec:
+    """A catalog model with drift and the constant matrix params["a"]
+    (a scalar means a multiple of the identity)."""
+    a = np.asarray(params.get("a", 1.0), dtype=float)
     if a.ndim == 0:
         a = float(a) * np.eye(dim)
     a = np.atleast_2d(a)
     if a.shape != (dim, dim):
         raise ArgumentError(f"diffusion matrix must be {dim}x{dim}")
-    return a
 
-
-def _constant_diffusion_fn(a: np.ndarray):
     def diffusion(t, x):
         x = np.asarray(x)
         return np.broadcast_to(a, x.shape[:-1] + a.shape)
-    return diffusion
+
+    return DiffusionSpec(dim=dim, drift=drift, diffusion_matrix=diffusion,
+                         model_id=model_id, params=dict(params),
+                         constant_diffusion=True)
 
 
 def _build_brownian(params: dict, dim: int) -> DiffusionSpec:
-    a = _const_matrix(params.get("a", 1.0), dim)
     zero = np.zeros(dim)
 
     def drift(t, x):
         x = np.asarray(x)
         return np.broadcast_to(zero, x.shape)
 
-    return DiffusionSpec(dim=dim, drift=drift,
-                         diffusion_matrix=_constant_diffusion_fn(a),
-                         model_id="brownian", params=dict(params),
-                         constant_diffusion=True)
+    return _constant_model("brownian", params, dim, drift)
 
 
 def _build_constant_drift(params: dict, dim: int) -> DiffusionSpec:
     theta = np.broadcast_to(
         np.asarray(params.get("theta", 1.0), dtype=float), (dim,)).copy()
-    a = _const_matrix(params.get("a", 1.0), dim)
 
     def drift(t, x):
         x = np.asarray(x)
         return np.broadcast_to(theta, x.shape)
 
-    return DiffusionSpec(dim=dim, drift=drift,
-                         diffusion_matrix=_constant_diffusion_fn(a),
-                         model_id="constant_drift", params=dict(params),
-                         constant_diffusion=True)
+    return _constant_model("constant_drift", params, dim, drift)
 
 
 def _build_ou(params: dict, dim: int) -> DiffusionSpec:
     gamma = float(params.get("gamma", 1.0))
-    a = _const_matrix(params.get("a", 1.0), dim)
 
     def drift(t, x):
         return -gamma * np.asarray(x, dtype=float)
 
-    return DiffusionSpec(dim=dim, drift=drift,
-                         diffusion_matrix=_constant_diffusion_fn(a),
-                         model_id="ou", params=dict(params),
-                         constant_diffusion=True)
+    return _constant_model("ou", params, dim, drift)
 
 
 def _build_double_well(params: dict, dim: int) -> DiffusionSpec:
-    a = _const_matrix(params.get("a", 1.0), dim)
-
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return x - x ** 3
 
-    return DiffusionSpec(dim=dim, drift=drift,
-                         diffusion_matrix=_constant_diffusion_fn(a),
-                         model_id="double_well", params=dict(params),
-                         constant_diffusion=True)
+    return _constant_model("double_well", params, dim, drift)
 
 
 def _build_linear(params: dict, dim: int) -> DiffusionSpec:
@@ -488,16 +511,12 @@ def _build_linear(params: dict, dim: int) -> DiffusionSpec:
         raise ArgumentError(f"A must be {dim}x{dim}")
     b0 = np.broadcast_to(
         np.asarray(params.get("b0", 0.0), dtype=float), (dim,)).copy()
-    a = _const_matrix(params.get("a", 1.0), dim)
 
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return x @ amat.T + b0
 
-    return DiffusionSpec(dim=dim, drift=drift,
-                         diffusion_matrix=_constant_diffusion_fn(a),
-                         model_id="linear", params=dict(params),
-                         constant_diffusion=True)
+    return _constant_model("linear", params, dim, drift)
 
 
 def _build_sine_diffusion(params: dict, dim: int) -> DiffusionSpec:

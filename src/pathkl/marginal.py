@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from .diffusion import GaussianLaw, InitialLaw, substream_seed
+from .diffusion import (GaussianLaw, InitialLaw, path_generator,
+                        substream_seed)
 from .errors import (
     ArgumentError,
     CapabilityError,
@@ -437,8 +438,7 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
         law = GaussianLaw(init_P.mean, init_P.covariance)
         samples = init_mu.samples
         if method in ("auto", "dv"):
-            gen = np.random.Generator(
-                np.random.Philox(key=(substream_seed(seed, 0), 0)))
+            gen = path_generator(substream_seed(seed, 0), 0)
             root = np.linalg.cholesky(init_P.covariance
                                       + 1e-15 * np.eye(init_P.dim))
             nu = init_P.mean + gen.standard_normal(samples.shape) @ root.T

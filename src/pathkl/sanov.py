@@ -21,7 +21,7 @@ from .diffusion import (
     TimeGrid,
     euler_maruyama,
     partition_blocks,
-    path_generator,
+    stream_inputs,
     substream_seed,
 )
 from .errors import ArgumentError, CapabilityError, InsufficientSamplingError
@@ -106,28 +106,21 @@ def _row_counts(spec, init, grid, exp: RateExperiment, n: int,
                 row_index: int, threads: int) -> int:
     """Exceedance count over all trials for one sample size.
 
-    Trial j draws its n initial states, then all its increments, from the
-    stream keyed by (row seed, j). Trials are stepped together in batches
-    of at most BATCH_PATHS paths.
+    Trial j is stream j of stream_inputs under the row seed, with its n
+    paths. Trials are stepped together in batches of at most BATCH_PATHS
+    paths.
     """
     row_seed = substream_seed(exp.seed, row_index)
-    d, m = spec.dim, grid.n_steps
+    m = grid.n_steps
     per_batch = max(1, BATCH_PATHS // n)
 
     def count(lo: int, hi: int) -> int:
         c = 0
         for b_lo in range(lo, hi, per_batch):
             trials = range(b_lo, min(b_lo + per_batch, hi))
-            x0 = np.empty((len(trials), n, d))
-            z = np.empty((len(trials), n, m, d))
-            for i, trial in enumerate(trials):
-                gen = path_generator(row_seed, trial)
-                for p in range(n):
-                    x0[i, p] = init.draw(gen)
-                z[i] = gen.standard_normal((m, n, d)).transpose(1, 0, 2)
-            states = np.empty((len(trials) * n, m + 1, d))
-            euler_maruyama(spec, grid, x0.reshape(-1, d),
-                           z.reshape(-1, m, d), states)
+            x0, z = stream_inputs(init, row_seed, trials, n, m)
+            states = np.empty((len(trials) * n, m + 1, spec.dim))
+            euler_maruyama(spec, grid, x0, z, states)
             vals = _observable(states, grid, exp.observable)
             means = vals.reshape(len(trials), n).mean(axis=1)
             c += int(np.count_nonzero(means > exp.threshold))
@@ -147,11 +140,14 @@ def empirical_rate(spec_P: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
     and are flagged rather than dropped.
 
     Raises:
+        ArgumentError: the initial law's dimension is not the model's.
         InsufficientSamplingError: every row had zero exceedances.
         PositiveDefinitenessError: a diffusion matrix along a trial's paths
             is not positive definite.
         ModelEvaluationError: a trial's paths reach non-finite states.
     """
+    if init.dim != spec_P.dim:
+        raise ArgumentError("initial law dimension does not match model")
     oracle_val = None
     # the closed-form rate is for the terminal observable only
     if with_oracle and experiment.observable == "terminal":

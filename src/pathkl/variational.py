@@ -105,36 +105,36 @@ class _Window:
             w2[band] = _smoothstep_d2(s) * scale ** 2
         return w, w1, w2
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        w, _, _ = self._axis_parts(x)
-        return np.prod(w, axis=-1)
+    def parts(self, x: np.ndarray, order: int):
+        """Value, gradient and Hessian up to `order` (None above it)."""
+        return _axis_product(*self._axis_parts(x), order)
 
-    def triple(self, x: np.ndarray):
-        """Window value, gradient, and Hessian at points x of shape (..., d)."""
-        w, w1, w2 = self._axis_parts(x)
-        d = x.shape[-1]
-        total = np.prod(w, axis=-1)
-        # prod over axes other than i; safe without division when w_i -> 0
-        others = np.empty_like(w)
+
+def _axis_product(p: np.ndarray, dp, ddp, order: int):
+    """Value, gradient and Hessian up to `order` (None above it) of a product
+    over the last axis of per-axis factors p, given each factor's first and
+    second derivatives dp and ddp (needed only up to `order`). Products over
+    the other axes are taken directly, so a vanishing factor is safe."""
+    d = p.shape[-1]
+    value = np.prod(p, axis=-1)
+    grad = hess = None
+    if order >= 1:
+        grad = np.empty_like(p)
         for i in range(d):
-            others[..., i] = np.prod(np.delete(w, i, axis=-1), axis=-1)
-        grad = w1 * others
-        hess = np.empty(x.shape + (d,))
+            grad[..., i] = dp[..., i] * np.prod(
+                np.delete(p, i, axis=-1), axis=-1)
+    if order >= 2:
+        hess = np.empty(p.shape + (d,))
         for i in range(d):
             for j in range(d):
                 if i == j:
-                    hess[..., i, i] = w2[..., i] * others[..., i]
+                    hess[..., i, i] = ddp[..., i] * np.prod(
+                        np.delete(p, i, axis=-1), axis=-1)
                 else:
-                    rest = np.prod(np.delete(w, (i, j), axis=-1), axis=-1) \
-                        if d > 2 else 1.0
-                    hess[..., i, j] = w1[..., i] * w1[..., j] * rest
-        return total, grad, hess
-
-    def parts(self, x: np.ndarray, order: int):
-        """Value, gradient and Hessian up to `order` (None above it)."""
-        if order == 0:
-            return self.value(x), None, None
-        return self.triple(x)
+                    rest = np.prod(np.delete(p, (i, j), axis=-1),
+                                   axis=-1) if d > 2 else 1.0
+                    hess[..., i, j] = dp[..., i] * dp[..., j] * rest
+    return value, grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,6 @@ class _MonomialCore:
         window = cores[0].window
         degs = _leading(np.stack([c.degree for c in cores]), x)
         half = window.half
-        d = x.shape[-1]
         u = (x - window.center) / half
 
         def powers(drop):
@@ -200,29 +199,13 @@ class _MonomialCore:
             return np.stack([u ** np.maximum(c.degree - drop, 0)
                              for c in cores])
 
-        p = powers(0)
-        value = np.prod(p, axis=-1)
-        grad = hess = None
+        dp = ddp = None
         if order >= 1:
             dp = np.where(degs > 0, degs * powers(1), 0.0) / half
-            grad = np.empty_like(p)
-            for i in range(d):
-                grad[..., i] = dp[..., i] * np.prod(
-                    np.delete(p, i, axis=-1), axis=-1)
         if order >= 2:
             ddp = np.where(degs > 1, degs * (degs - 1) * powers(2),
                            0.0) / (half * half)
-            hess = np.empty(p.shape + (d,))
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        hess[..., i, i] = ddp[..., i] * np.prod(
-                            np.delete(p, i, axis=-1), axis=-1)
-                    else:
-                        rest = np.prod(np.delete(p, (i, j), axis=-1),
-                                       axis=-1) if d > 2 else 1.0
-                        hess[..., i, j] = dp[..., i] * dp[..., j] * rest
-        return value, grad, hess
+        return _axis_product(powers(0), dp, ddp, order)
 
 
 def _windowed_stack(cores, x: np.ndarray, order: int,

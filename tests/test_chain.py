@@ -381,3 +381,17 @@ def test_sweep_levels_equal_per_level_chain_estimates(mu, p):
         assert est.total.std_error == alone.total.std_error
         assert [(t.value, t.std_error) for t in est.contributions] \
             == [(t.value, t.std_error) for t in alone.contributions]
+
+
+def test_times_just_above_a_grid_point_are_on_the_grid():
+    # 3 * 0.1 / 10 = 0.030000000000000006 lies 7e-18 above points[3]
+    grid = TimeGrid.uniform(1.0, 100)
+    t = 3 * 0.1 / 10
+    part = Partition.from_times(grid, [0.0, t, 1.0])
+    assert list(part.indices) == [0, 3, 100]
+    assert part.times[1] == grid.points[3]
+    spec_p = make_model("brownian", {})
+    ens = sample_paths(spec_p, InitialLaw.point_mass([0.0]), grid, 20, 0)
+    value, _ = step_kl(make_model("constant_drift", {"theta": 1.0}), spec_p,
+                       ens, (t, 0.04))
+    assert value == pytest.approx(0.5 * (0.04 - t), rel=1e-12)

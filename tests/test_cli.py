@@ -132,6 +132,20 @@ def test_run_sanov_missing_params_exits_2(tmp_path):
     assert main(["run", "--config", _write(tmp_path, "s.json", cfg)]) == 2
 
 
+@pytest.mark.parametrize("estimator,params", [
+    ("dv-marginal", {"t": 3 * 0.1 / 10, "n_samples": 300}),
+    ("chain", {"partition_times": [0.0, 3 * 0.1 / 10, 1.0]}),
+], ids=["dv-marginal", "chain"])
+def test_run_accepts_time_just_above_grid_point(tmp_path, estimator, params):
+    # 3 * 0.1 / 10 = 0.030000000000000006 lies 7e-18 above a grid point
+    cfg = _girsanov_cfg(estimator=estimator, estimator_params=params,
+                        grid={"horizon": 1.0, "steps": 100})
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "t.json", cfg),
+                 "--out", str(out)]) == 0
+    assert _report(out)["results"]
+
+
 def test_run_convergence_failure_writes_partial_report(tmp_path, capsys):
     cfg = {
         "model_mu": {"id": "constant_drift", "params": {"theta": 1.0}},

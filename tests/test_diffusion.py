@@ -23,7 +23,7 @@ from pathkl import (
     sample_paths,
     weighted_inner,
 )
-from pathkl.diffusion import diffusion_eval, drift_eval
+from pathkl.diffusion import diffusion_eval, drift_eval, path_generator
 
 OU_VAR_T1 = (1.0 - math.exp(-2.0)) / 2.0  # 0.43233235838169365
 
@@ -185,6 +185,59 @@ def test_generator_linear_in_f(alpha, beta, x0):
 
 
 # ---------------------------------------------------------------------------
+# initial laws and the time grid
+
+
+def _single_draws(init, gen, size):
+    """size draws by the one-draw-at-a-time formulas of each law."""
+    rows = []
+    for _ in range(size):
+        if init.kind == "point":
+            rows.append(init.point.copy())
+        elif init.kind == "gaussian":
+            rows.append(init.mean + init.root @ gen.standard_normal(init.dim))
+        else:
+            rows.append(
+                init.samples[gen.integers(init.samples.shape[0])].copy())
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("init", [
+    InitialLaw.point_mass([0.5, -2.0]),
+    InitialLaw.gaussian([0.3], [[2.5]]),
+    InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]]),
+    InitialLaw.gaussian([0.0, 1.0], [[1.0, 2.0], [2.0, 4.0]]),
+    InitialLaw.empirical([[-1.0], [0.0], [0.25], [2.0], [3.5]]),
+    InitialLaw.empirical([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+], ids=["point", "gaussian-1d", "gaussian-2d", "gaussian-singular-2d",
+        "empirical-1d", "empirical-2d"])
+def test_block_draw_matches_single_draws(init):
+    for key in range(40):
+        for size in (1, 7, 40):
+            block_gen = path_generator(key, size)
+            single_gen = path_generator(key, size)
+            block = init.draw(block_gen, size)
+            assert block.shape == (size, init.dim)
+            assert np.array_equal(block, _single_draws(init, single_gen, size))
+            # both leave the stream at the same position
+            assert np.array_equal(block_gen.standard_normal(3),
+                                  single_gen.standard_normal(3))
+
+
+def test_grid_index_of_nearest_point():
+    grid = TimeGrid.uniform(1.0, 100)
+    above = 3 * 0.1 / 10  # 0.030000000000000006, 7e-18 above points[3]
+    assert above > grid.points[3]
+    assert grid.index_of(above) == 3
+    assert grid.index_of(0.03 - 5e-13) == 3
+    assert grid.index_of(0.0) == 0
+    assert grid.index_of(1.0) == 100
+    for bad in (0.03 + 1e-9, -1e-9, 1.0 + 1e-9, math.nan):
+        with pytest.raises(ArgumentError):
+            grid.index_of(bad)
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
@@ -244,11 +297,15 @@ def test_seed_changes_paths():
     assert not np.array_equal(a.states, b.states)
 
 
-def test_path_count_independence():
+@pytest.mark.parametrize("init", [
+    InitialLaw.point_mass([0.0]),
+    InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]]),
+    InitialLaw.empirical([[-1.0], [0.0], [0.25], [2.0]]),
+], ids=["point", "gaussian-2d", "empirical"])
+def test_path_count_independence(init):
     # path i depends only on (seed, i), not on how many paths were asked for
     grid = TimeGrid.uniform(1.0, 20)
-    spec = make_model("brownian", {})
-    init = InitialLaw.point_mass([0.0])
+    spec = make_model("brownian", {}, dim=init.dim)
     small = sample_paths(spec, init, grid, 4, 5)
     large = sample_paths(spec, init, grid, 16, 5)
     assert np.array_equal(small.states, large.states[:4])

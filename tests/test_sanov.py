@@ -205,6 +205,15 @@ def test_negative_diffusion_raises():
         empirical_rate(spec, init, grid, exp)
 
 
+def test_initial_dimension_mismatch_raises():
+    # a 1-d start state would broadcast over both coordinates of a 2-d model
+    _, init, grid = _bm_setup()
+    spec = make_model("brownian", {}, dim=2)
+    exp = RateExperiment("terminal", 0.5, (1, 2), trials=100, seed=0)
+    with pytest.raises(ArgumentError):
+        empirical_rate(spec, init, grid, exp)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_drift_raises():
     _, init, grid = _bm_setup()
