@@ -4,6 +4,9 @@ The values were recorded from the implementation that evaluated the
 diffusion matrices at every (path, slice), solved against them one path at
 a time, and evaluated every basis function separately. Hoisting constant
 diffusions and stacking the basis families must reproduce them bit for bit.
+The sampled path states were recorded from the sampler that stored paths
+path-major and built one generator per path; any storage order or block
+size must reproduce them.
 Sizes are small so the file runs in about a second.
 """
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from pathkl import (
+    DiffusionSpec,
     InitialLaw,
     OptimizerConfig,
     TimeGrid,
@@ -248,3 +252,174 @@ def test_gaussian_initial_draws_pinned(tag, mean, cov):
     ens = sample_paths(spec, init, TimeGrid.uniform(1.0, 4), 5, 9)
     got = [tuple(_hex(row)) for row in ens.states[:, 0]]
     assert got == GAUSSIAN_DRAWS[tag]
+
+
+def _custom_2d():
+    """A state-dependent 2-d model: the sampler's per-path Cholesky branch."""
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-x[..., 0] + 0.5 * np.sin(x[..., 1]),
+                         0.3 * x[..., 0] - x[..., 1]], axis=-1)
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        a = np.empty(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = 1.0 + 0.5 * np.sin(x[..., 0]) ** 2
+        a[..., 0, 1] = a[..., 1, 0] = 0.3
+        a[..., 1, 1] = 0.5 + x[..., 1] ** 2 / (1.0 + x[..., 1] ** 2)
+        return a
+
+    return DiffusionSpec(dim=2, drift=drift, diffusion_matrix=diffusion,
+                         model_id="custom-2d")
+
+
+# rows 0, 1023, 1024 and 1029 of a 1030-path ensemble, every grid time
+PINNED_ROWS = (0, 1023, 1024, 1029)
+PATH_STATES = {
+    "linear-2d": [
+        [
+            ("-0x1.0850c92600300p-3", "-0x1.4af6e0c0be1a7p+0"),
+            ("-0x1.abaf701943d78p-4", "-0x1.8379a7a2db48ep-1"),
+            ("0x1.f18886ea61a47p-3", "-0x1.e7496ba3a7752p-1"),
+            ("0x1.2afcdfac9efd2p-1", "-0x1.447f8296f226cp+0"),
+            ("0x1.e3d50f22af2a2p-2", "-0x1.373ba027ded5ap+0"),
+        ],
+        [
+            ("0x1.6e966c57ed93ap+0", "-0x1.69901a6363f76p-1"),
+            ("0x1.b0ee46e9a40e6p-2", "-0x1.0f13c98b53ed1p-1"),
+            ("-0x1.98b68cb6b8016p-3", "-0x1.9051924143a48p-1"),
+            ("-0x1.1cf866a91aa42p-3", "-0x1.a639a964b5d66p-1"),
+            ("-0x1.09f4cd28a53e1p-1", "-0x1.e1ee8bed1d208p-1"),
+        ],
+        [
+            ("0x1.32153e1d2d594p+0", "-0x1.1dd6104e3f270p-1"),
+            ("0x1.5c27403907e56p+0", "-0x1.8e4f54e4f925ep-3"),
+            ("0x1.b50034e1605d9p+0", "-0x1.09dd289a972b6p-4"),
+            ("0x1.96d2f844ca754p-1", "0x1.50d471f86e415p-3"),
+            ("0x1.bebf0fc21149fp+0", "0x1.4210042a7dc95p-2"),
+        ],
+        [
+            ("0x1.858dcc80a345ep-1", "-0x1.cd0d506f33ec4p+0"),
+            ("0x1.1d055ed8d1c13p+0", "-0x1.3dd1ad512d884p+0"),
+            ("0x1.fd03a4a702c2cp+0", "0x1.0742fa0e27530p-3"),
+            ("0x1.4579f5d5dd6b8p+1", "0x1.dac23680aa41ap-1"),
+            ("0x1.3928b54856daap+1", "0x1.c7ea5fbb138a1p-1"),
+        ],
+    ],
+    "custom-2d": [
+        [
+            ("0x1.999999999999ap-3", "-0x1.999999999999ap-2"),
+            ("-0x1.baf956557211dp-3", "-0x1.c13e98f6062dap-2"),
+            ("-0x1.5b94c45972be8p-4", "0x1.ddbbbc49f2a3cp-3"),
+            ("0x1.6d5c85735eeeap-2", "-0x1.8426fb27d7f3cp-5"),
+            ("0x1.8b6aa862686e2p-1", "-0x1.77c53bf64a2e4p-2"),
+        ],
+        [
+            ("0x1.999999999999ap-3", "-0x1.999999999999ap-2"),
+            ("0x1.24cebb7d21025p-1", "-0x1.1b4a2a7798743p-3"),
+            ("-0x1.be1f34bafa6c8p-3", "0x1.0251d08673deep-4"),
+            ("-0x1.45e20fb7672efp-1", "-0x1.da39679cac539p-3"),
+            ("-0x1.a9b6936718ddep-2", "-0x1.144e205da9a96p-2"),
+        ],
+        [
+            ("0x1.999999999999ap-3", "-0x1.999999999999ap-2"),
+            ("0x1.cf6aebff499bep-2", "-0x1.7f080d2656f8cp-5"),
+            ("0x1.bb0d3a0bf7972p-1", "0x1.397f5a0aec144p-2"),
+            ("0x1.77573daab8eb2p+0", "0x1.6a217120454a3p-2"),
+            ("0x1.0e9807ab79675p-1", "0x1.4ab54f87cd710p-1"),
+        ],
+        [
+            ("0x1.999999999999ap-3", "-0x1.999999999999ap-2"),
+            ("0x1.dd3d4ed4aa9c3p-3", "-0x1.82b3833dabb12p-1"),
+            ("0x1.aefcdbfc9d8f2p-1", "-0x1.2199699e8aef0p-5"),
+            ("0x1.09fab2b65fd9ep+1", "0x1.491fbda397ad6p+0"),
+            ("0x1.6ee3ea07dce90p+1", "0x1.0e17fe5451edcp+1"),
+        ],
+    ],
+    "sine": [
+        [
+            ("-0x1.0000000000000p+0",),
+            ("-0x1.07a6c50d60257p+0",),
+            ("-0x1.f7308ec0632aap-1",),
+            ("-0x1.7058f86d7e460p-1",),
+            ("-0x1.2131a40b95532p-1",),
+            ("-0x1.88e5d3cfd2c4bp-1",),
+            ("-0x1.25d58de0e19a0p-1",),
+            ("-0x1.ca0b05f5437a2p-1",),
+            ("-0x1.a998f01258879p-1",),
+            ("-0x1.bff061e5ab990p-1",),
+            ("-0x1.25c67cefa2bb6p+0",),
+            ("-0x1.0b7d575e35642p+0",),
+            ("-0x1.49a9b15f63f04p+0",),
+        ],
+        [
+            ("0x1.0000000000000p+1",),
+            ("0x1.00d417fe299e5p+1",),
+            ("0x1.aa02dbf9ca29cp+0",),
+            ("0x1.ebd8ecac809b5p+0",),
+            ("0x1.a491c55aa7ad8p+0",),
+            ("0x1.880ca50e8bde3p+0",),
+            ("0x1.94a87dfd7a9a5p+0",),
+            ("0x1.84f24486efbb9p+0",),
+            ("0x1.51eaf3ca068e0p+0",),
+            ("0x1.4d1dd9cdd3b64p+0",),
+            ("0x1.5f450fb3c6e26p+0",),
+            ("0x1.88ce368945f80p+0",),
+            ("0x1.0d0b34026d2f7p+1",),
+        ],
+        [
+            ("-0x1.0000000000000p+0",),
+            ("-0x1.ddbf46af787ccp-1",),
+            ("-0x1.7c9025bb8c59fp-1",),
+            ("-0x1.4a61736d7ecf4p-1",),
+            ("-0x1.78db5584ea20dp-2",),
+            ("-0x1.c50d209aabd5ap-2",),
+            ("-0x1.50b84bb856cd2p-1",),
+            ("-0x1.c69f434b1e7a2p-2",),
+            ("0x1.d1c1a8bb003a0p-6",),
+            ("-0x1.78934586f8e99p-4",),
+            ("-0x1.ecec18d830850p-7",),
+            ("-0x1.7b4a197693878p-5",),
+            ("0x1.ca47f6a7d23eap-5",),
+        ],
+        [
+            ("-0x1.0000000000000p+0",),
+            ("-0x1.409e2338ca8b6p+0",),
+            ("-0x1.fc19ada30bc9cp-1",),
+            ("-0x1.bd37442d1c9e9p-1",),
+            ("-0x1.875a11a0ae2ccp-2",),
+            ("0x1.c43a87c13e05cp-3",),
+            ("0x1.784b04c5012a1p-1",),
+            ("0x1.21dd55eb760aep+0",),
+            ("0x1.5d4477a6cb0edp+0",),
+            ("0x1.369f692808068p+0",),
+            ("0x1.612214a8026b4p+0",),
+            ("0x1.558966aab79c1p+0",),
+            ("0x1.43fc8b0246b80p+0",),
+        ],
+    ],
+}
+
+
+@pytest.mark.parametrize("tag", list(PATH_STATES))
+def test_sample_paths_states_pinned(tag):
+    spec, init, grid = {
+        # a full constant matrix: one Cholesky factor for every path
+        "linear-2d": lambda: (
+            make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],
+                                  "b0": [0.1, -0.2],
+                                  "a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2),
+            InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]]),
+            TimeGrid.uniform(1.0, 4)),
+        "custom-2d": lambda: (
+            _custom_2d(), InitialLaw.point_mass([0.2, -0.4]),
+            TimeGrid.uniform(1.0, 4)),
+        # dt = 1/12, a step that is not a power of two
+        "sine": lambda: (
+            make_model("sine_diffusion", {"a": 0.7, "amplitude": 0.5}),
+            InitialLaw.empirical([[-1.0], [0.0], [0.25], [2.0]]),
+            TimeGrid.uniform(1.0, 12)),
+    }[tag]()
+    ens = sample_paths(spec, init, grid, 1030, 17)
+    got = [[tuple(_hex(x)) for x in ens.states[i]] for i in PINNED_ROWS]
+    assert got == PATH_STATES[tag]
