@@ -30,6 +30,7 @@ from .diffusion import (
     DiffusionSpec,
     InitialLaw,
     TimeGrid,
+    check_seed,
     make_model,
     model_ids,
     model_params,
@@ -172,6 +173,7 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     }
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
+    check_seed(resolved["seed"])
     if resolved["n_paths"] < 1:
         raise ArgumentError("n_paths must be positive")
 

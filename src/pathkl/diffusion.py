@@ -47,6 +47,11 @@ __all__ = [
 # Smallest admissible eigenvalue of a diffusion matrix.
 EPS_PD = 1e-10
 
+# Paths handled at once: the sampler steps, sanov batches its trials and
+# girsanov integrates in blocks of this many paths, which bounds the live
+# increments and temporaries. No result depends on it.
+BLOCK_PATHS = 1024
+
 
 @dataclass(frozen=True)
 class DiffusionSpec:
@@ -182,7 +187,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """N trajectories on one grid, reproducible from the recorded seed."""
+    """N trajectories on one grid, reproducible from the recorded seed.
+
+    sample_paths stores the paths time-major, in one (n_times, n_paths, d)
+    buffer, and states is its (n_paths, n_times, d) transpose view: the
+    time slice states[:, k] is contiguous.
+    """
 
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_times, d)
@@ -234,10 +244,43 @@ def substream_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> None:
+    """Reject a master seed outside [-2**63, 2**63).
+
+    Philox keys a wider seed at float64 precision, so neighbouring seeds
+    would share streams, or fails to key it at all.
+    """
+    if not -2 ** 63 <= seed < 2 ** 63:
+        raise ArgumentError(f"seed must lie in [-2**63, 2**63), got {seed}")
+
+
+def _philox_key(seed: int, index: int) -> np.ndarray:
+    # numpy's own conversion of a key tuple: a seed at or above 2**63 passes
+    # through float64, rounded to 53 significant bits
+    return np.asarray((seed, index)).astype(np.uint64)
+
+
 def path_generator(seed: int, index: int) -> np.random.Generator:
     # Counter-based: the (seed, index) key fixes the stream regardless of
     # which thread evaluates it.
-    return np.random.Generator(np.random.Philox(key=(seed, index)))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, index)))
+
+
+def _keyed_streams(seed: int, streams: range):
+    """Yield a generator equal to path_generator(seed, j) for each j in turn.
+
+    One Philox bit generator per call is re-keyed per stream, to the state
+    a fresh one starts in: the key, a zero counter and an empty buffer.
+    Each generator is valid until the next is yielded.
+    """
+    gen = path_generator(seed, 0)
+    for j in streams:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": _philox_key(seed, j)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def stream_inputs(init: InitialLaw, seed: int, streams: range,
@@ -246,21 +289,20 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
 
     Stream j is path_generator(seed, j). It draws per_stream initial states,
     then one (steps, per_stream, d) increment block, and its paths are
-    consecutive rows of the output.
+    consecutive.
 
     Returns:
-        x0 of shape (len(streams) * per_stream, d) and z of shape
-        (len(streams) * per_stream, steps, d), in the form euler_maruyama
-        takes.
+        x0 of shape (len(streams) * per_stream, d) and time-major z of
+        shape (steps, len(streams) * per_stream, d), in the form
+        euler_maruyama takes.
     """
     d = init.dim
     x0 = np.empty((len(streams), per_stream, d))
-    z = np.empty((len(streams), per_stream, steps, d))
-    for i, j in enumerate(streams):
-        gen = path_generator(seed, j)
+    z = np.empty((steps, len(streams), per_stream, d))
+    for i, gen in enumerate(_keyed_streams(seed, streams)):
         x0[i] = init.draw(gen, per_stream)
-        z[i] = gen.standard_normal((steps, per_stream, d)).transpose(1, 0, 2)
-    return x0.reshape(-1, d), z.reshape(-1, steps, d)
+        z[:, i] = gen.standard_normal((steps, per_stream, d))
+    return x0.reshape(-1, d), z.reshape(steps, -1, d)
 
 
 def drift_eval(spec: DiffusionSpec, t: float, x) -> np.ndarray:
@@ -348,9 +390,11 @@ def partition_blocks(n: int, threads: int,
 
 def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
                    z: np.ndarray, out: np.ndarray) -> None:
-    """Step start states x0 (n, d) with standard increments z (n, m, d).
+    """Step start states x0 (n, d) with time-major standard increments
+    z (m, n, d).
 
-    Writes the n paths into out (n, m + 1, d).
+    Writes the n paths time-major into out (m + 1, n, d): step k reads z[k]
+    and writes out[k + 1].
 
     Raises:
         PositiveDefinitenessError: a diffusion matrix along the paths is
@@ -359,8 +403,8 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
     """
     d = spec.dim
     times = grid.points
-    out[:, 0] = x0
-    x = out[:, 0].copy()
+    out[0] = x0
+    x = out[0].copy()
     if spec.constant_diffusion:
         a0 = np.atleast_2d(np.asarray(
             spec.diffusion_matrix(times[0], x[0]), dtype=float))
@@ -375,7 +419,7 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
         dt = float(times[k + 1] - times[k])
         step = spec.drift(t, x) * dt
         if spec.constant_diffusion:
-            noise = z[:, k] @ chol.T
+            noise = z[k] @ chol.T
         else:
             a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)
             if d == 1:
@@ -383,16 +427,16 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
                 if np.any(av <= EPS_PD):
                     raise PositiveDefinitenessError(
                         f"diffusion of {spec.model_id!r} not PD along path")
-                noise = (np.sqrt(av) * z[:, k, 0])[:, None]
+                noise = (np.sqrt(av) * z[k, :, 0])[:, None]
             else:
                 try:
                     chols = np.linalg.cholesky(a)
                 except np.linalg.LinAlgError as exc:
                     raise PositiveDefinitenessError(
                         f"Cholesky failed for {spec.model_id!r}") from exc
-                noise = np.einsum("nij,nj->ni", chols, z[:, k])
+                noise = np.einsum("nij,nj->ni", chols, z[k])
         x = x + step + noise * math.sqrt(dt)
-        out[:, k + 1] = x
+        out[k + 1] = x
 
     if not np.isfinite(out).all():
         raise ModelEvaluationError(
@@ -405,7 +449,8 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
 
     Path i is stream i of stream_inputs: it draws its initial state and all
     its increments from the Philox substream keyed by (seed, i), so the
-    ensemble is bit-identical for any thread count.
+    ensemble is bit-identical for any thread count. Paths are stepped in
+    blocks of BLOCK_PATHS, so only one block's increments are live at once.
 
     Args:
         spec: the diffusion law to simulate.
@@ -422,14 +467,17 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
         raise ArgumentError("need at least one path")
     if init.dim != spec.dim:
         raise ArgumentError("initial law dimension does not match model")
-    states = np.empty((n, grid.points.shape[0], spec.dim))
+    buf = np.empty((grid.points.shape[0], n, spec.dim))
 
     def simulate(lo: int, hi: int) -> None:
-        x0, z = stream_inputs(init, seed, range(lo, hi), 1, grid.n_steps)
-        euler_maruyama(spec, grid, x0, z, states[lo:hi])
+        for b_lo in range(lo, hi, BLOCK_PATHS):
+            b_hi = min(b_lo + BLOCK_PATHS, hi)
+            x0, z = stream_inputs(init, seed, range(b_lo, b_hi), 1,
+                                  grid.n_steps)
+            euler_maruyama(spec, grid, x0, z, buf[:, b_lo:b_hi])
 
     partition_blocks(n, threads, simulate)
-    return PathEnsemble(grid=grid, states=states, seed=seed,
+    return PathEnsemble(grid=grid, states=buf.transpose(1, 0, 2), seed=seed,
                         model_id=spec.model_id)
 
 

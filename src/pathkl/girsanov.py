@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import _PairCoefficients, diffusion_match_check
-from .diffusion import DiffusionSpec, InitialLaw, PathEnsemble
+from .diffusion import BLOCK_PATHS, DiffusionSpec, InitialLaw, PathEnsemble
 from .errors import ArgumentError, CapabilityError
 from .estimates import EntropyEstimate
 from .marginal import initial_entropy
@@ -32,12 +32,6 @@ __all__ = [
 ]
 
 
-# Paths integrated at once: np.trapezoid makes temporaries the size of its
-# input, so it runs on row blocks of the integrand. Each row's sum does not
-# depend on the block.
-TRAPEZOID_ROWS = 1024
-
-
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                       ensemble: PathEnsemble) -> np.ndarray:
     """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}."""
@@ -46,10 +40,12 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     integrand = np.empty((n, m_plus_1))
     for k in range(m_plus_1):
         integrand[:, k] = pair.drift_quad(k)
+    # np.trapezoid makes temporaries the size of its input, so it runs on
+    # row blocks; each row's sum does not depend on the block
     out = np.empty(n)
-    for lo in range(0, n, TRAPEZOID_ROWS):
-        out[lo:lo + TRAPEZOID_ROWS] = np.trapezoid(
-            integrand[lo:lo + TRAPEZOID_ROWS], ensemble.grid.points, axis=1)
+    for lo in range(0, n, BLOCK_PATHS):
+        out[lo:lo + BLOCK_PATHS] = np.trapezoid(
+            integrand[lo:lo + BLOCK_PATHS], ensemble.grid.points, axis=1)
     return out
 
 

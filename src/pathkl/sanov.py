@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import (
+    BLOCK_PATHS,
     DiffusionSpec,
     InitialLaw,
     TimeGrid,
+    check_seed,
     euler_maruyama,
     partition_blocks,
     stream_inputs,
@@ -36,10 +38,6 @@ __all__ = [
 ]
 
 OBSERVABLES = ("terminal", "time_average")
-
-# Paths stepped at once: trials are batched up to this many paths (and at
-# least one trial), which bounds the live noise and state arrays.
-BATCH_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,7 @@ class RateExperiment:
             raise ArgumentError("n_list must be strictly increasing")
         if self.trials < 100:
             raise ArgumentError("trials must be at least 100")
+        check_seed(self.seed)
         object.__setattr__(self, "n_list", ns)
 
 
@@ -89,16 +88,17 @@ class RateTable:
 
 def _observable(states: np.ndarray, grid: TimeGrid,
                 observable: str) -> np.ndarray:
-    """Per-path observable of the first state coordinate."""
+    """Per-path observable of the first state coordinate of time-major
+    states (m + 1, paths, d)."""
     x = states[:, :, 0]
     if observable == "terminal":
-        return x[:, -1]
+        return x[-1]
     # trapezoid rule summed in step order; np.trapezoid sums in another
     # order and would move the trial means by ulps
-    running = np.zeros(x.shape[0])
+    running = np.zeros(x.shape[1])
     for k in range(grid.n_steps):
         dt = float(grid.points[k + 1] - grid.points[k])
-        running += 0.5 * (x[:, k] + x[:, k + 1]) * dt
+        running += 0.5 * (x[k] + x[k + 1]) * dt
     return running / grid.horizon
 
 
@@ -107,19 +107,19 @@ def _row_counts(spec, init, grid, exp: RateExperiment, n: int,
     """Exceedance count over all trials for one sample size.
 
     Trial j is stream j of stream_inputs under the row seed, with its n
-    paths. Trials are stepped together in batches of at most BATCH_PATHS
-    paths.
+    paths. Trials are stepped together in batches of at most BLOCK_PATHS
+    paths (and at least one trial).
     """
     row_seed = substream_seed(exp.seed, row_index)
     m = grid.n_steps
-    per_batch = max(1, BATCH_PATHS // n)
+    per_batch = max(1, BLOCK_PATHS // n)
 
     def count(lo: int, hi: int) -> int:
         c = 0
         for b_lo in range(lo, hi, per_batch):
             trials = range(b_lo, min(b_lo + per_batch, hi))
             x0, z = stream_inputs(init, row_seed, trials, n, m)
-            states = np.empty((len(trials) * n, m + 1, spec.dim))
+            states = np.empty((m + 1, len(trials) * n, spec.dim))
             euler_maruyama(spec, grid, x0, z, states)
             vals = _observable(states, grid, exp.observable)
             means = vals.reshape(len(trials), n).mean(axis=1)

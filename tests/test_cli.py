@@ -192,6 +192,28 @@ def test_seed_override_changes_monte_carlo(tmp_path):
             != outs[1]["results"]["estimate"]["value"])
 
 
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 63 + 1, 2 ** 64,
+                                  -2 ** 63 - 1])
+def test_run_rejects_seeds_outside_int64(tmp_path, capsys, seed):
+    # 2**63 and 2**63 + 1 used to share every stream; 2**64 crashed
+    cfg_path = _write(tmp_path, "g.json", _girsanov_cfg())
+    assert main(["run", "--config", cfg_path, "--seed", str(seed)]) == 2
+    assert "seed must lie in" in capsys.readouterr().err
+    in_config = _write(tmp_path, "s.json", _girsanov_cfg(seed=seed))
+    assert main(["run", "--config", in_config]) == 2
+    assert main(["compare", "--config", cfg_path, "--config", cfg_path,
+                 "--seed", str(seed)]) == 2
+
+
+@pytest.mark.parametrize("seed", [2 ** 63 - 1, -2 ** 63])
+def test_run_accepts_int64_seed_bounds(tmp_path, seed):
+    cfg_path = _write(tmp_path, "g.json", _girsanov_cfg())
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg_path, "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    assert _report(out)["config"]["seed"] == seed
+
+
 def test_thread_count_invisible_in_report(tmp_path):
     cfg_path = _write(tmp_path, "g.json",
                       _girsanov_cfg(model_mu={"id": "ou",

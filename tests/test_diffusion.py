@@ -23,7 +23,13 @@ from pathkl import (
     sample_paths,
     weighted_inner,
 )
-from pathkl.diffusion import diffusion_eval, drift_eval, path_generator
+from pathkl.diffusion import (
+    BLOCK_PATHS,
+    _keyed_streams,
+    diffusion_eval,
+    drift_eval,
+    path_generator,
+)
 
 OU_VAR_T1 = (1.0 - math.exp(-2.0)) / 2.0  # 0.43233235838169365
 
@@ -224,6 +230,44 @@ def test_block_draw_matches_single_draws(init):
                                   single_gen.standard_normal(3))
 
 
+def _bit_state(gen):
+    state = gen.bit_generator.state
+    return {"counter": state["state"]["counter"].tolist(),
+            "key": state["state"]["key"].tolist(),
+            "buffer": state["buffer"].tolist(),
+            **{k: state[k] for k in ("buffer_pos", "has_uint32", "uinteger")}}
+
+
+# below 2**63, at and above it (where numpy keys Philox through float64),
+# the largest 64-bit seed and negative seeds
+KEY_SEEDS = [0, 7, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 4097,
+             2 ** 64 - 1, -1, -2 ** 63]
+
+
+# 2**64 - 1 rounds to 2**64 in float64, which numpy casts with a warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("init", [
+    InitialLaw.point_mass([0.5, -2.0]),
+    InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]]),
+    InitialLaw.empirical([[-1.0], [0.0], [0.25], [2.0], [3.5]]),
+], ids=["point", "gaussian-2d", "empirical"])
+def test_rekeyed_streams_match_fresh_generators(init):
+    streams = range(3, 9)
+    for seed in KEY_SEEDS:
+        for j, gen in zip(streams, _keyed_streams(seed, streams)):
+            fresh = np.random.Generator(np.random.Philox(key=(seed, j)))
+            assert _bit_state(gen) == _bit_state(fresh)
+            assert np.array_equal(init.draw(gen, 5), init.draw(fresh, 5))
+            assert np.array_equal(gen.standard_normal(4),
+                                  fresh.standard_normal(4))
+            assert np.array_equal(gen.random(3), fresh.random(3))
+            # three 32-bit draws leave half a word cached for the next key
+            # to discard
+            assert np.array_equal(gen.integers(10, size=3, dtype=np.int32),
+                                  fresh.integers(10, size=3, dtype=np.int32))
+            assert _bit_state(gen) == _bit_state(fresh)
+
+
 def test_grid_index_of_nearest_point():
     grid = TimeGrid.uniform(1.0, 100)
     above = 3 * 0.1 / 10  # 0.030000000000000006, 7e-18 above points[3]
@@ -309,6 +353,25 @@ def test_path_count_independence(init):
     small = sample_paths(spec, init, grid, 4, 5)
     large = sample_paths(spec, init, grid, 16, 5)
     assert np.array_equal(small.states, large.states[:4])
+
+
+def test_sample_paths_across_block_boundaries():
+    # a full constant matrix, so each block's noise is one matrix product
+    spec = make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],
+                                 "a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2)
+    init = InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])
+    grid = TimeGrid.uniform(1.0, 6)
+    n = 2 * BLOCK_PATHS + 7
+    full = sample_paths(spec, init, grid, n, 4)
+    assert full.states.shape == (n, 7, 2)
+    for k in range(7):
+        assert full.states[:, k].flags.c_contiguous
+    for k in (5, BLOCK_PATHS, BLOCK_PATHS + 6):
+        assert np.array_equal(sample_paths(spec, init, grid, k, 4).states,
+                              full.states[:k])
+    # thread ranges do not start at block boundaries
+    threaded = sample_paths(spec, init, grid, n, 4, threads=3)
+    assert np.array_equal(threaded.states, full.states)
 
 
 def test_state_dependent_diffusion_paths():

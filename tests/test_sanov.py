@@ -53,6 +53,19 @@ def test_experiment_validation():
         RateExperiment("terminal", 1.0, (5, 10), trials=50)
 
 
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64,
+                                  -2 ** 63 - 1])
+def test_experiment_rejects_seeds_outside_int64(seed):
+    # seeds at or above 2**63 would key Philox at float64 precision
+    with pytest.raises(ArgumentError, match="seed"):
+        RateExperiment("terminal", 1.0, (5, 10), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2 ** 63 - 1, -2 ** 63, -1])
+def test_experiment_accepts_int64_seeds(seed):
+    assert RateExperiment("terminal", 1.0, (5, 10), seed=seed).seed == seed
+
+
 # ---------------------------------------------------------------------------
 # closed-form rate
 
