@@ -24,6 +24,7 @@ from .diffusion import (
     InitialLaw,
     PathEnsemble,
     TimeGrid,
+    constant_diffusion_matrix,
     path_generator,
     sample_paths,
     substream_seed,
@@ -141,15 +142,10 @@ class _PairCoefficients:
         self.spec_mu, self.spec_P = spec_mu, spec_P
         self.states = ensemble.states
         self.times = ensemble.grid.points
-        self.c = self._constant(spec_mu)
-        self.a = self._constant(spec_P)
+        t0, x0 = float(self.times[0]), self.states[0, 0]
+        self.c = constant_diffusion_matrix(spec_mu, t0, x0)
+        self.a = constant_diffusion_matrix(spec_P, t0, x0)
         self.a_inv = None if self.a is None else np.linalg.inv(self.a)
-
-    def _constant(self, spec: DiffusionSpec) -> np.ndarray | None:
-        if not spec.constant_diffusion:
-            return None
-        return np.atleast_2d(np.asarray(spec.diffusion_matrix(
-            float(self.times[0]), self.states[0, 0]), dtype=float))
 
     @cached_property
     def fixed(self):

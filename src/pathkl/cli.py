@@ -235,8 +235,7 @@ def _jsonable(obj):
 
 def _default_energy_basis(ensemble):
     states = ensemble.states[:, ensemble.grid.n_steps // 2:]
-    lo = float(np.quantile(states, 0.001))
-    hi = float(np.quantile(states, 0.999))
+    lo, hi = (float(q) for q in np.quantile(states, [0.001, 0.999]))
     pad = 0.3 * (hi - lo)
     return mixed_basis([lo - pad], [hi + pad], n_bumps=12,
                        bump_scale=1.5 * (hi - lo) / 11, degrees=[])

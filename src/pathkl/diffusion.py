@@ -61,9 +61,14 @@ class DiffusionSpec:
     positive definite d x d. Both must broadcast over a leading batch axis of
     x: x of shape (..., d) yields (..., d) and (..., d, d). constant_diffusion
     marks models whose a(t, x) never varies. It is trusted, not checked:
-    sampling factorizes a once per run, and girsanov and the chain estimators
-    evaluate a(t, x) once per run (at the first grid time and state) and
-    reuse that matrix, its inverse and its log-determinant at every slice.
+    every consumer that hoists it evaluates a(t, x) once per run through
+    constant_diffusion_matrix (at the first grid time and state). Sampling
+    factorizes it once; girsanov and the chain estimators reuse it, its
+    inverse and its log-determinant at every slice; the residual-energy
+    route (gram_matrix, fokker_planck_residual, residual_energy_profile)
+    contracts basis gradients and Hessians with it instead of with a(t, y)
+    at every sample. Only the hoisted Gram matrix for d >= 2 associates
+    differently, (grad · a) · grad, and may move in the last bits.
     """
 
     dim: int
@@ -271,15 +276,19 @@ def _keyed_streams(seed: int, streams: range):
 
     One Philox bit generator per call is re-keyed per stream, to the state
     a fresh one starts in: the key, a zero counter and an empty buffer.
-    Each generator is valid until the next is yielded.
+    The seed is converted once; only the stream index changes, which is
+    exact for indices below 2**53 on either conversion path. Each
+    generator is valid until the next is yielded.
     """
     gen = path_generator(seed, 0)
+    key = _philox_key(seed, 0)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for j in streams:
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": _philox_key(seed, j)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        key[1] = j
+        gen.bit_generator.state = state
         yield gen
 
 
@@ -299,10 +308,29 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
     d = init.dim
     x0 = np.empty((len(streams), per_stream, d))
     z = np.empty((steps, len(streams), per_stream, d))
+    # a point mass draws nothing from the generator: fill it once
+    point = init.kind == "point"
+    if point:
+        x0[...] = init.point
     for i, gen in enumerate(_keyed_streams(seed, streams)):
-        x0[i] = init.draw(gen, per_stream)
+        if not point:
+            x0[i] = init.draw(gen, per_stream)
         z[:, i] = gen.standard_normal((steps, per_stream, d))
     return x0.reshape(-1, d), z.reshape(steps, -1, d)
+
+
+def constant_diffusion_matrix(spec: DiffusionSpec, t: float,
+                              x: np.ndarray) -> np.ndarray | None:
+    """The d x d matrix a(t, x) of a model flagged constant_diffusion, or
+    None for any other model.
+
+    Consumers that hoist a constant diffusion evaluate it once per run with
+    this function, at the first grid time and the first state.
+    """
+    if not spec.constant_diffusion:
+        return None
+    return np.atleast_2d(np.asarray(spec.diffusion_matrix(t, x),
+                                    dtype=float))
 
 
 def drift_eval(spec: DiffusionSpec, t: float, x) -> np.ndarray:
@@ -405,9 +433,8 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
     times = grid.points
     out[0] = x0
     x = out[0].copy()
-    if spec.constant_diffusion:
-        a0 = np.atleast_2d(np.asarray(
-            spec.diffusion_matrix(times[0], x[0]), dtype=float))
+    a0 = constant_diffusion_matrix(spec, times[0], x[0])
+    if a0 is not None:
         try:
             chol = np.linalg.cholesky(a0)
         except np.linalg.LinAlgError as exc:
@@ -418,7 +445,7 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         step = spec.drift(t, x) * dt
-        if spec.constant_diffusion:
+        if a0 is not None:
             noise = z[k] @ chol.T
         else:
             a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)

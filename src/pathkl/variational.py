@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, PathEnsemble
+from .diffusion import (DiffusionSpec, PathEnsemble,
+                        constant_diffusion_matrix)
 from .errors import ArgumentError
 
 __all__ = [
@@ -208,21 +209,23 @@ class _MonomialCore:
         return _axis_product(powers(0), dp, ddp, order)
 
 
-def _windowed_stack(cores, x: np.ndarray, order: int,
-                    window_parts) -> np.ndarray:
-    """Window times each core of one family, differentiated `order` times by
-    the product rule; shape (K, ...) + (d,) * order. The window parts (value,
+def _windowed_jet(cores, x: np.ndarray, order: int, window_parts):
+    """Window times each core of one family and its derivatives up to
+    `order` by the product rule: values (K, ...), gradients (K, ..., d) and
+    Hessians (K, ..., d, d), None above `order`. The window parts (value,
     gradient, Hessian at x) broadcast over the leading core axis."""
     w, wg, wh = window_parts
     cv, cg, ch = type(cores[0]).stack(cores, x, order)
-    if order == 0:
-        return w * cv
-    if order == 1:
-        return w[..., None] * cg + cv[..., None] * wg
-    cross = cg[..., :, None] * wg[..., None, :]
-    return (w[..., None, None] * ch
-            + cross + np.swapaxes(cross, -1, -2)
-            + cv[..., None, None] * wh)
+    value = w * cv
+    grad = hess = None
+    if order >= 1:
+        grad = w[..., None] * cg + cv[..., None] * wg
+    if order >= 2:
+        cross = cg[..., :, None] * wg[..., None, :]
+        hess = (w[..., None, None] * ch
+                + cross + np.swapaxes(cross, -1, -2)
+                + cv[..., None, None] * wh)
+    return value, grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +258,8 @@ def _catalog_function(core, family: str, meta: dict) -> BasisFunction:
 
     def evaluate(x, order):
         x = np.asarray(x, dtype=float)
-        return _windowed_stack((core,), x, order,
-                               core.window.parts(x, order))[0]
+        return _windowed_jet((core,), x, order,
+                             core.window.parts(x, order))[order][0]
 
     return BasisFunction(value=lambda x: evaluate(x, 0),
                          gradient=lambda x: evaluate(x, 1),
@@ -314,10 +317,11 @@ def _positions(idx: list[int]):
 class FunctionBasis:
     """Ordered test functions sharing a domain box.
 
-    The stacks evaluate each window once per point set and each family of
-    catalog cores under it as one array; custom functions are evaluated
-    one at a time. Either way the stacks equal the per-function values
-    bit for bit.
+    jet evaluates each window once per point set and each family of
+    catalog cores under it as one array, up to the highest derivative
+    asked for; custom functions are evaluated one at a time. Either way
+    the stacks equal the per-function values bit for bit, whatever the
+    order of the jet that produced them.
     """
 
     functions: tuple[BasisFunction, ...]
@@ -359,32 +363,45 @@ class FunctionBasis:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def _stack(self, x, order: int) -> np.ndarray:
-        """Shape (..., K) + (d,) * order: values, gradients or Hessians."""
+    def jet(self, x, order: int) -> tuple:
+        """Values (..., K), gradients (..., K, d) and Hessians (..., K, d, d)
+        at points x of shape (..., d), up to `order` (None above it).
+
+        Raises:
+            ArgumentError: the last axis of x is not the basis dimension.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.size,) + x.shape[-1:] * order)
-        by_function = np.moveaxis(out, x.ndim - 1, 0)   # view, (K, ...)
+        if x.shape[-1:] != (self.dim,):
+            raise ArgumentError(
+                f"points of shape {x.shape} do not match a basis of "
+                f"dimension {self.dim}")
+        lead = x.shape[:-1] + (self.size,)
+        outs = [np.empty(lead + x.shape[-1:] * r) for r in range(order + 1)]
+        # views (K, ...) of each output, one row per function
+        rows = [np.moveaxis(out, x.ndim - 1, 0) for out in outs]
         for window, families in self._groups:
             parts = window.parts(x, order)
             for positions, cores in families:
-                by_function[positions] = _windowed_stack(cores, x, order,
-                                                         parts)
+                for row, part in zip(rows, _windowed_jet(cores, x, order,
+                                                         parts)):
+                    row[positions] = part
         for k in self._custom:
             f = self.functions[k]
-            by_function[k] = (f.value, f.gradient, f.hessian)[order](x)
-        return out
+            for row, fn in zip(rows, (f.value, f.gradient, f.hessian)):
+                row[k] = fn(x)
+        return tuple(outs) + (None,) * (2 - order)
 
     def value_matrix(self, x: np.ndarray) -> np.ndarray:
         """Stack of function values, shape (..., K)."""
-        return self._stack(x, 0)
+        return self.jet(x, 0)[0]
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
         """Gradients, shape (..., K, d)."""
-        return self._stack(x, 1)
+        return self.jet(x, 1)[1]
 
     def hessian_stack(self, x: np.ndarray) -> np.ndarray:
         """Hessians, shape (..., K, d, d)."""
-        return self._stack(x, 2)
+        return self.jet(x, 2)[2]
 
     def describe(self) -> list[dict]:
         return [dict(family=f.family, **f.meta) for f in self.functions]
@@ -528,73 +545,39 @@ class DriftCorrection:
         return np.einsum("...ij,...j->...i", a, combo)
 
 
-def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
-                basis: FunctionBasis, *,
-                gradients: np.ndarray | None = None) -> GramData:
-    """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
-
-    Args:
-        spec: law supplying the diffusion matrix weight.
-        t: time label of the marginal.
-        marginal_samples: points of shape (n, d) distributed as the marginal.
-        basis: test functions.
-        gradients: basis.gradient_stack(marginal_samples) when the caller
-            has already evaluated it.
-    """
-    y = np.asarray(marginal_samples, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] == 0:
-        raise ArgumentError("gram matrix needs at least one sample")
-    grads = basis.gradient_stack(y) if gradients is None \
-        else gradients                                   # (n, K, d)
-    a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
-    q = np.einsum("nkd,nde,nle->kl", grads, a, grads) / y.shape[0]
+def _gram(spec: DiffusionSpec, a0, t: float, y: np.ndarray,
+          grads: np.ndarray) -> GramData:
+    """Gram matrix from the gradients (n, K, d) at points y (n, d); a0 is
+    P's hoisted constant diffusion matrix, or None to evaluate a(t, y)."""
+    if a0 is None:
+        a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
+        q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
+    else:
+        q = np.einsum("nke,nle->kl", grads @ a0, grads)
+    q = q / y.shape[0]
     q = 0.5 * (q + q.T)
     svals = np.linalg.svd(q, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     return GramData(matrix=q, n_samples=y.shape[0], t=t, condition=cond)
 
 
-def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
-                           basis: FunctionBasis, t_index: int,
-                           window: int = 1, *,
-                           gradients: np.ndarray | None = None
-                           ) -> FokkerPlanckResidual:
-    """Residual of the reference Fokker-Planck identity on the basis.
-
-    Under the reference law P the marginals satisfy d/dt <mu_t, f> =
-    <mu_t, L f> for every test f; a nonzero residual is the signature of a
-    drift discrepancy. The time derivative is a central difference over
-    ``window`` grid steps on each path; the generator term is averaged at
-    the central slice. gradients, when given, is basis.gradient_stack of
-    the central slice, already evaluated by the caller.
-
-    Raises:
-        ArgumentError: when t_index ± window leaves the grid.
-    """
-    m = ensemble.grid.n_steps
-    if not (0 <= t_index - window and t_index + window <= m):
-        raise ArgumentError("finite-difference window leaves the grid")
-    if window < 1:
-        raise ArgumentError("window must be at least one step")
-    times = ensemble.grid.points
+def _residual(spec_P: DiffusionSpec, a0, grid, t_index: int, window: int,
+              x_mid: np.ndarray, lo_values: np.ndarray,
+              hi_values: np.ndarray, grads: np.ndarray,
+              hesss: np.ndarray) -> FokkerPlanckResidual:
+    """Residual from the basis values at t_index ± window and the
+    gradients and Hessians at the central slice x_mid; a0 as for _gram."""
+    times = grid.points
     t = float(times[t_index])
     span = float(times[t_index + window] - times[t_index - window])
-
-    x_lo = ensemble.states[:, t_index - window]
-    x_hi = ensemble.states[:, t_index + window]
-    x_mid = ensemble.states[:, t_index]
-
-    diff = (basis.value_matrix(x_hi) - basis.value_matrix(x_lo)) / span
-
-    grads = basis.gradient_stack(x_mid) if gradients is None \
-        else gradients                                   # (n, K, d)
-    hesss = basis.hessian_stack(x_mid)                   # (n, K, d, d)
-    a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
+    diff = (hi_values - lo_values) / span
     b = np.asarray(spec_P.drift(t, x_mid), dtype=float)
-    gen = (0.5 * np.einsum("nij,nkji->nk", a, hesss)
-           + np.einsum("nd,nkd->nk", b, grads))
+    if a0 is None:
+        a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
+        second = np.einsum("nij,nkji->nk", a, hesss)
+    else:
+        second = np.einsum("ij,nkji->nk", a0, hesss)
+    gen = 0.5 * second + np.einsum("nd,nkd->nk", b, grads)
 
     z = diff - gen                                        # (n, K)
     n = z.shape[0]
@@ -602,6 +585,62 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     centered = z - c
     cov_mean = (centered.T @ centered) / (n * max(n - 1, 1))
     return FokkerPlanckResidual(values=c, cov_mean=cov_mean, t=t, n_paths=n)
+
+
+def _start_constant(spec: DiffusionSpec, ensemble: PathEnsemble):
+    """spec's constant diffusion matrix at the ensemble's first grid time
+    and state, or None when spec is not flagged constant."""
+    return constant_diffusion_matrix(spec, float(ensemble.grid.points[0]),
+                                     ensemble.states[0, 0])
+
+
+def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
+                basis: FunctionBasis) -> GramData:
+    """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
+
+    Args:
+        spec: law supplying the diffusion matrix weight.
+        t: time label of the marginal.
+        marginal_samples: points of shape (n, d) distributed as the marginal.
+        basis: test functions.
+    """
+    y = np.asarray(marginal_samples, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.shape[0] == 0:
+        raise ArgumentError("gram matrix needs at least one sample")
+    grads = basis.jet(y, 1)[1]                            # (n, K, d)
+    return _gram(spec, constant_diffusion_matrix(spec, t, y[0]), t, y, grads)
+
+
+def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
+                           basis: FunctionBasis, t_index: int,
+                           window: int = 1) -> FokkerPlanckResidual:
+    """Residual of the reference Fokker-Planck identity on the basis.
+
+    Under the reference law P the marginals satisfy d/dt <mu_t, f> =
+    <mu_t, L f> for every test f; a nonzero residual is the signature of a
+    drift discrepancy. The time derivative is a central difference over
+    ``window`` grid steps on each path; the generator term is averaged at
+    the central slice.
+
+    Raises:
+        ArgumentError: when t_index ± window leaves the grid, or the basis
+            dimension is not the ensemble's.
+    """
+    m = ensemble.grid.n_steps
+    if not (0 <= t_index - window and t_index + window <= m):
+        raise ArgumentError("finite-difference window leaves the grid")
+    if window < 1:
+        raise ArgumentError("window must be at least one step")
+    states = ensemble.states
+    lo_values = basis.jet(states[:, t_index - window], 0)[0]
+    hi_values = basis.jet(states[:, t_index + window], 0)[0]
+    x_mid = states[:, t_index]
+    _, grads, hesss = basis.jet(x_mid, 2)
+    return _residual(spec_P, _start_constant(spec_P, ensemble),
+                     ensemble.grid, t_index, window, x_mid, lo_values,
+                     hi_values, grads, hesss)
 
 
 def dual_energy(c: np.ndarray, gram: GramData) -> DualSolution:
@@ -652,13 +691,13 @@ class EnergyProfile:
     diagnostics: dict
 
 
-def _debiased_slice(ensemble, spec_P, basis, idx, window, debias):
-    # the residual and the Gram matrix share the gradients at the slice
+def _debiased_slice(ensemble, spec_P, a0, idx, window, lo, hi, mid,
+                    debias):
+    # lo and hi are the jets at idx ± window, mid the order-2 jet at idx
     x_mid = ensemble.states[:, idx]
-    grads = basis.gradient_stack(x_mid)
-    res = fokker_planck_residual(ensemble, spec_P, basis, idx, window,
-                                 gradients=grads)
-    gram = gram_matrix(spec_P, res.t, x_mid, basis, gradients=grads)
+    res = _residual(spec_P, a0, ensemble.grid, idx, window, x_mid, lo[0],
+                    hi[0], mid[1], mid[2])
+    gram = _gram(spec_P, a0, res.t, x_mid, mid[1])
     sol = dual_energy(res.values, gram)
     value = sol.value
     if debias:
@@ -702,8 +741,23 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     if not idxs:
         raise ArgumentError("no usable slices: grid too coarse for window")
 
-    cols = [_debiased_slice(ensemble, spec_P, basis, i, window, debias)
-            for i in idxs]
+    # Each grid index is evaluated once, at the highest order a slice reads
+    # there (2 at a centre, 0 at a difference end), and kept only while a
+    # later slice can read it: those read indices above i - window only.
+    centres = set(idxs)
+    a0 = _start_constant(spec_P, ensemble)
+    jets: dict[int, tuple] = {}
+    cols = []
+    for i in idxs:
+        reads = (i - window, i + window, i)
+        for j in reads:
+            if j not in jets:
+                jets[j] = basis.jet(ensemble.states[:, j],
+                                    2 if j in centres else 0)
+        cols.append(_debiased_slice(ensemble, spec_P, a0, i, window,
+                                    *(jets[j] for j in reads), debias))
+        jets[i] = jets[i][:1]       # later slices read only its values
+        jets = {j: jet for j, jet in jets.items() if j > i - window}
     times = np.array([c[0] for c in cols])
     values = np.array([c[1] for c in cols])
     ses = np.array([c[2] for c in cols])

@@ -146,6 +146,24 @@ def test_run_accepts_time_just_above_grid_point(tmp_path, estimator, params):
     assert _report(out)["results"]
 
 
+def test_run_residual_energy_basis_dimension_mismatch_exits_2(tmp_path,
+                                                              capsys):
+    # a 1-d basis config on a 2-d model is refused, not broadcast
+    cfg = _girsanov_cfg(
+        model_mu={"id": "ou", "params": {"gamma": 1.0}},
+        initial_mu={"kind": "point", "point": [0.0, 0.0]},
+        initial_P={"kind": "point", "point": [0.0, 0.0]},
+        estimator="residual-energy", n_paths=200,
+        estimator_params={"basis": {"family": "mixed", "box": [-3.0, 3.0],
+                                    "count": 4}},
+        grid={"horizon": 1.0, "steps": 32})
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_run_convergence_failure_writes_partial_report(tmp_path, capsys):
     cfg = {
         "model_mu": {"id": "constant_drift", "params": {"theta": 1.0}},

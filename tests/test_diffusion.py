@@ -29,6 +29,7 @@ from pathkl.diffusion import (
     diffusion_eval,
     drift_eval,
     path_generator,
+    stream_inputs,
 )
 
 OU_VAR_T1 = (1.0 - math.exp(-2.0)) / 2.0  # 0.43233235838169365
@@ -266,6 +267,30 @@ def test_rekeyed_streams_match_fresh_generators(init):
             assert np.array_equal(gen.integers(10, size=3, dtype=np.int32),
                                   fresh.integers(10, size=3, dtype=np.int32))
             assert _bit_state(gen) == _bit_state(fresh)
+
+
+# 2**64 - 1 rounds to 2**64 in float64, which numpy casts with a warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("per_stream", [1, 3])
+@pytest.mark.parametrize("init", [
+    InitialLaw.point_mass([0.3, -1.2]),
+    InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]]),
+    InitialLaw.empirical([[-1.0, 0.5], [0.0, 2.0], [0.25, -3.0]]),
+], ids=["point", "gaussian", "empirical"])
+def test_stream_inputs_match_fresh_streams(init, per_stream):
+    # stream j draws its start states, then its increments, from a fresh
+    # path_generator(seed, j); its paths are consecutive rows
+    streams, steps, d = range(2, 7), 4, init.dim
+    for seed in (5, 2 ** 63 + 4097, 2 ** 64 - 1, -3):
+        x0, z = stream_inputs(init, seed, streams, per_stream, steps)
+        assert x0.shape == (len(streams) * per_stream, d)
+        assert z.shape == (steps, len(streams) * per_stream, d)
+        for i, j in enumerate(streams):
+            gen = path_generator(seed, j)
+            rows = slice(i * per_stream, (i + 1) * per_stream)
+            assert np.array_equal(x0[rows], init.draw(gen, per_stream))
+            assert np.array_equal(
+                z[:, rows], gen.standard_normal((steps, per_stream, d)))
 
 
 def test_grid_index_of_nearest_point():

@@ -1,6 +1,7 @@
 """Test-function families, Gram geometry, residual action, dual energy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from pathkl import (
     bump_basis,
     drift_correction,
     dual_energy,
+    dv_estimate,
     fokker_planck_residual,
     gaussian_bump,
     gram_matrix,
     make_model,
     mixed_basis,
+    residual_energy_profile,
     sample_paths,
     windowed_monomial,
 )
@@ -406,7 +409,7 @@ def _basis_mixed_with_custom():
     return FunctionBasis(functions=tuple(fns), lo=base.lo, hi=base.hi)
 
 
-@pytest.mark.parametrize("make", [
+STACK_BASES = pytest.mark.parametrize("make", [
     lambda: bump_basis([-3.0], [2.0], 12),
     lambda: mixed_basis([-2.5], [2.5], 4, 0.9, [0, 1, 2]),
     lambda: mixed_basis([-2.5], [2.5], 5, 0.9, [0, 1, 2, 3],
@@ -414,6 +417,9 @@ def _basis_mixed_with_custom():
     _basis_2d,
     _basis_mixed_with_custom,
 ], ids=["bumps", "mixed", "mixed-span", "2d", "with-custom"])
+
+
+@STACK_BASES
 def test_stacks_equal_per_function_evaluation(make):
     basis = make()
     rng = np.random.default_rng(5)
@@ -451,3 +457,124 @@ def test_custom_bump_label_keeps_its_own_callables():
                                   2.0 * base.value_matrix(x)[:, 0])
     np.testing.assert_array_equal(basis.value_matrix(x)[:, 1:],
                                   base.value_matrix(x)[:, 1:])
+
+
+@STACK_BASES
+def test_jet_equals_single_order_stacks(make):
+    # every order of a jet carries the bits of the single-order evaluation
+    basis = make()
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-4.5, 4.5, size=(300, basis.dim))
+    fns = basis.functions
+    single = (np.stack([f.value(x) for f in fns], axis=-1),
+              np.stack([f.gradient(x) for f in fns], axis=-2),
+              np.stack([f.hessian(x) for f in fns], axis=-3))
+    for order in range(3):
+        jet = basis.jet(x, order)
+        assert len(jet) == 3
+        for r in range(3):
+            if r <= order:
+                assert np.array_equal(jet[r], single[r])
+            else:
+                assert jet[r] is None
+    one = basis.jet(x[3], 2)
+    for r in range(3):
+        assert np.array_equal(one[r], single[r][3])
+
+
+# ---------------------------------------------------------------------------
+# a basis of another dimension than the samples is refused
+
+
+def test_basis_dimension_mismatch_raises():
+    spec = make_model("ou", {"gamma": 1.0}, dim=2)
+    P = make_model("brownian", {}, dim=2)
+    ens = sample_paths(spec, InitialLaw.point_mass([0.0, 0.0]),
+                       TimeGrid.uniform(1.0, 32), 200, 3)
+    basis = mixed_basis([-3.0], [3.0], 4, 0.9, [0, 1])
+    x = ens.states[:, 16]
+    with pytest.raises(ArgumentError):
+        basis.jet(x, 0)
+    with pytest.raises(ArgumentError):
+        residual_energy_profile(ens, P, basis, window=4, stride=4)
+    with pytest.raises(ArgumentError):
+        gram_matrix(P, 0.5, x, basis)
+    with pytest.raises(ArgumentError):
+        fokker_planck_residual(ens, P, basis, 16, 4)
+    with pytest.raises(ArgumentError):
+        dv_estimate(x, ens.states[:, 8], basis)
+    # and a 2-d basis on 1-d samples
+    with pytest.raises(ArgumentError):
+        gram_matrix(make_model("brownian", {}), 0.5, x[:, 0], _basis_2d())
+
+
+# ---------------------------------------------------------------------------
+# the profile evaluates each grid index once and hoists a constant a
+
+
+def _profile_by_slice(ens, spec_P, basis, window, stride, t_min_frac=0.15):
+    """Debiased slice values and standard errors, one slice at a time
+    through the public residual, Gram and dual functions."""
+    grid = ens.grid
+    idxs = [i for i in range(window, grid.n_steps - window + 1, stride)
+            if grid.points[i] >= t_min_frac * grid.horizon]
+    values, ses = [], []
+    for i in idxs:
+        res = fokker_planck_residual(ens, spec_P, basis, i, window)
+        gram = gram_matrix(spec_P, res.t, ens.states[:, i], basis)
+        sol = dual_energy(res.values, gram)
+        values.append(sol.value - 0.5 * float(
+            np.trace(gram.pseudo_inverse @ res.cov_mean)))
+        ses.append(math.sqrt(max(float(
+            sol.coefficients @ res.cov_mean @ sol.coefficients), 0.0)))
+    return np.array(values), np.array(ses)
+
+
+A_FULL = [[1.0, 0.4], [0.4, 0.8]]
+
+
+def _one_d_case(P):
+    ens = sample_paths(make_model("ou", {"gamma": 1.0}),
+                       InitialLaw.point_mass([0.0]),
+                       TimeGrid.uniform(1.0, 64), 2000, 3)
+    basis = mixed_basis([-2.5], [2.5], 4, 0.9, [0, 1, 2],
+                        bump_span=(-1.0, 1.0))
+    return ens, P, basis
+
+
+def _two_d_case():
+    mu = make_model("linear", {"A": [[-1.0, 0.3], [0.0, -0.5]],
+                               "a": A_FULL}, dim=2)
+    ens = sample_paths(mu, InitialLaw.point_mass([0.0, 1.0]),
+                       TimeGrid.uniform(1.0, 64), 2000, 3)
+    return ens, make_model("brownian", {"a": A_FULL}, dim=2), _basis_2d()
+
+
+@pytest.mark.parametrize("window,stride", [(8, 4), (3, 2), (2, 5)])
+@pytest.mark.parametrize("case,exact", [
+    (lambda: _one_d_case(make_model("brownian", {})), True),
+    (lambda: _one_d_case(make_model("brownian", {"a": 0.7})), True),
+    (lambda: _one_d_case(make_model("sine_diffusion", {"a": 1.0})), True),
+    (_two_d_case, False),
+], ids=["a1", "a0.7", "sine", "2d-full"])
+def test_profile_equals_slice_by_slice(case, exact, window, stride):
+    ens, P, basis = case()
+    prof = residual_energy_profile(ens, P, basis, window=window,
+                                   stride=stride)
+    # the public functions hoist a constant a the same way: equal bits
+    values, ses = _profile_by_slice(ens, P, basis, window, stride)
+    assert np.array_equal(prof.values, values)
+    assert np.array_equal(prof.std_errors, ses)
+    # against a(t, y) evaluated at every sample: equal bits for d = 1; for
+    # d >= 2 the hoisted Gram associates (grad · a) · grad
+    values, ses = _profile_by_slice(
+        ens, replace(P, constant_diffusion=False), basis, window, stride)
+    if exact:
+        assert np.array_equal(prof.values, values)
+        assert np.array_equal(prof.std_errors, ses)
+    else:
+        # a debiased value is a difference of two terms, so its error is
+        # relative to the scale of the slice values, not to itself
+        for got, want in ((prof.values, values), (prof.std_errors, ses)):
+            np.testing.assert_allclose(got, want, rtol=1e-14,
+                                       atol=1e-14 * np.abs(want).max())
