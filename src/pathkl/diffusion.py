@@ -61,10 +61,11 @@ class DiffusionSpec:
     positive definite d x d. Both must broadcast over a leading batch axis of
     x: x of shape (..., d) yields (..., d) and (..., d, d). constant_diffusion
     marks models whose a(t, x) never varies. It is trusted, not checked:
-    every consumer that hoists it evaluates a(t, x) once per run through
-    constant_diffusion_matrix (at the first grid time and state). Sampling
-    factorizes it once; girsanov and the chain estimators reuse it, its
-    inverse and its log-determinant at every slice; the residual-energy
+    every consumer that hoists it evaluates a(t, x) once per call through
+    constant_diffusion_matrix, at the first grid time and state (gram_matrix,
+    which sees one marginal and no grid, at its time and first sample).
+    Sampling factorizes it once; girsanov and the chain estimators reuse it,
+    its inverse and its log-determinant at every slice; the residual-energy
     route (gram_matrix, fokker_planck_residual, residual_energy_profile)
     contracts basis gradients and Hessians with it instead of with a(t, y)
     at every sample. Only the hoisted Gram matrix for d >= 2 associates

@@ -396,11 +396,20 @@ class FunctionBasis:
         return self.jet(x, 0)[0]
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
-        """Gradients, shape (..., K, d)."""
+        """Gradients, shape (..., K, d).
+
+        The order-1 view of jet: it also builds the values it discards, so
+        a caller that needs several orders at x should call jet once.
+        """
         return self.jet(x, 1)[1]
 
     def hessian_stack(self, x: np.ndarray) -> np.ndarray:
-        """Hessians, shape (..., K, d, d)."""
+        """Hessians, shape (..., K, d, d).
+
+        The order-2 view of jet: it also builds the values and gradients it
+        discards, so a caller that needs several orders at x should call
+        jet once.
+        """
         return self.jet(x, 2)[2]
 
     def describe(self) -> list[dict]:
@@ -545,10 +554,30 @@ class DriftCorrection:
         return np.einsum("...ij,...j->...i", a, combo)
 
 
-def _gram(spec: DiffusionSpec, a0, t: float, y: np.ndarray,
-          grads: np.ndarray) -> GramData:
-    """Gram matrix from the gradients (n, K, d) at points y (n, d); a0 is
-    P's hoisted constant diffusion matrix, or None to evaluate a(t, y)."""
+def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
+                basis: FunctionBasis, *,
+                gradients: np.ndarray | None = None) -> GramData:
+    """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
+
+    For a spec flagged constant_diffusion, a is evaluated once, at t and
+    the first sample, and the gradients contract with it in one product.
+
+    Args:
+        spec: law supplying the diffusion matrix weight.
+        t: time label of the marginal.
+        marginal_samples: points of shape (n, d) distributed as the marginal.
+        basis: test functions.
+        gradients: basis gradients (n, K, d) at marginal_samples when the
+            caller has already evaluated them.
+    """
+    y = np.asarray(marginal_samples, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.shape[0] == 0:
+        raise ArgumentError("gram matrix needs at least one sample")
+    grads = basis.jet(y, 1)[1] if gradients is None \
+        else gradients                                   # (n, K, d)
+    a0 = constant_diffusion_matrix(spec, t, y[0])
     if a0 is None:
         a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
         q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
@@ -561,17 +590,46 @@ def _gram(spec: DiffusionSpec, a0, t: float, y: np.ndarray,
     return GramData(matrix=q, n_samples=y.shape[0], t=t, condition=cond)
 
 
-def _residual(spec_P: DiffusionSpec, a0, grid, t_index: int, window: int,
-              x_mid: np.ndarray, lo_values: np.ndarray,
-              hi_values: np.ndarray, grads: np.ndarray,
-              hesss: np.ndarray) -> FokkerPlanckResidual:
-    """Residual from the basis values at t_index ± window and the
-    gradients and Hessians at the central slice x_mid; a0 as for _gram."""
-    times = grid.points
+def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
+                           basis: FunctionBasis, t_index: int,
+                           window: int = 1, *,
+                           jets: dict | None = None) -> FokkerPlanckResidual:
+    """Residual of the reference Fokker-Planck identity on the basis.
+
+    Under the reference law P the marginals satisfy d/dt <mu_t, f> =
+    <mu_t, L f> for every test f; a nonzero residual is the signature of a
+    drift discrepancy. The time derivative is a central difference over
+    ``window`` grid steps on each path; the generator term is averaged at
+    the central slice. For a spec_P flagged constant_diffusion, a is
+    evaluated once, at the first grid time and state.
+
+    Args:
+        jets: basis.jet of the ensemble's time slices by grid index, when
+            the caller has already evaluated them: values are read at
+            t_index ± window, gradients and Hessians at t_index.
+
+    Raises:
+        ArgumentError: when t_index ± window leaves the grid, or the basis
+            dimension is not the ensemble's.
+    """
+    m = ensemble.grid.n_steps
+    lo, hi = t_index - window, t_index + window
+    if not (0 <= lo and hi <= m):
+        raise ArgumentError("finite-difference window leaves the grid")
+    if window < 1:
+        raise ArgumentError("window must be at least one step")
+    states = ensemble.states
+    x_mid = states[:, t_index]
+    if jets is None:
+        jets = {lo: basis.jet(states[:, lo], 0),
+                hi: basis.jet(states[:, hi], 0),
+                t_index: basis.jet(x_mid, 2)}
+    _, grads, hesss = jets[t_index]
+    times = ensemble.grid.points
     t = float(times[t_index])
-    span = float(times[t_index + window] - times[t_index - window])
-    diff = (hi_values - lo_values) / span
+    diff = (jets[hi][0] - jets[lo][0]) / float(times[hi] - times[lo])
     b = np.asarray(spec_P.drift(t, x_mid), dtype=float)
+    a0 = constant_diffusion_matrix(spec_P, float(times[0]), states[0, 0])
     if a0 is None:
         a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
         second = np.einsum("nij,nkji->nk", a, hesss)
@@ -585,62 +643,6 @@ def _residual(spec_P: DiffusionSpec, a0, grid, t_index: int, window: int,
     centered = z - c
     cov_mean = (centered.T @ centered) / (n * max(n - 1, 1))
     return FokkerPlanckResidual(values=c, cov_mean=cov_mean, t=t, n_paths=n)
-
-
-def _start_constant(spec: DiffusionSpec, ensemble: PathEnsemble):
-    """spec's constant diffusion matrix at the ensemble's first grid time
-    and state, or None when spec is not flagged constant."""
-    return constant_diffusion_matrix(spec, float(ensemble.grid.points[0]),
-                                     ensemble.states[0, 0])
-
-
-def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
-                basis: FunctionBasis) -> GramData:
-    """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
-
-    Args:
-        spec: law supplying the diffusion matrix weight.
-        t: time label of the marginal.
-        marginal_samples: points of shape (n, d) distributed as the marginal.
-        basis: test functions.
-    """
-    y = np.asarray(marginal_samples, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] == 0:
-        raise ArgumentError("gram matrix needs at least one sample")
-    grads = basis.jet(y, 1)[1]                            # (n, K, d)
-    return _gram(spec, constant_diffusion_matrix(spec, t, y[0]), t, y, grads)
-
-
-def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
-                           basis: FunctionBasis, t_index: int,
-                           window: int = 1) -> FokkerPlanckResidual:
-    """Residual of the reference Fokker-Planck identity on the basis.
-
-    Under the reference law P the marginals satisfy d/dt <mu_t, f> =
-    <mu_t, L f> for every test f; a nonzero residual is the signature of a
-    drift discrepancy. The time derivative is a central difference over
-    ``window`` grid steps on each path; the generator term is averaged at
-    the central slice.
-
-    Raises:
-        ArgumentError: when t_index ± window leaves the grid, or the basis
-            dimension is not the ensemble's.
-    """
-    m = ensemble.grid.n_steps
-    if not (0 <= t_index - window and t_index + window <= m):
-        raise ArgumentError("finite-difference window leaves the grid")
-    if window < 1:
-        raise ArgumentError("window must be at least one step")
-    states = ensemble.states
-    lo_values = basis.jet(states[:, t_index - window], 0)[0]
-    hi_values = basis.jet(states[:, t_index + window], 0)[0]
-    x_mid = states[:, t_index]
-    _, grads, hesss = basis.jet(x_mid, 2)
-    return _residual(spec_P, _start_constant(spec_P, ensemble),
-                     ensemble.grid, t_index, window, x_mid, lo_values,
-                     hi_values, grads, hesss)
 
 
 def dual_energy(c: np.ndarray, gram: GramData) -> DualSolution:
@@ -691,13 +693,12 @@ class EnergyProfile:
     diagnostics: dict
 
 
-def _debiased_slice(ensemble, spec_P, a0, idx, window, lo, hi, mid,
-                    debias):
-    # lo and hi are the jets at idx ± window, mid the order-2 jet at idx
-    x_mid = ensemble.states[:, idx]
-    res = _residual(spec_P, a0, ensemble.grid, idx, window, x_mid, lo[0],
-                    hi[0], mid[1], mid[2])
-    gram = _gram(spec_P, a0, res.t, x_mid, mid[1])
+def _debiased_slice(ensemble, spec_P, basis, idx, window, jets, debias):
+    # jets holds the basis jets at idx ± window and the order-2 jet at idx
+    res = fokker_planck_residual(ensemble, spec_P, basis, idx, window,
+                                 jets=jets)
+    gram = gram_matrix(spec_P, res.t, ensemble.states[:, idx], basis,
+                       gradients=jets[idx][1])
     sol = dual_energy(res.values, gram)
     value = sol.value
     if debias:
@@ -745,17 +746,15 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     # there (2 at a centre, 0 at a difference end), and kept only while a
     # later slice can read it: those read indices above i - window only.
     centres = set(idxs)
-    a0 = _start_constant(spec_P, ensemble)
     jets: dict[int, tuple] = {}
     cols = []
     for i in idxs:
-        reads = (i - window, i + window, i)
-        for j in reads:
+        for j in (i - window, i + window, i):
             if j not in jets:
                 jets[j] = basis.jet(ensemble.states[:, j],
                                     2 if j in centres else 0)
-        cols.append(_debiased_slice(ensemble, spec_P, a0, i, window,
-                                    *(jets[j] for j in reads), debias))
+        cols.append(_debiased_slice(ensemble, spec_P, basis, i, window,
+                                    jets, debias))
         jets[i] = jets[i][:1]       # later slices read only its values
         jets = {j: jet for j, jet in jets.items() if j > i - window}
     times = np.array([c[0] for c in cols])

@@ -28,6 +28,7 @@ from pathkl import (
     sample_paths,
     windowed_monomial,
 )
+from pathkl import variational
 
 
 def _fd_gradient(f, x, h=1e-6):
@@ -578,3 +579,29 @@ def test_profile_equals_slice_by_slice(case, exact, window, stride):
         for got, want in ((prof.values, values), (prof.std_errors, ses)):
             np.testing.assert_allclose(got, want, rtol=1e-14,
                                        atol=1e-14 * np.abs(want).max())
+
+
+def test_profile_slices_call_the_public_functions(monkeypatch):
+    # Each slice's residual and Gram matrix come from fokker_planck_residual
+    # and gram_matrix, fed the jets the profile evaluated (perfbench times
+    # them under these names); handing them over changes no bit.
+    ens, P, basis = _one_d_case(make_model("brownian", {"a": 0.7}))
+    calls = {"residual": [], "gram": []}
+
+    def residual(*args, jets=None, **kwargs):
+        calls["residual"].append(jets is not None)
+        return fokker_planck_residual(*args, jets=jets, **kwargs)
+
+    def gram(*args, gradients=None, **kwargs):
+        calls["gram"].append(gradients is not None)
+        return gram_matrix(*args, gradients=gradients, **kwargs)
+
+    monkeypatch.setattr(variational, "fokker_planck_residual", residual)
+    monkeypatch.setattr(variational, "gram_matrix", gram)
+    prof = residual_energy_profile(ens, P, basis, window=3, stride=2)
+    n = prof.diagnostics["n_slices"]
+    assert calls == {"residual": [True] * n, "gram": [True] * n}
+    monkeypatch.undo()
+    values, ses = _profile_by_slice(ens, P, basis, 3, 2)
+    assert np.array_equal(prof.values, values)
+    assert np.array_equal(prof.std_errors, ses)
