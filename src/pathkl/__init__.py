@@ -9,12 +9,10 @@ each route checks the others.
 
 from .chain import (
     ChainEstimate,
-    MatchReport,
     Partition,
     StepTerm,
     SweepResult,
     chain_estimate,
-    diffusion_match_check,
     refine_sequence,
     refinement_sweep,
     step_kl,
@@ -23,16 +21,16 @@ from .diffusion import (
     DiffusionSpec,
     GaussianLaw,
     InitialLaw,
+    MatchReport,
     PathEnsemble,
     TimeGrid,
-    apply_generator,
+    diffusion_match_check,
     euler_step_law,
     make_model,
     model_ids,
     register_model,
     sample_paths,
     substream_seed,
-    weighted_inner,
 )
 from .errors import (
     ArgumentError,
@@ -83,9 +81,9 @@ __all__ = [
     "PositiveDefinitenessError",
     # models and sampling
     "DiffusionSpec", "InitialLaw", "TimeGrid", "PathEnsemble",
-    "GaussianLaw", "sample_paths", "euler_step_law", "apply_generator",
-    "weighted_inner", "make_model", "register_model", "model_ids",
-    "substream_seed",
+    "GaussianLaw", "sample_paths", "euler_step_law", "make_model",
+    "register_model", "model_ids", "substream_seed", "MatchReport",
+    "diffusion_match_check",
     # estimates
     "EntropyEstimate",
     # variational machinery
@@ -98,9 +96,8 @@ __all__ = [
     "histogram_kl", "histogram_report", "gaussian_cell_probabilities",
     "empirical_cell_probabilities", "initial_entropy",
     # chain decomposition
-    "Partition", "StepTerm", "ChainEstimate", "SweepResult", "MatchReport",
-    "step_kl", "chain_estimate", "refine_sequence", "refinement_sweep",
-    "diffusion_match_check",
+    "Partition", "StepTerm", "ChainEstimate", "SweepResult", "step_kl",
+    "chain_estimate", "refine_sequence", "refinement_sweep",
     # closed form and oracles
     "girsanov_entropy", "ScenarioOracle", "analytic_entropy", "scenario_ids",
     # large deviations

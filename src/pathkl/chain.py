@@ -15,21 +15,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .diffusion import (
     DiffusionSpec,
     InitialLaw,
+    PairCoefficients,
     PathEnsemble,
     TimeGrid,
-    constant_diffusion_matrix,
+    euler_step_law,
     path_generator,
     sample_paths,
     substream_seed,
 )
-from .errors import ArgumentError, PositiveDefinitenessError
+from .errors import ArgumentError
 from .estimates import EntropyEstimate
 from .marginal import OptimizerConfig, dv_estimate, initial_entropy
 from .variational import FunctionBasis, mixed_basis
@@ -40,12 +40,10 @@ __all__ = [
     "StepTerm",
     "ChainEstimate",
     "SweepResult",
-    "MatchReport",
     "step_kl",
     "chain_estimate",
     "refine_sequence",
     "refinement_sweep",
-    "diffusion_match_check",
 ]
 
 # Totals beyond this many nats are reported as divergence (mutual
@@ -118,83 +116,6 @@ class SweepResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    """Diffusion-matrix agreement over the sampled states."""
-
-    max_distance: float
-    passed: bool
-    tol_match: float
-    n_evaluated: int
-    argmax_time: float
-
-
-class _PairCoefficients:
-    """Coefficients of (mu, P) on the columns of an ensemble.
-
-    A model flagged constant_diffusion has its matrix evaluated once per run
-    (at the first grid time and state) and inverted once; any other model's
-    matrix is evaluated and solved against at every (t, x) of a column.
-    """
-
-    def __init__(self, spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                 ensemble: PathEnsemble):
-        self.spec_mu, self.spec_P = spec_mu, spec_P
-        self.states = ensemble.states
-        self.times = ensemble.grid.points
-        t0, x0 = float(self.times[0]), self.states[0, 0]
-        self.c = constant_diffusion_matrix(spec_mu, t0, x0)
-        self.a = constant_diffusion_matrix(spec_P, t0, x0)
-        self.a_inv = None if self.a is None else np.linalg.inv(self.a)
-
-    @cached_property
-    def fixed(self):
-        """The dt-free part once per run when both diffusions are constant,
-        else None."""
-        if self.a is None or self.c is None:
-            return None
-        return self._variance_part(self.a, self.c)
-
-    def _column(self, k: int):
-        return float(self.times[k]), self.states[:, k]
-
-    def _variance_part(self, a, c):
-        """tr(a^{-1} c) - d + logdet a - logdet c, the dt-free KL part."""
-        sign_a, logdet_a = np.linalg.slogdet(a)
-        sign_c, logdet_c = np.linalg.slogdet(c)
-        if np.any(sign_a <= 0):
-            raise PositiveDefinitenessError(
-                "reference diffusion not PD on paths")
-        if np.any(sign_c <= 0):
-            raise PositiveDefinitenessError(
-                "ensemble diffusion not PD on paths")
-        trace = np.trace(np.linalg.solve(a, c), axis1=-2, axis2=-1)
-        return trace - a.shape[-1] + (logdet_a - logdet_c)
-
-    def drift_quad(self, k: int, a=None) -> np.ndarray:
-        """Per-path (e - b)' a^{-1} (e - b) at column k; a as evaluated
-        there when P's diffusion is not constant."""
-        t, x = self._column(k)
-        gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
-               - np.asarray(self.spec_P.drift(t, x), dtype=float))
-        if self.a_inv is not None:
-            return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
-        if a is None:
-            a = np.asarray(self.spec_P.diffusion_matrix(t, x), dtype=float)
-        return np.einsum("nd,nd->n", gap,
-                         np.linalg.solve(a, gap[..., None])[..., 0])
-
-    def interval_parts(self, k: int):
-        """Per-path dt-free part and drift quadratic of the interval KL with
-        left endpoint at column k."""
-        t, x = self._column(k)
-        a = self.a if self.a is not None else np.asarray(
-            self.spec_P.diffusion_matrix(t, x), dtype=float)
-        c = self.c if self.c is not None else np.asarray(
-            self.spec_mu.diffusion_matrix(t, x), dtype=float)
-        return self._variance_part(a, c), self.drift_quad(k, a)
-
-
 def _interval_terms(spec_mu, spec_P, ensemble, columns):
     """Parts of the frozen-coefficient Gaussian interval KLs at left endpoints.
 
@@ -206,7 +127,7 @@ def _interval_terms(spec_mu, spec_P, ensemble, columns):
         (fixed, quad), each of shape (n_paths, len(columns)); fixed is one
         value of shape (1, 1) when both diffusions are constant.
     """
-    pair = _PairCoefficients(spec_mu, spec_P, ensemble)
+    pair = PairCoefficients(spec_mu, spec_P, ensemble)
     n = ensemble.states.shape[0]
     quad = np.empty((n, len(columns)))
     if pair.fixed is not None:
@@ -230,8 +151,6 @@ def _interval_kls(fixed, quad, dt) -> np.ndarray:
 def _dv_interval_kl(spec_mu, spec_P, x, t_lo, dt, *, seed, n_cloud,
                     basis, opt):
     """Per-path variational KL between resimulated one-step endpoint clouds."""
-    from .diffusion import euler_step_law  # local: avoids polluting module API
-
     values = np.empty(x.shape[0])
     for i in range(x.shape[0]):
         gen = path_generator(substream_seed(seed, i), 3)
@@ -487,43 +406,3 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         richardson_gap=richardson,
         diagnostics={"n_paths": n_paths, "levels": levels, "seed": seed,
                      "divergence_threshold": divergence_threshold})
-
-
-def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                          ensemble_mu: PathEnsemble,
-                          tol_match: float = 1e-6, *,
-                          max_points: int = 200_000) -> MatchReport:
-    """Relative spectral distance between the two diffusion matrices.
-
-    Finiteness of the path-space entropy forces the diffusion matrices to
-    agree along the ensemble; the check reports
-    max ||c - a||_2 / ||a||_2 over sampled (t, x_t) and passes iff it is
-    within tol_match.
-    """
-    states = ensemble_mu.states
-    n, m_plus_1, d = states.shape
-    stride = max(1, (n * m_plus_1) // max_points)
-    max_dist = 0.0
-    arg_t = 0.0
-    count = 0
-    for k in range(0, m_plus_1, 1):
-        x = states[::stride, k]
-        t = float(ensemble_mu.grid.points[k])
-        a = np.asarray(spec_P.diffusion_matrix(t, x), dtype=float)
-        c = np.asarray(spec_mu.diffusion_matrix(t, x), dtype=float)
-        if d == 1:
-            dist = np.abs(c[..., 0, 0] - a[..., 0, 0]) / np.abs(a[..., 0, 0])
-        else:
-            diff_norm = np.linalg.norm(np.abs(
-                np.linalg.eigvalsh(c - a)), ord=np.inf, axis=-1)
-            a_norm = np.linalg.norm(np.abs(np.linalg.eigvalsh(a)),
-                                    ord=np.inf, axis=-1)
-            dist = diff_norm / a_norm
-        k_max = float(dist.max())
-        count += x.shape[0]
-        if k_max > max_dist:
-            max_dist = k_max
-            arg_t = t
-    return MatchReport(max_distance=max_dist, passed=max_dist <= tol_match,
-                       tol_match=tol_match, n_evaluated=count,
-                       argmax_time=arg_t)

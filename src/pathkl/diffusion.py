@@ -1,8 +1,9 @@
-"""Diffusion models: coefficients, generator, weighted geometry, sampling.
+"""Diffusion models: coefficients, their evaluation on ensembles, sampling.
 
 A model is a drift b(t, x) and a diffusion matrix a(t, x) (the matrix itself,
 not its square root; the generator is ½ Σ a^{jk} ∂²_{jk} + Σ b^j ∂_j). The
-same container describes either law of a pair under comparison. Paths are
+same container describes either law of a pair under comparison, and
+PairCoefficients evaluates a pair on the time slices of an ensemble. Paths are
 sampled by Euler-Maruyama with counter-based per-path random substreams so
 ensembles are bit-identical for any degree of parallelism.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,12 +33,10 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "GaussianLaw",
-    "drift_eval",
-    "diffusion_eval",
-    "weighted_inner",
-    "apply_generator",
+    "MatchReport",
     "sample_paths",
     "euler_step_law",
+    "diffusion_match_check",
     "substream_seed",
     "make_model",
     "register_model",
@@ -65,7 +65,9 @@ class DiffusionSpec:
     constant_diffusion_matrix, at the first grid time and state (gram_matrix,
     which sees one marginal and no grid, at its time and first sample).
     Sampling factorizes it once; girsanov and the chain estimators reuse it,
-    its inverse and its log-determinant at every slice; the residual-energy
+    its inverse and its log-determinant at every slice (PairCoefficients);
+    the match check of a pair that is constant on both sides compares the
+    two matrices once instead of at every sampled state; the residual-energy
     route (gram_matrix, fokker_planck_residual, residual_energy_profile)
     contracts basis gradients and Hessians with it instead of with a(t, y)
     at every sample. Only the hoisted Gram matrix for d >= 2 associates
@@ -334,71 +336,142 @@ def constant_diffusion_matrix(spec: DiffusionSpec, t: float,
                                     dtype=float))
 
 
-def drift_eval(spec: DiffusionSpec, t: float, x) -> np.ndarray:
-    """Drift vector at (t, x).
+def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """tr(a^{-1} c) - d + logdet a - logdet c over the leading axes of a
+    and c: twice KL(N(0, c) || N(0, a)), the mean-free part of a Gaussian KL.
 
     Raises:
-        ModelEvaluationError: on non-finite output.
+        PositiveDefinitenessError: a or c has a nonpositive determinant.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.asarray(spec.drift(t, x), dtype=float)
-    if not np.isfinite(out).all():
-        raise ModelEvaluationError(
-            f"drift of {spec.model_id!r} non-finite at t={t}, x={x}")
-    return out
+    sign_a, logdet_a = np.linalg.slogdet(a)
+    sign_c, logdet_c = np.linalg.slogdet(c)
+    if np.any(sign_a <= 0):
+        raise PositiveDefinitenessError("reference diffusion not PD on paths")
+    if np.any(sign_c <= 0):
+        raise PositiveDefinitenessError("ensemble diffusion not PD on paths")
+    trace = np.trace(np.linalg.solve(a, c), axis1=-2, axis2=-1)
+    return trace - a.shape[-1] + (logdet_a - logdet_c)
 
 
-def diffusion_eval(spec: DiffusionSpec, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion matrix and its inverse at (t, x).
+class PairCoefficients:
+    """Coefficients of (mu, P) on the time slices of an ensemble.
 
-    Returns:
-        (a, a_inv) with a symmetric positive definite and a @ a_inv = I
-        within linear-algebra tolerance.
-
-    Raises:
-        PositiveDefinitenessError: smallest eigenvalue of a is <= EPS_PD.
+    A model flagged constant_diffusion has its matrix evaluated once per run
+    (at the first grid time and state) and inverted at most once; any other
+    model's matrix is evaluated and solved against at every (t, x) of a
+    slice.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a = np.atleast_2d(np.asarray(spec.diffusion_matrix(t, x), dtype=float))
-    if not np.isfinite(a).all():
-        raise ModelEvaluationError(
-            f"diffusion of {spec.model_id!r} non-finite at t={t}, x={x}")
-    if not np.allclose(a, a.T, atol=TOL_LINALG * (1 + np.abs(a).max())):
-        raise PositiveDefinitenessError("diffusion matrix must be symmetric")
-    if np.linalg.eigvalsh(a).min() <= EPS_PD:
-        raise PositiveDefinitenessError(
-            f"diffusion matrix of {spec.model_id!r} not PD at t={t}, x={x}")
-    a_inv = np.linalg.inv(a)
-    return a, a_inv
+
+    def __init__(self, spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
+                 ensemble: PathEnsemble):
+        self.spec_mu, self.spec_P = spec_mu, spec_P
+        self.states = ensemble.states
+        self.times = ensemble.grid.points
+        t0, x0 = float(self.times[0]), self.states[0, 0]
+        self.c = constant_diffusion_matrix(spec_mu, t0, x0)
+        self.a = constant_diffusion_matrix(spec_P, t0, x0)
+
+    @cached_property
+    def a_inv(self):
+        """Inverse of P's hoisted matrix, or None. Computed on first use by
+        the drift term: the match check of a singular matrix must report a
+        mismatch, not fail to invert it."""
+        return None if self.a is None else np.linalg.inv(self.a)
+
+    @cached_property
+    def fixed(self):
+        """The dt-free part once per run when both diffusions are constant,
+        else None."""
+        if self.a is None or self.c is None:
+            return None
+        return variance_part(self.a, self.c)
+
+    def _column(self, k: int):
+        return float(self.times[k]), self.states[:, k]
+
+    def matrices(self, t: float, x: np.ndarray):
+        """(a, c) at time t and states x; a hoisted matrix stands in for
+        its model's."""
+        a = self.a if self.a is not None else np.asarray(
+            self.spec_P.diffusion_matrix(t, x), dtype=float)
+        c = self.c if self.c is not None else np.asarray(
+            self.spec_mu.diffusion_matrix(t, x), dtype=float)
+        return a, c
+
+    def drift_quad(self, k: int, a=None) -> np.ndarray:
+        """Per-path (e - b)' a^{-1} (e - b) at column k; a as evaluated
+        there when P's diffusion is not constant."""
+        t, x = self._column(k)
+        gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
+               - np.asarray(self.spec_P.drift(t, x), dtype=float))
+        if self.a_inv is not None:
+            return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
+        if a is None:
+            a = np.asarray(self.spec_P.diffusion_matrix(t, x), dtype=float)
+        return np.einsum("nd,nd->n", gap,
+                         np.linalg.solve(a, gap[..., None])[..., 0])
+
+    def interval_parts(self, k: int):
+        """Per-path dt-free part and drift quadratic of the interval KL with
+        left endpoint at column k."""
+        a, c = self.matrices(*self._column(k))
+        return variance_part(a, c), self.drift_quad(k, a)
 
 
-def weighted_inner(spec: DiffusionSpec, t: float, x, u, v) -> float:
-    """Inner product u' a(t,x)^{-1} v weighting vectors by the inverse
-    diffusion matrix."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    _, a_inv = diffusion_eval(spec, t, x)
-    return float(u @ a_inv @ v)
+@dataclass(frozen=True)
+class MatchReport:
+    """Diffusion-matrix agreement over the sampled states."""
+
+    max_distance: float
+    passed: bool
+    tol_match: float
+    n_evaluated: int
+    argmax_time: float
 
 
-def apply_generator(spec: DiffusionSpec, t: float, f, x) -> float:
-    """Generator value ½ tr(a · Hess f) + b · grad f at (t, x).
+def _match_distance(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """||c - a||_2 / ||a||_2 over the leading axes of a and c."""
+    if a.shape[-1] == 1:
+        return np.abs(c[..., 0, 0] - a[..., 0, 0]) / np.abs(a[..., 0, 0])
+    diff_norm = np.linalg.norm(np.abs(np.linalg.eigvalsh(c - a)),
+                               ord=np.inf, axis=-1)
+    a_norm = np.linalg.norm(np.abs(np.linalg.eigvalsh(a)), ord=np.inf,
+                            axis=-1)
+    return diff_norm / a_norm
 
-    f must expose gradient(x) and hessian(x); a basis function without a
-    Hessian cannot be pushed through the generator.
+
+def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
+                          ensemble_mu: PathEnsemble,
+                          tol_match: float = 1e-6, *,
+                          max_points: int = 200_000) -> MatchReport:
+    """Relative spectral distance between the two diffusion matrices.
+
+    Finiteness of the path-space entropy forces the diffusion matrices to
+    agree along the ensemble; the check reports
+    max ||c - a||_2 / ||a||_2 over sampled (t, x_t) and passes iff it is
+    within tol_match. The states are every stride-th path at every grid
+    time, about max_points in all. When both models are flagged
+    constant_diffusion, their hoisted matrices are compared once and
+    n_evaluated is 1.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    hess_fn = getattr(f, "hessian", None)
-    grad_fn = getattr(f, "gradient", None)
-    if hess_fn is None or grad_fn is None:
-        raise CapabilityError("generator needs gradient and hessian")
-    hess = hess_fn(x)
-    if hess is None:
-        raise CapabilityError("generator needs gradient and hessian")
-    a, _ = diffusion_eval(spec, t, x)
-    b = drift_eval(spec, t, x)
-    return float(0.5 * np.trace(a @ np.atleast_2d(hess))
-                 + b @ np.atleast_1d(grad_fn(x)))
+    pair = PairCoefficients(spec_mu, spec_P, ensemble_mu)
+    states = ensemble_mu.states
+    n, m_plus_1, _ = states.shape
+    stride = max(1, (n * m_plus_1) // max_points)
+    constant = pair.a is not None and pair.c is not None
+    max_dist = 0.0
+    arg_t = 0.0
+    count = 0
+    for k in range(1 if constant else m_plus_1):
+        t, x = float(pair.times[k]), states[::stride, k]
+        k_max = float(_match_distance(*pair.matrices(t, x)).max())
+        count += 1 if constant else x.shape[0]
+        if k_max > max_dist:
+            max_dist = k_max
+            arg_t = t
+    return MatchReport(max_distance=max_dist, passed=max_dist <= tol_match,
+                       tol_match=tol_match, n_evaluated=count,
+                       argmax_time=arg_t)
 
 
 def partition_blocks(n: int, threads: int,
@@ -510,12 +583,31 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
 
 
 def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
-    """One-step Euler transition law N(x + b(t,x) dt, a(t,x) dt)."""
+    """One-step Euler transition law N(x + b(t,x) dt, a(t,x) dt).
+
+    Raises:
+        ArgumentError: dt is not positive.
+        ModelEvaluationError: the drift or the diffusion matrix is
+            non-finite at (t, x).
+        PositiveDefinitenessError: the diffusion matrix is not symmetric or
+            its smallest eigenvalue is <= EPS_PD.
+    """
     if dt <= 0:
         raise ArgumentError("dt must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    b = drift_eval(spec, t, x)
-    a, _ = diffusion_eval(spec, t, x)
+    b = np.asarray(spec.drift(t, x), dtype=float)
+    if not np.isfinite(b).all():
+        raise ModelEvaluationError(
+            f"drift of {spec.model_id!r} non-finite at t={t}, x={x}")
+    a = np.atleast_2d(np.asarray(spec.diffusion_matrix(t, x), dtype=float))
+    if not np.isfinite(a).all():
+        raise ModelEvaluationError(
+            f"diffusion of {spec.model_id!r} non-finite at t={t}, x={x}")
+    if not np.allclose(a, a.T, atol=TOL_LINALG * (1 + np.abs(a).max())):
+        raise PositiveDefinitenessError("diffusion matrix must be symmetric")
+    if np.linalg.eigvalsh(a).min() <= EPS_PD:
+        raise PositiveDefinitenessError(
+            f"diffusion matrix of {spec.model_id!r} not PD at t={t}, x={x}")
     return GaussianLaw(mean=x + b * dt, covariance=a * dt)
 
 

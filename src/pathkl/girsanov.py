@@ -18,8 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _PairCoefficients, diffusion_match_check
-from .diffusion import BLOCK_PATHS, DiffusionSpec, InitialLaw, PathEnsemble
+from .diffusion import (
+    BLOCK_PATHS,
+    DiffusionSpec,
+    InitialLaw,
+    PairCoefficients,
+    PathEnsemble,
+    diffusion_match_check,
+)
 from .errors import ArgumentError, CapabilityError
 from .estimates import EntropyEstimate
 from .marginal import initial_entropy
@@ -35,7 +41,7 @@ __all__ = [
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                       ensemble: PathEnsemble) -> np.ndarray:
     """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}."""
-    pair = _PairCoefficients(spec_mu, spec_P, ensemble)
+    pair = PairCoefficients(spec_mu, spec_P, ensemble)
     n, m_plus_1, _ = ensemble.states.shape
     integrand = np.empty((n, m_plus_1))
     for k in range(m_plus_1):

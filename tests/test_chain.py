@@ -12,12 +12,15 @@ from pathkl import (
     TimeGrid,
     chain_estimate,
     diffusion_match_check,
+    euler_step_law,
+    gaussian_kl,
     make_model,
     refine_sequence,
     refinement_sweep,
     sample_paths,
     step_kl,
 )
+from pathkl.chain import _interval_kls, _interval_terms
 
 OU_VS_BM = 0.1419169104045766                  # gamma=1, T=1
 MISMATCH_STEP = 0.5 * (1.0 - math.log(2.0))    # c = 2a, one interval
@@ -358,6 +361,56 @@ def test_step_kl_constant_diffusion_matches_per_path(mu, p, dim, exact):
     generic = step_kl(_generic(spec_mu), _generic(spec_p), ens, (0.25, 0.625))
     for h, g in zip(hoisted, generic):
         _assert_close(h, g, exact)
+
+
+@pytest.mark.parametrize("mu,p,dim", [pair[:3] for pair in HOIST_PAIRS] + [
+    (("brownian", {"a": 2.0}), ("brownian", {"a": 1.0}), 1),
+    (("brownian", {"a": A_FULL}), ("brownian", {"a": [[1.0, 0.0],
+                                                      [0.0, 0.5]]}), 2),
+    (("sine_diffusion", {"a": 1.0, "amplitude": 0.5}),
+     ("brownian", {"a": 1.0}), 1),
+    # a singular reference is a mismatch, never a failed inversion
+    (("brownian", {"a": 1.0}), ("brownian", {"a": 0.0}), 1),
+])
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_match_check_constant_pair_compares_once(mu, p, dim):
+    spec_mu = make_model(*mu, dim=dim)
+    spec_p = make_model(*p, dim=dim)
+    grid = TimeGrid.uniform(1.0, 16)
+    ens = sample_paths(spec_mu, InitialLaw.point_mass([0.3] * dim), grid,
+                       200, 4)
+    generic = diffusion_match_check(_generic(spec_mu), _generic(spec_p), ens)
+    assert generic.n_evaluated == 17 * 200
+    for mu_side, p_side in ((spec_mu, spec_p), (spec_mu, _generic(spec_p)),
+                            (_generic(spec_mu), spec_p)):
+        report = diffusion_match_check(mu_side, p_side, ens)
+        assert report.max_distance == generic.max_distance
+        assert report.passed == generic.passed
+        assert report.argmax_time == generic.argmax_time
+        both = mu_side.constant_diffusion and p_side.constant_diffusion
+        assert report.n_evaluated == (1 if both else generic.n_evaluated)
+
+
+@pytest.mark.parametrize("mu,p,dim", [
+    (("sine_diffusion", {"a": 2.0, "amplitude": 0.5}),
+     ("sine_diffusion", {"a": 1.0, "amplitude": 0.5}), 1),
+    HOIST_PAIRS[-1][:3],
+])
+def test_interval_kl_is_gaussian_kl_of_step_laws(mu, p, dim):
+    # the chain's per-path term and gaussian_kl share one variance formula
+    spec_mu = make_model(*mu, dim=dim)
+    spec_p = make_model(*p, dim=dim)
+    grid = TimeGrid.uniform(1.0, 16)
+    ens = sample_paths(spec_mu, InitialLaw.point_mass([0.3] * dim), grid,
+                       60, 5)
+    k, dt = 4, 0.1875
+    per_path = _interval_kls(*_interval_terms(spec_mu, spec_p, ens, [k]),
+                             dt)[:, 0]
+    t, states = float(grid.points[k]), ens.states[:, k]
+    for x, got in zip(states, per_path):
+        want = gaussian_kl(euler_step_law(spec_mu, t, x, dt),
+                           euler_step_law(spec_p, t, x, dt))
+        assert math.isclose(got, want, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("mu,p", [

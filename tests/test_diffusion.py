@@ -1,33 +1,25 @@
-"""Model evaluation, weighted geometry, and path sampling."""
+"""Model evaluation, the one-step law, and path sampling."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pathkl import (
     ArgumentError,
-    BasisFunction,
     DiffusionSpec,
     InitialLaw,
     ModelEvaluationError,
     PositiveDefinitenessError,
     TimeGrid,
-    apply_generator,
     euler_step_law,
-    gaussian_bump,
     make_model,
     register_model,
     sample_paths,
-    weighted_inner,
 )
 from pathkl.diffusion import (
     BLOCK_PATHS,
     _keyed_streams,
-    diffusion_eval,
-    drift_eval,
     path_generator,
     stream_inputs,
 )
@@ -41,154 +33,69 @@ OU_VAR_T1 = (1.0 - math.exp(-2.0)) / 2.0  # 0.43233235838169365
 
 def test_drift_brownian_zero():
     spec = make_model("brownian", {})
-    np.testing.assert_array_equal(drift_eval(spec, 0.3, np.array([1.7])),
+    np.testing.assert_array_equal(spec.drift(0.3, np.array([1.7])),
                                   np.array([0.0]))
 
 
 def test_drift_ou():
     spec = make_model("ou", {"gamma": 1.0})
-    np.testing.assert_allclose(drift_eval(spec, 0.0, np.array([2.0])),
+    np.testing.assert_allclose(spec.drift(0.0, np.array([2.0])),
                                np.array([-2.0]))
 
 
 def test_drift_double_well():
     spec = make_model("double_well", {})
-    np.testing.assert_allclose(drift_eval(spec, 0.0, np.array([0.5])),
+    np.testing.assert_allclose(spec.drift(0.0, np.array([0.5])),
                                np.array([0.375]))
 
 
+def _flat_spec(drift=0.0, matrix=((1.0,),)):
+    """A custom model with a constant drift vector and diffusion matrix."""
+    drift = np.atleast_1d(np.asarray(drift, dtype=float))
+    matrix = np.asarray(matrix, dtype=float)
+    return DiffusionSpec(
+        dim=drift.shape[0],
+        drift=lambda t, x: np.broadcast_to(drift, np.asarray(x).shape),
+        diffusion_matrix=lambda t, x: np.broadcast_to(
+            matrix, np.asarray(x).shape[:-1] + matrix.shape))
+
+
 def test_drift_nonfinite_rejected():
-    bad = DiffusionSpec(
-        dim=1,
-        drift=lambda t, x: np.full_like(np.asarray(x, dtype=float), np.nan),
-        diffusion_matrix=lambda t, x: np.ones(
-            np.asarray(x).shape[:-1] + (1, 1)))
-    with pytest.raises(ModelEvaluationError):
-        drift_eval(bad, 0.0, np.array([0.0]))
+    with pytest.raises(ModelEvaluationError, match="drift"):
+        euler_step_law(_flat_spec(drift=np.nan), 0.0, np.array([0.0]), 0.1)
 
 
 def test_diffusion_eval_identity():
-    spec = make_model("brownian", {})
-    a, a_inv = diffusion_eval(spec, 0.0, np.array([0.0]))
-    np.testing.assert_allclose(a, np.eye(1))
-    np.testing.assert_allclose(a_inv, np.eye(1))
+    law = euler_step_law(make_model("brownian", {}), 0.0, np.array([0.0]),
+                         1.0)
+    np.testing.assert_array_equal(law.covariance, np.eye(1))
 
 
 def test_diffusion_eval_scalar():
-    spec = make_model("brownian", {"a": 2.0})
-    a, a_inv = diffusion_eval(spec, 0.0, np.array([0.0]))
-    assert a[0, 0] == 2.0
-    assert a_inv[0, 0] == pytest.approx(0.5, abs=1e-12)
+    law = euler_step_law(make_model("brownian", {"a": 2.0}), 0.0,
+                         np.array([0.0]), 1.0)
+    assert law.covariance[0, 0] == 2.0
 
 
 def test_diffusion_eval_diagonal():
     spec = make_model("brownian", {"a": [[1.0, 0.0], [0.0, 4.0]]}, dim=2)
-    a, a_inv = diffusion_eval(spec, 0.0, np.zeros(2))
-    np.testing.assert_allclose(a, np.diag([1.0, 4.0]))
-    np.testing.assert_allclose(a_inv, np.diag([1.0, 0.25]), atol=1e-12)
-    np.testing.assert_allclose(a_inv @ a, np.eye(2), atol=1e-9)
+    law = euler_step_law(spec, 0.0, np.zeros(2), 1.0)
+    np.testing.assert_array_equal(law.covariance, np.diag([1.0, 4.0]))
 
 
 def test_diffusion_eval_pd_error():
-    bad = DiffusionSpec(
-        dim=1,
-        drift=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        diffusion_matrix=lambda t, x: np.full(
-            np.asarray(x).shape[:-1] + (1, 1), -1.0))
     with pytest.raises(PositiveDefinitenessError):
-        diffusion_eval(bad, 0.0, np.array([0.0]))
+        euler_step_law(_flat_spec(matrix=[[-1.0]]), 0.0, np.array([0.0]), 0.1)
 
 
-def test_weighted_inner_euclidean():
-    spec = make_model("brownian", {"a": [[1.0, 0.0], [0.0, 1.0]]}, dim=2)
-    u = np.array([3.0, 4.0])
-    assert weighted_inner(spec, 0.0, np.zeros(2), u, u) == pytest.approx(25.0)
-
-
-def test_weighted_inner_scalar():
-    spec = make_model("brownian", {"a": 2.0})
-    u = np.array([2.0])
-    assert weighted_inner(spec, 0.0, np.zeros(1), u, u) == pytest.approx(2.0)
-
-
-def test_weighted_inner_diagonal():
-    spec = make_model("brownian", {"a": [[1.0, 0.0], [0.0, 4.0]]}, dim=2)
-    u = np.array([1.0, 2.0])
-    assert weighted_inner(spec, 0.0, np.zeros(2), u, u) == pytest.approx(2.0)
-
-
-@given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-       st.floats(-3, 3))
-def test_weighted_inner_positive(u, x1):
-    # a^{-1} inherits positive definiteness from a
-    u = np.asarray(u)
-    if np.linalg.norm(u) < 1e-6:
-        return
-    spec = make_model("brownian", {"a": [[2.0, 0.5], [0.5, 1.0]]}, dim=2)
-    x = np.array([x1, 0.0])
-    assert weighted_inner(spec, 0.1, x, u, u) > 0
-
-
-# ---------------------------------------------------------------------------
-# generator
-
-
-def _bare_function(value, gradient, hessian):
-    return BasisFunction(value=value, gradient=gradient, hessian=hessian,
-                         family="test", meta={})
-
-
-def test_generator_quadratic():
-    f = _bare_function(
-        lambda x: 0.5 * float(np.sum(np.asarray(x) ** 2)),
-        lambda x: np.asarray(x, dtype=float),
-        lambda x: np.eye(np.asarray(x).shape[-1]))
-    spec = make_model("brownian", {})
-    assert apply_generator(spec, 0.0, f, np.array([0.7])) == pytest.approx(0.5)
-
-
-def test_generator_linear_drift():
-    f = _bare_function(
-        lambda x: float(np.asarray(x)[..., 0]),
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.zeros((2, 2)))
-    spec = make_model("constant_drift", {"theta": [3.0, 0.0]}, dim=2)
-    assert apply_generator(spec, 0.0, f, np.zeros(2)) == pytest.approx(3.0)
-
-
-def test_generator_gaussian_bump():
-    # exp(-x^2) has second derivative -2 at the origin
-    f = gaussian_bump([0.0], math.sqrt(0.5), [-10.0], [10.0])
-    spec = make_model("brownian", {})
-    assert apply_generator(spec, 0.0, f, np.zeros(1)) == pytest.approx(
-        -1.0, abs=1e-9)
-
-
-def test_generator_needs_hessian():
-    f = BasisFunction(value=lambda x: 0.0, gradient=lambda x: np.zeros(1),
-                      hessian=None, family="test", meta={})
-    spec = make_model("brownian", {})
-    with pytest.raises(Exception) as err:
-        apply_generator(spec, 0.0, f, np.zeros(1))
-    assert "hessian" in str(err.value).lower() or "Capability" in type(
-        err.value).__name__
-
-
-@settings(max_examples=25)
-@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2.5, 2.5))
-def test_generator_linear_in_f(alpha, beta, x0):
-    spec = make_model("ou", {"gamma": 0.7, "a": 1.3})
-    f = gaussian_bump([0.3], 0.8, [-4.0], [4.0])
-    g = gaussian_bump([-0.5], 1.1, [-4.0], [4.0])
-    combo = _bare_function(
-        lambda x: alpha * f.value(x) + beta * g.value(x),
-        lambda x: alpha * f.gradient(x) + beta * g.gradient(x),
-        lambda x: alpha * f.hessian(x) + beta * g.hessian(x))
-    x = np.array([x0])
-    lhs = apply_generator(spec, 0.2, combo, x)
-    rhs = alpha * apply_generator(spec, 0.2, f, x) \
-        + beta * apply_generator(spec, 0.2, g, x)
-    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+@pytest.mark.parametrize("matrix,error", [
+    ([[1.0, 0.5], [0.0, 1.0]], PositiveDefinitenessError),
+    ([[np.inf]], ModelEvaluationError),
+], ids=["nonsymmetric", "nonfinite"])
+def test_step_law_rejects_bad_matrix(matrix, error):
+    spec = _flat_spec(drift=np.zeros(len(matrix)), matrix=matrix)
+    with pytest.raises(error):
+        euler_step_law(spec, 0.0, np.zeros(len(matrix)), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,5 +373,5 @@ def test_sine_diffusion_validation():
 
 def test_linear_model_drift():
     spec = make_model("linear", {"A": [[-1.0]], "b0": [0.5]})
-    np.testing.assert_allclose(drift_eval(spec, 0.0, np.array([2.0])),
+    np.testing.assert_allclose(spec.drift(0.0, np.array([2.0])),
                                np.array([-1.5]))
