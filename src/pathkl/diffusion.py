@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import (
     ArgumentError,
@@ -340,9 +341,23 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """tr(a^{-1} c) - d + logdet a - logdet c over the leading axes of a
     and c: twice KL(N(0, c) || N(0, a)), the mean-free part of a Gaussian KL.
 
+    1 x 1 matrices take a closed form with LAPACK's bits: c / a is the 1 x 1
+    solve, and xlogy(1, a) is libm's log as slogdet takes it (np.log's
+    vector loop differs from libm in the last bit on some inputs). As with
+    slogdet, a NaN entry passes through to the result.
+
     Raises:
         PositiveDefinitenessError: a or c has a nonpositive determinant.
     """
+    if a.shape[-1] == 1:
+        a1, c1 = a[..., 0, 0], c[..., 0, 0]
+        if np.any(a1 <= 0):
+            raise PositiveDefinitenessError(
+                "reference diffusion not PD on paths")
+        if np.any(c1 <= 0):
+            raise PositiveDefinitenessError(
+                "ensemble diffusion not PD on paths")
+        return c1 / a1 - 1 + (xlogy(1.0, a1) - xlogy(1.0, c1))
     sign_a, logdet_a = np.linalg.slogdet(a)
     sign_c, logdet_c = np.linalg.slogdet(c)
     if np.any(sign_a <= 0):
@@ -359,7 +374,8 @@ class PairCoefficients:
     A model flagged constant_diffusion has its matrix evaluated once per run
     (at the first grid time and state) and inverted at most once; any other
     model's matrix is evaluated and solved against at every (t, x) of a
-    slice.
+    slice. In d = 1 that solve is a division with the same bits, so a
+    state-dependent pair makes no LAPACK call per slice.
     """
 
     def __init__(self, spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -408,6 +424,11 @@ class PairCoefficients:
             return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
         if a is None:
             a = np.asarray(self.spec_P.diffusion_matrix(t, x), dtype=float)
+        if a.shape[-1] == 1:
+            # the 1 x 1 solve is a division, and raises as solve does
+            if np.any(a == 0):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.einsum("nd,nd->n", gap, gap / a[..., 0])
         return np.einsum("nd,nd->n", gap,
                          np.linalg.solve(a, gap[..., None])[..., 0])
 
@@ -453,6 +474,10 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     time, about max_points in all. When both models are flagged
     constant_diffusion, their hoisted matrices are compared once and
     n_evaluated is 1.
+
+    Raises:
+        ModelEvaluationError: a matrix entry is not finite, or a distance
+            is NaN (both matrices zero).
     """
     pair = PairCoefficients(spec_mu, spec_P, ensemble_mu)
     states = ensemble_mu.states
@@ -464,7 +489,14 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     count = 0
     for k in range(1 if constant else m_plus_1):
         t, x = float(pair.times[k]), states[::stride, k]
-        k_max = float(_match_distance(*pair.matrices(t, x)).max())
+        a, c = pair.matrices(t, x)
+        k_max = float(_match_distance(a, c).max())
+        # eigvalsh can turn a NaN entry into finite eigenvalues, so the
+        # matrices are checked, not only the distance
+        if math.isnan(k_max) or not (np.isfinite(a).all()
+                                     and np.isfinite(c).all()):
+            raise ModelEvaluationError(
+                f"diffusion matrices have no finite distance at t = {t:g}")
         count += 1 if constant else x.shape[0]
         if k_max > max_dist:
             max_dist = k_max

@@ -7,7 +7,9 @@ import pytest
 
 from pathkl import (
     ArgumentError,
+    DiffusionSpec,
     InitialLaw,
+    ModelEvaluationError,
     Partition,
     TimeGrid,
     chain_estimate,
@@ -295,6 +297,40 @@ def test_match_check_tolerance_band():
     assert report.max_distance <= 1e-6
 
 
+def _masked_diffusion(matrix, value):
+    """A state-dependent custom model whose diffusion matrix is matrix, with
+    entry [0, 0] replaced by value where x_0 > 0.5."""
+    matrix = np.asarray(matrix, dtype=float)
+    d = matrix.shape[0]
+
+    def diffusion(t, x):
+        out = np.array(np.broadcast_to(matrix, x.shape[:-1] + (d, d)))
+        out[x[..., 0] > 0.5, 0, 0] = value
+        return out
+
+    return DiffusionSpec(dim=d, drift=lambda t, x: np.zeros_like(x),
+                         diffusion_matrix=diffusion)
+
+
+@pytest.mark.parametrize("matrix,value,masked", [
+    ([[1.0]], np.nan, "P"),
+    ([[1.0, 0.3], [0.3, 0.5]], np.nan, "P"),
+    ([[1.0]], np.inf, "P"),
+    ([[1.0]], 0.0, "both"),    # 0 / 0: no distance at all
+], ids=["nan-1d", "nan-2d", "inf-1d", "zero-pair"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_match_check_fails_on_nonfinite_distance(matrix, value, masked):
+    d = len(matrix)
+    grid = TimeGrid.uniform(1.0, 32)
+    spec = make_model("brownian", {"a": matrix}, dim=d)
+    ens = sample_paths(spec, InitialLaw.point_mass([0.0] * d), grid, 200, 5)
+    assert (ens.states[..., 0] > 0.5).any()
+    spec_p = _masked_diffusion(matrix, value)
+    spec_mu = spec_p if masked == "both" else spec
+    with pytest.raises(ModelEvaluationError, match="finite distance"):
+        diffusion_match_check(spec_mu, spec_p, ens)
+
+
 # ---------------------------------------------------------------------------
 # constant diffusions: evaluated once per run vs at every (path, interval)
 
@@ -448,3 +484,18 @@ def test_times_just_above_a_grid_point_are_on_the_grid():
     value, _ = step_kl(make_model("constant_drift", {"theta": 1.0}), spec_p,
                        ens, (t, 0.04))
     assert value == pytest.approx(0.5 * (0.04 - t), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# d = 1 state-dependent pairs make no LAPACK call per column
+
+
+def test_sweep_1d_state_dependent_makes_no_lapack_call(linalg_calls):
+    init = InitialLaw.point_mass([0.0])
+    sweep = refinement_sweep(
+        make_model("sine_diffusion", {"a": 2.0, "amplitude": 0.5}),
+        make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5}),
+        init, init, TimeGrid.uniform(1.0, 64), levels=7, n_paths=50,
+        seed=3)
+    assert sweep.estimates[-1].partition.n_intervals == 64
+    assert linalg_calls == {"solve": 0, "slogdet": 0}

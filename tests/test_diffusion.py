@@ -19,9 +19,12 @@ from pathkl import (
 )
 from pathkl.diffusion import (
     BLOCK_PATHS,
+    PairCoefficients,
+    PathEnsemble,
     _keyed_streams,
     path_generator,
     stream_inputs,
+    variance_part,
 )
 
 OU_VAR_T1 = (1.0 - math.exp(-2.0)) / 2.0  # 0.43233235838169365
@@ -311,6 +314,107 @@ def test_state_dependent_diffusion_paths():
     spec = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
     ens = sample_paths(spec, InitialLaw.point_mass([0.0]), grid, 32, 0)
     assert np.isfinite(ens.states).all()
+
+
+# ---------------------------------------------------------------------------
+# 1 x 1 diffusion matrices: closed forms with LAPACK's bits
+
+# positives over the whole float range, subnormals, 1e300, +inf and NaN
+SPECIAL_ENTRIES = [1e-320, 5e-324, 1e-300, 1e300, 1.7e308, np.inf, np.nan,
+                   1.0, 2.0, 0.5]
+NONPOSITIVE_ENTRIES = [0.0, -0.0, -1.0, -1e-320, -np.inf]
+
+
+def _entries(size, seed):
+    """size diagonal entries: the special values, then random positives.
+    Entries near 1 are where np.log's vector loop and libm's log most often
+    differ in the last bit."""
+    rng = np.random.default_rng(seed)
+    draws = np.concatenate([rng.uniform(0.5, 2.0, size),
+                            rng.lognormal(0.0, 3.0, size),
+                            10.0 ** rng.uniform(-320, 300, size)])
+    return np.concatenate([SPECIAL_ENTRIES,
+                           rng.permutation(draws)])[:size]
+
+
+def _lapack_variance_part(a, c):
+    """tr(a^{-1} c) - d + logdet a - logdet c by slogdet and solve."""
+    logdet_a = np.linalg.slogdet(a)[1]
+    logdet_c = np.linalg.slogdet(c)[1]
+    trace = np.trace(np.linalg.solve(a, c), axis1=-2, axis2=-1)
+    return trace - a.shape[-1] + (logdet_a - logdet_c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(), (4000,), (200, 20)],
+                         ids=["scalar", "stack", "grid"])
+def test_variance_part_1x1_matches_lapack(lead):
+    size = int(np.prod(lead, dtype=int))
+    if lead:
+        a = _entries(size, 1).reshape(lead + (1, 1))
+        c = _entries(size, 2)[::-1].reshape(lead + (1, 1))
+        pairs = [(a, c)]
+    else:
+        entries = SPECIAL_ENTRIES + [3.7, 1e-5]
+        pairs = [(np.array([[x]]), np.array([[y]]))
+                 for x in entries for y in entries]
+    for a, c in pairs:
+        got, want = variance_part(a, c), _lapack_variance_part(a, c)
+        assert np.shape(got) == lead
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", NONPOSITIVE_ENTRIES)
+@pytest.mark.parametrize("side", ["reference", "ensemble"])
+def test_variance_part_1x1_raises_as_slogdet(bad, side):
+    good = np.full((4, 1, 1), 2.0)
+    worse = good.copy()
+    worse[2, 0, 0] = bad
+    a, c = (worse, good) if side == "reference" else (good, worse)
+    assert np.linalg.slogdet(worse)[0][2] <= 0
+    with pytest.raises(PositiveDefinitenessError, match=side):
+        variance_part(a, c)
+
+
+def _drift_gap_pair(gaps):
+    """PairCoefficients whose drift gap is the fixed array gaps (n, 1) and
+    whose P diffusion is state-dependent."""
+    n = gaps.shape[0]
+    grid = TimeGrid.uniform(1.0, 2)
+    ens = PathEnsemble(grid=grid, states=np.zeros((n, 3, 1)), seed=0)
+    spec_mu = DiffusionSpec(dim=1, drift=lambda t, x: gaps,
+                            diffusion_matrix=lambda t, x: np.ones(
+                                x.shape[:-1] + (1, 1)))
+    spec_P = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
+                           diffusion_matrix=spec_mu.diffusion_matrix)
+    return PairCoefficients(spec_mu, spec_P, ens)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_drift_quad_1x1_matches_solve():
+    n = 4000
+    rng = np.random.default_rng(3)
+    gaps = (rng.normal(size=(n, 1))
+            * 10.0 ** rng.uniform(-160, 160, size=(n, 1)))
+    gaps[:4, 0] = [0.0, np.inf, np.nan, 1e-320]
+    entries = _entries(n, 4)
+    entries[-20:] *= -1.0    # solve does not raise on negative entries
+    a = entries.reshape(n, 1, 1)
+    got = _drift_gap_pair(gaps).drift_quad(1, a)
+    want = np.einsum("nd,nd->n", gaps,
+                     np.linalg.solve(a, gaps[..., None])[..., 0])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_drift_quad_1x1_zero_reference_raises(zero):
+    gaps = np.ones((3, 1))
+    a = np.ones((3, 1, 1))
+    a[1, 0, 0] = zero
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, gaps[..., None])
+    with pytest.raises(np.linalg.LinAlgError):
+        _drift_gap_pair(gaps).drift_quad(1, a)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from pathkl import (
     ArgumentError,
     CapabilityError,
+    DiffusionSpec,
     InitialLaw,
+    ModelEvaluationError,
     ScenarioOracle,
     TimeGrid,
     analytic_entropy,
@@ -262,3 +264,29 @@ def test_constant_diffusion_matches_per_path(mu, p, dim, exact):
             assert got == want
         else:
             assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)
+
+
+def test_nan_reference_diffusion_fails_loudly():
+    # a NaN diffusion matrix must not pass the match check and turn into a
+    # NaN entropy
+    spec, init, ens = _paths("brownian", {}, steps=32, n=200, seed=5)
+
+    def diffusion(t, x):
+        return np.where(x[..., 0] > 0.5, np.nan, 1.0)[..., None, None]
+
+    spec_p = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
+                           diffusion_matrix=diffusion)
+    with pytest.raises(ModelEvaluationError):
+        girsanov_entropy(spec, spec_p, init, init, ens)
+
+
+def test_state_dependent_1d_pair_makes_no_lapack_call(linalg_calls):
+    import dataclasses
+    spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
+    spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
+    init = InitialLaw.point_mass([0.0])
+    ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, 64), 50, 3)
+    est = girsanov_entropy(spec_mu, spec_p, init, init, ens)
+    assert est.diagnostics["match_report"].passed
+    assert math.isfinite(est.value) and est.value > 0.0
+    assert linalg_calls == {"solve": 0, "slogdet": 0}

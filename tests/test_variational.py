@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathkl import (
@@ -278,6 +278,7 @@ def test_energy_identity_exact():
 
 @settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+@example(seed=155209873, lam=1e-15)  # value 3789.93, rounding gap 1.0e-9
 def test_dual_energy_convex_in_action(seed, lam):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(3, 3))
@@ -287,7 +288,8 @@ def test_dual_energy_convex_in_action(seed, lam):
     mix = dual_energy(lam * c1 + (1 - lam) * c2, gram).value
     bound = lam * dual_energy(c1, gram).value \
         + (1 - lam) * dual_energy(c2, gram).value
-    assert mix <= bound + 1e-9
+    # the slack scales with the values: rounding is relative, not absolute
+    assert mix <= bound + 1e-9 * max(1.0, abs(bound))
 
 
 def test_dual_energy_monotone_in_basis():
