@@ -30,7 +30,7 @@ from .diffusion import (
     substream_seed,
 )
 from .errors import ArgumentError
-from .estimates import EntropyEstimate
+from .estimates import EntropyEstimate, clamp_at_zero
 from .marginal import OptimizerConfig, dv_estimate, initial_entropy
 from .variational import FunctionBasis, mixed_basis
 
@@ -132,7 +132,7 @@ def _interval_terms(spec_mu, spec_P, ensemble, columns):
     quad = np.empty((n, len(columns)))
     if pair.fixed is not None:
         for j, k in enumerate(columns):
-            quad[:, j] = pair.drift_quad(int(k))
+            quad[:, j] = pair.drift_term(int(k))
         return np.full((1, 1), pair.fixed), quad
     fixed = np.empty((n, len(columns)))
     for j, k in enumerate(columns):
@@ -236,12 +236,11 @@ def _chain_result(initial: EntropyEstimate, terms, total_se: float,
     for term in terms:
         total_value = total_value + term.value
     combined_se = math.sqrt(initial.std_error ** 2 + total_se ** 2)
+    diagnostics = {"n_paths": n_paths, "n_intervals": partition.n_intervals,
+                   "initial_method": initial.method}
     total = EntropyEstimate(
-        value=max(total_value, 0.0), std_error=combined_se,
-        method=f"chain-{method}",
-        diagnostics={"n_paths": n_paths,
-                     "n_intervals": partition.n_intervals,
-                     "initial_method": initial.method})
+        value=clamp_at_zero(total_value, diagnostics), std_error=combined_se,
+        method=f"chain-{method}", diagnostics=diagnostics)
     return ChainEstimate(total=total, initial_term=initial.value,
                          contributions=terms, partition=partition,
                          method=method)

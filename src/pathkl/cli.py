@@ -2,7 +2,7 @@
 
 One run per invocation. Configs are strict JSON: unknown keys anywhere are
 validation errors, because a silently ignored typo corrupts an experiment.
-Reports echo the fully resolved config (defaults materialized) and are
+Reports echo the resolved config (see resolve_config) and are
 byte-identical for identical config + seed, wall-clock field aside.
 """
 
@@ -144,7 +144,12 @@ def _build_grid(record: dict) -> TimeGrid:
 
 
 def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
-    """Validate the raw config and materialize all defaults."""
+    """Validate the raw config and resolve it for a run.
+
+    n_paths and seed get their defaults (seed_override wins); the grid is
+    converted to numbers. estimator_params and each model's params are
+    echoed as given, and the estimator or model applies its own defaults.
+    """
     _check_keys(cfg, _TOP_KEYS, "config")
     for key in ("model_mu", "model_P", "initial_mu", "initial_P", "grid",
                 "estimator"):

@@ -53,6 +53,10 @@ EPS_PD = 1e-10
 # increments and temporaries. No result depends on it.
 BLOCK_PATHS = 1024
 
+# States diffusion_match_check compares, about: it takes every stride-th
+# path at every grid time.
+MATCH_POINTS = 200_000
+
 
 @dataclass(frozen=True)
 class DiffusionSpec:
@@ -60,19 +64,10 @@ class DiffusionSpec:
 
     drift maps (t, x) -> R^d and diffusion_matrix maps (t, x) -> symmetric
     positive definite d x d. Both must broadcast over a leading batch axis of
-    x: x of shape (..., d) yields (..., d) and (..., d, d). constant_diffusion
-    marks models whose a(t, x) never varies. It is trusted, not checked:
-    every consumer that hoists it evaluates a(t, x) once per call through
-    constant_diffusion_matrix, at the first grid time and state (gram_matrix,
-    which sees one marginal and no grid, at its time and first sample).
-    Sampling factorizes it once; girsanov and the chain estimators reuse it,
-    its inverse and its log-determinant at every slice (PairCoefficients);
-    the match check of a pair that is constant on both sides compares the
-    two matrices once instead of at every sampled state; the residual-energy
-    route (gram_matrix, fokker_planck_residual, residual_energy_profile)
-    contracts basis gradients and Hessians with it instead of with a(t, y)
-    at every sample. Only the hoisted Gram matrix for d >= 2 associates
-    differently, (grad · a) · grad, and may move in the last bits.
+    x: x of shape (..., d) yields (..., d) and (..., d, d). constant_matrix
+    is the d x d matrix of a model whose a(t, x) never varies, or None: where
+    it is set, it stands in for diffusion_matrix, and it is trusted to equal
+    it.
     """
 
     dim: int
@@ -80,7 +75,7 @@ class DiffusionSpec:
     diffusion_matrix: Callable[[float, np.ndarray], np.ndarray]
     model_id: str = "custom"
     params: dict = field(default_factory=dict)
-    constant_diffusion: bool = False
+    constant_matrix: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -323,20 +318,6 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
     return x0.reshape(-1, d), z.reshape(steps, -1, d)
 
 
-def constant_diffusion_matrix(spec: DiffusionSpec, t: float,
-                              x: np.ndarray) -> np.ndarray | None:
-    """The d x d matrix a(t, x) of a model flagged constant_diffusion, or
-    None for any other model.
-
-    Consumers that hoist a constant diffusion evaluate it once per run with
-    this function, at the first grid time and the first state.
-    """
-    if not spec.constant_diffusion:
-        return None
-    return np.atleast_2d(np.asarray(spec.diffusion_matrix(t, x),
-                                    dtype=float))
-
-
 def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """tr(a^{-1} c) - d + logdet a - logdet c over the leading axes of a
     and c: twice KL(N(0, c) || N(0, a)), the mean-free part of a Gaussian KL.
@@ -368,11 +349,18 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return trace - a.shape[-1] + (logdet_a - logdet_c)
 
 
+def _no_nan(values: np.ndarray, what: str, t: float) -> np.ndarray:
+    """values, unless one is NaN (a coefficient was NaN on some path)."""
+    if np.isnan(values).any():
+        raise ModelEvaluationError(
+            f"{what} of the pair is NaN on some path at t = {t:g}")
+    return values
+
+
 class PairCoefficients:
     """Coefficients of (mu, P) on the time slices of an ensemble.
 
-    A model flagged constant_diffusion has its matrix evaluated once per run
-    (at the first grid time and state) and inverted at most once; any other
+    A model's constant_matrix is inverted at most once per run; any other
     model's matrix is evaluated and solved against at every (t, x) of a
     slice. In d = 1 that solve is a division with the same bits, so a
     state-dependent pair makes no LAPACK call per slice.
@@ -383,9 +371,8 @@ class PairCoefficients:
         self.spec_mu, self.spec_P = spec_mu, spec_P
         self.states = ensemble.states
         self.times = ensemble.grid.points
-        t0, x0 = float(self.times[0]), self.states[0, 0]
-        self.c = constant_diffusion_matrix(spec_mu, t0, x0)
-        self.a = constant_diffusion_matrix(spec_P, t0, x0)
+        self.c = spec_mu.constant_matrix
+        self.a = spec_P.constant_matrix
 
     @cached_property
     def a_inv(self):
@@ -400,7 +387,8 @@ class PairCoefficients:
         else None."""
         if self.a is None or self.c is None:
             return None
-        return variance_part(self.a, self.c)
+        return _no_nan(variance_part(self.a, self.c), "variance part",
+                       float(self.times[0]))
 
     def _column(self, k: int):
         return float(self.times[k]), self.states[:, k]
@@ -416,7 +404,8 @@ class PairCoefficients:
 
     def drift_quad(self, k: int, a=None) -> np.ndarray:
         """Per-path (e - b)' a^{-1} (e - b) at column k; a as evaluated
-        there when P's diffusion is not constant."""
+        there when P's diffusion is not constant. As with variance_part, a
+        NaN passes through to the result; the estimators call drift_term."""
         t, x = self._column(k)
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
@@ -432,11 +421,18 @@ class PairCoefficients:
         return np.einsum("nd,nd->n", gap,
                          np.linalg.solve(a, gap[..., None])[..., 0])
 
+    def drift_term(self, k: int, a=None) -> np.ndarray:
+        """drift_quad at column k; ModelEvaluationError if one is NaN."""
+        return _no_nan(self.drift_quad(k, a), "drift quadratic",
+                       float(self.times[k]))
+
     def interval_parts(self, k: int):
         """Per-path dt-free part and drift quadratic of the interval KL with
-        left endpoint at column k."""
-        a, c = self.matrices(*self._column(k))
-        return variance_part(a, c), self.drift_quad(k, a)
+        left endpoint at column k; ModelEvaluationError if one is NaN."""
+        t, x = self._column(k)
+        a, c = self.matrices(t, x)
+        return (_no_nan(variance_part(a, c), "variance part", t),
+                self.drift_term(k, a))
 
 
 @dataclass(frozen=True)
@@ -463,17 +459,15 @@ def _match_distance(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                           ensemble_mu: PathEnsemble,
-                          tol_match: float = 1e-6, *,
-                          max_points: int = 200_000) -> MatchReport:
+                          tol_match: float = 1e-6) -> MatchReport:
     """Relative spectral distance between the two diffusion matrices.
 
     Finiteness of the path-space entropy forces the diffusion matrices to
     agree along the ensemble; the check reports
     max ||c - a||_2 / ||a||_2 over sampled (t, x_t) and passes iff it is
     within tol_match. The states are every stride-th path at every grid
-    time, about max_points in all. When both models are flagged
-    constant_diffusion, their hoisted matrices are compared once and
-    n_evaluated is 1.
+    time, about MATCH_POINTS in all. When both models have a
+    constant_matrix, the two are compared once and n_evaluated is 1.
 
     Raises:
         ModelEvaluationError: a matrix entry is not finite, or a distance
@@ -482,7 +476,7 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     pair = PairCoefficients(spec_mu, spec_P, ensemble_mu)
     states = ensemble_mu.states
     n, m_plus_1, _ = states.shape
-    stride = max(1, (n * m_plus_1) // max_points)
+    stride = max(1, (n * m_plus_1) // MATCH_POINTS)
     constant = pair.a is not None and pair.c is not None
     max_dist = 0.0
     arg_t = 0.0
@@ -539,7 +533,7 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
     times = grid.points
     out[0] = x0
     x = out[0].copy()
-    a0 = constant_diffusion_matrix(spec, times[0], x[0])
+    a0 = spec.constant_matrix
     if a0 is not None:
         try:
             chol = np.linalg.cholesky(a0)
@@ -664,7 +658,7 @@ def _constant_model(model_id: str, params: dict, dim: int,
 
     return DiffusionSpec(dim=dim, drift=drift, diffusion_matrix=diffusion,
                          model_id=model_id, params=dict(params),
-                         constant_diffusion=True)
+                         constant_matrix=a)
 
 
 def _build_brownian(params: dict, dim: int) -> DiffusionSpec:
@@ -738,8 +732,7 @@ def _build_sine_diffusion(params: dict, dim: int) -> DiffusionSpec:
         return (a0 * (1.0 + amp * np.sin(x[..., 0])))[..., None, None]
 
     return DiffusionSpec(dim=1, drift=drift, diffusion_matrix=diffusion,
-                         model_id="sine_diffusion", params=dict(params),
-                         constant_diffusion=False)
+                         model_id="sine_diffusion", params=dict(params))
 
 
 Builder = Callable[[dict, int], DiffusionSpec]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["EntropyEstimate", "TOL_LINALG"]
+__all__ = ["EntropyEstimate", "TOL_LINALG", "clamp_at_zero"]
 
 # Relative tolerance for linear-algebra identities (double precision headroom).
 TOL_LINALG = 1e-9
@@ -37,3 +37,11 @@ class EntropyEstimate:
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.value)
+
+
+def clamp_at_zero(value: float, diagnostics: dict) -> float:
+    """max(value, 0) for an estimate of a nonnegative quantity; a value
+    below 0 is kept as diagnostics["clamped_from"]."""
+    if value < 0:
+        diagnostics["clamped_from"] = value
+    return max(value, 0.0)

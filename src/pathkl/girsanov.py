@@ -27,7 +27,7 @@ from .diffusion import (
     diffusion_match_check,
 )
 from .errors import ArgumentError, CapabilityError
-from .estimates import EntropyEstimate
+from .estimates import EntropyEstimate, clamp_at_zero
 from .marginal import initial_entropy
 
 __all__ = [
@@ -45,7 +45,7 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     n, m_plus_1, _ = ensemble.states.shape
     integrand = np.empty((n, m_plus_1))
     for k in range(m_plus_1):
-        integrand[:, k] = pair.drift_quad(k)
+        integrand[:, k] = pair.drift_term(k)
     # np.trapezoid makes temporaries the size of its input, so it runs on
     # row blocks; each row's sum does not depend on the block
     out = np.empty(n)
@@ -88,14 +88,12 @@ def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     n = energies.shape[0]
     drift_term = float(energies.mean())
     drift_se = float(energies.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    diagnostics = {"match_report": report, "initial_term": initial.value,
+                   "drift_term": drift_term, "n_paths": n}
     return EntropyEstimate(
-        value=max(initial.value + drift_term, 0.0),
+        value=clamp_at_zero(initial.value + drift_term, diagnostics),
         std_error=math.hypot(initial.std_error, drift_se),
-        method="girsanov",
-        diagnostics={"match_report": report,
-                     "initial_term": initial.value,
-                     "drift_term": drift_term,
-                     "n_paths": n})
+        method="girsanov", diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

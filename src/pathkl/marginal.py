@@ -23,7 +23,7 @@ from .errors import (
     ConvergenceError,
     PositiveDefinitenessError,
 )
-from .estimates import EntropyEstimate
+from .estimates import EntropyEstimate, clamp_at_zero
 from .variational import FunctionBasis, mixed_basis
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
     "gaussian_kl",
     "initial_entropy",
 ]
+
+# Armijo sufficient-increase fraction of the DV ascent's line search.
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class OptimizerConfig:
     gtol: float = 1e-8
     max_iter: int = 500
     plateau_rtol: float = 0.02
-    armijo: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -230,11 +232,11 @@ def histogram_report(samples_mu, nu_eval,
     logs = np.zeros_like(p)
     logs[active] = np.log(p[active]) - np.log(q[active])
     var = float(np.sum(p * (logs - value) ** 2))
-    return EntropyEstimate(
-        value=max(value, 0.0), std_error=math.sqrt(var / n),
-        method="histogram",
-        diagnostics={"cells": partition.n_cells, "level": partition.level,
-                     "n_samples": n})
+    diagnostics = {"cells": partition.n_cells, "level": partition.level,
+                   "n_samples": n}
+    return EntropyEstimate(value=clamp_at_zero(value, diagnostics),
+                           std_error=math.sqrt(var / n), method="histogram",
+                           diagnostics=diagnostics)
 
 
 def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
@@ -317,7 +319,7 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis,
             mode, iterations = "gradient", it
             break
         step = 1.0
-        sufficient = opt.armijo * grad_norm * grad_norm
+        sufficient = ARMIJO * grad_norm * grad_norm
         while step > 1e-16:
             cand = _dv_objective(g + step * grad, fbar_mu, values_nu,
                                  log_n_nu)
@@ -362,12 +364,10 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis,
         "convergence": mode, "basis_size": basis.size,
         "n_mu": int(x_mu.shape[0]), "n_nu": int(n_nu),
     }
-    if val < 0:
-        diagnostics["clamped_from"] = val
-        if val < -3 * se:
-            diagnostics["negative_beyond_3se"] = True
-        val = 0.0
-    return EntropyEstimate(value=val, std_error=se, method="dv",
+    value = clamp_at_zero(val, diagnostics)
+    if val < -3 * se:
+        diagnostics["negative_beyond_3se"] = True
+    return EntropyEstimate(value=value, std_error=se, method="dv",
                            diagnostics=diagnostics)
 
 
@@ -392,9 +392,7 @@ def default_dv_basis(lo: float, hi: float) -> FunctionBasis:
 
 
 def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
-                    basis: FunctionBasis | None = None,
-                    opt: OptimizerConfig | None = None,
-                    method: str = "auto", seed: int = 0) -> EntropyEstimate:
+                    method: str = "auto") -> EntropyEstimate:
     """Relative entropy between two time-zero laws.
 
     Supported pairs: Gaussian/Gaussian (closed form), point/point (0 or
@@ -402,12 +400,11 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
     request), point/Gaussian (+inf: a point mass is singular with respect
     to a nondegenerate Gaussian). Anything else raises CapabilityError.
 
+    The variational route compares the samples with a reference sample
+    of the Gaussian drawn under seed 0, on default_dv_basis sized to both.
+
     Args:
-        basis: test functions for the empirical/Gaussian route (a wide-scale
-            default is built from the data range when omitted).
-        opt: optimizer config for the variational route.
         method: "auto" | "dv" | "histogram" for empirical/Gaussian.
-        seed: seed for the reference sample drawn in the variational route.
     """
     kinds = (init_mu.kind, init_P.kind)
     if init_mu.dim != init_P.dim:
@@ -435,16 +432,15 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
         law = GaussianLaw(init_P.mean, init_P.covariance)
         samples = init_mu.samples
         if method in ("auto", "dv"):
-            gen = path_generator(substream_seed(seed, 0), 0)
+            gen = path_generator(substream_seed(0, 0), 0)
             root = np.linalg.cholesky(init_P.covariance
                                       + 1e-15 * np.eye(init_P.dim))
             nu = init_P.mean + gen.standard_normal(samples.shape) @ root.T
-            if basis is None:
-                sd = float(np.sqrt(np.max(np.diag(law.covariance))))
-                basis = default_dv_basis(
-                    min(float(samples.min()), float(law.mean.min()) - 4 * sd),
-                    max(float(samples.max()), float(law.mean.max()) + 4 * sd))
-            est = dv_estimate(samples, nu, basis, opt)
+            sd = float(np.sqrt(np.max(np.diag(law.covariance))))
+            basis = default_dv_basis(
+                min(float(samples.min()), float(law.mean.min()) - 4 * sd),
+                max(float(samples.max()), float(law.mean.max()) + 4 * sd))
+            est = dv_estimate(samples, nu, basis)
             est.diagnostics["initial_route"] = "empirical-vs-gaussian-dv"
             return est
         if method == "histogram":

@@ -193,7 +193,7 @@ def cramer_rate(spec_P: DiffusionSpec, z: float, horizon: float) -> float:
     Raises:
         CapabilityError: the model's terminal law is not that Gaussian.
     """
-    if spec_P.dim != 1 or not spec_P.constant_diffusion:
+    if spec_P.dim != 1 or spec_P.constant_matrix is None:
         raise CapabilityError(
             "closed-form rate needs a scalar constant-diffusion model")
     x = np.array([[0.0], [1.0], [-1.7]])
@@ -201,8 +201,7 @@ def cramer_rate(spec_P: DiffusionSpec, z: float, horizon: float) -> float:
     drift_late = np.asarray(spec_P.drift(0.5 * horizon, x), dtype=float)
     if not (np.allclose(drift, 0.0) and np.allclose(drift_late, 0.0)):
         raise CapabilityError("closed-form rate needs a driftless model")
-    a = float(np.asarray(spec_P.diffusion_matrix(0.0, x),
-                         dtype=float)[0, 0, 0])
+    a = float(spec_P.constant_matrix[0, 0])
     if horizon <= 0:
         raise ArgumentError("horizon must be positive")
     return z * z / (2.0 * a * horizon)

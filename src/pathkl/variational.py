@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, PathEnsemble,
-                        constant_diffusion_matrix)
+from .diffusion import DiffusionSpec, PathEnsemble
 from .errors import ArgumentError
 
 __all__ = [
@@ -327,7 +326,6 @@ class FunctionBasis:
     functions: tuple[BasisFunction, ...]
     lo: np.ndarray
     hi: np.ndarray
-    margin: float = 0.25
 
     def __post_init__(self):
         if len(self.functions) < 1:
@@ -437,7 +435,7 @@ def bump_basis(lo, hi, n_bumps: int, scale: float | None = None,
             else 0.5 * (core_hi - core_lo)
         scale = 1.5 * spacing
     fns = tuple(gaussian_bump([c], scale, lo_a, hi_a, margin) for c in centers)
-    return FunctionBasis(functions=fns, lo=lo_a, hi=hi_a, margin=margin)
+    return FunctionBasis(functions=fns, lo=lo_a, hi=hi_a)
 
 
 def mixed_basis(lo, hi, n_bumps: int, bump_scale: float,
@@ -457,7 +455,7 @@ def mixed_basis(lo, hi, n_bumps: int, bump_scale: float,
             fns.extend(gaussian_bump([c], bump_scale, lo_a, hi_a, margin)
                        for c in centers)
     fns.extend(windowed_monomial(d, lo_a, hi_a, margin) for d in degrees)
-    return FunctionBasis(functions=tuple(fns), lo=lo_a, hi=hi_a, margin=margin)
+    return FunctionBasis(functions=tuple(fns), lo=lo_a, hi=hi_a)
 
 
 def basis_from_config(cfg: dict) -> FunctionBasis:
@@ -559,8 +557,8 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
                 gradients: np.ndarray | None = None) -> GramData:
     """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
 
-    For a spec flagged constant_diffusion, a is evaluated once, at t and
-    the first sample, and the gradients contract with it in one product.
+    When spec has a constant_matrix, the gradients contract with it in one
+    product, (grad · a) · grad, which for d >= 2 may move the last bits.
 
     Args:
         spec: law supplying the diffusion matrix weight.
@@ -577,7 +575,7 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
         raise ArgumentError("gram matrix needs at least one sample")
     grads = basis.jet(y, 1)[1] if gradients is None \
         else gradients                                   # (n, K, d)
-    a0 = constant_diffusion_matrix(spec, t, y[0])
+    a0 = spec.constant_matrix
     if a0 is None:
         a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
         q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
@@ -600,8 +598,7 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     <mu_t, L f> for every test f; a nonzero residual is the signature of a
     drift discrepancy. The time derivative is a central difference over
     ``window`` grid steps on each path; the generator term is averaged at
-    the central slice. For a spec_P flagged constant_diffusion, a is
-    evaluated once, at the first grid time and state.
+    the central slice, with spec_P's constant_matrix when it has one.
 
     Args:
         jets: basis.jet of the ensemble's time slices by grid index, when
@@ -629,7 +626,7 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     t = float(times[t_index])
     diff = (jets[hi][0] - jets[lo][0]) / float(times[hi] - times[lo])
     b = np.asarray(spec_P.drift(t, x_mid), dtype=float)
-    a0 = constant_diffusion_matrix(spec_P, float(times[0]), states[0, 0])
+    a0 = spec_P.constant_matrix
     if a0 is None:
         a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
         second = np.einsum("nij,nkji->nk", a, hesss)

@@ -16,6 +16,7 @@ from pathkl import (
     diffusion_match_check,
     euler_step_law,
     gaussian_kl,
+    girsanov_entropy,
     make_model,
     refine_sequence,
     refinement_sweep,
@@ -331,6 +332,69 @@ def test_match_check_fails_on_nonfinite_distance(matrix, value, masked):
         diffusion_match_check(spec_mu, spec_p, ens)
 
 
+def _masked_drift(matrix):
+    """A custom model with the constant diffusion matrix and a drift that
+    is NaN where x_0 > 0.5, else 0."""
+    matrix = np.asarray(matrix, dtype=float)
+
+    def drift(t, x):
+        return np.where(x[..., :1] > 0.5, np.nan, 0.0) * np.ones_like(x)
+
+    return DiffusionSpec(
+        dim=matrix.shape[0], drift=drift,
+        diffusion_matrix=lambda t, x: np.broadcast_to(
+            matrix, x.shape[:-1] + matrix.shape),
+        constant_matrix=matrix)
+
+
+@pytest.mark.parametrize("matrix,spec_p", [
+    ([[1.0]], _masked_diffusion([[1.0]], np.nan)),
+    ([[1.0]], _masked_drift([[1.0]])),
+    ([[1.0, 0.3], [0.3, 0.5]], _masked_diffusion([[1.0, 0.3], [0.3, 0.5]],
+                                                 np.nan)),
+    ([[1.0, 0.3], [0.3, 0.5]], _masked_drift([[1.0, 0.3], [0.3, 0.5]])),
+], ids=["diffusion-1d", "drift-1d", "diffusion-2d", "drift-2d"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_coefficients_fail_loudly(matrix, spec_p):
+    # a NaN coefficient along the paths must raise, naming the time, and
+    # never come back as a NaN estimate
+    d = len(matrix)
+    grid = TimeGrid.uniform(1.0, 32)
+    spec_mu = make_model("brownian", {"a": matrix}, dim=d)
+    init = InitialLaw.point_mass([0.0] * d)
+    ens = sample_paths(spec_mu, init, grid, 200, 5)
+    assert (ens.states[:, 16, 0] > 0.5).any()
+    at_time = r"NaN on some path at t = \d"
+    part = Partition.from_times(grid, [0.0, 0.5, 1.0])
+    with pytest.raises(ModelEvaluationError, match=at_time):
+        chain_estimate(spec_mu, spec_p, init, init, part, ensemble=ens)
+    with pytest.raises(ModelEvaluationError, match=at_time):
+        refinement_sweep(spec_mu, spec_p, init, init, grid, 3, 200, 5)
+    with pytest.raises(ModelEvaluationError, match=r"at t = 0\.5"):
+        step_kl(spec_mu, spec_p, ens, (0.5, 1.0))
+    with pytest.raises(ModelEvaluationError, match=r"at t = \d"):
+        girsanov_entropy(spec_mu, spec_p, init, init, ens)
+
+
+def test_chain_clamp_distance_recorded():
+    # variance_part(a, a) is -2.2e-16 for this matrix, so two equal laws
+    # sum to a slightly negative total: clamped, with the distance kept
+    a = [[1.661080265733307, -1.1002677960029479],
+         [-1.1002677960029479, 3.8778131723855447]]
+    spec = make_model("brownian", {"a": a}, dim=2)
+    init = InitialLaw.point_mass([0.0, 0.0])
+    grid = TimeGrid.uniform(1.0, 8)
+    ens = sample_paths(spec, init, grid, 20, 1)
+    part = Partition.from_times(grid, [0.0, 0.5, 1.0])
+    total = chain_estimate(spec, spec, init, init, part, ensemble=ens).total
+    assert total.value == 0.0
+    assert -1e-15 < total.diagnostics["clamped_from"] < 0.0
+    ou = make_model("ou", {"gamma": 1.0, "a": a}, dim=2)
+    total = chain_estimate(ou, spec, init, init, part, ensemble=ens).total
+    assert total.value > 0.0
+    assert "clamped_from" not in total.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # constant diffusions: evaluated once per run vs at every (path, interval)
 
@@ -349,7 +413,7 @@ HOIST_PAIRS = [
 
 def _generic(spec):
     import dataclasses
-    return dataclasses.replace(spec, constant_diffusion=False)
+    return dataclasses.replace(spec, constant_matrix=None)
 
 
 def _assert_close(got, want, exact, scale=0.0):
@@ -423,7 +487,8 @@ def test_match_check_constant_pair_compares_once(mu, p, dim):
         assert report.max_distance == generic.max_distance
         assert report.passed == generic.passed
         assert report.argmax_time == generic.argmax_time
-        both = mu_side.constant_diffusion and p_side.constant_diffusion
+        both = (mu_side.constant_matrix is not None
+                and p_side.constant_matrix is not None)
         assert report.n_evaluated == (1 if both else generic.n_evaluated)
 
 

@@ -1,5 +1,6 @@
 """Model evaluation, the one-step law, and path sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,18 @@ from pathkl import (
     DiffusionSpec,
     InitialLaw,
     ModelEvaluationError,
+    Partition,
     PositiveDefinitenessError,
     TimeGrid,
+    bump_basis,
+    chain_estimate,
+    cramer_rate,
     euler_step_law,
+    girsanov_entropy,
     make_model,
+    refinement_sweep,
     register_model,
+    residual_energy_profile,
     sample_paths,
 )
 from pathkl.diffusion import (
@@ -479,3 +487,41 @@ def test_linear_model_drift():
     spec = make_model("linear", {"A": [[-1.0]], "b0": [0.5]})
     np.testing.assert_allclose(spec.drift(0.0, np.array([2.0])),
                                np.array([-1.5]))
+
+
+def test_constant_matrix_stands_in_for_diffusion_matrix():
+    # every consumer reads constant_matrix and never evaluates a(t, x): a
+    # callable that refuses to run changes no bit of any route
+    def refuse(t, x):
+        raise AssertionError("diffusion_matrix evaluated")
+
+    mu = make_model("ou", {"gamma": 1.0, "a": 0.7})
+    p = make_model("brownian", {"a": 0.7})
+    np.testing.assert_array_equal(p.constant_matrix, [[0.7]])
+    assert make_model("sine_diffusion", {}).constant_matrix is None
+    g_mu = dataclasses.replace(mu, diffusion_matrix=refuse)
+    g_p = dataclasses.replace(p, diffusion_matrix=refuse)
+    init = InitialLaw.point_mass([0.0])
+    grid = TimeGrid.uniform(1.0, 64)
+    ens = sample_paths(mu, init, grid, 300, 7)
+    assert np.array_equal(sample_paths(g_mu, init, grid, 300, 7).states,
+                          ens.states)
+
+    def same(got, want):
+        assert (got.value, got.std_error) == (want.value, want.std_error)
+
+    same(girsanov_entropy(g_mu, g_p, init, init, ens),
+         girsanov_entropy(mu, p, init, init, ens))
+    part = Partition.from_times(grid, [0.0, 0.25, 0.5, 1.0])
+    same(chain_estimate(g_mu, g_p, init, init, part, ensemble=ens).total,
+         chain_estimate(mu, p, init, init, part, ensemble=ens).total)
+    for got, want in zip(
+            refinement_sweep(g_mu, g_p, init, init, grid, 4, 300, 7).estimates,
+            refinement_sweep(mu, p, init, init, grid, 4, 300, 7).estimates):
+        same(got.total, want.total)
+    basis = bump_basis([-3.0], [3.0], 6)
+    got = residual_energy_profile(ens, g_p, basis)
+    want = residual_energy_profile(ens, p, basis)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.std_errors, want.std_errors)
+    assert cramer_rate(g_p, 1.0, 1.0) == cramer_rate(p, 1.0, 1.0)

@@ -92,6 +92,27 @@ def test_diagnostics_decompose_value():
                                       abs=1e-15)
 
 
+def test_clamp_distance_recorded():
+    # the drift term is nonnegative for a positive definite reference, so
+    # only a trusted constant matrix that is not (a = -1, which no check
+    # rejects) puts the sum below zero; the clamp keeps the distance
+    spec, init, ens = _paths("ou", {"gamma": 1.0}, n=50)
+    est = girsanov_entropy(spec, make_model("brownian", {}), init, init, ens)
+    assert "clamped_from" not in est.diagnostics
+    neg = np.array([[-1.0]])
+
+    def flat(theta):
+        return DiffusionSpec(
+            dim=1, drift=lambda t, x: np.full_like(x, theta),
+            diffusion_matrix=lambda t, x: np.broadcast_to(
+                neg, x.shape[:-1] + (1, 1)),
+            constant_matrix=neg)
+
+    est = girsanov_entropy(flat(1.0), flat(0.0), init, init, ens)
+    assert est.value == 0.0
+    assert est.diagnostics["clamped_from"] == pytest.approx(-0.5)
+
+
 def test_drift_scaling_quadruples():
     out = {}
     for theta in (1.0, 2.0):
@@ -255,8 +276,8 @@ def test_constant_diffusion_matches_per_path(mu, p, dim, exact):
     ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, 32), 300, 2)
     hoisted = girsanov_entropy(spec_mu, spec_p, init, init, ens)
     generic = girsanov_entropy(
-        dataclasses.replace(spec_mu, constant_diffusion=False),
-        dataclasses.replace(spec_p, constant_diffusion=False),
+        dataclasses.replace(spec_mu, constant_matrix=None),
+        dataclasses.replace(spec_p, constant_matrix=None),
         init, init, ens)
     for key in ("value", "std_error"):
         got, want = getattr(hoisted, key), getattr(generic, key)

@@ -196,6 +196,20 @@ def test_histogram_underestimates_gaussian_pair():
     assert rep.value == pytest.approx(MEAN_SHIFT_KL, abs=0.05)
 
 
+def test_histogram_clamp_distance_recorded():
+    # a reference provider whose cell masses sum above one puts the plug-in
+    # sum below zero: clamped, with the distance kept
+    x = np.random.default_rng(3).normal(size=(1000, 1))
+    part = SpacePartition.regular(-4.0, 4.0, 16)
+    rep = histogram_report(x, lambda p: p.mu_probabilities(x) * (1 + 1e-9),
+                           part)
+    assert rep.value == 0.0
+    assert rep.diagnostics["clamped_from"] == pytest.approx(-1e-9, rel=1e-6)
+    same = histogram_report(x, empirical_cell_probabilities(x), part)
+    assert same.value == 0.0
+    assert "clamped_from" not in same.diagnostics
+
+
 def test_histogram_monotone_under_refinement():
     rng = np.random.default_rng(7)
     x = 1.0 + rng.normal(size=(100_000, 1))
@@ -311,7 +325,7 @@ def test_initial_empirical_vs_gaussian_dv():
     rng = np.random.default_rng(5)
     samples = 1.0 + rng.normal(size=(4000, 1))
     est = initial_entropy(InitialLaw.empirical(samples),
-                          InitialLaw.gaussian([0.0], [[1.0]]), seed=11)
+                          InitialLaw.gaussian([0.0], [[1.0]]))
     assert est.diagnostics["initial_route"] == "empirical-vs-gaussian-dv"
     assert est.value == pytest.approx(MEAN_SHIFT_KL, abs=0.1)
 

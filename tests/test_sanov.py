@@ -234,7 +234,7 @@ def test_overflowing_drift_raises():
     spec = DiffusionSpec(
         dim=1, drift=lambda t, x: 1e300 * (1.0 + np.abs(x)),
         diffusion_matrix=base.diffusion_matrix, model_id="blowup",
-        constant_diffusion=True)
+        constant_matrix=base.constant_matrix)
     exp = RateExperiment("terminal", 1.0, (2, 5), trials=200, seed=0)
     with pytest.raises(ModelEvaluationError):
         empirical_rate(spec, init, grid, exp)

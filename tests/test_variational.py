@@ -142,7 +142,7 @@ def _linear_fn():
 
 def _bare_basis(fns):
     return FunctionBasis(functions=tuple(fns), lo=np.array([-1e9]),
-                         hi=np.array([1e9]), margin=0.25)
+                         hi=np.array([1e9]))
 
 
 def test_gram_linear_unit():
@@ -302,7 +302,7 @@ def test_dual_energy_monotone_in_basis():
     large = FunctionBasis(
         functions=small.functions + (gaussian_bump([0.5], 0.6, [-2.5],
                                                    [3.5]),),
-        lo=small.lo, hi=small.hi, margin=small.margin)
+        lo=small.lo, hi=small.hi)
     vals = {}
     for tag, basis in (("small", small), ("large", large)):
         res = fokker_planck_residual(ens, P, basis, t_index=32, window=4)
@@ -328,7 +328,7 @@ def test_dual_energy_scale_invariant():
 
     scaled_basis = FunctionBasis(
         functions=tuple(scaled(f) for f in base.functions),
-        lo=base.lo, hi=base.hi, margin=base.margin)
+        lo=base.lo, hi=base.hi)
     out = []
     for basis in (base, scaled_basis):
         res = fokker_planck_residual(ens, P, basis, t_index=32, window=4)
@@ -571,7 +571,7 @@ def test_profile_equals_slice_by_slice(case, exact, window, stride):
     # against a(t, y) evaluated at every sample: equal bits for d = 1; for
     # d >= 2 the hoisted Gram associates (grad · a) · grad
     values, ses = _profile_by_slice(
-        ens, replace(P, constant_diffusion=False), basis, window, stride)
+        ens, replace(P, constant_matrix=None), basis, window, stride)
     if exact:
         assert np.array_equal(prof.values, values)
         assert np.array_equal(prof.std_errors, ses)
