@@ -32,7 +32,7 @@ from .diffusion import (
 from .errors import ArgumentError
 from .estimates import EntropyEstimate, clamp_at_zero
 from .marginal import OptimizerConfig, dv_estimate, initial_entropy
-from .variational import FunctionBasis, mixed_basis
+from .variational import FunctionBasis
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -156,22 +156,8 @@ def _dv_interval_kl(spec_mu, spec_P, x, t_lo, dt, *, seed, n_cloud,
         gen = path_generator(substream_seed(seed, i), 3)
         law_mu = euler_step_law(spec_mu, t_lo, x[i], dt)
         law_p = euler_step_law(spec_P, t_lo, x[i], dt)
-        root_mu = np.linalg.cholesky(law_mu.covariance)
-        root_p = np.linalg.cholesky(law_p.covariance)
-        cloud_mu = law_mu.mean + gen.standard_normal(
-            (n_cloud, x.shape[1])) @ root_mu.T
-        cloud_p = law_p.mean + gen.standard_normal(
-            (n_cloud, x.shape[1])) @ root_p.T
-        use = basis
-        if use is None:
-            pooled = np.concatenate([cloud_mu, cloud_p])
-            lo = float(pooled.min())
-            hi = float(pooled.max())
-            pad = 0.5 * (hi - lo) + 1e-9
-            use = mixed_basis([lo - pad], [hi + pad], n_bumps=5,
-                              bump_scale=(hi - lo + 2 * pad) / 3.2,
-                              degrees=[0, 1, 2])
-        values[i] = dv_estimate(cloud_mu, cloud_p, use, opt).value
+        values[i] = dv_estimate(law_mu.draw(gen, n_cloud),
+                                law_p.draw(gen, n_cloud), basis, opt).value
     return values
 
 

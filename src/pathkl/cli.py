@@ -19,13 +19,7 @@ import time
 
 import numpy as np
 
-from .chain import (
-    DIVERGENCE_THRESHOLD,
-    Partition,
-    chain_estimate,
-    refinement_sweep,
-    step_kl,
-)
+from .chain import Partition, chain_estimate, refinement_sweep, step_kl
 from .diffusion import (
     DiffusionSpec,
     InitialLaw,
@@ -46,31 +40,22 @@ from .errors import (
     exit_code_for,
 )
 from .girsanov import girsanov_entropy
-from .marginal import (
-    OptimizerConfig,
-    default_dv_basis,
-    dv_estimate,
-    initial_entropy,
-)
+from .marginal import (OptimizerConfig, dv_estimate, initial_entropy,
+                       pooled_dv_basis)
 from .sanov import RateExperiment, empirical_rate
-from .variational import basis_from_config, mixed_basis, residual_energy_profile
+from .variational import (basis_from_config, default_energy_basis,
+                          residual_energy_profile)
 
 __all__ = ["main", "run_config", "build_report"]
 
-ESTIMATORS = ("girsanov", "chain", "dv-marginal", "residual-energy", "sanov")
+# JSON type -> Python types of its values; "array of Ts" holds T values
+_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool,
+               "string": str, "object": dict}
 
-_TOP_KEYS = {"model_mu", "model_P", "initial_mu", "initial_P", "grid",
-             "estimator", "estimator_params", "n_paths", "seed"}
-
-_ESTIMATOR_KEYS = {
-    "girsanov": {"tol_match"},
-    "chain": {"levels", "partition_times", "method", "divergence_threshold"},
-    "dv-marginal": {"t", "n_samples", "basis", "max_iter", "gtol",
-                    "plateau_rtol"},
-    "residual-energy": {"basis", "window", "stride", "t_min_frac", "debias",
-                        "include_initial"},
-    "sanov": {"observable", "threshold", "n_list", "trials", "with_oracle"},
-}
+_TOP_KEYS = {"model_mu": "object", "model_P": "object",
+             "initial_mu": "object", "initial_P": "object", "grid": "object",
+             "estimator": "string", "estimator_params": "object",
+             "n_paths": "integer", "seed": "integer"}
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +92,13 @@ def load_config(path: str) -> dict:
 
 
 def _build_model(record: dict, dim: int, where: str) -> DiffusionSpec:
-    _check_keys(record, {"id", "params"}, where)
-    model_id = _need(record, "id", where)
-    params = record.get("params", {})
-    if not isinstance(params, dict):
-        raise ArgumentError(f"{where}.params must be an object")
     try:
-        return make_model(model_id, params, dim)
+        return make_model(record["id"], record["params"], dim)
     except ArgumentError as exc:
         raise ArgumentError(f"{where}: {exc}") from exc
 
 
 def _build_initial(record: dict, where: str) -> InitialLaw:
-    if not isinstance(record, dict):
-        raise ArgumentError(f"{where} must be an object")
     kind = _need(record, "kind", where)
     if kind == "point":
         _check_keys(record, {"kind", "point"}, where)
@@ -137,20 +115,36 @@ def _build_initial(record: dict, where: str) -> InitialLaw:
         f"not {kind!r}")
 
 
-def _build_grid(record: dict) -> TimeGrid:
-    _check_keys(record, {"horizon", "steps"}, "grid")
-    return TimeGrid.uniform(float(_need(record, "horizon", "grid")),
-                            int(_need(record, "steps", "grid")))
+def _has_type(value, json_type: str) -> bool:
+    """An int is also a number; a bool is only a boolean."""
+    if json_type.startswith("array of "):
+        item = json_type[len("array of "):-1]
+        return isinstance(value, list) and all(_has_type(v, item)
+                                               for v in value)
+    return (isinstance(value, _JSON_TYPES[json_type])
+            and isinstance(value, bool) == (json_type == "boolean"))
+
+
+def _typed(record: dict, types: dict, where: str) -> dict:
+    """record, once its keys are among types and each value has the JSON
+    type its key names there."""
+    _check_keys(record, set(types), where)
+    for key, value in record.items():
+        if not _has_type(value, types[key]):
+            raise ArgumentError(f"{where}.{key} must be of type "
+                                f"{types[key]}, got {json.dumps(value)}")
+    return record
 
 
 def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     """Validate the raw config and resolve it for a run.
 
-    n_paths and seed get their defaults (seed_override wins); the grid is
-    converted to numbers. estimator_params and each model's params are
+    Top-level, grid and estimator_params values must have their keys' JSON
+    types. n_paths and seed get their defaults (seed_override wins); the
+    horizon becomes a float. estimator_params and each model's params are
     echoed as given, and the estimator or model applies its own defaults.
     """
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _typed(cfg, _TOP_KEYS, "config")
     for key in ("model_mu", "model_P", "initial_mu", "initial_P", "grid",
                 "estimator"):
         _need(cfg, key, "config")
@@ -158,24 +152,26 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     if estimator not in ESTIMATORS:
         raise ArgumentError(
             f"unknown estimator {estimator!r}; known: {', '.join(ESTIMATORS)}")
-    params = cfg.get("estimator_params", {})
-    _check_keys(params, _ESTIMATOR_KEYS[estimator],
-                f"estimator_params ({estimator})")
+    params = _typed(cfg.get("estimator_params", {}), ESTIMATORS[estimator][1],
+                    "estimator_params")
+    grid = _typed(cfg["grid"], {"horizon": "number", "steps": "integer"},
+                  "grid")
 
-    resolved = {
-        "model_mu": {"id": cfg["model_mu"].get("id"),
-                     "params": cfg["model_mu"].get("params", {})},
-        "model_P": {"id": cfg["model_P"].get("id"),
-                    "params": cfg["model_P"].get("params", {})},
+    resolved = {}
+    for key in ("model_mu", "model_P"):
+        model = _typed(cfg[key], {"id": "string", "params": "object"}, key)
+        resolved[key] = {"id": _need(model, "id", key),
+                         "params": model.get("params", {})}
+    resolved.update({
         "initial_mu": dict(cfg["initial_mu"]),
         "initial_P": dict(cfg["initial_P"]),
-        "grid": {"horizon": float(_need(cfg["grid"], "horizon", "grid")),
-                 "steps": int(_need(cfg["grid"], "steps", "grid"))},
+        "grid": {"horizon": float(_need(grid, "horizon", "grid")),
+                 "steps": _need(grid, "steps", "grid")},
         "estimator": estimator,
         "estimator_params": dict(params),
-        "n_paths": int(cfg.get("n_paths", 10_000)),
-        "seed": int(cfg.get("seed", 0)),
-    }
+        "n_paths": cfg.get("n_paths", 10_000),
+        "seed": cfg.get("seed", 0),
+    })
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
     check_seed(resolved["seed"])
@@ -184,9 +180,9 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
 
     # chain refinement needs power-of-two step counts so every level's
     # partition lands exactly on grid points
-    if estimator == "chain" and params.get("levels") is not None:
+    if estimator == "chain" and "levels" in params:
         steps = resolved["grid"]["steps"]
-        levels = int(params["levels"])
+        levels = params["levels"]
         if levels < 1:
             raise ArgumentError("levels must be at least 1")
         if steps & (steps - 1) != 0:
@@ -210,7 +206,7 @@ def _built_objects(resolved: dict):
     dim = init_mu.dim
     spec_mu = _build_model(resolved["model_mu"], dim, "model_mu")
     spec_p = _build_model(resolved["model_P"], dim, "model_P")
-    grid = _build_grid(resolved["grid"])
+    grid = TimeGrid.uniform(**resolved["grid"])
     return spec_mu, spec_p, init_mu, init_p, grid
 
 
@@ -238,25 +234,25 @@ def _jsonable(obj):
     return obj
 
 
-def _default_energy_basis(ensemble):
-    states = ensemble.states[:, ensemble.grid.n_steps // 2:]
-    lo, hi = (float(q) for q in np.quantile(states, [0.001, 0.999]))
-    pad = 0.3 * (hi - lo)
-    return mixed_basis([lo - pad], [hi + pad], n_bumps=12,
-                       bump_scale=1.5 * (hi - lo) / 11, degrees=[])
-
-
 # ---------------------------------------------------------------------------
 # Estimator dispatch
+
+
+def _set_params(resolved: dict, *keys: str) -> dict:
+    """The estimator_params among keys that the config sets, numbers as
+    floats: the keyword arguments that override the library's defaults."""
+    types = ESTIMATORS[resolved["estimator"]][1]
+    params = resolved["estimator_params"]
+    return {key: float(params[key]) if types[key] == "number"
+            else params[key] for key in keys if key in params}
 
 
 def _run_girsanov(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     ensemble = sample_paths(spec_mu, init_mu, grid, resolved["n_paths"],
                             resolved["seed"], threads=threads)
-    tol = float(resolved["estimator_params"].get("tol_match", 1e-6))
     est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p, ensemble,
-                           tol_match=tol)
+                           **_set_params(resolved, "tol_match"))
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
     return {"estimate": _jsonable(est)}, rows, \
@@ -266,14 +262,11 @@ def _run_girsanov(resolved, objs, threads):
 def _run_chain(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     params = resolved["estimator_params"]
-    method = params.get("method", "gauss")
-    threshold = float(params.get("divergence_threshold",
-                                 DIVERGENCE_THRESHOLD))
-    if params.get("levels") is not None:
+    if "levels" in params:
         sweep = refinement_sweep(
-            spec_mu, spec_p, init_mu, init_p, grid,
-            int(params["levels"]), resolved["n_paths"], resolved["seed"],
-            method=method, threads=threads, divergence_threshold=threshold)
+            spec_mu, spec_p, init_mu, init_p, grid, params["levels"],
+            resolved["n_paths"], resolved["seed"], threads=threads,
+            **_set_params(resolved, "method", "divergence_threshold"))
         rows = []
         for level, est in enumerate(sweep.estimates, start=1):
             rows.append({
@@ -298,14 +291,11 @@ def _run_chain(resolved, objs, threads):
         }
         return results, rows, ["level", "mesh", "value", "std_error", "slope"]
 
-    times = params.get("partition_times")
-    if times is None:
-        partition = Partition.from_times(grid, grid.points)
-    else:
-        partition = Partition.from_times(grid, times)
+    partition = Partition.from_times(
+        grid, params.get("partition_times", grid.points))
     est = chain_estimate(spec_mu, spec_p, init_mu, init_p, partition,
-                         resolved["n_paths"], resolved["seed"],
-                         method=method, grid=grid, threads=threads)
+                         resolved["n_paths"], resolved["seed"], grid=grid,
+                         threads=threads, **_set_params(resolved, "method"))
     rows = [{"t_lo": c.t_lo, "t_hi": c.t_hi, "value": c.value,
              "std_error": c.std_error} for c in est.contributions]
     rows.append({"t_lo": 0.0, "t_hi": grid.horizon,
@@ -323,8 +313,10 @@ def _run_chain(resolved, objs, threads):
 def _run_dv_marginal(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     params = resolved["estimator_params"]
-    t = float(params.get("t", grid.horizon))
-    n = int(params.get("n_samples", resolved["n_paths"]))
+    opt = _set_params(resolved, "t", "n_samples", "gtol", "max_iter",
+                      "plateau_rtol")
+    t = opt.pop("t", grid.horizon)
+    n = opt.pop("n_samples", resolved["n_paths"])
     seed = resolved["seed"]
     idx = grid.index_of(t)
 
@@ -334,20 +326,9 @@ def _run_dv_marginal(resolved, objs, threads):
     s_mu = ens_mu.states[:, idx]
     s_p = ens_p.states[:, idx]
 
-    if params.get("basis") is not None:
-        basis = basis_from_config(params["basis"])
-    else:
-        if s_mu.shape[1] != 1:
-            raise ArgumentError(
-                "default marginal basis is one-dimensional; supply a basis "
-                "config for multivariate runs")
-        pooled = np.concatenate([s_mu, s_p])
-        basis = default_dv_basis(float(pooled.min()), float(pooled.max()))
-    opt = OptimizerConfig(
-        gtol=float(params.get("gtol", 1e-8)),
-        max_iter=int(params.get("max_iter", 500)),
-        plateau_rtol=float(params.get("plateau_rtol", 0.02)))
-    est = dv_estimate(s_mu, s_p, basis, opt)
+    basis = basis_from_config(params["basis"]) if "basis" in params \
+        else pooled_dv_basis(s_mu, s_p)
+    est = dv_estimate(s_mu, s_p, basis, OptimizerConfig(**opt))
     rows = [{"estimator": "dv-marginal", "t": t, "value": est.value,
              "std_error": est.std_error}]
     return {"estimate": _jsonable(est), "t": t, "n_samples": n,
@@ -360,21 +341,12 @@ def _run_residual_energy(resolved, objs, threads):
     params = resolved["estimator_params"]
     ensemble = sample_paths(spec_mu, init_mu, grid, resolved["n_paths"],
                             resolved["seed"], threads=threads)
-    if params.get("basis") is not None:
-        basis = basis_from_config(params["basis"])
-    else:
-        if spec_mu.dim != 1:
-            raise ArgumentError(
-                "default energy basis is one-dimensional; supply a basis "
-                "config for multivariate runs")
-        basis = _default_energy_basis(ensemble)
+    basis = basis_from_config(params["basis"]) if "basis" in params \
+        else default_energy_basis(ensemble)
     profile = residual_energy_profile(
         ensemble, spec_p, basis,
-        window=int(params.get("window", 8)),
-        stride=int(params.get("stride", 4)),
-        t_min_frac=float(params.get("t_min_frac", 0.15)),
-        debias=bool(params.get("debias", True)))
-    include_initial = bool(params.get("include_initial", True))
+        **_set_params(resolved, "window", "stride", "t_min_frac", "debias"))
+    include_initial = params.get("include_initial", True)
     initial = initial_entropy(init_mu, init_p) if include_initial else None
     total = profile.integral + (initial.value if initial else 0.0)
     total_se = math.hypot(profile.integral_std_error,
@@ -397,16 +369,13 @@ def _run_residual_energy(resolved, objs, threads):
 
 def _run_sanov(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
-    params = resolved["estimator_params"]
     experiment = RateExperiment(
-        observable=str(params["observable"]),
-        threshold=float(params["threshold"]),
-        n_list=tuple(int(n) for n in params["n_list"]),
-        trials=int(params.get("trials", 10_000)),
-        seed=resolved["seed"])
+        seed=resolved["seed"],
+        **_set_params(resolved, "observable", "threshold", "n_list",
+                      "trials"))
     table = empirical_rate(spec_p, init_p, grid, experiment,
                            threads=threads,
-                           with_oracle=bool(params.get("with_oracle", True)))
+                           **_set_params(resolved, "with_oracle"))
     rows = [{"n": r.n, "count": r.count, "p_hat": r.p_hat, "rate": r.rate,
              "std_error": r.std_error, "oracle": r.oracle,
              "zero_count": r.zero_count} for r in table.rows]
@@ -415,12 +384,24 @@ def _run_sanov(resolved, objs, threads):
                "zero_count"]
 
 
-_DISPATCH = {
-    "girsanov": _run_girsanov,
-    "chain": _run_chain,
-    "dv-marginal": _run_dv_marginal,
-    "residual-energy": _run_residual_energy,
-    "sanov": _run_sanov,
+# estimator -> (runner, JSON type of each estimator_params key); a runner
+# passes on only the keys a config sets, so every default is the library's
+ESTIMATORS = {
+    "girsanov": (_run_girsanov, {"tol_match": "number"}),
+    "chain": (_run_chain, {
+        "levels": "integer", "partition_times": "array of numbers",
+        "method": "string", "divergence_threshold": "number"}),
+    "dv-marginal": (_run_dv_marginal, {
+        "t": "number", "n_samples": "integer", "basis": "object",
+        "max_iter": "integer", "gtol": "number", "plateau_rtol": "number"}),
+    "residual-energy": (_run_residual_energy, {
+        "basis": "object", "window": "integer", "stride": "integer",
+        "t_min_frac": "number", "debias": "boolean",
+        "include_initial": "boolean"}),
+    "sanov": (_run_sanov, {
+        "observable": "string", "threshold": "number",
+        "n_list": "array of integers", "trials": "integer",
+        "with_oracle": "boolean"}),
 }
 
 
@@ -429,7 +410,7 @@ def run_config(cfg: dict, *, seed_override: int | None = None,
     """Validate, dispatch, and return (results, csv_rows, csv_header)."""
     resolved = resolve_config(cfg, seed_override)
     objs = _built_objects(resolved)
-    results, rows, header = _DISPATCH[resolved["estimator"]](
+    results, rows, header = ESTIMATORS[resolved["estimator"]][0](
         resolved, objs, threads)
     return resolved, results, (rows, header)
 

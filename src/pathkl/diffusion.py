@@ -35,6 +35,7 @@ __all__ = [
     "PathEnsemble",
     "GaussianLaw",
     "MatchReport",
+    "no_nan",
     "sample_paths",
     "euler_step_law",
     "diffusion_match_check",
@@ -67,7 +68,7 @@ class DiffusionSpec:
     x: x of shape (..., d) yields (..., d) and (..., d, d). constant_matrix
     is the d x d matrix of a model whose a(t, x) never varies, or None: where
     it is set, it stands in for diffusion_matrix, and it is trusted to equal
-    it.
+    it. Whatever relies on it being positive definite reads constant_factor.
     """
 
     dim: int
@@ -77,13 +78,29 @@ class DiffusionSpec:
     params: dict = field(default_factory=dict)
     constant_matrix: np.ndarray | None = field(default=None, compare=False)
 
+    @cached_property
+    def constant_factor(self) -> np.ndarray | None:
+        """Cholesky factor of constant_matrix, computed once, or None.
+
+        Raises:
+            PositiveDefinitenessError: constant_matrix is not positive
+                definite.
+        """
+        if self.constant_matrix is None:
+            return None
+        try:
+            return np.linalg.cholesky(self.constant_matrix)
+        except np.linalg.LinAlgError as exc:
+            raise PositiveDefinitenessError(
+                f"constant diffusion matrix of {self.model_id!r} is not "
+                f"positive definite") from exc
+
 
 @dataclass(frozen=True)
 class InitialLaw:
     """Time-zero law: point mass, Gaussian, or empirical sample list.
 
-    A Gaussian law factorizes its covariance once, when it is made; every
-    draw reuses that square root.
+    A Gaussian law draws through its GaussianLaw, made once with the law.
     """
 
     kind: str
@@ -92,12 +109,13 @@ class InitialLaw:
     mean: np.ndarray | None = None
     covariance: np.ndarray | None = None
     samples: np.ndarray | None = None
-    root: np.ndarray | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    gaussian_law: GaussianLaw | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            object.__setattr__(self, "root", _psd_root(self.covariance))
+            object.__setattr__(self, "gaussian_law",
+                               GaussianLaw(self.mean, self.covariance))
 
     @classmethod
     def point_mass(cls, x0) -> "InitialLaw":
@@ -135,9 +153,7 @@ class InitialLaw:
         if self.kind == "point":
             return np.tile(self.point, (size, 1))
         if self.kind == "gaussian":
-            z = gen.standard_normal((size, self.dim))
-            # root @ z per row; z @ root.T rounds differently for d >= 2
-            return self.mean + (self.root @ z[..., None])[..., 0]
+            return self.gaussian_law.draw(gen, size)
         if self.kind == "empirical":
             return self.samples[gen.integers(self.samples.shape[0], size=size)]
         raise CapabilityError(f"unsupported initial law kind {self.kind!r}")
@@ -229,15 +245,20 @@ class GaussianLaw:
         if not np.allclose(cov, cov.T, atol=1e-8 * (1 + np.abs(cov).max())):
             raise ArgumentError("covariance must be symmetric")
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Cholesky factor, or V sqrt(L) from eigh when only semidefinite."""
+        try:
+            return np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(self.covariance)
+            return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
-def _psd_root(cov: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; tolerates semidefinite covariances."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """size draws of shape (size, d), as size single draws in turn."""
+        z = gen.standard_normal((size, self.mean.shape[0]))
+        # root @ z per row; z @ root.T rounds differently for d >= 2
+        return self.mean + (self.root @ z[..., None])[..., 0]
 
 
 def substream_seed(seed: int, index: int) -> int:
@@ -251,22 +272,20 @@ def substream_seed(seed: int, index: int) -> int:
 def check_seed(seed: int) -> None:
     """Reject a master seed outside [-2**63, 2**63).
 
-    Philox keys a wider seed at float64 precision, so neighbouring seeds
-    would share streams, or fails to key it at all.
+    Keys take a seed modulo 2**64, so a wider seed would share its streams
+    with one in that range.
     """
     if not -2 ** 63 <= seed < 2 ** 63:
         raise ArgumentError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
 
 def _philox_key(seed: int, index: int) -> np.ndarray:
-    # numpy's own conversion of a key tuple: a seed at or above 2**63 passes
-    # through float64, rounded to 53 significant bits
-    return np.asarray((seed, index)).astype(np.uint64)
+    return np.array([seed % 2 ** 64, index], dtype=np.uint64)
 
 
 def path_generator(seed: int, index: int) -> np.random.Generator:
-    # Counter-based: the (seed, index) key fixes the stream regardless of
-    # which thread evaluates it.
+    # Counter-based: the (seed mod 2**64, index) key fixes the stream
+    # regardless of which thread evaluates it.
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, index)))
 
 
@@ -275,9 +294,7 @@ def _keyed_streams(seed: int, streams: range):
 
     One Philox bit generator per call is re-keyed per stream, to the state
     a fresh one starts in: the key, a zero counter and an empty buffer.
-    The seed is converted once; only the stream index changes, which is
-    exact for indices below 2**53 on either conversion path. Each
-    generator is valid until the next is yielded.
+    Each generator is valid until the next is yielded.
     """
     gen = path_generator(seed, 0)
     key = _philox_key(seed, 0)
@@ -349,11 +366,14 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return trace - a.shape[-1] + (logdet_a - logdet_c)
 
 
-def _no_nan(values: np.ndarray, what: str, t: float) -> np.ndarray:
-    """values, unless one is NaN (a coefficient was NaN on some path)."""
+def no_nan(values: np.ndarray, what: str, t: float) -> np.ndarray:
+    """values, unless one is NaN (a coefficient was NaN on some path).
+
+    Raises:
+        ModelEvaluationError: naming what is NaN and the time t.
+    """
     if np.isnan(values).any():
-        raise ModelEvaluationError(
-            f"{what} of the pair is NaN on some path at t = {t:g}")
+        raise ModelEvaluationError(f"{what} is NaN on some path at t = {t:g}")
     return values
 
 
@@ -377,18 +397,22 @@ class PairCoefficients:
     @cached_property
     def a_inv(self):
         """Inverse of P's hoisted matrix, or None. Computed on first use by
-        the drift term: the match check of a singular matrix must report a
-        mismatch, not fail to invert it."""
-        return None if self.a is None else np.linalg.inv(self.a)
+        the drift term, once the matrix's Cholesky factor exists: the match
+        check of a singular matrix must report a mismatch, not fail here."""
+        if self.spec_P.constant_factor is None:
+            return None
+        return np.linalg.inv(self.a)
 
     @cached_property
     def fixed(self):
         """The dt-free part once per run when both diffusions are constant,
-        else None."""
-        if self.a is None or self.c is None:
+        else None; PositiveDefinitenessError if a constant one is not
+        positive definite."""
+        if (self.spec_P.constant_factor is None
+                or self.spec_mu.constant_factor is None):
             return None
-        return _no_nan(variance_part(self.a, self.c), "variance part",
-                       float(self.times[0]))
+        return no_nan(variance_part(self.a, self.c),
+                      "variance part of the pair", float(self.times[0]))
 
     def _column(self, k: int):
         return float(self.times[k]), self.states[:, k]
@@ -423,15 +447,15 @@ class PairCoefficients:
 
     def drift_term(self, k: int, a=None) -> np.ndarray:
         """drift_quad at column k; ModelEvaluationError if one is NaN."""
-        return _no_nan(self.drift_quad(k, a), "drift quadratic",
-                       float(self.times[k]))
+        return no_nan(self.drift_quad(k, a), "drift quadratic of the pair",
+                      float(self.times[k]))
 
     def interval_parts(self, k: int):
         """Per-path dt-free part and drift quadratic of the interval KL with
         left endpoint at column k; ModelEvaluationError if one is NaN."""
         t, x = self._column(k)
         a, c = self.matrices(t, x)
-        return (_no_nan(variance_part(a, c), "variance part", t),
+        return (no_nan(variance_part(a, c), "variance part of the pair", t),
                 self.drift_term(k, a))
 
 
@@ -533,19 +557,13 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
     times = grid.points
     out[0] = x0
     x = out[0].copy()
-    a0 = spec.constant_matrix
-    if a0 is not None:
-        try:
-            chol = np.linalg.cholesky(a0)
-        except np.linalg.LinAlgError as exc:
-            raise PositiveDefinitenessError(
-                f"Cholesky failed for {spec.model_id!r}") from exc
+    chol = spec.constant_factor
 
     for k in range(grid.n_steps):
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         step = spec.drift(t, x) * dt
-        if a0 is not None:
+        if chol is not None:
             noise = z[k] @ chol.T
         else:
             a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)

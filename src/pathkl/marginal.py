@@ -36,6 +36,7 @@ __all__ = [
     "empirical_cell_probabilities",
     "gaussian_kl",
     "initial_entropy",
+    "pooled_dv_basis",
 ]
 
 # Armijo sufficient-increase fraction of the DV ascent's line search.
@@ -239,11 +240,14 @@ def histogram_report(samples_mu, nu_eval,
                            diagnostics=diagnostics)
 
 
-def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
+def gaussian_kl(p: GaussianLaw, q: GaussianLaw, *,
+                diagnostics: dict | None = None) -> float:
     """Closed-form KL divergence between Gaussian laws (nats).
 
     Returns math.inf when p is degenerate (it then lives on an affine
-    subspace that q does not charge).
+    subspace that q does not charge). Roundoff can put equal laws slightly
+    below zero: the value is then clamped at 0, and the unclamped value is
+    kept as diagnostics["clamped_from"] when a diagnostics dict is given.
 
     Raises:
         PositiveDefinitenessError: q's covariance is singular.
@@ -258,8 +262,7 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
     gap = q.mean - p.mean
     val = 0.5 * (float(variance_part(q.covariance, p.covariance))
                  + float(gap @ np.linalg.solve(q.covariance, gap)))
-    # exact-equality case suffers only roundoff; clamp it
-    return max(val, 0.0)
+    return clamp_at_zero(val, {} if diagnostics is None else diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +274,22 @@ def _dv_objective(g, fbar_mu, values_nu, log_n_nu):
     return float(fbar_mu @ g - (logsumexp(s) - log_n_nu))
 
 
-def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis,
+def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
                 opt: OptimizerConfig | None = None) -> EntropyEstimate:
     """Variational lower-bound estimate of KL(mu || nu) on a basis span.
 
     Maximizes J(g) = mean_mu[f_g] - log mean_nu[exp f_g], f_g = sum g_k f_k,
     by gradient ascent with Armijo backtracking from g = 0 (so every iterate
     is a valid lower bound of the restricted supremum). See OptimizerConfig
-    for the convergence/plateau semantics.
+    for the convergence/plateau semantics. Without a basis, the span is
+    pooled_dv_basis of the two sample lists.
 
     Returns:
         EntropyEstimate with a delta-method standard error and diagnostics
         (iterations, gradient norm, convergence mode).
 
     Raises:
+        ArgumentError: a sample list is empty, or d != 1 with no basis.
         ConvergenceError: still climbing at max_iter; carries the best value.
     """
     opt = opt or OptimizerConfig()
@@ -296,6 +301,8 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis,
         x_nu = x_nu[:, None]
     if x_mu.shape[0] == 0 or x_nu.shape[0] == 0:
         raise ArgumentError("both sample lists must be nonempty")
+    if basis is None:
+        basis = pooled_dv_basis(x_mu, x_nu)
 
     values_mu = basis.value_matrix(x_mu)       # (n_mu, K)
     values_nu = basis.value_matrix(x_nu)       # (n_nu, K)
@@ -391,6 +398,15 @@ def default_dv_basis(lo: float, hi: float) -> FunctionBasis:
                        degrees=[0, 1, 2], bump_span=span)
 
 
+def pooled_dv_basis(samples_mu, samples_nu) -> FunctionBasis:
+    """default_dv_basis over the range of both sample lists together.
+    ArgumentError unless the samples are 1-d."""
+    pooled = np.concatenate([samples_mu, samples_nu])
+    if pooled.ndim > 1 and pooled.shape[1] != 1:
+        raise ArgumentError("the default DV basis is one-dimensional")
+    return default_dv_basis(float(pooled.min()), float(pooled.max()))
+
+
 def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
                     method: str = "auto") -> EntropyEstimate:
     """Relative entropy between two time-zero laws.
@@ -400,8 +416,8 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
     request), point/Gaussian (+inf: a point mass is singular with respect
     to a nondegenerate Gaussian). Anything else raises CapabilityError.
 
-    The variational route compares the samples with a reference sample
-    of the Gaussian drawn under seed 0, on default_dv_basis sized to both.
+    The variational route runs dv_estimate, on its default basis, on the
+    samples and as many draws of the Gaussian under seed 0.
 
     Args:
         method: "auto" | "dv" | "histogram" for empirical/Gaussian.
@@ -411,10 +427,12 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
         raise ArgumentError("initial laws must share a dimension")
 
     if kinds == ("gaussian", "gaussian"):
-        value = gaussian_kl(GaussianLaw(init_mu.mean, init_mu.covariance),
-                            GaussianLaw(init_P.mean, init_P.covariance))
+        diagnostics = {}
+        value = gaussian_kl(init_mu.gaussian_law, init_P.gaussian_law,
+                            diagnostics=diagnostics)
         return EntropyEstimate(value=value, std_error=0.0,
-                               method="gaussian-closed-form")
+                               method="gaussian-closed-form",
+                               diagnostics=diagnostics)
 
     if kinds == ("point", "point"):
         equal = np.array_equal(init_mu.point, init_P.point)
@@ -429,18 +447,12 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
                                             "gaussian"})
 
     if kinds == ("empirical", "gaussian"):
-        law = GaussianLaw(init_P.mean, init_P.covariance)
+        law = init_P.gaussian_law
         samples = init_mu.samples
         if method in ("auto", "dv"):
-            gen = path_generator(substream_seed(0, 0), 0)
-            root = np.linalg.cholesky(init_P.covariance
-                                      + 1e-15 * np.eye(init_P.dim))
-            nu = init_P.mean + gen.standard_normal(samples.shape) @ root.T
-            sd = float(np.sqrt(np.max(np.diag(law.covariance))))
-            basis = default_dv_basis(
-                min(float(samples.min()), float(law.mean.min()) - 4 * sd),
-                max(float(samples.max()), float(law.mean.max()) + 4 * sd))
-            est = dv_estimate(samples, nu, basis)
+            nu = law.draw(path_generator(substream_seed(0, 0), 0),
+                          samples.shape[0])
+            est = dv_estimate(samples, nu)
             est.diagnostics["initial_route"] = "empirical-vs-gaussian-dv"
             return est
         if method == "histogram":

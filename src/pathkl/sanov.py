@@ -192,8 +192,10 @@ def cramer_rate(spec_P: DiffusionSpec, z: float, horizon: float) -> float:
 
     Raises:
         CapabilityError: the model's terminal law is not that Gaussian.
+        PositiveDefinitenessError: its constant matrix is not positive
+            definite.
     """
-    if spec_P.dim != 1 or spec_P.constant_matrix is None:
+    if spec_P.dim != 1 or spec_P.constant_factor is None:
         raise CapabilityError(
             "closed-form rate needs a scalar constant-diffusion model")
     x = np.array([[0.0], [1.0], [-1.7]])

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, PathEnsemble
+from .diffusion import DiffusionSpec, PathEnsemble, no_nan
 from .errors import ArgumentError
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "bump_basis",
     "mixed_basis",
     "basis_from_config",
+    "default_energy_basis",
     "gram_matrix",
     "fokker_planck_residual",
     "dual_energy",
@@ -560,6 +561,12 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
     When spec has a constant_matrix, the gradients contract with it in one
     product, (grad · a) · grad, which for d >= 2 may move the last bits.
 
+    Raises:
+        PositiveDefinitenessError: spec's constant_matrix is not positive
+            definite.
+        ModelEvaluationError: a Gram entry is NaN (a(t, ·) was NaN on some
+            sample).
+
     Args:
         spec: law supplying the diffusion matrix weight.
         t: time label of the marginal.
@@ -575,14 +582,13 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
         raise ArgumentError("gram matrix needs at least one sample")
     grads = basis.jet(y, 1)[1] if gradients is None \
         else gradients                                   # (n, K, d)
-    a0 = spec.constant_matrix
-    if a0 is None:
+    if spec.constant_factor is None:
         a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
         q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
     else:
-        q = np.einsum("nke,nle->kl", grads @ a0, grads)
+        q = np.einsum("nke,nle->kl", grads @ spec.constant_matrix, grads)
     q = q / y.shape[0]
-    q = 0.5 * (q + q.T)
+    q = no_nan(0.5 * (q + q.T), "Gram matrix", t)
     svals = np.linalg.svd(q, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     return GramData(matrix=q, n_samples=y.shape[0], t=t, condition=cond)
@@ -608,6 +614,8 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     Raises:
         ArgumentError: when t_index ± window leaves the grid, or the basis
             dimension is not the ensemble's.
+        ModelEvaluationError: the generator term is NaN (a coefficient of
+            spec_P was NaN on some path).
     """
     m = ensemble.grid.n_steps
     lo, hi = t_index - window, t_index + window
@@ -632,7 +640,8 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         second = np.einsum("nij,nkji->nk", a, hesss)
     else:
         second = np.einsum("ij,nkji->nk", a0, hesss)
-    gen = 0.5 * second + np.einsum("nd,nkd->nk", b, grads)
+    gen = no_nan(0.5 * second + np.einsum("nd,nkd->nk", b, grads),
+                 "reference generator term", t)
 
     z = diff - gen                                        # (n, K)
     n = z.shape[0]
@@ -706,9 +715,23 @@ def _debiased_slice(ensemble, spec_P, basis, idx, window, jets, debias):
     return res.t, value, se
 
 
+def default_energy_basis(ensemble: PathEnsemble) -> FunctionBasis:
+    """residual_energy_profile's default: twelve local bumps, which resolve
+    the marginals' gradients, over the central 99.8% of the states in the
+    second half of the horizon. ArgumentError unless the paths are 1-d."""
+    if ensemble.dim != 1:
+        raise ArgumentError("the default energy basis is one-dimensional")
+    states = ensemble.states[:, ensemble.grid.n_steps // 2:]
+    lo, hi = (float(q) for q in np.quantile(states, [0.001, 0.999]))
+    pad = 0.3 * (hi - lo)
+    return mixed_basis([lo - pad], [hi + pad], n_bumps=12,
+                       bump_scale=1.5 * (hi - lo) / 11, degrees=[])
+
+
 def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
-                            basis: FunctionBasis, *, window: int = 8,
-                            stride: int = 4, t_min_frac: float = 0.15,
+                            basis: FunctionBasis | None = None, *,
+                            window: int = 8, stride: int = 4,
+                            t_min_frac: float = 0.15,
                             debias: bool = True) -> EnergyProfile:
     """Trapezoidal time integral of the slice dual energies.
 
@@ -722,7 +745,8 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     Args:
         ensemble: paths sampled under the law being measured.
         spec_P: reference law.
-        basis: test functions for every slice.
+        basis: test functions for every slice; default_energy_basis of
+            the ensemble when None.
         window: central-difference half-width in grid steps.
         stride: grid steps between evaluated slices.
         t_min_frac: burn-in fraction of the horizon.
@@ -738,6 +762,8 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             if ensemble.grid.points[i] >= t_min_frac * horizon]
     if not idxs:
         raise ArgumentError("no usable slices: grid too coarse for window")
+    if basis is None:
+        basis = default_energy_basis(ensemble)
 
     # Each grid index is evaluated once, at the highest order a slice reads
     # there (2 at a centre, 0 at a difference end), and kept only while a

@@ -11,6 +11,7 @@ from pathkl import (
     InitialLaw,
     ModelEvaluationError,
     Partition,
+    PositiveDefinitenessError,
     TimeGrid,
     chain_estimate,
     diffusion_match_check,
@@ -374,6 +375,31 @@ def test_nan_coefficients_fail_loudly(matrix, spec_p):
         step_kl(spec_mu, spec_p, ens, (0.5, 1.0))
     with pytest.raises(ModelEvaluationError, match=r"at t = \d"):
         girsanov_entropy(spec_mu, spec_p, init, init, ens)
+
+
+@pytest.mark.parametrize("a", [[[-1.0]], [[-1.0, 0.0], [0.0, -1.0]]],
+                         ids=["1d", "2d"])
+def test_non_pd_constant_matrix_fails_loudly(a):
+    # a = c, so the match check passes; every route that relies on the
+    # matrix being positive definite then raises. girsanov used to return
+    # 0.0 clamped from -0.5, and in 2-d (a positive determinant) the chain
+    # returned a negative total clamped to 0.0
+    d = len(a)
+    grid = TimeGrid.uniform(1.0, 8)
+    init = InitialLaw.point_mass([0.0] * d)
+    ens = sample_paths(make_model("brownian", {}, dim=d), init, grid, 50, 1)
+    mu = make_model("constant_drift", {"theta": 1.0, "a": a}, dim=d)
+    p = make_model("brownian", {"a": a}, dim=d)
+    assert diffusion_match_check(mu, p, ens).passed
+    part = Partition.from_times(grid, [0.0, 0.5, 1.0])
+    with pytest.raises(PositiveDefinitenessError):
+        girsanov_entropy(mu, p, init, init, ens)
+    with pytest.raises(PositiveDefinitenessError):
+        chain_estimate(mu, p, init, init, part, ensemble=ens)
+    with pytest.raises(PositiveDefinitenessError):
+        step_kl(mu, p, ens, (0.5, 1.0))
+    with pytest.raises(PositiveDefinitenessError):
+        sample_paths(p, init, grid, 5, 0)
 
 
 def test_chain_clamp_distance_recorded():

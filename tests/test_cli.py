@@ -186,6 +186,65 @@ def test_run_convergence_failure_writes_partial_report(tmp_path, capsys):
     assert partial["results"]["best_value"] > 0
 
 
+def _residual_cfg(**params):
+    return _girsanov_cfg(estimator="residual-energy", estimator_params=params,
+                         grid={"horizon": 1.0, "steps": 64}, n_paths=300)
+
+
+def _sanov_cfg(**params):
+    return _girsanov_cfg(
+        model_mu={"id": "brownian", "params": {}}, estimator="sanov",
+        estimator_params={"observable": "terminal", "threshold": 1.0,
+                          "n_list": [2, 5], **params},
+        grid={"horizon": 1.0, "steps": 16})
+
+
+@pytest.mark.parametrize("cfg,key", [
+    (_girsanov_cfg(grid={"horizon": 1.0, "steps": 64.7}), "steps"),
+    (_girsanov_cfg(n_paths=300.9), "n_paths"),
+    (_residual_cfg(window=4.9), "window"),
+    (_residual_cfg(stride=True), "stride"),
+    (_residual_cfg(debias="no"), "debias"),
+    (_sanov_cfg(trials=1e4), "trials"),
+], ids=["steps", "n_paths", "window", "stride", "debias", "trials"])
+def test_run_rejects_wrong_typed_values(tmp_path, capsys, cfg, key):
+    # each used to run, cast or defaulted to 64, 300, 4, 1, False or 10000
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "t.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f".{key} must be of type" in capsys.readouterr().err
+
+
+def test_run_rejects_unknown_model_record_key(tmp_path, capsys):
+    # a misspelled "params" used to be dropped, running the model's defaults
+    cfg = _girsanov_cfg(model_mu={"id": "ou", "parms": {"gamma": 5.0}})
+    assert main(["run", "--config", _write(tmp_path, "m.json", cfg)]) == 2
+    assert "parms" in capsys.readouterr().err
+
+
+def test_run_forwards_only_set_keys(tmp_path, monkeypatch):
+    # the library applies its own defaults: the runner passes no other key
+    from pathkl import cli
+
+    seen = {}
+
+    def profile(ensemble, spec_p, basis=None, **kwargs):
+        seen.update(kwargs)
+        return real(ensemble, spec_p, basis, **kwargs)
+
+    real = cli.residual_energy_profile
+    monkeypatch.setattr(cli, "residual_energy_profile", profile)
+    cfg = _residual_cfg(stride=8, t_min_frac=0)
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "r.json", cfg),
+                 "--out", str(out)]) == 0
+    assert seen == {"stride": 8, "t_min_frac": 0.0}
+    assert type(seen["t_min_frac"]) is float
+    diagnostics = _report(out)["results"]["diagnostics"]
+    assert (diagnostics["window"], diagnostics["debias"]) == (8, True)
+
+
 def test_run_capability_error_exits_4(tmp_path, capsys):
     cfg = _girsanov_cfg(
         initial_mu={"kind": "empirical", "samples": [[0.0], [0.1]]},

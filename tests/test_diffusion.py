@@ -24,6 +24,7 @@ from pathkl import (
     register_model,
     residual_energy_profile,
     sample_paths,
+    substream_seed,
 )
 from pathkl.diffusion import (
     BLOCK_PATHS,
@@ -120,7 +121,8 @@ def _single_draws(init, gen, size):
         if init.kind == "point":
             rows.append(init.point.copy())
         elif init.kind == "gaussian":
-            rows.append(init.mean + init.root @ gen.standard_normal(init.dim))
+            rows.append(init.mean + init.gaussian_law.root
+                        @ gen.standard_normal(init.dim))
         else:
             rows.append(
                 init.samples[gen.integers(init.samples.shape[0])].copy())
@@ -157,14 +159,16 @@ def _bit_state(gen):
             **{k: state[k] for k in ("buffer_pos", "has_uint32", "uinteger")}}
 
 
-# below 2**63, at and above it (where numpy keys Philox through float64),
-# the largest 64-bit seed and negative seeds
+# below 2**63, at and above it (where numpy would key a tuple through
+# float64), the largest 64-bit seed and negative seeds
 KEY_SEEDS = [0, 7, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 4097,
              2 ** 64 - 1, -1, -2 ** 63]
 
 
-# 2**64 - 1 rounds to 2**64 in float64, which numpy casts with a warning
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+def _full_key(seed, j):
+    return np.array([seed % 2 ** 64, j], dtype=np.uint64)
+
+
 @pytest.mark.parametrize("init", [
     InitialLaw.point_mass([0.5, -2.0]),
     InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]]),
@@ -174,7 +178,8 @@ def test_rekeyed_streams_match_fresh_generators(init):
     streams = range(3, 9)
     for seed in KEY_SEEDS:
         for j, gen in zip(streams, _keyed_streams(seed, streams)):
-            fresh = np.random.Generator(np.random.Philox(key=(seed, j)))
+            fresh = np.random.Generator(np.random.Philox(
+                key=_full_key(seed, j)))
             assert _bit_state(gen) == _bit_state(fresh)
             assert np.array_equal(init.draw(gen, 5), init.draw(fresh, 5))
             assert np.array_equal(gen.standard_normal(4),
@@ -187,8 +192,6 @@ def test_rekeyed_streams_match_fresh_generators(init):
             assert _bit_state(gen) == _bit_state(fresh)
 
 
-# 2**64 - 1 rounds to 2**64 in float64, which numpy casts with a warning
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("per_stream", [1, 3])
 @pytest.mark.parametrize("init", [
     InitialLaw.point_mass([0.3, -1.2]),
@@ -209,6 +212,23 @@ def test_stream_inputs_match_fresh_streams(init, per_stream):
             assert np.array_equal(x0[rows], init.draw(gen, per_stream))
             assert np.array_equal(
                 z[:, rows], gen.standard_normal((steps, per_stream, d)))
+
+
+def test_every_key_is_the_full_derived_seed():
+    # derived seeds on both sides of 2**63 key (seed mod 2**64, j) exactly,
+    # through path_generator and the re-keyed streams alike
+    derived = [substream_seed(seed, row) for seed in range(40)
+               for row in range(4)]
+    assert min(derived) < 2 ** 63 <= max(derived)
+    streams = range(0, 9, 4)
+    for seed in derived + [-5, -2 ** 63]:
+        for j, gen in zip(streams, _keyed_streams(seed, streams)):
+            want = [seed % 2 ** 64, j]
+            assert gen.bit_generator.state["state"]["key"].tolist() == want
+            fresh = path_generator(seed, j).bit_generator.state
+            assert fresh["state"]["key"].tolist() == want
+            assert np.array_equal(gen.standard_normal(3),
+                                  path_generator(seed, j).standard_normal(3))
 
 
 def test_grid_index_of_nearest_point():

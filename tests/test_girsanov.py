@@ -12,6 +12,7 @@ from pathkl import (
     DiffusionSpec,
     InitialLaw,
     ModelEvaluationError,
+    PositiveDefinitenessError,
     ScenarioOracle,
     TimeGrid,
     analytic_entropy,
@@ -93,9 +94,10 @@ def test_diagnostics_decompose_value():
 
 
 def test_clamp_distance_recorded():
-    # the drift term is nonnegative for a positive definite reference, so
-    # only a trusted constant matrix that is not (a = -1, which no check
-    # rejects) puts the sum below zero; the clamp keeps the distance
+    # the drift term is nonnegative for a positive definite reference, so an
+    # estimate needs no clamp; the one way below zero was a constant matrix
+    # that is not positive definite (a = -1), which used to come back as 0.0
+    # clamped from -0.5 and now raises
     spec, init, ens = _paths("ou", {"gamma": 1.0}, n=50)
     est = girsanov_entropy(spec, make_model("brownian", {}), init, init, ens)
     assert "clamped_from" not in est.diagnostics
@@ -108,9 +110,8 @@ def test_clamp_distance_recorded():
                 neg, x.shape[:-1] + (1, 1)),
             constant_matrix=neg)
 
-    est = girsanov_entropy(flat(1.0), flat(0.0), init, init, ens)
-    assert est.value == 0.0
-    assert est.diagnostics["clamped_from"] == pytest.approx(-0.5)
+    with pytest.raises(PositiveDefinitenessError):
+        girsanov_entropy(flat(1.0), flat(0.0), init, init, ens)
 
 
 def test_drift_scaling_quadruples():

@@ -1,5 +1,6 @@
 """Fixed-time marginal comparisons: closed form, histogram, variational."""
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from pathkl import (
     OptimizerConfig,
     PositiveDefinitenessError,
     SpacePartition,
+    TimeGrid,
     dv_estimate,
     empirical_cell_probabilities,
     gaussian_cell_probabilities,
@@ -23,9 +25,14 @@ from pathkl import (
     histogram_kl,
     histogram_report,
     initial_entropy,
+    make_model,
     mixed_basis,
+    sample_paths,
+    step_kl,
 )
-from pathkl.marginal import _kl_cells
+from pathkl.cli import main
+from pathkl.marginal import _kl_cells, default_dv_basis
+from pathkl.variational import FunctionBasis
 
 MEAN_SHIFT_KL = 0.5                            # N(1,1) vs N(0,1)
 VAR_DOUBLE_KL = 0.15342640972002733            # N(0,2) vs N(0,1)
@@ -294,6 +301,79 @@ def test_dv_convergence_error_carries_best_value():
     assert exc.value.diagnostics["iterations"] == 5
 
 
+def test_dv_default_basis_needs_one_dimension():
+    x = np.zeros((10, 2))
+    with pytest.raises(ArgumentError, match="one-dimensional"):
+        dv_estimate(x, x)
+
+
+@pytest.fixture
+def dv_evaluations(monkeypatch):
+    """(basis, points) of every basis evaluation, in call order."""
+    calls = []
+    original = FunctionBasis.value_matrix
+
+    def record(self, x):
+        calls.append((self, np.asarray(x)))
+        return original(self, x)
+
+    monkeypatch.setattr(FunctionBasis, "value_matrix", record)
+    return calls
+
+
+def _assert_pooled_default(calls):
+    """Each dv_estimate call evaluates one basis on mu's, then nu's samples;
+    that basis is default_dv_basis over the two together."""
+    assert calls and len(calls) % 2 == 0
+    for (basis, x_mu), (same, x_nu) in zip(calls[0::2], calls[1::2]):
+        assert same is basis
+        pooled = np.concatenate([x_mu, x_nu])
+        want = default_dv_basis(float(pooled.min()), float(pooled.max()))
+        assert basis.describe() == want.describe()
+        assert np.array_equal(basis.lo, want.lo)
+        assert np.array_equal(basis.hi, want.hi)
+
+
+def test_every_dv_route_sizes_the_default_basis_alike(tmp_path,
+                                                      dv_evaluations):
+    # the dv-marginal CLI, the chain's dv step and the initial term
+    cfg = {
+        "model_mu": {"id": "ou", "params": {"gamma": 1.0}},
+        "model_P": {"id": "brownian", "params": {}},
+        "initial_mu": {"kind": "point", "point": [0.0]},
+        "initial_P": {"kind": "point", "point": [0.0]},
+        "grid": {"horizon": 1.0, "steps": 16},
+        "estimator": "dv-marginal",
+        "estimator_params": {"n_samples": 300, "max_iter": 3,
+                             "plateau_rtol": 1e9},
+        "seed": 3,
+    }
+    path = tmp_path / "dv.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    _assert_pooled_default(dv_evaluations)
+    reported = json.loads(out.read_text())["results"]["basis"]
+    assert reported == dv_evaluations[0][0].describe()
+
+    dv_evaluations.clear()
+    grid = TimeGrid.uniform(1.0, 8)
+    mu = make_model("constant_drift", {"theta": 1.0})
+    ens = sample_paths(mu, InitialLaw.point_mass([0.0]), grid, 4, 2)
+    step_kl(mu, make_model("brownian", {}), ens, (0.25, 0.5), method="dv",
+            n_cloud=64, opt=OptimizerConfig(max_iter=3,
+                                            plateau_rtol=math.inf))
+    assert len(dv_evaluations) == 8
+    _assert_pooled_default(dv_evaluations)
+
+    dv_evaluations.clear()
+    samples = 1.0 + np.random.default_rng(5).normal(size=(500, 1))
+    initial_entropy(InitialLaw.empirical(samples),
+                    InitialLaw.gaussian([0.0], [[1.0]]))
+    assert len(dv_evaluations) == 2
+    _assert_pooled_default(dv_evaluations)
+
+
 # ---------------------------------------------------------------------------
 # initial-law dispatch
 
@@ -304,6 +384,24 @@ def test_initial_gaussian_pair_closed_form():
     assert est.value == pytest.approx(MEAN_SHIFT_KL, abs=1e-15)
     assert est.std_error == 0.0
     assert est.method == "gaussian-closed-form"
+
+
+def test_initial_gaussian_clamp_distance_recorded():
+    # equal 3-d laws whose variance part rounds to -2.2e-16
+    a = np.random.default_rng(0).normal(size=(3, 3))
+    cov = a @ a.T + 0.1 * np.eye(3)
+    mean = np.random.default_rng(0).normal(size=3)
+    law = InitialLaw.gaussian(mean, cov)
+    est = initial_entropy(law, law)
+    assert est.value == 0.0
+    assert -1e-15 < est.diagnostics["clamped_from"] < 0.0
+    diagnostics = {}
+    assert gaussian_kl(law.gaussian_law, law.gaussian_law,
+                       diagnostics=diagnostics) == 0.0
+    assert diagnostics == est.diagnostics
+    shifted = initial_entropy(InitialLaw.gaussian(mean + 0.1, cov), law)
+    assert shifted.value > 0.0
+    assert "clamped_from" not in shifted.diagnostics
 
 
 def test_initial_point_pairs():

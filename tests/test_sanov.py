@@ -218,6 +218,12 @@ def test_negative_diffusion_raises():
         empirical_rate(spec, init, grid, exp)
 
 
+def test_cramer_rate_rejects_non_pd_matrix():
+    # a = -1 used to give the negative rate -0.5
+    with pytest.raises(PositiveDefinitenessError):
+        cramer_rate(make_model("brownian", {"a": -1.0}), 1.0, 1.0)
+
+
 def test_initial_dimension_mismatch_raises():
     # a 1-d start state would broadcast over both coordinates of a 2-d model
     _, init, grid = _bm_setup()
@@ -245,6 +251,9 @@ def test_overflowing_drift_raises():
 # these counts were recorded from the former per-trial loop. Trial counts
 # and sample sizes are chosen so that no batch boundary falls on a trial
 # boundary of the previous layout (1000 trials, n = 3 or 7, and so on).
+# One row each of seeds 12, 13 and 14 derives a row seed at or above 2**63;
+# those counts were re-pinned (170 -> 182, 12 -> 9, 98 -> 96) when Philox
+# keys took the full 64 bits of a derived seed.
 
 
 def _pinned_cases():
@@ -254,21 +263,21 @@ def _pinned_cases():
          [175, 121]),
         ("brownian", {}, 1, InitialLaw.point_mass([0.0]), 20,
          RateExperiment("time_average", 0.3, (2, 5), trials=700, seed=12),
-         [170, 91]),
+         [182, 91]),
         ("brownian", {"a": 2.0}, 1, InitialLaw.point_mass([0.0]), 16,
          RateExperiment("terminal", 0.6, (3, 7), trials=1000, seed=21),
          [251, 127]),
         ("ou", {"gamma": 1.5, "a": 0.5}, 1,
          InitialLaw.gaussian([0.2], [[0.3]]), 10,
          RateExperiment("terminal", 0.4, (3, 6), trials=500, seed=13),
-         [43, 12]),
+         [43, 9]),
         ("ou", {"gamma": 1.0}, 1, InitialLaw.gaussian([0.0], [[1.0]]), 16,
          RateExperiment("time_average", 0.3, (3, 7), trials=1000, seed=16),
          [226, 143]),
         ("sine_diffusion", {"a": 1.0}, 1,
          InitialLaw.empirical([-0.5, 0.0, 0.3, 1.1]), 12,
          RateExperiment("time_average", 0.4, (5,), trials=300, seed=14),
-         [98]),
+         [96]),
         ("brownian", {"a": [[2.0, 0.5], [0.5, 1.0]]}, 2,
          InitialLaw.gaussian([0.1, -0.2], [[0.3, 0.1], [0.1, 0.2]]), 8,
          RateExperiment("terminal", 0.5, (3,), trials=400, seed=15),

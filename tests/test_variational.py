@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from pathkl import (
     ArgumentError,
     BasisFunction,
+    DiffusionSpec,
     FunctionBasis,
     InitialLaw,
+    ModelEvaluationError,
+    PositiveDefinitenessError,
     TimeGrid,
     basis_from_config,
     bump_basis,
@@ -607,3 +610,55 @@ def test_profile_slices_call_the_public_functions(monkeypatch):
     values, ses = _profile_by_slice(ens, P, basis, 3, 2)
     assert np.array_equal(prof.values, values)
     assert np.array_equal(prof.std_errors, ses)
+
+
+# ---------------------------------------------------------------------------
+# defaults and bad reference laws
+
+
+def test_profile_defaults_to_the_energy_basis():
+    grid = TimeGrid.uniform(1.0, 32)
+    bm = make_model("brownian", {})
+    ens = sample_paths(make_model("ou", {"gamma": 1.0}),
+                       InitialLaw.point_mass([0.0]), grid, 300, 4)
+    default = residual_energy_profile(ens, bm)
+    explicit = residual_energy_profile(
+        ens, bm, variational.default_energy_basis(ens))
+    assert default.integral == explicit.integral
+    ens2 = sample_paths(make_model("brownian", {}, dim=2),
+                        InitialLaw.point_mass([0.0, 0.0]), grid, 50, 4)
+    with pytest.raises(ArgumentError, match="one-dimensional"):
+        residual_energy_profile(ens2, make_model("brownian", {}, dim=2))
+
+
+def _nan_above_half(x, on):
+    return np.where((x > 0.5) & on, np.nan, 0.0)
+
+
+@pytest.mark.parametrize("nan_drift", [True, False],
+                         ids=["drift", "diffusion"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_reference_coefficient_fails_loudly(nan_drift):
+    # the profile used to return integral nan, with no error
+    ens = sample_paths(make_model("brownian", {}),
+                       InitialLaw.point_mass([0.0]),
+                       TimeGrid.uniform(1.0, 64), 200, 5)
+    spec = DiffusionSpec(
+        dim=1, drift=lambda t, x: _nan_above_half(x, nan_drift),
+        diffusion_matrix=lambda t, x: (
+            1.0 + _nan_above_half(x, not nan_drift))[..., None],
+        constant_matrix=np.eye(1) if nan_drift else None)
+    basis = bump_basis([-3.0], [3.0], 6)
+    with pytest.raises(ModelEvaluationError, match=r"NaN on some path at "
+                                                   r"t = 0\.\d"):
+        residual_energy_profile(ens, spec, basis)
+    if not nan_drift:
+        with pytest.raises(ModelEvaluationError,
+                           match=r"Gram matrix is NaN .* t = 0\.5"):
+            gram_matrix(spec, 0.5, ens.states[:, 32], basis)
+
+
+def test_gram_matrix_rejects_non_pd_constant_matrix():
+    with pytest.raises(PositiveDefinitenessError):
+        gram_matrix(make_model("brownian", {"a": -1.0}), 0.5,
+                    np.zeros((10, 1)), bump_basis([-3.0], [3.0], 6))
