@@ -5,10 +5,11 @@ initial-law term plus one conditional term per interval, and refining the
 partition never decreases the total. Each interval term is computed from an
 ensemble sampled under the first law: per path, the two one-step Gaussian
 transition laws over the interval (coefficients frozen at the interval
-start) are compared in closed form, or variationally from resimulated
-endpoint clouds. Mismatched diffusion matrices make the refinement totals
-grow without bound, which is exactly how mutual singularity manifests at
-finite resolution.
+start) are compared in closed form. step_kl can also compare them
+variationally, from resimulated endpoint clouds, as a check on the DV
+estimator. Mismatched diffusion matrices make the refinement totals grow
+without bound, which is exactly how mutual singularity manifests at finite
+resolution.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class ChainEstimate:
     initial_term: float
     contributions: tuple[StepTerm, ...]
     partition: Partition
-    method: str
 
 
 @dataclass(frozen=True)
@@ -204,66 +204,76 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     return float(values.mean()), se
 
 
-def _infinite_chain(partition: Partition, method: str) -> ChainEstimate:
-    total = EntropyEstimate(value=math.inf, std_error=0.0,
-                            method=f"chain-{method}",
-                            diagnostics={"divergent_term": "initial"})
-    return ChainEstimate(total=total, initial_term=math.inf,
-                         contributions=(), partition=partition,
-                         method=method)
+def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
+                  init_mu: InitialLaw, init_P: InitialLaw,
+                  ensemble: PathEnsemble,
+                  partitions: list[Partition]) -> tuple[ChainEstimate, ...]:
+    """Chain estimates over nested partitions on one ensemble, finest last.
 
+    The interval parts are evaluated once, at the finest partition's left
+    endpoints read on the ensemble's grid; each partition's left endpoints
+    are every step-th of them, so it reads strided columns. A total is the
+    plain left-to-right sum of the initial term and the interval means, so
+    the reported decomposition is an arithmetic identity, and its standard
+    error comes from the per-path totals (which captures the correlation
+    between intervals along a path).
+    """
+    initial = initial_entropy(init_mu, init_P)
+    if initial.is_infinite:
+        return tuple(ChainEstimate(
+            total=EntropyEstimate(value=math.inf, std_error=0.0,
+                                  method="chain-gauss",
+                                  diagnostics={"divergent_term": "initial"}),
+            initial_term=math.inf, contributions=(), partition=part)
+            for part in partitions)
 
-def _chain_result(initial: EntropyEstimate, terms, total_se: float,
-                  partition: Partition, method: str,
-                  n_paths: int) -> ChainEstimate:
-    """The total as the plain left-to-right sum of the initial term and the
-    interval means, so the reported decomposition is an identity."""
-    total_value = initial.value
-    for term in terms:
-        total_value = total_value + term.value
-    combined_se = math.sqrt(initial.std_error ** 2 + total_se ** 2)
-    diagnostics = {"n_paths": n_paths, "n_intervals": partition.n_intervals,
-                   "initial_method": initial.method}
-    total = EntropyEstimate(
-        value=clamp_at_zero(total_value, diagnostics), std_error=combined_se,
-        method=f"chain-{method}", diagnostics=diagnostics)
-    return ChainEstimate(total=total, initial_term=initial.value,
-                         contributions=terms, partition=partition,
-                         method=method)
-
-
-def _gauss_chain(initial: EntropyEstimate, fixed, quad,
-                 partition: Partition) -> ChainEstimate:
-    """Chain estimate from the interval parts at the partition's left
-    endpoints (columns of fixed and quad in interval order)."""
-    per_path = _interval_kls(fixed, quad, np.diff(partition.times))
-    n = per_path.shape[0]
-    means = per_path.mean(axis=0)
-    ses = per_path.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 \
-        else np.zeros(per_path.shape[1])
-    path_totals = per_path.sum(axis=1)
-    total_se = float(path_totals.std(ddof=1) / math.sqrt(n)) if n > 1 \
-        else 0.0
-    terms = tuple(
-        StepTerm(t_lo=lo, t_hi=hi, value=float(means[j]),
-                 std_error=float(ses[j]))
-        for j, (lo, hi) in enumerate(partition.intervals()))
-    return _chain_result(initial, terms, total_se, partition, "gauss", n)
+    finest = partitions[-1]
+    columns = [ensemble.grid.index_of(t_lo) for t_lo in finest.times[:-1]]
+    fixed, quad = _interval_terms(spec_mu, spec_P, ensemble, columns)
+    estimates = []
+    for part in partitions:
+        step = finest.n_intervals // part.n_intervals
+        per_path = _interval_kls(fixed[:, ::step], quad[:, ::step],
+                                 np.diff(part.times))
+        n = per_path.shape[0]
+        means = per_path.mean(axis=0)
+        ses = per_path.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 \
+            else np.zeros(per_path.shape[1])
+        path_totals = per_path.sum(axis=1)
+        paths_se = float(path_totals.std(ddof=1) / math.sqrt(n)) if n > 1 \
+            else 0.0
+        terms = tuple(
+            StepTerm(t_lo=lo, t_hi=hi, value=float(means[j]),
+                     std_error=float(ses[j]))
+            for j, (lo, hi) in enumerate(part.intervals()))
+        total_value = initial.value
+        for term in terms:
+            total_value = total_value + term.value
+        diagnostics = {"n_paths": n, "n_intervals": part.n_intervals,
+                       "initial_method": initial.method}
+        total = EntropyEstimate(
+            value=clamp_at_zero(total_value, diagnostics),
+            std_error=math.sqrt(initial.std_error ** 2 + paths_se ** 2),
+            method="chain-gauss", diagnostics=diagnostics)
+        estimates.append(ChainEstimate(total=total,
+                                       initial_term=initial.value,
+                                       contributions=terms, partition=part))
+        # free this level's per-path terms before the next, finer level
+        # builds its own: both alive at once raise the peak memory
+        del per_path
+    return tuple(estimates)
 
 
 def chain_estimate(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                    init_mu: InitialLaw, init_P: InitialLaw,
                    partition: Partition, n_paths: int = 10_000,
-                   seed: int = 0, method: str = "gauss", *,
-                   grid: TimeGrid | None = None,
+                   seed: int = 0, *, grid: TimeGrid | None = None,
                    ensemble: PathEnsemble | None = None,
                    threads: int = 1) -> ChainEstimate:
-    """Initial term plus interval terms over one partition.
+    """Initial term plus closed-form interval terms over one partition.
 
     The total is the plain left-to-right sum of the initial term and the
-    interval means, so the reported decomposition is an arithmetic identity,
-    and its standard error comes from the per-path totals (which captures
-    the correlation between intervals along a path).
+    interval means, and its standard error comes from the per-path totals.
 
     Args:
         partition: times on the sampling grid.
@@ -276,23 +286,8 @@ def chain_estimate(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
             raise ArgumentError("chain_estimate needs a grid or an ensemble")
         ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
                                 threads=threads)
-    initial = initial_entropy(init_mu, init_P)
-    if initial.is_infinite:
-        return _infinite_chain(partition, method)
-
-    if method == "gauss":
-        columns = [ensemble.grid.index_of(t_lo)
-                   for t_lo, _ in partition.intervals()]
-        fixed, quad = _interval_terms(spec_mu, spec_P, ensemble, columns)
-        return _gauss_chain(initial, fixed, quad, partition)
-
-    terms = []
-    for lo, hi in partition.intervals():
-        value, se = step_kl(spec_mu, spec_P, ensemble, (lo, hi), method)
-        terms.append(StepTerm(t_lo=lo, t_hi=hi, value=value, std_error=se))
-    total_se = math.sqrt(sum(t.std_error ** 2 for t in terms))
-    return _chain_result(initial, tuple(terms), total_se, partition, method,
-                         ensemble.n_paths)
+    return _chain_levels(spec_mu, spec_P, init_mu, init_P, ensemble,
+                         [partition])[0]
 
 
 def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
@@ -320,8 +315,7 @@ def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
 def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                      init_mu: InitialLaw, init_P: InitialLaw,
                      grid: TimeGrid, levels: int, n_paths: int = 10_000,
-                     seed: int = 0, method: str = "gauss", *,
-                     threads: int = 1,
+                     seed: int = 0, *, threads: int = 1,
                      divergence_threshold: float = DIVERGENCE_THRESHOLD
                      ) -> SweepResult:
     """Chain estimates over nested dyadic partitions on one shared ensemble.
@@ -336,23 +330,8 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     partitions = refine_sequence(grid, levels)
     ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
                             threads=threads)
-    initial = initial_entropy(init_mu, init_P)
-    if method == "gauss" and not initial.is_infinite:
-        # every level's left endpoints are finest-level left endpoints
-        finest = partitions[-1]
-        fixed, quad = _interval_terms(spec_mu, spec_P, ensemble,
-                                      finest.indices[:-1])
-        estimates = []
-        for part in partitions:
-            step = finest.n_intervals // part.n_intervals
-            estimates.append(_gauss_chain(initial, fixed[:, ::step],
-                                          quad[:, ::step], part))
-        estimates = tuple(estimates)
-    else:
-        estimates = tuple(
-            chain_estimate(spec_mu, spec_P, init_mu, init_P, part,
-                           method=method, ensemble=ensemble)
-            for part in partitions)
+    estimates = _chain_levels(spec_mu, spec_P, init_mu, init_P, ensemble,
+                              partitions)
 
     violations = []
     for prev, curr in zip(estimates, estimates[1:]):

@@ -37,6 +37,8 @@ from .errors import (
     CapabilityError,
     ConvergenceError,
     InsufficientSamplingError,
+    check_json_types,
+    check_keys,
     exit_code_for,
 )
 from .girsanov import girsanov_entropy
@@ -48,10 +50,6 @@ from .variational import (basis_from_config, default_energy_basis,
 
 __all__ = ["main", "run_config", "build_report"]
 
-# JSON type -> Python types of its values; "array of Ts" holds T values
-_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool,
-               "string": str, "object": dict}
-
 _TOP_KEYS = {"model_mu": "object", "model_P": "object",
              "initial_mu": "object", "initial_P": "object", "grid": "object",
              "estimator": "string", "estimator_params": "object",
@@ -60,16 +58,6 @@ _TOP_KEYS = {"model_mu": "object", "model_P": "object",
 
 # ---------------------------------------------------------------------------
 # Config validation and object construction
-
-
-def _check_keys(record: dict, allowed: set, where: str) -> None:
-    if not isinstance(record, dict):
-        raise ArgumentError(f"{where} must be an object")
-    unknown = set(record) - allowed
-    if unknown:
-        raise ArgumentError(
-            f"unknown keys in {where}: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}")
 
 
 def _need(record: dict, key: str, where: str):
@@ -101,39 +89,18 @@ def _build_model(record: dict, dim: int, where: str) -> DiffusionSpec:
 def _build_initial(record: dict, where: str) -> InitialLaw:
     kind = _need(record, "kind", where)
     if kind == "point":
-        _check_keys(record, {"kind", "point"}, where)
+        check_keys(record, {"kind", "point"}, where)
         return InitialLaw.point_mass(_need(record, "point", where))
     if kind == "gaussian":
-        _check_keys(record, {"kind", "mean", "covariance"}, where)
+        check_keys(record, {"kind", "mean", "covariance"}, where)
         return InitialLaw.gaussian(_need(record, "mean", where),
                                    _need(record, "covariance", where))
     if kind == "empirical":
-        _check_keys(record, {"kind", "samples"}, where)
+        check_keys(record, {"kind", "samples"}, where)
         return InitialLaw.empirical(_need(record, "samples", where))
     raise ArgumentError(
         f"{where}.kind must be point, gaussian, or empirical, "
         f"not {kind!r}")
-
-
-def _has_type(value, json_type: str) -> bool:
-    """An int is also a number; a bool is only a boolean."""
-    if json_type.startswith("array of "):
-        item = json_type[len("array of "):-1]
-        return isinstance(value, list) and all(_has_type(v, item)
-                                               for v in value)
-    return (isinstance(value, _JSON_TYPES[json_type])
-            and isinstance(value, bool) == (json_type == "boolean"))
-
-
-def _typed(record: dict, types: dict, where: str) -> dict:
-    """record, once its keys are among types and each value has the JSON
-    type its key names there."""
-    _check_keys(record, set(types), where)
-    for key, value in record.items():
-        if not _has_type(value, types[key]):
-            raise ArgumentError(f"{where}.{key} must be of type "
-                                f"{types[key]}, got {json.dumps(value)}")
-    return record
 
 
 def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
@@ -144,7 +111,7 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     horizon becomes a float. estimator_params and each model's params are
     echoed as given, and the estimator or model applies its own defaults.
     """
-    _typed(cfg, _TOP_KEYS, "config")
+    check_json_types(cfg, _TOP_KEYS, "config")
     for key in ("model_mu", "model_P", "initial_mu", "initial_P", "grid",
                 "estimator"):
         _need(cfg, key, "config")
@@ -152,14 +119,15 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     if estimator not in ESTIMATORS:
         raise ArgumentError(
             f"unknown estimator {estimator!r}; known: {', '.join(ESTIMATORS)}")
-    params = _typed(cfg.get("estimator_params", {}), ESTIMATORS[estimator][1],
-                    "estimator_params")
-    grid = _typed(cfg["grid"], {"horizon": "number", "steps": "integer"},
-                  "grid")
+    params = check_json_types(cfg.get("estimator_params", {}),
+                              ESTIMATORS[estimator][1], "estimator_params")
+    grid = check_json_types(cfg["grid"],
+                            {"horizon": "number", "steps": "integer"}, "grid")
 
     resolved = {}
     for key in ("model_mu", "model_P"):
-        model = _typed(cfg[key], {"id": "string", "params": "object"}, key)
+        model = check_json_types(cfg[key],
+                                 {"id": "string", "params": "object"}, key)
         resolved[key] = {"id": _need(model, "id", key),
                          "params": model.get("params", {})}
     resolved.update({
@@ -178,9 +146,15 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     if resolved["n_paths"] < 1:
         raise ArgumentError("n_paths must be positive")
 
-    # chain refinement needs power-of-two step counts so every level's
-    # partition lands exactly on grid points
+    # a chain config runs a refinement sweep (levels, divergence_threshold)
+    # or one chain (partition_times); a key the other run would read is
+    # refused, not ignored. Refinement needs power-of-two step counts so
+    # every level's partition lands exactly on grid points.
     if estimator == "chain" and "levels" in params:
+        if "partition_times" in params:
+            raise ArgumentError(
+                "estimator_params.partition_times cannot be set with levels: "
+                "a refinement sweep runs the dyadic partitions")
         steps = resolved["grid"]["steps"]
         levels = params["levels"]
         if levels < 1:
@@ -192,6 +166,10 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
         if steps < 2 ** (levels - 1):
             raise ArgumentError(
                 f"steps={steps} cannot host {levels} refinement levels")
+    elif estimator == "chain" and "divergence_threshold" in params:
+        raise ArgumentError(
+            "estimator_params.divergence_threshold needs levels: only a "
+            "refinement sweep flags divergence")
     if estimator == "sanov":
         for key in ("observable", "threshold", "n_list"):
             _need(params, key, "estimator_params (sanov)")
@@ -266,7 +244,7 @@ def _run_chain(resolved, objs, threads):
         sweep = refinement_sweep(
             spec_mu, spec_p, init_mu, init_p, grid, params["levels"],
             resolved["n_paths"], resolved["seed"], threads=threads,
-            **_set_params(resolved, "method", "divergence_threshold"))
+            **_set_params(resolved, "divergence_threshold"))
         rows = []
         for level, est in enumerate(sweep.estimates, start=1):
             rows.append({
@@ -295,7 +273,7 @@ def _run_chain(resolved, objs, threads):
         grid, params.get("partition_times", grid.points))
     est = chain_estimate(spec_mu, spec_p, init_mu, init_p, partition,
                          resolved["n_paths"], resolved["seed"], grid=grid,
-                         threads=threads, **_set_params(resolved, "method"))
+                         threads=threads)
     rows = [{"t_lo": c.t_lo, "t_hi": c.t_hi, "value": c.value,
              "std_error": c.std_error} for c in est.contributions]
     rows.append({"t_lo": 0.0, "t_hi": grid.horizon,
@@ -346,18 +324,16 @@ def _run_residual_energy(resolved, objs, threads):
     profile = residual_energy_profile(
         ensemble, spec_p, basis,
         **_set_params(resolved, "window", "stride", "t_min_frac", "debias"))
-    include_initial = params.get("include_initial", True)
-    initial = initial_entropy(init_mu, init_p) if include_initial else None
-    total = profile.integral + (initial.value if initial else 0.0)
-    total_se = math.hypot(profile.integral_std_error,
-                          initial.std_error if initial else 0.0)
+    initial = initial_entropy(init_mu, init_p)
+    total = profile.integral + initial.value
+    total_se = math.hypot(profile.integral_std_error, initial.std_error)
     rows = [{"t": float(t), "energy": float(v), "std_error": float(s)}
             for t, v, s in zip(profile.times, profile.values,
                                profile.std_errors)]
     results = {
         "integral": profile.integral,
         "integral_std_error": profile.integral_std_error,
-        "initial_term": _jsonable(initial) if initial else None,
+        "initial_term": _jsonable(initial),
         "total": total,
         "total_std_error": total_se,
         "profile": rows,
@@ -390,14 +366,13 @@ ESTIMATORS = {
     "girsanov": (_run_girsanov, {"tol_match": "number"}),
     "chain": (_run_chain, {
         "levels": "integer", "partition_times": "array of numbers",
-        "method": "string", "divergence_threshold": "number"}),
+        "divergence_threshold": "number"}),
     "dv-marginal": (_run_dv_marginal, {
         "t": "number", "n_samples": "integer", "basis": "object",
         "max_iter": "integer", "gtol": "number", "plateau_rtol": "number"}),
     "residual-energy": (_run_residual_energy, {
         "basis": "object", "window": "integer", "stride": "integer",
-        "t_min_frac": "number", "debias": "boolean",
-        "include_initial": "boolean"}),
+        "t_min_frac": "number", "debias": "boolean"}),
     "sanov": (_run_sanov, {
         "observable": "string", "threshold": "number",
         "n_list": "array of integers", "trials": "integer",

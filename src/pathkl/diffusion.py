@@ -83,11 +83,16 @@ class DiffusionSpec:
         """Cholesky factor of constant_matrix, computed once, or None.
 
         Raises:
-            PositiveDefinitenessError: constant_matrix is not positive
-                definite.
+            PositiveDefinitenessError: constant_matrix has a non-finite
+                entry or is not positive definite.
         """
         if self.constant_matrix is None:
             return None
+        # numpy's Cholesky of [[nan]] returns [[nan]] instead of raising
+        if not np.isfinite(self.constant_matrix).all():
+            raise PositiveDefinitenessError(
+                f"constant diffusion matrix of {self.model_id!r} has a "
+                f"non-finite entry")
         try:
             return np.linalg.cholesky(self.constant_matrix)
         except np.linalg.LinAlgError as exc:
@@ -367,13 +372,16 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def no_nan(values: np.ndarray, what: str, t: float) -> np.ndarray:
-    """values, unless one is NaN (a coefficient was NaN on some path).
+    """values, unless one is NaN or infinite (a coefficient was non-finite
+    on some path).
 
     Raises:
-        ModelEvaluationError: naming what is NaN and the time t.
+        ModelEvaluationError: naming what is NaN or infinite and the time t.
     """
-    if np.isnan(values).any():
-        raise ModelEvaluationError(f"{what} is NaN on some path at t = {t:g}")
+    if not np.isfinite(values).all():
+        kind = "NaN" if np.isnan(values).any() else "infinite"
+        raise ModelEvaluationError(
+            f"{what} is {kind} on some path at t = {t:g}")
     return values
 
 

@@ -197,6 +197,19 @@ def _kl_cells(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(pa * (np.log(pa) - np.log(qa))))
 
 
+def _cell_pair(samples_mu, nu_eval, partition: SpacePartition):
+    """(mu's, the reference's) cell probabilities over partition.
+
+    Raises:
+        ArgumentError: the provider's cell count is not the partition's.
+    """
+    p = partition.mu_probabilities(samples_mu)
+    q = np.asarray(nu_eval(partition), dtype=float)
+    if q.shape != p.shape:
+        raise ArgumentError("provider returned wrong cell count")
+    return p, q
+
+
 def histogram_kl(samples_mu, nu_eval, partition: SpacePartition) -> float:
     """Space-partition entropy sum over the cells of ``partition``.
 
@@ -209,11 +222,7 @@ def histogram_kl(samples_mu, nu_eval, partition: SpacePartition) -> float:
     Returns:
         The partition sum; math.inf when mu charges a reference-null cell.
     """
-    p = partition.mu_probabilities(samples_mu)
-    q = np.asarray(nu_eval(partition), dtype=float)
-    if q.shape != p.shape:
-        raise ArgumentError("provider returned wrong cell count")
-    return _kl_cells(p, q)
+    return _kl_cells(*_cell_pair(samples_mu, nu_eval, partition))
 
 
 def histogram_report(samples_mu, nu_eval,
@@ -221,8 +230,7 @@ def histogram_report(samples_mu, nu_eval,
     """histogram_kl with a plug-in standard error."""
     x = np.asarray(samples_mu, dtype=float)
     n = x.shape[0]
-    p = partition.mu_probabilities(x)
-    q = np.asarray(nu_eval(partition), dtype=float)
+    p, q = _cell_pair(x, nu_eval, partition)
     value = _kl_cells(p, q)
     if math.isinf(value):
         return EntropyEstimate(value=math.inf, std_error=0.0,

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffusion import DiffusionSpec, PathEnsemble, no_nan
-from .errors import ArgumentError
+from .errors import ArgumentError, check_json_types
 
 __all__ = [
     "SVD_RCOND",
@@ -459,34 +459,39 @@ def mixed_basis(lo, hi, n_bumps: int, bump_scale: float,
     return FunctionBasis(functions=tuple(fns), lo=lo_a, hi=hi_a)
 
 
+# basis config field -> its JSON type
+_BASIS_TYPES = {"family": "string", "box": "array of numbers",
+                "count": "integer", "scale": "number or null",
+                "degrees": "array of integers", "margin": "number",
+                "bump_span": "array of numbers or null"}
+
+
 def basis_from_config(cfg: dict) -> FunctionBasis:
     """Build a basis from a config record (CLI surface).
 
-    Recognized keys: family ("bumps" | "mixed"), box ([lo, hi]), count,
-    scale, degrees, margin, bump_span.
+    Each field must have its JSON type in _BASIS_TYPES.
+
+    Raises:
+        ArgumentError: an unknown field, a field of the wrong JSON type
+            (named basis.<field>), a missing box or an unknown family.
     """
-    known = {"family", "box", "count", "scale", "degrees", "margin",
-             "bump_span"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ArgumentError(f"unknown basis config keys: {sorted(unknown)}")
+    check_json_types(cfg, _BASIS_TYPES, "basis")
     family = cfg.get("family", "bumps")
     box = cfg.get("box")
     if box is None or len(box) != 2:
         raise ArgumentError("basis config needs box: [lo, hi]")
     lo, hi = float(box[0]), float(box[1])
     margin = float(cfg.get("margin", 0.25))
-    count = int(cfg.get("count", 8))
+    count = cfg.get("count", 8)
     scale = cfg.get("scale")
     if family == "bumps":
         return bump_basis([lo], [hi], count,
                           None if scale is None else float(scale), margin)
     if family == "mixed":
-        degrees = [int(d) for d in cfg.get("degrees", [0, 1, 2])]
         span = cfg.get("bump_span")
         return mixed_basis([lo], [hi], count,
                            float(scale) if scale is not None else 2.0,
-                           degrees, margin,
+                           cfg.get("degrees", [0, 1, 2]), margin,
                            None if span is None else (float(span[0]),
                                                       float(span[1])))
     raise ArgumentError(f"unknown basis family {family!r}")

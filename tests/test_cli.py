@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from pathkl.cli import main
+from pathkl.cli import ESTIMATORS, main
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -214,6 +215,62 @@ def test_run_rejects_wrong_typed_values(tmp_path, capsys, cfg, key):
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert f".{key} must be of type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("count", 4.7), ("count", True), ("box", ["-3", 3]),
+    ("degrees", [0.5, 1]), ("margin", "0.3"),
+], ids=["count-float", "count-bool", "box", "degrees", "margin"])
+def test_run_rejects_wrong_typed_basis_fields(tmp_path, capsys, field,
+                                              value):
+    # each used to run cast: 4 bumps, 1 bump, box -3, degree 0, margin 0.3
+    basis = {"family": "mixed", "box": [-3.0, 3.0], "count": 4, field: value}
+    out = tmp_path / "r.json"
+    assert main(["run", "--config",
+                 _write(tmp_path, "t.json", _residual_cfg(basis=basis)),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"basis.{field} must be of type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,key", [
+    ({"levels": 2, "partition_times": [0.0, 0.25, 1.0]}, "partition_times"),
+    ({"divergence_threshold": -1.0}, "divergence_threshold"),
+], ids=["partition-times-with-levels", "threshold-without-levels"])
+def test_run_chain_refuses_keys_its_run_would_ignore(tmp_path, capsys,
+                                                     params, key):
+    # the first used to run the dyadic sweep, the second one chain
+    cfg = _girsanov_cfg(estimator="chain", estimator_params=params,
+                        grid={"horizon": 1.0, "steps": 64})
+    assert main(["run", "--config", _write(tmp_path, "c.json", cfg)]) == 2
+    assert f"estimator_params.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    _girsanov_cfg(estimator="chain", estimator_params={"method": "gauss"},
+                  grid={"horizon": 1.0, "steps": 64}),
+    _residual_cfg(include_initial=True),
+], ids=["chain-method", "include-initial"])
+def test_run_refuses_removed_keys(tmp_path, capsys, cfg):
+    assert main(["run", "--config", _write(tmp_path, "t.json", cfg)]) == 2
+    assert "unknown keys in estimator_params" in capsys.readouterr().err
+
+
+def test_readme_lists_every_estimator_parameter():
+    # the README's table of estimator parameters is the CLI's schema
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| estimator | key | JSON type | when unset |") + 2
+    listed, estimator = {}, None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, key, json_type, _ = [c.strip() for c in line[1:-1].split("|")]
+        estimator = name.strip("`") or estimator
+        listed.setdefault(estimator, {})[key.strip("`")] = \
+            json_type.split(",")[0]
+    assert listed == {name: types
+                      for name, (_, types) in ESTIMATORS.items()}
 
 
 def test_run_rejects_unknown_model_record_key(tmp_path, capsys):

@@ -217,6 +217,22 @@ def test_histogram_clamp_distance_recorded():
     assert "clamped_from" not in same.diagnostics
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_histogram_rejects_wrong_cell_count(extra):
+    # the report used to fail with an IndexError on a short provider
+    x = np.random.default_rng(3).normal(size=(100, 1))
+    part = SpacePartition.regular(-4.0, 4.0, 16)
+    cells = part.mu_probabilities(x).shape[0]
+
+    def provider(partition):
+        return np.full(cells + extra, 1.0 / (cells + extra))
+
+    with pytest.raises(ArgumentError, match="wrong cell count"):
+        histogram_kl(x, provider, part)
+    with pytest.raises(ArgumentError, match="wrong cell count"):
+        histogram_report(x, provider, part)
+
+
 def test_histogram_monotone_under_refinement():
     rng = np.random.default_rng(7)
     x = 1.0 + rng.normal(size=(100_000, 1))
