@@ -5,11 +5,9 @@ initial-law term plus one conditional term per interval, and refining the
 partition never decreases the total. Each interval term is computed from an
 ensemble sampled under the first law: per path, the two one-step Gaussian
 transition laws over the interval (coefficients frozen at the interval
-start) are compared in closed form. step_kl can also compare them
-variationally, from resimulated endpoint clouds, as a check on the DV
-estimator. Mismatched diffusion matrices make the refinement totals grow
-without bound, which is exactly how mutual singularity manifests at finite
-resolution.
+start) are compared in closed form. Mismatched diffusion matrices make the
+refinement totals grow without bound, which is exactly how mutual
+singularity manifests at finite resolution.
 """
 
 from __future__ import annotations
@@ -25,15 +23,11 @@ from .diffusion import (
     PairCoefficients,
     PathEnsemble,
     TimeGrid,
-    euler_step_law,
-    path_generator,
     sample_paths,
-    substream_seed,
 )
 from .errors import ArgumentError
 from .estimates import EntropyEstimate, clamp_at_zero
-from .marginal import OptimizerConfig, dv_estimate, initial_entropy
-from .variational import FunctionBasis
+from .marginal import initial_entropy
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -148,31 +142,14 @@ def _interval_kls(fixed, quad, dt) -> np.ndarray:
     return out
 
 
-def _dv_interval_kl(spec_mu, spec_P, x, t_lo, dt, *, seed, n_cloud,
-                    basis, opt):
-    """Per-path variational KL between resimulated one-step endpoint clouds."""
-    values = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        gen = path_generator(substream_seed(seed, i), 3)
-        law_mu = euler_step_law(spec_mu, t_lo, x[i], dt)
-        law_p = euler_step_law(spec_P, t_lo, x[i], dt)
-        values[i] = dv_estimate(law_mu.draw(gen, n_cloud),
-                                law_p.draw(gen, n_cloud), basis, opt).value
-    return values
-
-
 def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-            ensemble_mu: PathEnsemble, interval: tuple[float, float],
-            method: str = "gauss", *, seed: int | None = None,
-            n_cloud: int = 256, basis: FunctionBasis | None = None,
-            opt: OptimizerConfig | None = None) -> tuple[float, float]:
+            ensemble_mu: PathEnsemble,
+            interval: tuple[float, float]) -> tuple[float, float]:
     """Conditional entropy contribution of one partition interval.
 
     Per path, the interval [t_lo, t_hi] is treated as a single Euler step
     from the path's state at t_lo: the two transition laws
-    N(x + e dt, c dt) and N(x + b dt, a dt) are compared in closed form
-    ("gauss") or by the variational estimator on resimulated endpoint clouds
-    ("dv").
+    N(x + e dt, c dt) and N(x + b dt, a dt) are compared in closed form.
 
     Returns:
         (mean, standard error) over the ensemble's paths.
@@ -185,20 +162,8 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         raise ArgumentError("interval must have positive length")
     idx_lo = ensemble_mu.grid.index_of(t_lo)
     ensemble_mu.grid.index_of(t_hi)
-    dt = t_hi - t_lo
-    x = ensemble_mu.states[:, idx_lo]
-
-    if method == "gauss":
-        fixed, quad = _interval_terms(spec_mu, spec_P, ensemble_mu, [idx_lo])
-        values = _interval_kls(fixed, quad, dt)[:, 0]
-    elif method == "dv":
-        values = _dv_interval_kl(
-            spec_mu, spec_P, x, t_lo, dt,
-            seed=ensemble_mu.seed if seed is None else seed,
-            n_cloud=n_cloud, basis=basis, opt=opt)
-    else:
-        raise ArgumentError(f"unknown step method {method!r}")
-
+    fixed, quad = _interval_terms(spec_mu, spec_P, ensemble_mu, [idx_lo])
+    values = _interval_kls(fixed, quad, t_hi - t_lo)[:, 0]
     n = values.shape[0]
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(values.mean()), se

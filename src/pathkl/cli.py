@@ -381,8 +381,12 @@ ESTIMATORS = {
 
 
 def run_config(cfg: dict, *, seed_override: int | None = None,
-               threads: int = 1) -> tuple[dict, list, list]:
-    """Validate, dispatch, and return (results, csv_rows, csv_header)."""
+               threads: int = 1) -> tuple[dict, dict, tuple[list, list]]:
+    """Validate and dispatch cfg.
+
+    Returns:
+        (resolved config, results, (csv rows, csv header)).
+    """
     resolved = resolve_config(cfg, seed_override)
     objs = _built_objects(resolved)
     results, rows, header = ESTIMATORS[resolved["estimator"]][0](

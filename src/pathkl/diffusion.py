@@ -11,6 +11,7 @@ ensembles are bit-identical for any degree of parallelism.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -667,11 +668,54 @@ def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
 # Model catalog
 
 
+def _numbers(value, nested: bool) -> bool:
+    """A real number (a bool is not one), or when nested is set a list,
+    tuple or numeric array of such values at any depth."""
+    if nested and isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if nested and isinstance(value, (list, tuple)):
+        return all(_numbers(v, True) for v in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _param(model_id: str, params: dict, name: str, default,
+           array: bool = False):
+    """params[name] (default when unset) as a float, or as a float array
+    when the param takes a vector or matrix (array set).
+
+    Raises:
+        ArgumentError: naming the model and the param, unless the value is
+            a number, or for an array param a (nested) array of numbers of
+            one shape.
+    """
+    value = params.get(name, default)
+    kind = "a number or an array of numbers" if array else "a number"
+    if _numbers(value, array):
+        try:
+            return np.asarray(value, dtype=float) if array else float(value)
+        except ValueError:
+            kind = "an array of numbers of one shape"
+    raise ArgumentError(f"model {model_id!r} param {name!r} must be {kind}, "
+                        f"got {value!r}")
+
+
+def _vector(model_id: str, params: dict, name: str, default,
+            dim: int) -> np.ndarray:
+    """An array param broadcast to shape (dim,); ArgumentError if it does
+    not broadcast."""
+    value = _param(model_id, params, name, default, array=True)
+    try:
+        return np.broadcast_to(value, (dim,)).copy()
+    except ValueError:
+        raise ArgumentError(f"model {model_id!r} param {name!r} must be a "
+                            f"number or have shape ({dim},)") from None
+
+
 def _constant_model(model_id: str, params: dict, dim: int,
                     drift) -> DiffusionSpec:
     """A catalog model with drift and the constant matrix params["a"]
     (a scalar means a multiple of the identity)."""
-    a = np.asarray(params.get("a", 1.0), dtype=float)
+    a = _param(model_id, params, "a", 1.0, array=True)
     if a.ndim == 0:
         a = float(a) * np.eye(dim)
     a = np.atleast_2d(a)
@@ -698,8 +742,7 @@ def _build_brownian(params: dict, dim: int) -> DiffusionSpec:
 
 
 def _build_constant_drift(params: dict, dim: int) -> DiffusionSpec:
-    theta = np.broadcast_to(
-        np.asarray(params.get("theta", 1.0), dtype=float), (dim,)).copy()
+    theta = _vector("constant_drift", params, "theta", 1.0, dim)
 
     def drift(t, x):
         x = np.asarray(x)
@@ -709,7 +752,7 @@ def _build_constant_drift(params: dict, dim: int) -> DiffusionSpec:
 
 
 def _build_ou(params: dict, dim: int) -> DiffusionSpec:
-    gamma = float(params.get("gamma", 1.0))
+    gamma = _param("ou", params, "gamma", 1.0)
 
     def drift(t, x):
         return -gamma * np.asarray(x, dtype=float)
@@ -726,11 +769,10 @@ def _build_double_well(params: dict, dim: int) -> DiffusionSpec:
 
 
 def _build_linear(params: dict, dim: int) -> DiffusionSpec:
-    amat = np.atleast_2d(np.asarray(params.get("A", 0.0), dtype=float))
+    amat = np.atleast_2d(_param("linear", params, "A", 0.0, array=True))
     if amat.shape != (dim, dim):
         raise ArgumentError(f"A must be {dim}x{dim}")
-    b0 = np.broadcast_to(
-        np.asarray(params.get("b0", 0.0), dtype=float), (dim,)).copy()
+    b0 = _vector("linear", params, "b0", 0.0, dim)
 
     def drift(t, x):
         x = np.asarray(x, dtype=float)
@@ -744,8 +786,8 @@ def _build_sine_diffusion(params: dict, dim: int) -> DiffusionSpec:
     # non-constant code paths and the match check's bulk statistics.
     if dim != 1:
         raise ArgumentError("sine_diffusion is one-dimensional")
-    a0 = float(params.get("a", 1.0))
-    amp = float(params.get("amplitude", 0.5))
+    a0 = _param("sine_diffusion", params, "a", 1.0)
+    amp = _param("sine_diffusion", params, "amplitude", 0.5)
     if not 0 <= amp < 1:
         raise ArgumentError("amplitude must lie in [0, 1)")
 

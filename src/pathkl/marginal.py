@@ -415,20 +415,17 @@ def pooled_dv_basis(samples_mu, samples_nu) -> FunctionBasis:
     return default_dv_basis(float(pooled.min()), float(pooled.max()))
 
 
-def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
-                    method: str = "auto") -> EntropyEstimate:
+def initial_entropy(init_mu: InitialLaw,
+                    init_P: InitialLaw) -> EntropyEstimate:
     """Relative entropy between two time-zero laws.
 
     Supported pairs: Gaussian/Gaussian (closed form), point/point (0 or
-    +inf), empirical/Gaussian (variational by default, histogram on
-    request), point/Gaussian (+inf: a point mass is singular with respect
-    to a nondegenerate Gaussian). Anything else raises CapabilityError.
+    +inf), empirical/Gaussian (variational), point/Gaussian (+inf: a point
+    mass is singular with respect to a nondegenerate Gaussian). Anything
+    else raises CapabilityError.
 
     The variational route runs dv_estimate, on its default basis, on the
     samples and as many draws of the Gaussian under seed 0.
-
-    Args:
-        method: "auto" | "dv" | "histogram" for empirical/Gaussian.
     """
     kinds = (init_mu.kind, init_P.kind)
     if init_mu.dim != init_P.dim:
@@ -455,22 +452,12 @@ def initial_entropy(init_mu: InitialLaw, init_P: InitialLaw, *,
                                             "gaussian"})
 
     if kinds == ("empirical", "gaussian"):
-        law = init_P.gaussian_law
         samples = init_mu.samples
-        if method in ("auto", "dv"):
-            nu = law.draw(path_generator(substream_seed(0, 0), 0),
-                          samples.shape[0])
-            est = dv_estimate(samples, nu)
-            est.diagnostics["initial_route"] = "empirical-vs-gaussian-dv"
-            return est
-        if method == "histogram":
-            sd = float(np.sqrt(np.max(np.diag(init_P.covariance))))
-            lo = float(init_P.mean.min()) - 6 * sd
-            hi = float(init_P.mean.max()) + 6 * sd
-            part = SpacePartition.regular(lo, hi, 64, dim=init_P.dim)
-            return histogram_report(samples,
-                                    gaussian_cell_probabilities(law), part)
-        raise ArgumentError(f"unknown initial-entropy method {method!r}")
+        nu = init_P.gaussian_law.draw(path_generator(substream_seed(0, 0), 0),
+                                      samples.shape[0])
+        est = dv_estimate(samples, nu)
+        est.diagnostics["initial_route"] = "empirical-vs-gaussian-dv"
+        return est
 
     raise CapabilityError(
         f"initial-law pair {kinds[0]}/{kinds[1]} is not supported")

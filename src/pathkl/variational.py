@@ -473,13 +473,18 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
 
     Raises:
         ArgumentError: an unknown field, a field of the wrong JSON type
-            (named basis.<field>), a missing box or an unknown family.
+            (named basis.<field>), a missing box, a box or bump_span that is
+            not two numbers, or an unknown family.
     """
     check_json_types(cfg, _BASIS_TYPES, "basis")
     family = cfg.get("family", "bumps")
     box = cfg.get("box")
     if box is None or len(box) != 2:
         raise ArgumentError("basis config needs box: [lo, hi]")
+    span = cfg.get("bump_span")
+    if span is not None and len(span) != 2:
+        raise ArgumentError(f"basis.bump_span must be two numbers [lo, hi], "
+                            f"got {span}")
     lo, hi = float(box[0]), float(box[1])
     margin = float(cfg.get("margin", 0.25))
     count = cfg.get("count", 8)
@@ -488,7 +493,6 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
         return bump_basis([lo], [hi], count,
                           None if scale is None else float(scale), margin)
     if family == "mixed":
-        span = cfg.get("bump_span")
         return mixed_basis([lo], [hi], count,
                            float(scale) if scale is not None else 2.0,
                            cfg.get("degrees", [0, 1, 2]), margin,

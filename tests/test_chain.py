@@ -1,5 +1,6 @@
 """Partition chain rule: step terms, totals, refinement, match check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,19 +104,6 @@ def test_step_interval_validation():
         step_kl(spec, spec, ens, (0.5, 0.5))
     with pytest.raises(ArgumentError):
         step_kl(spec, spec, ens, (0.75, 0.25))
-    with pytest.raises(ArgumentError):
-        step_kl(spec, spec, ens, (0.0, 1.0), method="mcmc")
-
-
-def test_step_dv_method_tracks_gauss():
-    spec_mu, grid, ens = _ensemble("constant_drift", {"theta": 1.0}, 16,
-                                   60, seed=9)
-    spec_p = make_model("brownian", {})
-    gauss, _ = step_kl(spec_mu, spec_p, ens, (0.0, 0.5))
-    dv, se = step_kl(spec_mu, spec_p, ens, (0.0, 0.5), method="dv",
-                     seed=9, n_cloud=512)
-    # conditional cloud estimate is noisy but must sit near the closed form
-    assert dv == pytest.approx(gauss, abs=max(0.08, 4 * se))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +232,29 @@ def test_sweep_matched_case_monotone():
     assert totals[-1] == pytest.approx(0.5, rel=0.05)
     assert abs(sweep.richardson_gap) == pytest.approx(
         totals[-1] - totals[-2], abs=1e-15)
+
+
+def test_sweep_records_monotonicity_violations():
+    # drift 2 at t = 0 and 0 after, against Brownian: frozen at the left
+    # endpoints, 1, 2 and 4 intervals give 2, 1 and 0.5 on every path, so
+    # each refinement is a drop that no standard error allows
+    brownian = make_model("brownian", {})
+
+    def kick(t, x):
+        return np.full(np.shape(x), 2.0 if t == 0 else 0.0)
+
+    mu = dataclasses.replace(brownian, drift=kick, model_id="custom")
+    init = InitialLaw.point_mass([0.0])
+    sweep = refinement_sweep(mu, brownian, init, init,
+                             TimeGrid.uniform(1.0, 4), levels=3, n_paths=20,
+                             seed=0)
+    assert [e.total.value for e in sweep.estimates] == [2.0, 1.0, 0.5]
+    assert sweep.monotonicity_violations == (
+        {"coarse_intervals": 1, "fine_intervals": 2, "drop": 1.0,
+         "allowed": 0.0},
+        {"coarse_intervals": 2, "fine_intervals": 4, "drop": 0.5,
+         "allowed": 0.0},
+    )
 
 
 def test_sweep_mismatch_diverges_linearly():
@@ -438,7 +449,6 @@ HOIST_PAIRS = [
 
 
 def _generic(spec):
-    import dataclasses
     return dataclasses.replace(spec, constant_matrix=None)
 
 

@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from pathkl.cli import ESTIMATORS, main
+from pathkl.diffusion import model_ids, model_params
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -89,6 +93,26 @@ def test_run_unknown_model_param_exits_2(tmp_path):
     cfg = _girsanov_cfg(
         model_mu={"id": "constant_drift", "params": {"thota": 1.0}})
     assert main(["run", "--config", _write(tmp_path, "m.json", cfg)]) == 2
+
+
+def test_run_rejects_non_numeric_model_param(tmp_path, capsys):
+    # a list used to end in a TypeError traceback with exit code 1
+    cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {"gamma": [1.0]}})
+    assert main(["run", "--config", _write(tmp_path, "m.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "model 'ou' param 'gamma'" in err
+
+
+@pytest.mark.parametrize("span", [[-1, 1, 7], [1]], ids=["three", "one"])
+def test_run_rejects_bump_span_not_two_numbers(tmp_path, capsys, span):
+    # three used to build on [-1, 1] and drop the 7; one ended in an
+    # IndexError traceback with exit code 1
+    basis = {"family": "mixed", "box": [-3, 3], "count": 4,
+             "bump_span": span}
+    cfg = _girsanov_cfg(estimator="dv-marginal",
+                        estimator_params={"basis": basis})
+    assert main(["run", "--config", _write(tmp_path, "b.json", cfg)]) == 2
+    assert "basis.bump_span" in capsys.readouterr().err
 
 
 def test_run_chain_requires_dyadic_steps(tmp_path, capsys):
@@ -256,21 +280,36 @@ def test_run_refuses_removed_keys(tmp_path, capsys, cfg):
     assert "unknown keys in estimator_params" in capsys.readouterr().err
 
 
-def test_readme_lists_every_estimator_parameter():
-    # the README's table of estimator parameters is the CLI's schema
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8").splitlines()
-    start = lines.index("| estimator | key | JSON type | when unset |") + 2
-    listed, estimator = {}, None
-    for line in lines[start:]:
+def _readme_table(header: str) -> list[list[str]]:
+    """The README table under header, as rows of stripped cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
         if not line.startswith("|"):
             break
-        name, key, json_type, _ = [c.strip() for c in line[1:-1].split("|")]
+        rows.append([c.strip() for c in line[1:-1].split("|")])
+    return rows
+
+
+def test_readme_lists_every_estimator_parameter():
+    # the README's table of estimator parameters is the CLI's schema
+    listed, estimator = {}, None
+    for name, key, json_type, _ in _readme_table(
+            "| estimator | key | JSON type | when unset |"):
         estimator = name.strip("`") or estimator
         listed.setdefault(estimator, {})[key.strip("`")] = \
             json_type.split(",")[0]
     assert listed == {name: types
                       for name, (_, types) in ESTIMATORS.items()}
+
+
+def test_readme_lists_every_catalogue_model():
+    # the README's model table is the catalogue, each id with its params
+    listed = {model_id.strip("`"): set(re.findall(r"`(\w+)`", params))
+              for model_id, _, params in _readme_table(
+                  "| id | drift | params |")}
+    assert listed == {model_id: set(model_params(model_id))
+                      for model_id in model_ids()}
 
 
 def test_run_rejects_unknown_model_record_key(tmp_path, capsys):
@@ -429,6 +468,34 @@ def test_reports_carry_json_booleans(tmp_path, capsys):
     assert main(["compare", "--config", g, "--config", g]) == 0
     text = capsys.readouterr().out
     assert '"is_infinite": true' in text
+
+
+def test_compare_headlines_are_each_runs_estimate(tmp_path, capsys):
+    # residual-energy's headline is its total, dv-marginal's its estimate
+    base = dict(model_mu={"id": "ou", "params": {"gamma": 1.0}},
+                grid={"horizon": 1.0, "steps": 64}, n_paths=300)
+    paths = [
+        _write(tmp_path, "g.json", _girsanov_cfg(**base)),
+        _write(tmp_path, "r.json", _girsanov_cfg(
+            estimator="residual-energy", estimator_params={}, **base)),
+        _write(tmp_path, "d.json", _girsanov_cfg(
+            estimator="dv-marginal",
+            estimator_params={"max_iter": 20, "plateau_rtol": 1e9}, **base)),
+    ]
+    assert main(["compare", *[a for p in paths for a in ("--config", p)]]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    results = []
+    for path in paths:
+        out = tmp_path / "run.json"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        results.append(_report(out)["results"])
+    girsanov, residual, dv = results
+    assert [(e["estimator"], e["value"], e["std_error"]) for e in entries] == [
+        ("girsanov", girsanov["estimate"]["value"],
+         girsanov["estimate"]["std_error"]),
+        ("residual-energy", residual["total"], residual["total_std_error"]),
+        ("dv-marginal", dv["estimate"]["value"], dv["estimate"]["std_error"]),
+    ]
 
 
 def test_compare_rejects_different_scenarios(tmp_path):

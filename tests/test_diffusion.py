@@ -496,6 +496,26 @@ def test_make_model_rejects_unknown_params():
     assert make_model("ou", {"gamma": 2}).params == {"gamma": 2}
 
 
+@pytest.mark.parametrize("model_id,params,name", [
+    ("ou", {"gamma": True}, "gamma"),
+    ("ou", {"gamma": "2"}, "gamma"),
+    ("ou", {"gamma": [1.0]}, "gamma"),
+    ("brownian", {"a": "2"}, "a"),
+    ("brownian", {"a": [[1.0], [1.0, 2.0]]}, "a"),
+    ("constant_drift", {"theta": None}, "theta"),
+    ("constant_drift", {"theta": [1.0, 2.0]}, "theta"),
+    ("linear", {"A": [[True]]}, "A"),
+    ("sine_diffusion", {"amplitude": "0.5"}, "amplitude"),
+], ids=["bool", "string", "list-for-scalar", "string-matrix", "ragged",
+        "null", "wrong-length", "bool-entry", "string-amplitude"])
+def test_make_model_checks_param_types(model_id, params, name):
+    # the bool and the strings used to be cast (gamma = 1, 2; a = 2;
+    # amplitude = 0.5), and a list gamma ended in a TypeError
+    with pytest.raises(ArgumentError,
+                       match=f"model '{model_id}' param '{name}'"):
+        make_model(model_id, params)
+
+
 def test_sine_diffusion_validation():
     with pytest.raises(ArgumentError):
         make_model("sine_diffusion", {"amplitude": 1.0})

@@ -17,9 +17,9 @@ from pathkl import (
     OptimizerConfig,
     PositiveDefinitenessError,
     SpacePartition,
-    TimeGrid,
     dv_estimate,
     empirical_cell_probabilities,
+    euler_step_law,
     gaussian_cell_probabilities,
     gaussian_kl,
     histogram_kl,
@@ -27,10 +27,9 @@ from pathkl import (
     initial_entropy,
     make_model,
     mixed_basis,
-    sample_paths,
-    step_kl,
 )
 from pathkl.cli import main
+from pathkl.diffusion import path_generator
 from pathkl.marginal import _kl_cells, default_dv_basis
 from pathkl.variational import FunctionBasis
 
@@ -317,6 +316,19 @@ def test_dv_convergence_error_carries_best_value():
     assert exc.value.diagnostics["iterations"] == 5
 
 
+def test_dv_tracks_gaussian_kl_of_euler_step_laws():
+    # the two one-step Euler laws from x = 0.3 over dt = 0.5, drift 1
+    # against none: N(0.8, 0.5) vs N(0.3, 0.5), KL 0.25 in closed form
+    law_mu = euler_step_law(make_model("constant_drift", {"theta": 1.0}),
+                            0.0, [0.3], 0.5)
+    law_p = euler_step_law(make_model("brownian", {}), 0.0, [0.3], 0.5)
+    exact = gaussian_kl(law_mu, law_p)
+    assert exact == pytest.approx(0.25, abs=1e-15)
+    gen = path_generator(0, 0)
+    est = dv_estimate(law_mu.draw(gen, 10_000), law_p.draw(gen, 10_000))
+    assert est.value == pytest.approx(exact, abs=max(0.08, 4 * est.std_error))
+
+
 def test_dv_default_basis_needs_one_dimension():
     x = np.zeros((10, 2))
     with pytest.raises(ArgumentError, match="one-dimensional"):
@@ -352,7 +364,7 @@ def _assert_pooled_default(calls):
 
 def test_every_dv_route_sizes_the_default_basis_alike(tmp_path,
                                                       dv_evaluations):
-    # the dv-marginal CLI, the chain's dv step and the initial term
+    # the dv-marginal CLI and the initial term
     cfg = {
         "model_mu": {"id": "ou", "params": {"gamma": 1.0}},
         "model_P": {"id": "brownian", "params": {}},
@@ -371,16 +383,6 @@ def test_every_dv_route_sizes_the_default_basis_alike(tmp_path,
     _assert_pooled_default(dv_evaluations)
     reported = json.loads(out.read_text())["results"]["basis"]
     assert reported == dv_evaluations[0][0].describe()
-
-    dv_evaluations.clear()
-    grid = TimeGrid.uniform(1.0, 8)
-    mu = make_model("constant_drift", {"theta": 1.0})
-    ens = sample_paths(mu, InitialLaw.point_mass([0.0]), grid, 4, 2)
-    step_kl(mu, make_model("brownian", {}), ens, (0.25, 0.5), method="dv",
-            n_cloud=64, opt=OptimizerConfig(max_iter=3,
-                                            plateau_rtol=math.inf))
-    assert len(dv_evaluations) == 8
-    _assert_pooled_default(dv_evaluations)
 
     dv_evaluations.clear()
     samples = 1.0 + np.random.default_rng(5).normal(size=(500, 1))
@@ -442,23 +444,6 @@ def test_initial_empirical_vs_gaussian_dv():
                           InitialLaw.gaussian([0.0], [[1.0]]))
     assert est.diagnostics["initial_route"] == "empirical-vs-gaussian-dv"
     assert est.value == pytest.approx(MEAN_SHIFT_KL, abs=0.1)
-
-
-def test_initial_empirical_vs_gaussian_histogram():
-    rng = np.random.default_rng(6)
-    samples = 1.0 + rng.normal(size=(20_000, 1))
-    est = initial_entropy(InitialLaw.empirical(samples),
-                          InitialLaw.gaussian([0.0], [[1.0]]),
-                          method="histogram")
-    assert est.method == "histogram"
-    assert 0.0 < est.value <= MEAN_SHIFT_KL + 3 * est.std_error
-
-
-def test_initial_unknown_method():
-    with pytest.raises(ArgumentError):
-        initial_entropy(InitialLaw.empirical(np.zeros((10, 1))),
-                        InitialLaw.gaussian([0.0], [[1.0]]),
-                        method="spline")
 
 
 def test_initial_unsupported_pairs():

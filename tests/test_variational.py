@@ -128,6 +128,21 @@ def test_basis_from_config_strict():
     assert basis.size == 6
 
 
+def test_basis_from_config_bumps_family():
+    # the README's example: 12 bumps on the core of [-4, 5], scale 1.5x
+    # their spacing
+    basis = basis_from_config({"family": "bumps", "box": [-4, 5],
+                               "count": 12, "scale": None, "margin": 0.25})
+    described = basis.describe()
+    assert [f["family"] for f in described] == ["bump"] * 12
+    centers = [f["center"][0] for f in described]
+    assert centers[0] == pytest.approx(-2.875, abs=1e-15)
+    assert {f["scale"] for f in described} == {described[0]["scale"]}
+    assert described[0]["scale"] == pytest.approx(
+        1.5 * (centers[1] - centers[0]), rel=1e-14)
+    assert described[0]["scale"] == pytest.approx(10.125 / 11, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrix
 
