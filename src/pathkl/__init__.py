@@ -60,7 +60,6 @@ from .variational import (
     EnergyProfile,
     FunctionBasis,
     basis_from_config,
-    bump_basis,
     drift_correction,
     dual_energy,
     fokker_planck_residual,
@@ -88,7 +87,7 @@ __all__ = [
     "EntropyEstimate",
     # variational machinery
     "BasisFunction", "FunctionBasis", "gaussian_bump", "windowed_monomial",
-    "bump_basis", "mixed_basis", "basis_from_config", "gram_matrix",
+    "mixed_basis", "basis_from_config", "gram_matrix",
     "fokker_planck_residual", "dual_energy", "drift_correction",
     "DriftCorrection", "EnergyProfile", "residual_energy_profile",
     # marginal laws

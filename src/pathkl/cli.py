@@ -86,21 +86,27 @@ def _build_model(record: dict, dim: int, where: str) -> DiffusionSpec:
         raise ArgumentError(f"{where}: {exc}") from exc
 
 
+# initial law kind -> (its constructor, the record fields it takes)
+_INITIAL_KINDS = {
+    "point": (InitialLaw.point_mass, ("point",)),
+    "gaussian": (InitialLaw.gaussian, ("mean", "covariance")),
+    "empirical": (InitialLaw.empirical, ("samples",)),
+}
+
+
 def _build_initial(record: dict, where: str) -> InitialLaw:
     kind = _need(record, "kind", where)
-    if kind == "point":
-        check_keys(record, {"kind", "point"}, where)
-        return InitialLaw.point_mass(_need(record, "point", where))
-    if kind == "gaussian":
-        check_keys(record, {"kind", "mean", "covariance"}, where)
-        return InitialLaw.gaussian(_need(record, "mean", where),
-                                   _need(record, "covariance", where))
-    if kind == "empirical":
-        check_keys(record, {"kind", "samples"}, where)
-        return InitialLaw.empirical(_need(record, "samples", where))
-    raise ArgumentError(
-        f"{where}.kind must be point, gaussian, or empirical, "
-        f"not {kind!r}")
+    if kind not in _INITIAL_KINDS:
+        raise ArgumentError(
+            f"{where}.kind must be point, gaussian, or empirical, "
+            f"not {kind!r}")
+    build, fields = _INITIAL_KINDS[kind]
+    check_keys(record, {"kind", *fields}, where)
+    try:
+        return build(*(_need(record, key, where) for key in fields))
+    except ArgumentError as exc:
+        # the law's message starts with the field it names
+        raise ArgumentError(f"{where}.{exc}") from exc
 
 
 def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -123,31 +124,35 @@ class InitialLaw:
             object.__setattr__(self, "gaussian_law",
                                GaussianLaw(self.mean, self.covariance))
 
+    # Each constructor raises ArgumentError with a message that starts with
+    # the name of the offending argument, unless every entry is a finite
+    # number (a bool is not one) in an array of one shape.
+
     @classmethod
-    def point_mass(cls, x0) -> "InitialLaw":
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        return cls(kind="point", dim=x0.shape[0], point=x0)
+    def point_mass(cls, point) -> "InitialLaw":
+        point = np.atleast_1d(_finite_array(point, "point"))
+        return cls(kind="point", dim=point.shape[0], point=point)
 
     @classmethod
     def gaussian(cls, mean, covariance) -> "InitialLaw":
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
+        mean = np.atleast_1d(_finite_array(mean, "mean"))
+        covariance = np.atleast_2d(_finite_array(covariance, "covariance"))
         if covariance.shape != (mean.shape[0],) * 2:
             raise ArgumentError("covariance shape does not match mean")
         if not np.allclose(covariance, covariance.T, atol=TOL_LINALG):
-            raise ArgumentError("initial covariance must be symmetric")
+            raise ArgumentError("covariance must be symmetric")
         if np.linalg.eigvalsh(covariance).min() < -TOL_LINALG:
-            raise ArgumentError("initial covariance must be PSD")
+            raise ArgumentError("covariance must be PSD")
         return cls(kind="gaussian", dim=mean.shape[0], mean=mean,
                    covariance=covariance)
 
     @classmethod
     def empirical(cls, samples) -> "InitialLaw":
-        samples = np.asarray(samples, dtype=float)
+        samples = _finite_array(samples, "samples")
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.shape[0] == 0:
-            raise ArgumentError("empirical initial law needs samples")
+            raise ArgumentError("samples must hold at least one sample")
         return cls(kind="empirical", dim=samples.shape[1], samples=samples)
 
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -676,6 +681,25 @@ def _numbers(value, nested: bool) -> bool:
     if nested and isinstance(value, (list, tuple)):
         return all(_numbers(v, True) for v in value)
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_array(value, name: str) -> np.ndarray:
+    """value as a float array.
+
+    Raises:
+        ArgumentError: naming it, unless it is a finite number or a (nested)
+            array of finite numbers of one shape.
+    """
+    if _numbers(value, True):
+        try:
+            array = np.asarray(value, dtype=float)
+        except ValueError:
+            array = None
+        if array is not None and np.isfinite(array).all():
+            return array
+    raise ArgumentError(f"{name} must be a finite number or an array of "
+                        f"finite numbers of one shape, got "
+                        f"{reprlib.repr(value)}")
 
 
 def _param(model_id: str, params: dict, name: str, default,

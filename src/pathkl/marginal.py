@@ -297,7 +297,8 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
         (iterations, gradient norm, convergence mode).
 
     Raises:
-        ArgumentError: a sample list is empty, or d != 1 with no basis.
+        ArgumentError: a sample list is empty or holds a NaN or an
+            infinite value, or d != 1 with no basis.
         ConvergenceError: still climbing at max_iter; carries the best value.
     """
     opt = opt or OptimizerConfig()
@@ -309,6 +310,9 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
         x_nu = x_nu[:, None]
     if x_mu.shape[0] == 0 or x_nu.shape[0] == 0:
         raise ArgumentError("both sample lists must be nonempty")
+    for name, x in (("samples_mu", x_mu), ("samples_nu", x_nu)):
+        if not np.isfinite(x).all():
+            raise ArgumentError(f"{name} holds a NaN or an infinite value")
     if basis is None:
         basis = pooled_dv_basis(x_mu, x_nu)
 

@@ -39,7 +39,6 @@ __all__ = [
     "EnergyProfile",
     "gaussian_bump",
     "windowed_monomial",
-    "bump_basis",
     "mixed_basis",
     "basis_from_config",
     "default_energy_basis",
@@ -415,46 +414,40 @@ class FunctionBasis:
         return [dict(family=f.family, **f.meta) for f in self.functions]
 
 
-def bump_basis(lo, hi, n_bumps: int, scale: float | None = None,
-               margin: float = 0.25) -> FunctionBasis:
-    """Evenly spaced Gaussian bumps covering the core of the box.
+def mixed_basis(lo, hi, n_bumps: int, bump_scale: float | None = None,
+                degrees: Sequence[int] = (), margin: float = 0.25,
+                bump_span: tuple[float, float] | None = None) -> FunctionBasis:
+    """Gaussian bumps, then windowed monomials, on one box (d = 1).
 
-    scale defaults to 1.5 x the center spacing, wide enough that neighboring
-    bumps overlap and their span resolves smooth functions on the core.
+    The n_bumps bumps are evenly spaced over bump_span, which defaults to
+    the core of the box (the box inset by margin x its half-width on each
+    side); a single bump sits at the span's midpoint. bump_scale defaults to
+    1.5 x the center spacing (1.5 x half the span's width for one bump),
+    wide enough that neighboring bumps overlap and their span resolves
+    smooth functions. degrees lists the monomials after the bumps.
+
+    Raises:
+        ArgumentError: the box is not one-dimensional, n_bumps is negative,
+            or the basis would be empty.
     """
     lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo_a.shape[0] != 1:
-        raise ArgumentError("bump_basis grids centers in one dimension")
-    if n_bumps < 1:
-        raise ArgumentError("need at least one bump")
-    core_lo = lo_a[0] + margin * 0.5 * (hi_a[0] - lo_a[0])
-    core_hi = hi_a[0] - margin * 0.5 * (hi_a[0] - lo_a[0])
-    centers = np.linspace(core_lo, core_hi, n_bumps)
-    if scale is None:
-        spacing = (centers[1] - centers[0]) if n_bumps > 1 \
-            else 0.5 * (core_hi - core_lo)
-        scale = 1.5 * spacing
-    fns = tuple(gaussian_bump([c], scale, lo_a, hi_a, margin) for c in centers)
-    return FunctionBasis(functions=fns, lo=lo_a, hi=hi_a)
-
-
-def mixed_basis(lo, hi, n_bumps: int, bump_scale: float,
-                degrees: Sequence[int], margin: float = 0.25,
-                bump_span: tuple[float, float] | None = None) -> FunctionBasis:
-    """Gaussian bumps plus windowed monomials on one box (d = 1)."""
-    lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
-    fns: list[BasisFunction] = []
-    if n_bumps > 0:
-        if bump_span is None:
-            span = bump_basis(lo_a, hi_a, n_bumps, bump_scale, margin)
-            fns.extend(span.functions)
-        else:
-            centers = np.linspace(bump_span[0], bump_span[1], n_bumps) \
-                if n_bumps > 1 else np.array([0.5 * sum(bump_span)])
-            fns.extend(gaussian_bump([c], bump_scale, lo_a, hi_a, margin)
-                       for c in centers)
+    if lo_a.shape != (1,) or hi_a.shape != (1,):
+        raise ArgumentError("mixed_basis grids centers in one dimension")
+    if n_bumps < 0:
+        raise ArgumentError(f"need a nonnegative bump count, got {n_bumps}")
+    if bump_span is None:
+        inset = margin * 0.5 * (hi_a[0] - lo_a[0])
+        bump_span = (lo_a[0] + inset, hi_a[0] - inset)
+    span_lo, span_hi = bump_span
+    if n_bumps == 1:
+        centers = np.array([0.5 * (span_lo + span_hi)])
+        spacing = 0.5 * (span_hi - span_lo)
+    else:
+        centers = np.linspace(span_lo, span_hi, n_bumps)
+        spacing = centers[1] - centers[0] if n_bumps else 0.0  # no bump
+    scale = 1.5 * spacing if bump_scale is None else bump_scale
+    fns = [gaussian_bump([c], scale, lo_a, hi_a, margin) for c in centers]
     fns.extend(windowed_monomial(d, lo_a, hi_a, margin) for d in degrees)
     return FunctionBasis(functions=tuple(fns), lo=lo_a, hi=hi_a)
 
@@ -465,19 +458,25 @@ _BASIS_TYPES = {"family": "string", "box": "array of numbers",
                 "degrees": "array of integers", "margin": "number",
                 "bump_span": "array of numbers or null"}
 
+# basis family -> its default monomial degrees, the one field it sets
+_FAMILY_DEGREES = {"bumps": [], "mixed": [0, 1, 2]}
+
 
 def basis_from_config(cfg: dict) -> FunctionBasis:
-    """Build a basis from a config record (CLI surface).
+    """Build a basis from a config record (CLI surface): mixed_basis of the
+    record's fields, where family only picks the default degrees.
 
     Each field must have its JSON type in _BASIS_TYPES.
 
     Raises:
         ArgumentError: an unknown field, a field of the wrong JSON type
             (named basis.<field>), a missing box, a box or bump_span that is
-            not two numbers, or an unknown family.
+            not two numbers, an unknown family, or a negative count.
     """
     check_json_types(cfg, _BASIS_TYPES, "basis")
     family = cfg.get("family", "bumps")
+    if family not in _FAMILY_DEGREES:
+        raise ArgumentError(f"unknown basis family {family!r}")
     box = cfg.get("box")
     if box is None or len(box) != 2:
         raise ArgumentError("basis config needs box: [lo, hi]")
@@ -485,20 +484,13 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
     if span is not None and len(span) != 2:
         raise ArgumentError(f"basis.bump_span must be two numbers [lo, hi], "
                             f"got {span}")
-    lo, hi = float(box[0]), float(box[1])
-    margin = float(cfg.get("margin", 0.25))
-    count = cfg.get("count", 8)
     scale = cfg.get("scale")
-    if family == "bumps":
-        return bump_basis([lo], [hi], count,
-                          None if scale is None else float(scale), margin)
-    if family == "mixed":
-        return mixed_basis([lo], [hi], count,
-                           float(scale) if scale is not None else 2.0,
-                           cfg.get("degrees", [0, 1, 2]), margin,
-                           None if span is None else (float(span[0]),
-                                                      float(span[1])))
-    raise ArgumentError(f"unknown basis family {family!r}")
+    return mixed_basis([float(box[0])], [float(box[1])], cfg.get("count", 8),
+                       None if scale is None else float(scale),
+                       cfg.get("degrees", _FAMILY_DEGREES[family]),
+                       float(cfg.get("margin", 0.25)),
+                       None if span is None else (float(span[0]),
+                                                  float(span[1])))
 
 
 # ---------------------------------------------------------------------------

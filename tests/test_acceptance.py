@@ -21,7 +21,6 @@ from pathkl import (
     RateExperiment,
     SpacePartition,
     TimeGrid,
-    bump_basis,
     chain_estimate,
     diffusion_match_check,
     drift_correction,
@@ -214,7 +213,7 @@ def test_criterion_07_drift_recovery(record):
     # slice recovery at mid-horizon: marginal is N(0.5, 0.5); the basis box
     # is much wider than the evaluation band so the edge taper stays remote
     idx = 64
-    slice_basis = bump_basis([-4.0], [5.0], 10)
+    slice_basis = mixed_basis([-4.0], [5.0], 10)
     res = fokker_planck_residual(ens, spec_p, slice_basis, t_index=idx,
                                  window=8)
     gram = gram_matrix(spec_p, res.t, ens.states[:, idx], slice_basis)
@@ -225,7 +224,7 @@ def test_criterion_07_drift_recovery(record):
     sup_err = float(np.max(np.abs(corr.field(xs)[:, 0] - 1.0)))
 
     profile = residual_energy_profile(
-        ens, spec_p, bump_basis([-4.0], [5.0], 14), window=8, stride=4,
+        ens, spec_p, mixed_basis([-4.0], [5.0], 14), window=8, stride=4,
         t_min_frac=0.15, debias=True)
     reference = _reference_drift_run()["estimate"].value
     integral_ok = abs(profile.integral - reference) <= 0.10 * reference

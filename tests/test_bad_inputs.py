@@ -17,12 +17,13 @@ from pathkl import (
     PositiveDefinitenessError,
     RateExperiment,
     TimeGrid,
-    bump_basis,
     chain_estimate,
     cramer_rate,
+    dv_estimate,
     empirical_rate,
     girsanov_entropy,
     make_model,
+    mixed_basis,
     refinement_sweep,
     residual_energy_profile,
     sample_paths,
@@ -81,7 +82,10 @@ ROUTES = {
                                             200, 5),
     "sample_paths": lambda mu, p: sample_paths(p, INIT, GRID, 200, 5),
     "residual-energy": lambda mu, p: residual_energy_profile(
-        _ensemble(), p, bump_basis([-3.0], [3.0], 6)),
+        _ensemble(), p, mixed_basis([-3.0], [3.0], 6)),
+    "dv-marginal": lambda mu, p: dv_estimate(
+        sample_paths(mu, INIT, GRID, 200, 5).states[:, -1],
+        sample_paths(p, INIT, GRID, 200, 6).states[:, -1]),
     "empirical_rate": lambda mu, p: empirical_rate(
         p, INIT, GRID, RateExperiment("terminal", 1.0, (2, 5), trials=200,
                                       seed=0)),
@@ -101,6 +105,7 @@ EXPECTED = {
     "sweep":           (PD, PD, ME, ME, ME),
     "sample_paths":    (PD, PD, ME, ME, ME),
     "residual-energy": (PD, ME, ME, ME, ME),
+    "dv-marginal":     (PD, PD, ME, ME, ME),
     "empirical_rate":  (PD, PD, ME, ME, ME),
     "cramer_rate":     (PD, PD, CAP, CAP, CAP),
 }

@@ -115,6 +115,39 @@ def test_run_rejects_bump_span_not_two_numbers(tmp_path, capsys, span):
     assert "basis.bump_span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side,record,field", [
+    ("initial_mu", {"kind": "point", "point": [True]}, "point"),
+    ("initial_P", {"kind": "point", "point": "abc"}, "point"),
+    ("initial_mu", {"kind": "gaussian", "mean": [0.0],
+                    "covariance": [[True]]}, "covariance"),
+    ("initial_P", {"kind": "gaussian", "mean": [math.inf],
+                   "covariance": [[1.0]]}, "mean"),
+    ("initial_mu", {"kind": "empirical",
+                    "samples": [[0.0]] * 1999 + [[math.nan]]}, "samples"),
+], ids=["point-bool", "point-string", "covariance-bool", "mean-inf",
+        "samples-nan"])
+def test_run_rejects_initial_entries_that_are_not_finite_numbers(
+        tmp_path, capsys, side, record, field):
+    # [true] on both sides used to run from x0 = 1; "abc" exited 1 with
+    # numpy's message; an undrawn NaN sample gave a NaN initial term
+    cfg = _girsanov_cfg(**{side: record})
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "i.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{side}.{field} must be a finite number" in \
+        capsys.readouterr().err
+
+
+def test_run_rejects_negative_basis_count(tmp_path, capsys):
+    # mixed used to build its monomials only
+    basis = {"family": "mixed", "box": [-3, 3], "count": -1}
+    cfg = _girsanov_cfg(estimator="dv-marginal",
+                        estimator_params={"basis": basis})
+    assert main(["run", "--config", _write(tmp_path, "n.json", cfg)]) == 2
+    assert "nonnegative bump count" in capsys.readouterr().err
+
+
 def test_run_chain_requires_dyadic_steps(tmp_path, capsys):
     cfg = _girsanov_cfg(estimator="chain",
                         estimator_params={"levels": 3},

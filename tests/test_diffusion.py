@@ -14,12 +14,12 @@ from pathkl import (
     Partition,
     PositiveDefinitenessError,
     TimeGrid,
-    bump_basis,
     chain_estimate,
     cramer_rate,
     euler_step_law,
     girsanov_entropy,
     make_model,
+    mixed_basis,
     refinement_sweep,
     register_model,
     residual_energy_profile,
@@ -112,6 +112,36 @@ def test_step_law_rejects_bad_matrix(matrix, error):
 
 # ---------------------------------------------------------------------------
 # initial laws and the time grid
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: InitialLaw.point_mass([True]), "point"),
+    (lambda: InitialLaw.point_mass("abc"), "point"),
+    (lambda: InitialLaw.point_mass([0.0, np.inf]), "point"),
+    (lambda: InitialLaw.gaussian([0.0], [[True]]), "covariance"),
+    (lambda: InitialLaw.gaussian([np.nan], [[1.0]]), "mean"),
+    (lambda: InitialLaw.gaussian(["0"], [[1.0]]), "mean"),
+    (lambda: InitialLaw.empirical(np.r_[np.zeros(1999), np.nan]), "samples"),
+    (lambda: InitialLaw.empirical([[0.0], [-np.inf]]), "samples"),
+    (lambda: InitialLaw.empirical(np.array([[True], [False]])), "samples"),
+    (lambda: InitialLaw.empirical([[0.0], [1.0, 2.0]]), "samples"),
+], ids=["point-bool", "point-string", "point-inf", "covariance-bool",
+        "mean-nan", "mean-string", "empirical-nan", "empirical-inf",
+        "empirical-bool-array", "empirical-ragged"])
+def test_initial_laws_refuse_entries_that_are_not_finite_numbers(build,
+                                                                  field):
+    # [True] used to be the point 1.0, [[True]] the covariance [[1.0]], and
+    # an undrawn NaN sample a NaN initial term in girsanov_entropy
+    with pytest.raises(ArgumentError, match=f"^{field} must be"):
+        build()
+
+
+def test_initial_laws_take_numbers_and_numeric_arrays():
+    assert InitialLaw.point_mass(0.5).point.tolist() == [0.5]
+    assert InitialLaw.point_mass(np.array([1, 2])).dim == 2
+    law = InitialLaw.gaussian(np.float32(0.5), [[2]])
+    assert law.covariance.tolist() == [[2.0]]
+    assert InitialLaw.empirical(np.arange(4)).samples.shape == (4, 1)
 
 
 def _single_draws(init, gen, size):
@@ -559,7 +589,7 @@ def test_constant_matrix_stands_in_for_diffusion_matrix():
             refinement_sweep(g_mu, g_p, init, init, grid, 4, 300, 7).estimates,
             refinement_sweep(mu, p, init, init, grid, 4, 300, 7).estimates):
         same(got.total, want.total)
-    basis = bump_basis([-3.0], [3.0], 6)
+    basis = mixed_basis([-3.0], [3.0], 6)
     got = residual_energy_profile(ens, g_p, basis)
     want = residual_energy_profile(ens, p, basis)
     assert np.array_equal(got.values, want.values)

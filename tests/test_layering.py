@@ -1,6 +1,7 @@
 """Module boundaries inside the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pathkl
@@ -19,3 +20,15 @@ def test_no_private_name_crosses_a_module_boundary():
                               f"{alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
     assert crossings == []
+
+
+def test_every_exported_name_is_defined():
+    # a deleted function must not stay listed in an __all__
+    undefined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "pathkl" if path.stem == "__init__" else f"pathkl.{path.stem}"
+        module = importlib.import_module(name)
+        undefined += [f"{name}.{export}"
+                      for export in getattr(module, "__all__", ())
+                      if not hasattr(module, export)]
+    assert undefined == []

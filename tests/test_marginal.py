@@ -304,6 +304,20 @@ def test_dv_empty_samples():
         dv_estimate(np.zeros((5, 1)), np.zeros((0, 1)), _wide_basis())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["samples_mu", "samples_nu"])
+def test_dv_refuses_nonfinite_samples(side, bad):
+    # one such draw among 500 used to give value nan, convergence "stalled"
+    rng = np.random.default_rng(3)
+    samples = {"samples_mu": rng.normal(size=(500, 1)),
+               "samples_nu": rng.normal(size=(500, 1))}
+    samples[side][17, 0] = bad
+    for basis in (None, _wide_basis()):
+        with pytest.raises(ArgumentError, match=side):
+            dv_estimate(**samples, basis=basis)
+
+
 def test_dv_convergence_error_carries_best_value():
     rng = np.random.default_rng(0)
     mu = 2.0 * rng.normal(size=(4000, 1))

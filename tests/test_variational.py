@@ -1,7 +1,10 @@
 """Test-function families, Gram geometry, residual action, dual energy."""
 
+import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from pathkl import (
     PositiveDefinitenessError,
     TimeGrid,
     basis_from_config,
-    bump_basis,
     drift_correction,
     dual_energy,
     dv_estimate,
@@ -32,6 +34,8 @@ from pathkl import (
     windowed_monomial,
 )
 from pathkl import variational
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _fd_gradient(f, x, h=1e-6):
@@ -109,7 +113,7 @@ def test_batched_evaluation_matches_scalar():
 
 def test_basis_builders_validate():
     with pytest.raises(ArgumentError):
-        bump_basis([-1.0], [1.0], 0)
+        mixed_basis([-1.0], [1.0], 0)
     with pytest.raises(ArgumentError):
         gaussian_bump([0.0], -1.0, [-1.0], [1.0])
     with pytest.raises(ArgumentError):
@@ -128,19 +132,76 @@ def test_basis_from_config_strict():
     assert basis.size == 6
 
 
-def test_basis_from_config_bumps_family():
-    # the README's example: 12 bumps on the core of [-4, 5], scale 1.5x
-    # their spacing
-    basis = basis_from_config({"family": "bumps", "box": [-4, 5],
-                               "count": 12, "scale": None, "margin": 0.25})
-    described = basis.describe()
-    assert [f["family"] for f in described] == ["bump"] * 12
-    centers = [f["center"][0] for f in described]
-    assert centers[0] == pytest.approx(-2.875, abs=1e-15)
-    assert {f["scale"] for f in described} == {described[0]["scale"]}
-    assert described[0]["scale"] == pytest.approx(
-        1.5 * (centers[1] - centers[0]), rel=1e-14)
-    assert described[0]["scale"] == pytest.approx(10.125 / 11, rel=1e-14)
+def _readme_basis_examples():
+    """(config, documented bumps, degrees) for each README basis example:
+    a JSON record, then a comment line stating its bumps and monomials."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("Basis configs"):]
+    block = block[block.index("```jsonc\n") + 9:]
+    block = block[:block.index("```")]
+    examples = []
+    for record, note in re.findall(r"(\{.*?\})\s*// ([^\n]*)", block,
+                                   re.S):
+        count, first, last, scale = re.match(
+            r"(\d+) bumps from (\S+) to (\S+), scale ([\d.]+);",
+            note).groups()
+        degrees = re.search(r"monomials of degree ([\d, ]+)$", note)
+        examples.append((json.loads(record),
+                         (int(count), float(first), float(last),
+                          float(scale)),
+                         [] if degrees is None
+                         else [int(d) for d in degrees[1].split(",")]))
+    return examples
+
+
+def test_readme_basis_examples_build_as_documented():
+    # each README example builds the bumps and monomials its comment states
+    examples = _readme_basis_examples()
+    assert [cfg["family"] for cfg, _, _ in examples] == ["bumps", "mixed"]
+    for cfg, (count, first, last, scale), degrees in examples:
+        described = basis_from_config(cfg).describe()
+        bumps = [f for f in described if f["family"] == "bump"]
+        centers = [f["center"][0] for f in bumps]
+        assert len(bumps) == count
+        assert centers[0] == pytest.approx(first, abs=1e-12)
+        assert centers[-1] == pytest.approx(last, abs=1e-12)
+        assert np.allclose(np.diff(centers), (last - first) / (count - 1),
+                           rtol=1e-12)
+        assert {f["scale"] for f in bumps} == {bumps[0]["scale"]}
+        assert bumps[0]["scale"] == pytest.approx(scale, abs=5e-6)
+        assert [f["degree"][0] for f in described
+                if f["family"] == "poly"] == degrees
+        assert described[:count] == bumps
+
+
+def test_basis_families_differ_only_in_default_degrees():
+    # bumps used to drop bump_span and degrees: three bumps on the core
+    cfg = {"box": [-1, 1], "count": 3, "bump_span": [0, 1], "degrees": [5]}
+    for family in ("bumps", "mixed"):
+        assert basis_from_config({"family": family, **cfg}).describe() == [
+            {"family": "bump", "center": [c], "scale": 0.75}
+            for c in (0.0, 0.5, 1.0)] + [{"family": "poly", "degree": [5]}]
+    bumps = basis_from_config({"family": "bumps", "box": [-3, 3],
+                               "count": 4})
+    mixed = basis_from_config({"family": "mixed", "box": [-3, 3],
+                               "count": 4, "scale": None})
+    assert mixed.describe() == bumps.describe() + [
+        {"family": "poly", "degree": [d]} for d in (0, 1, 2)]
+
+
+def test_mixed_basis_rules():
+    # a single bump sits at the span's midpoint, scale 1.5x its half-width
+    assert mixed_basis([-1.0], [1.0], 1).describe() == [
+        {"family": "bump", "center": [0.0], "scale": 1.125}]
+    assert mixed_basis([-1.0], [1.0], 1, bump_span=(0.0, 1.0)).describe() \
+        == [{"family": "bump", "center": [0.5], "scale": 0.75}]
+    assert mixed_basis([-1.0], [1.0], 0, degrees=[1]).size == 1
+    with pytest.raises(ArgumentError, match="one dimension"):
+        mixed_basis([-1.0, -1.0], [1.0, 1.0], 3)
+    with pytest.raises(ArgumentError, match="nonnegative"):
+        mixed_basis([-1.0], [1.0], -1, degrees=[0])
+    with pytest.raises(ArgumentError, match="nonnegative"):
+        basis_from_config({"family": "mixed", "box": [-1, 1], "count": -1})
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +267,7 @@ def test_residual_zero_under_reference():
     grid = TimeGrid.uniform(1.0, 64)
     spec = make_model("brownian", {})
     ens = sample_paths(spec, InitialLaw.point_mass([0.0]), grid, 4000, 0)
-    basis = bump_basis([-3.5], [3.5], 6)
+    basis = mixed_basis([-3.5], [3.5], 6)
     res = fokker_planck_residual(ens, spec, basis, t_index=32, window=4)
     se = np.sqrt(np.diag(res.cov_mean))
     assert np.all(np.abs(res.values) <= 3 * se)
@@ -239,7 +300,7 @@ def test_residual_window_validation():
     grid = TimeGrid.uniform(1.0, 16)
     spec = make_model("brownian", {})
     ens = sample_paths(spec, InitialLaw.point_mass([0.0]), grid, 8, 0)
-    basis = bump_basis([-2.0], [2.0], 3)
+    basis = mixed_basis([-2.0], [2.0], 3)
     with pytest.raises(ArgumentError):
         fokker_planck_residual(ens, spec, basis, t_index=0, window=1)
     with pytest.raises(ArgumentError):
@@ -316,7 +377,7 @@ def test_dual_energy_monotone_in_basis():
     mu = make_model("constant_drift", {"theta": 1.0})
     P = make_model("brownian", {})
     ens = sample_paths(mu, InitialLaw.point_mass([0.0]), grid, 3000, 5)
-    small = bump_basis([-2.5], [3.5], 4)
+    small = mixed_basis([-2.5], [3.5], 4)
     large = FunctionBasis(
         functions=small.functions + (gaussian_bump([0.5], 0.6, [-2.5],
                                                    [3.5]),),
@@ -334,7 +395,7 @@ def test_dual_energy_scale_invariant():
     mu = make_model("constant_drift", {"theta": 1.0})
     P = make_model("brownian", {})
     ens = sample_paths(mu, InitialLaw.point_mass([0.0]), grid, 2000, 6)
-    base = bump_basis([-2.5], [3.5], 5)
+    base = mixed_basis([-2.5], [3.5], 5)
     alpha = 3.7
 
     def scaled(f):
@@ -360,7 +421,7 @@ def test_dual_energy_scale_invariant():
 
 
 def test_recovered_field_zero_action():
-    basis = bump_basis([-2.0], [2.0], 3)
+    basis = mixed_basis([-2.0], [2.0], 3)
     samples = np.random.default_rng(0).normal(size=(100, 1))
     P = make_model("brownian", {})
     gram = gram_matrix(P, 0.5, samples, basis)
@@ -431,7 +492,7 @@ def _basis_mixed_with_custom():
 
 
 STACK_BASES = pytest.mark.parametrize("make", [
-    lambda: bump_basis([-3.0], [2.0], 12),
+    lambda: mixed_basis([-3.0], [2.0], 12),
     lambda: mixed_basis([-2.5], [2.5], 4, 0.9, [0, 1, 2]),
     lambda: mixed_basis([-2.5], [2.5], 5, 0.9, [0, 1, 2, 3],
                         bump_span=(-1.0, 1.0)),
@@ -464,7 +525,7 @@ def test_stacks_equal_per_function_evaluation(make):
 
 def test_custom_bump_label_keeps_its_own_callables():
     # a custom function evaluates through its callables whatever its label
-    base = bump_basis([-2.0], [2.0], 3)
+    base = mixed_basis([-2.0], [2.0], 3)
     scaled = BasisFunction(value=lambda x: 2.0 * base.functions[0].value(x),
                            gradient=lambda x: 2.0 * base.functions[0]
                            .gradient(x),
@@ -663,7 +724,7 @@ def test_nan_reference_coefficient_fails_loudly(nan_drift):
         diffusion_matrix=lambda t, x: (
             1.0 + _nan_above_half(x, not nan_drift))[..., None],
         constant_matrix=np.eye(1) if nan_drift else None)
-    basis = bump_basis([-3.0], [3.0], 6)
+    basis = mixed_basis([-3.0], [3.0], 6)
     with pytest.raises(ModelEvaluationError, match=r"NaN on some path at "
                                                    r"t = 0\.\d"):
         residual_energy_profile(ens, spec, basis)
@@ -676,4 +737,4 @@ def test_nan_reference_coefficient_fails_loudly(nan_drift):
 def test_gram_matrix_rejects_non_pd_constant_matrix():
     with pytest.raises(PositiveDefinitenessError):
         gram_matrix(make_model("brownian", {"a": -1.0}), 0.5,
-                    np.zeros((10, 1)), bump_basis([-3.0], [3.0], 6))
+                    np.zeros((10, 1)), mixed_basis([-3.0], [3.0], 6))
