@@ -46,6 +46,7 @@ __all__ = [
     "register_model",
     "model_ids",
     "model_params",
+    "param",
 ]
 
 # Smallest admissible eigenvalue of a diffusion matrix.
@@ -105,24 +106,13 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Time-zero law: point mass, Gaussian, or empirical sample list.
-
-    A Gaussian law draws through its GaussianLaw, made once with the law.
-    """
+    """Time-zero law: point mass, Gaussian, or empirical sample list."""
 
     kind: str
     dim: int
     point: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    covariance: np.ndarray | None = None
+    gaussian_law: GaussianLaw | None = None
     samples: np.ndarray | None = None
-    gaussian_law: GaussianLaw | None = field(default=None, init=False,
-                                             repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind == "gaussian":
-            object.__setattr__(self, "gaussian_law",
-                               GaussianLaw(self.mean, self.covariance))
 
     # Each constructor raises ArgumentError with a message that starts with
     # the name of the offending argument, unless every entry is a finite
@@ -135,16 +125,8 @@ class InitialLaw:
 
     @classmethod
     def gaussian(cls, mean, covariance) -> "InitialLaw":
-        mean = np.atleast_1d(_finite_array(mean, "mean"))
-        covariance = np.atleast_2d(_finite_array(covariance, "covariance"))
-        if covariance.shape != (mean.shape[0],) * 2:
-            raise ArgumentError("covariance shape does not match mean")
-        if not np.allclose(covariance, covariance.T, atol=TOL_LINALG):
-            raise ArgumentError("covariance must be symmetric")
-        if np.linalg.eigvalsh(covariance).min() < -TOL_LINALG:
-            raise ArgumentError("covariance must be PSD")
-        return cls(kind="gaussian", dim=mean.shape[0], mean=mean,
-                   covariance=covariance)
+        law = GaussianLaw(mean, covariance)
+        return cls(kind="gaussian", dim=law.mean.shape[0], gaussian_law=law)
 
     @classmethod
     def empirical(cls, samples) -> "InitialLaw":
@@ -241,20 +223,34 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class GaussianLaw:
-    """Mean and covariance of a Gaussian law (one-step transition, oracle)."""
+    """Mean and covariance of a Gaussian law (initial law, one-step
+    transition, oracle).
+
+    Raises:
+        ArgumentError: with a message that starts with mean or covariance,
+            unless every entry is a finite number, the mean a d-vector and
+            the covariance a d x d symmetric PSD matrix, both within
+            TOL_LINALG (1 + max |covariance|).
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
+        mean = np.atleast_1d(_finite_array(self.mean, "mean"))
+        cov = np.atleast_2d(_finite_array(self.covariance, "covariance"))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        if mean.ndim != 1:
+            raise ArgumentError(f"mean must be a vector, got shape "
+                                f"{mean.shape}")
         if cov.shape != (mean.shape[0],) * 2:
             raise ArgumentError("covariance shape does not match mean")
-        if not np.allclose(cov, cov.T, atol=1e-8 * (1 + np.abs(cov).max())):
+        tol = TOL_LINALG * (1 + np.abs(cov).max())
+        if not np.allclose(cov, cov.T, atol=tol):
             raise ArgumentError("covariance must be symmetric")
+        if np.linalg.eigvalsh(cov).min() < -tol:
+            raise ArgumentError("covariance must be PSD")
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -702,32 +698,33 @@ def _finite_array(value, name: str) -> np.ndarray:
                         f"{reprlib.repr(value)}")
 
 
-def _param(model_id: str, params: dict, name: str, default,
-           array: bool = False):
+def param(owner: str, params: dict, name: str, default,
+          array: bool = False, kind: str = "model"):
     """params[name] (default when unset) as a float, or as a float array
-    when the param takes a vector or matrix (array set).
+    when the param takes a vector or matrix (array set). owner is the id of
+    the model, or of what kind names (an oracle "scenario"), that reads it.
 
     Raises:
-        ArgumentError: naming the model and the param, unless the value is
+        ArgumentError: naming the owner and the param, unless the value is
             a number, or for an array param a (nested) array of numbers of
             one shape.
     """
     value = params.get(name, default)
-    kind = "a number or an array of numbers" if array else "a number"
+    expected = "a number or an array of numbers" if array else "a number"
     if _numbers(value, array):
         try:
             return np.asarray(value, dtype=float) if array else float(value)
         except ValueError:
-            kind = "an array of numbers of one shape"
-    raise ArgumentError(f"model {model_id!r} param {name!r} must be {kind}, "
-                        f"got {value!r}")
+            expected = "an array of numbers of one shape"
+    raise ArgumentError(f"{kind} {owner!r} param {name!r} must be "
+                        f"{expected}, got {value!r}")
 
 
 def _vector(model_id: str, params: dict, name: str, default,
             dim: int) -> np.ndarray:
     """An array param broadcast to shape (dim,); ArgumentError if it does
     not broadcast."""
-    value = _param(model_id, params, name, default, array=True)
+    value = param(model_id, params, name, default, array=True)
     try:
         return np.broadcast_to(value, (dim,)).copy()
     except ValueError:
@@ -739,7 +736,7 @@ def _constant_model(model_id: str, params: dict, dim: int,
                     drift) -> DiffusionSpec:
     """A catalog model with drift and the constant matrix params["a"]
     (a scalar means a multiple of the identity)."""
-    a = _param(model_id, params, "a", 1.0, array=True)
+    a = param(model_id, params, "a", 1.0, array=True)
     if a.ndim == 0:
         a = float(a) * np.eye(dim)
     a = np.atleast_2d(a)
@@ -776,7 +773,7 @@ def _build_constant_drift(params: dict, dim: int) -> DiffusionSpec:
 
 
 def _build_ou(params: dict, dim: int) -> DiffusionSpec:
-    gamma = _param("ou", params, "gamma", 1.0)
+    gamma = param("ou", params, "gamma", 1.0)
 
     def drift(t, x):
         return -gamma * np.asarray(x, dtype=float)
@@ -793,7 +790,7 @@ def _build_double_well(params: dict, dim: int) -> DiffusionSpec:
 
 
 def _build_linear(params: dict, dim: int) -> DiffusionSpec:
-    amat = np.atleast_2d(_param("linear", params, "A", 0.0, array=True))
+    amat = np.atleast_2d(param("linear", params, "A", 0.0, array=True))
     if amat.shape != (dim, dim):
         raise ArgumentError(f"A must be {dim}x{dim}")
     b0 = _vector("linear", params, "b0", 0.0, dim)
@@ -810,8 +807,8 @@ def _build_sine_diffusion(params: dict, dim: int) -> DiffusionSpec:
     # non-constant code paths and the match check's bulk statistics.
     if dim != 1:
         raise ArgumentError("sine_diffusion is one-dimensional")
-    a0 = _param("sine_diffusion", params, "a", 1.0)
-    amp = _param("sine_diffusion", params, "amplitude", 0.5)
+    a0 = param("sine_diffusion", params, "a", 1.0)
+    amp = param("sine_diffusion", params, "amplitude", 0.5)
     if not 0 <= amp < 1:
         raise ArgumentError("amplitude must lie in [0, 1)")
 

@@ -4,6 +4,7 @@ config records, and the CLI exit-code mapping."""
 from __future__ import annotations
 
 import json
+import math
 
 __all__ = [
     "ArgumentError",
@@ -75,7 +76,8 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 # JSON type -> Python types of its values; "array of Ts" holds T values and
-# "T or null" also holds null
+# "T or null" also holds null. A number is finite: json.load takes NaN and
+# +-Infinity, which no key means.
 _JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool,
                "string": str, "object": dict}
 
@@ -101,7 +103,8 @@ def _has_type(value, json_type: str) -> bool:
         return isinstance(value, list) and all(_has_type(v, item)
                                                for v in value)
     return (isinstance(value, _JSON_TYPES[json_type])
-            and isinstance(value, bool) == (json_type == "boolean"))
+            and isinstance(value, bool) == (json_type == "boolean")
+            and (json_type != "number" or math.isfinite(value)))
 
 
 def check_json_types(record: dict, types: dict, where: str) -> dict:

@@ -29,6 +29,9 @@ class EntropyEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if math.isnan(self.value) or math.isnan(self.std_error):
+            raise ValueError(f"entropy estimate {self.value} with std_error "
+                             f"{self.std_error} is NaN")
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
         if not self.is_infinite and self.value < -TOL_LINALG:

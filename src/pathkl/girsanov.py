@@ -25,6 +25,7 @@ from .diffusion import (
     PairCoefficients,
     PathEnsemble,
     diffusion_match_check,
+    param,
 )
 from .errors import ArgumentError, CapabilityError
 from .estimates import EntropyEstimate, clamp_at_zero
@@ -104,15 +105,23 @@ class ScenarioOracle:
     params: dict = field(default_factory=dict)
 
 
-def _oracle_constant_drift(params: dict) -> float:
+def _positive(value: float, name: str) -> float:
+    if value <= 0:
+        raise ArgumentError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _oracle_constant_drift(read) -> float:
     """Constant-drift model against driftless, shared constant diffusion.
 
     Both started from the same point mass; value is theta' a^{-1} theta T/2.
     """
-    theta = np.atleast_1d(np.asarray(params.get("theta", 1.0), dtype=float))
-    horizon = float(params.get("horizon", 1.0))
-    a = params.get("a", 1.0)
-    a_mat = np.asarray(a, dtype=float)
+    theta = np.atleast_1d(read("theta", 1.0, array=True))
+    horizon = _positive(read("horizon", 1.0), "horizon")
+    a_mat = read("a", 1.0, array=True)
+    if np.linalg.eigvalsh(np.atleast_2d(a_mat)).min() <= 0:
+        raise ArgumentError(f"a must be positive definite, got "
+                            f"{a_mat.tolist()}")
     if a_mat.ndim == 0:
         quad = float(theta @ theta) / float(a_mat)
     else:
@@ -120,39 +129,31 @@ def _oracle_constant_drift(params: dict) -> float:
     return 0.5 * quad * horizon
 
 
-def _oracle_ou_vs_bm(params: dict) -> float:
+def _oracle_ou_vs_bm(read) -> float:
     """Mean-reverting linear drift against driftless, both from zero.
 
     The diffusion constant cancels:
     (gamma/4) * (T - (1 - exp(-2 gamma T)) / (2 gamma)).
     """
-    gamma = float(params.get("gamma", 1.0))
-    horizon = float(params.get("horizon", 1.0))
-    if gamma <= 0:
-        raise ArgumentError("gamma must be positive")
+    gamma = _positive(read("gamma", 1.0), "gamma")
+    horizon = _positive(read("horizon", 1.0), "horizon")
     return 0.25 * gamma * (
         horizon - (1.0 - math.exp(-2.0 * gamma * horizon)) / (2.0 * gamma))
 
 
-def _oracle_linear_vs_linear(params: dict) -> float:
+def _oracle_linear_vs_linear(read) -> float:
     """Scalar linear drifts a1 x + b1 vs a2 x + b2, shared constant a.
 
     From a point mass at x0 the first moment and variance are explicit
     exponentials, so the drift-gap integral reduces to exponential
     integrals (polynomial ones when a1 = 0).
     """
-    a1 = float(params.get("a1", 0.0))
-    b1 = float(params.get("b1", 0.0))
-    a2 = float(params.get("a2", 0.0))
-    b2 = float(params.get("b2", 0.0))
-    a = float(params.get("a", 1.0))
-    x0 = float(params.get("x0", 0.0))
-    horizon = float(params.get("horizon", 1.0))
-    if a <= 0:
-        raise ArgumentError("diffusion constant must be positive")
+    a1, b1, a2, b2 = (read(name, 0.0) for name in ("a1", "b1", "a2", "b2"))
+    a = _positive(read("a", 1.0), "diffusion constant a")
+    x0 = read("x0", 0.0)
+    T = _positive(read("horizon", 1.0), "horizon")
     d_a = a1 - a2
     d_b = b1 - b2
-    T = horizon
 
     if a1 != 0.0:
         alpha = x0 + b1 / a1
@@ -175,10 +176,13 @@ def _oracle_linear_vs_linear(params: dict) -> float:
     return 0.5 * integral / a
 
 
+# scenario -> (closed form of a param reader, the param names it reads)
 _ORACLES = {
-    "constant_drift_vs_brownian": _oracle_constant_drift,
-    "ou_vs_brownian": _oracle_ou_vs_bm,
-    "linear_vs_linear": _oracle_linear_vs_linear,
+    "constant_drift_vs_brownian": (_oracle_constant_drift,
+                                   ("theta", "horizon", "a")),
+    "ou_vs_brownian": (_oracle_ou_vs_bm, ("gamma", "horizon")),
+    "linear_vs_linear": (_oracle_linear_vs_linear,
+                         ("a1", "b1", "a2", "b2", "a", "x0", "horizon")),
 }
 
 
@@ -191,10 +195,28 @@ def analytic_entropy(oracle: ScenarioOracle) -> float:
 
     Raises:
         CapabilityError: the scenario has no closed form here.
+        ArgumentError: a param name the scenario does not read, a value
+            that is not a finite number (or array of them where the param
+            takes one), or a horizon, gamma or diffusion constant that is
+            not positive.
     """
-    fn = _ORACLES.get(oracle.scenario)
-    if fn is None:
+    if oracle.scenario not in _ORACLES:
         raise CapabilityError(
             f"no closed form for scenario {oracle.scenario!r}; "
             f"known: {', '.join(scenario_ids())}")
-    return fn(oracle.params)
+    fn, names = _ORACLES[oracle.scenario]
+    unknown = set(oracle.params) - set(names)
+    if unknown:
+        raise ArgumentError(
+            f"unknown params for scenario {oracle.scenario!r}: "
+            f"{sorted(unknown)}; allowed: {sorted(names)}")
+
+    def read(name: str, default, array: bool = False):
+        value = param(oracle.scenario, oracle.params, name, default, array,
+                      kind="scenario")
+        if not np.isfinite(value).all():
+            raise ArgumentError(f"scenario {oracle.scenario!r} param "
+                                f"{name!r} must be finite, got {value}")
+        return value
+
+    return fn(read)

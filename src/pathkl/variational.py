@@ -78,6 +78,8 @@ class _Window:
             raise ArgumentError("window margin must lie in (0, 1)")
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ArgumentError("domain box must be finite")
         if np.any(self.hi <= self.lo):
             raise ArgumentError("domain box must have positive extent")
         self.center = 0.5 * (self.lo + self.hi)
@@ -277,8 +279,8 @@ def gaussian_bump(center, scale: float, lo, hi,
         margin: window margin as a fraction of the half-width.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if scale <= 0:
-        raise ArgumentError("bump scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ArgumentError("bump scale must be finite and positive")
     window = _Window(np.broadcast_to(lo, center.shape),
                      np.broadcast_to(hi, center.shape), margin)
     core = _BumpCore(center=center, scale=float(scale), window=window)
@@ -427,19 +429,26 @@ def mixed_basis(lo, hi, n_bumps: int, bump_scale: float | None = None,
     smooth functions. degrees lists the monomials after the bumps.
 
     Raises:
-        ArgumentError: the box is not one-dimensional, n_bumps is negative,
-            or the basis would be empty.
+        ArgumentError: the box is not one-dimensional, finite and of
+            positive extent, the margin is outside (0, 1), n_bumps is
+            negative, bumps are placed on a bump_span that is not an
+            increasing pair inside the box, or the basis would be empty.
     """
     lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo_a.shape != (1,) or hi_a.shape != (1,):
         raise ArgumentError("mixed_basis grids centers in one dimension")
+    _Window(lo_a, hi_a, margin)  # the box and margin, before the span
     if n_bumps < 0:
         raise ArgumentError(f"need a nonnegative bump count, got {n_bumps}")
     if bump_span is None:
         inset = margin * 0.5 * (hi_a[0] - lo_a[0])
         bump_span = (lo_a[0] + inset, hi_a[0] - inset)
     span_lo, span_hi = bump_span
+    if n_bumps and not lo_a[0] <= span_lo < span_hi <= hi_a[0]:
+        raise ArgumentError(
+            f"bump_span must be an increasing pair inside the box "
+            f"[{lo_a[0]}, {hi_a[0]}], got [{span_lo}, {span_hi}]")
     if n_bumps == 1:
         centers = np.array([0.5 * (span_lo + span_hi)])
         spacing = 0.5 * (span_hi - span_lo)
@@ -471,7 +480,8 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
     Raises:
         ArgumentError: an unknown field, a field of the wrong JSON type
             (named basis.<field>), a missing box, a box or bump_span that is
-            not two numbers, an unknown family, or a negative count.
+            not two numbers, an unknown family, or what mixed_basis refuses
+            (a bump_span outside the box is named basis.bump_span).
     """
     check_json_types(cfg, _BASIS_TYPES, "basis")
     family = cfg.get("family", "bumps")
@@ -485,12 +495,19 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
         raise ArgumentError(f"basis.bump_span must be two numbers [lo, hi], "
                             f"got {span}")
     scale = cfg.get("scale")
-    return mixed_basis([float(box[0])], [float(box[1])], cfg.get("count", 8),
-                       None if scale is None else float(scale),
-                       cfg.get("degrees", _FAMILY_DEGREES[family]),
-                       float(cfg.get("margin", 0.25)),
-                       None if span is None else (float(span[0]),
-                                                  float(span[1])))
+    try:
+        return mixed_basis([float(box[0])], [float(box[1])],
+                           cfg.get("count", 8),
+                           None if scale is None else float(scale),
+                           cfg.get("degrees", _FAMILY_DEGREES[family]),
+                           float(cfg.get("margin", 0.25)),
+                           None if span is None else (float(span[0]),
+                                                      float(span[1])))
+    except ArgumentError as exc:
+        # mixed_basis names its bump_span argument, which is this field
+        if str(exc).startswith("bump_span"):
+            raise ArgumentError(f"basis.{exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

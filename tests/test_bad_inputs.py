@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 from pathkl import (
+    ArgumentError,
     CapabilityError,
     DiffusionSpec,
+    EntropyEstimate,
+    GaussianLaw,
     InitialLaw,
     ModelEvaluationError,
     Partition,
     PositiveDefinitenessError,
     RateExperiment,
+    ScenarioOracle,
     TimeGrid,
+    analytic_entropy,
     chain_estimate,
     cramer_rate,
     dv_estimate,
@@ -138,3 +143,38 @@ def test_nan_and_inf_are_named_apart():
         chain_estimate(*DEFECTS["nan-drift"], INIT, INIT, part, ensemble=ens)
     with pytest.raises(ME, match=r"is infinite on some path at t = 0\.5"):
         chain_estimate(*DEFECTS["inf-drift"], INIT, INIT, part, ensemble=ens)
+
+
+# constructor -> a build of one value, and the finite value out of its
+# range: a covariance entry that makes it indefinite, a bump_span end
+# outside the box, a negative diffusion constant
+CONSTRUCTORS = {
+    "GaussianLaw": (lambda v: GaussianLaw(np.zeros(2), [[1.0, 0.0],
+                                                         [0.0, v]]), -1.0),
+    "InitialLaw.gaussian": (lambda v: InitialLaw.gaussian(
+        np.zeros(2), [[1.0, 0.0], [0.0, v]]), -1.0),
+    "mixed_basis": (lambda v: mixed_basis([-1.0], [1.0], 3,
+                                          bump_span=(0.0, v)), 5.0),
+    "analytic_entropy": (lambda v: analytic_entropy(ScenarioOracle(
+        "constant_drift_vs_brownian", {"a": v})), -1.0),
+}
+
+
+@pytest.mark.parametrize("column", ["nan", "inf", "out-of-range"])
+@pytest.mark.parametrize("constructor", CONSTRUCTORS)
+def test_every_constructor_refuses_every_bad_value(constructor, column):
+    # each used to build: a NaN or negative covariance a law whose KL, cell
+    # probabilities or draws were plausible numbers, a span off the box a
+    # basis that reads 0 there, a negative a an oracle value of -0.5
+    build, bad = CONSTRUCTORS[constructor]
+    with pytest.raises(ArgumentError):
+        build({"nan": np.nan, "inf": np.inf, "out-of-range": bad}[column])
+
+
+@pytest.mark.parametrize("value,std_error", [(np.nan, 0.0), (0.5, np.nan)],
+                         ids=["value", "std_error"])
+def test_no_estimate_is_nan(value, std_error):
+    # the net under every route: a NaN that slips past a route's own
+    # checks is refused where the estimate is made
+    with pytest.raises(ValueError, match="is NaN"):
+        EntropyEstimate(value, std_error, "test")

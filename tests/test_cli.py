@@ -290,6 +290,50 @@ def test_run_rejects_wrong_typed_basis_fields(tmp_path, capsys, field,
     assert f"basis.{field} must be of type" in capsys.readouterr().err
 
 
+def _ou_cfg(estimator, **params):
+    return _girsanov_cfg(model_mu={"id": "ou", "params": {"gamma": 1.0}},
+                         estimator=estimator, estimator_params=params,
+                         grid={"horizon": 1.0, "steps": 16}, n_paths=300)
+
+
+@pytest.mark.parametrize("cfg,key", [
+    (_ou_cfg("girsanov", tol_match=math.nan), "estimator_params.tol_match"),
+    (_ou_cfg("chain", levels=2, divergence_threshold=math.nan),
+     "estimator_params.divergence_threshold"),
+    (_ou_cfg("chain", partition_times=[0.0, -math.inf, 1.0]),
+     "estimator_params.partition_times"),
+    (_ou_cfg("sanov", observable="terminal", threshold=math.nan,
+             n_list=[2, 5]), "estimator_params.threshold"),
+    (_ou_cfg("dv-marginal", basis={"box": [math.nan, 3.0]}), "basis.box"),
+    (_ou_cfg("dv-marginal", basis={"box": [-3.0, 3.0], "scale": math.inf}),
+     "basis.scale"),
+    (_girsanov_cfg(grid={"horizon": math.inf, "steps": 16}), "grid.horizon"),
+], ids=["tol-match", "divergence-threshold", "partition-times",
+        "sanov-threshold", "basis-box", "basis-scale", "horizon"])
+def test_run_rejects_numbers_that_are_not_finite(tmp_path, capsys, cfg,
+                                                 key):
+    # json.load takes NaN and +-Infinity: tol_match NaN reported +inf as a
+    # diffusion mismatch, a NaN divergence threshold never flagged, a NaN
+    # sanov threshold exited 3 and a NaN box gave a NaN dv value
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "f.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{key} must be of type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", [[5, 6], [1, 0]],
+                         ids=["outside", "reversed"])
+def test_run_rejects_bump_span_outside_the_box(tmp_path, capsys, span):
+    # outside used to give a plausible DV zero for a KL of 1.39, reversed
+    # failed as "bump scale must be positive"
+    basis = {"family": "bumps", "box": [-1, 1], "count": 3, "bump_span": span}
+    cfg = _ou_cfg("dv-marginal", basis=basis)
+    assert main(["run", "--config", _write(tmp_path, "s.json", cfg)]) == 2
+    assert "basis.bump_span must be an increasing pair inside the box" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("params,key", [
     ({"levels": 2, "partition_times": [0.0, 0.25, 1.0]}, "partition_times"),
     ({"divergence_threshold": -1.0}, "divergence_threshold"),

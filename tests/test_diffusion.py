@@ -140,7 +140,7 @@ def test_initial_laws_take_numbers_and_numeric_arrays():
     assert InitialLaw.point_mass(0.5).point.tolist() == [0.5]
     assert InitialLaw.point_mass(np.array([1, 2])).dim == 2
     law = InitialLaw.gaussian(np.float32(0.5), [[2]])
-    assert law.covariance.tolist() == [[2.0]]
+    assert law.gaussian_law.covariance.tolist() == [[2.0]]
     assert InitialLaw.empirical(np.arange(4)).samples.shape == (4, 1)
 
 
@@ -151,7 +151,7 @@ def _single_draws(init, gen, size):
         if init.kind == "point":
             rows.append(init.point.copy())
         elif init.kind == "gaussian":
-            rows.append(init.mean + init.gaussian_law.root
+            rows.append(init.gaussian_law.mean + init.gaussian_law.root
                         @ gen.standard_normal(init.dim))
         else:
             rows.append(

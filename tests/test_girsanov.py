@@ -166,6 +166,26 @@ def test_oracle_validation():
         analytic_entropy(ScenarioOracle("linear_vs_linear", {"a": -1.0}))
 
 
+@pytest.mark.parametrize("scenario,params,message", [
+    ("ou_vs_brownian", {"gama": 2.0}, r"unknown params .*\['gama'\]"),
+    ("ou_vs_brownian", {"gamma": True}, "param 'gamma' must be a number"),
+    ("ou_vs_brownian", {"gamma": "2"}, "param 'gamma' must be a number"),
+    ("ou_vs_brownian", {"horizon": 0.0}, "horizon must be positive"),
+    ("constant_drift_vs_brownian",
+     {"a": [[1.0, 0.0], [0.0, -1.0]], "theta": [1.0, 1.0]},
+     "a must be positive"),
+    ("constant_drift_vs_brownian", {"theta": np.inf}, "must be finite"),
+    ("linear_vs_linear", {"horizon": -1}, "horizon must be positive"),
+    ("linear_vs_linear", {"x0": np.nan}, "param 'x0' must be finite"),
+], ids=["typo", "bool", "string", "zero-horizon", "indefinite-a",
+        "inf-theta", "negative-horizon", "nan-x0"])
+def test_oracle_params_are_checked(scenario, params, message):
+    # each used to return a value: the gamma = 1 one for the typo, gamma 1
+    # for True and 2 for "2", -0.5 for a negative horizon
+    with pytest.raises(ArgumentError, match=message):
+        analytic_entropy(ScenarioOracle(scenario, params))
+
+
 def test_ou_oracle_is_linear_special_case():
     for gamma, horizon in ((1.0, 1.0), (2.0, 1.0), (0.7, 3.0)):
         ou = analytic_entropy(ScenarioOracle(

@@ -92,6 +92,28 @@ def test_gaussian_kl_nonnegative(m1, v1, m2, v2):
     assert gaussian_kl(_g(m1, v1), _g(m2, v2)) >= 0.0
 
 
+PSD = "^covariance must be PSD"
+
+
+@pytest.mark.parametrize("use,message", [
+    (lambda: gaussian_kl(GaussianLaw(np.zeros(2), -np.eye(2)),
+                         GaussianLaw(np.zeros(2), np.eye(2))), PSD),
+    (lambda: gaussian_kl(_g(0.0, -1.0), _g(0.0, 1.0)), PSD),
+    (lambda: histogram_report(np.zeros(10),
+                              gaussian_cell_probabilities(_g(0.0, -1.0)),
+                              SpacePartition.regular(-4, 4, 16)), PSD),
+    (lambda: _g(0.0, -1.0).draw(np.random.default_rng(0), 3), PSD),
+    (lambda: _g(0.0, np.nan), "^covariance must be a finite number"),
+    (lambda: GaussianLaw(np.zeros((1, 2)), np.eye(1)), "^mean must be"),
+], ids=["kl-2d", "kl-1d", "cells", "draw", "nan", "matrix-mean"])
+def test_gaussian_law_refuses_what_initial_laws_refuse(use, message):
+    # these returned a KL of 0 (clamped from -2), +inf, a NaN histogram
+    # value, three zeros and "covariance must be symmetric"; a (1, 2) mean
+    # with a 1 x 1 covariance was a law
+    with pytest.raises(ArgumentError, match=message):
+        use()
+
+
 def test_gaussian_kl_zero_only_at_equality():
     base = _g(0.0, 1.0)
     assert gaussian_kl(_g(1e-4, 1.0), base) > 0.0

@@ -204,6 +204,25 @@ def test_mixed_basis_rules():
         basis_from_config({"family": "mixed", "box": [-1, 1], "count": -1})
 
 
+def test_basis_builders_refuse_what_they_cannot_build():
+    # a span off the box built bumps that read 0 on it, a reversed span
+    # failed as a bad scale, a NaN box or scale built NaN functions
+    for span in ((5.0, 6.0), (1.0, 0.0), (0.5, 0.5), (-2.0, 0.0)):
+        with pytest.raises(ArgumentError, match="^bump_span must be"):
+            mixed_basis([-1.0], [1.0], 3, bump_span=span)
+    # no bump, no span to place: the monomials alone build
+    assert mixed_basis([-1.0], [1.0], 0, degrees=[1],
+                       bump_span=(5.0, 6.0)).size == 1
+    for lo, hi in ((np.nan, 1.0), (-1.0, np.inf)):
+        with pytest.raises(ArgumentError, match="domain box must be finite"):
+            mixed_basis([lo], [hi], 3)
+        with pytest.raises(ArgumentError, match="domain box must be finite"):
+            windowed_monomial(1, [lo], [hi])
+    for scale in (np.nan, np.inf, 0.0):
+        with pytest.raises(ArgumentError, match="bump scale must be"):
+            gaussian_bump([0.0], scale, [-1.0], [1.0])
+
+
 # ---------------------------------------------------------------------------
 # Gram matrix
 
