@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     ArgumentError,
@@ -347,9 +346,10 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     and c: twice KL(N(0, c) || N(0, a)), the mean-free part of a Gaussian KL.
 
     1 x 1 matrices take a closed form with LAPACK's bits: c / a is the 1 x 1
-    solve, and xlogy(1, a) is libm's log as slogdet takes it (np.log's
-    vector loop differs from libm in the last bit on some inputs). As with
-    slogdet, a NaN entry passes through to the result.
+    solve, and the log is libm's, as slogdet takes it: math.log for a
+    single pair, xlogy(1, a) per entry otherwise (np.log's vector loop
+    differs from libm in the last bit on some inputs). As with slogdet, a
+    NaN entry passes through to the result.
 
     Raises:
         PositiveDefinitenessError: a or c has a nonpositive determinant.
@@ -362,6 +362,9 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         if np.any(c1 <= 0):
             raise PositiveDefinitenessError(
                 "ensemble diffusion not PD on paths")
+        if a1.ndim == 0 and c1.ndim == 0:
+            return c1 / a1 - 1 + (math.log(a1) - math.log(c1))
+        from scipy.special import xlogy
         return c1 / a1 - 1 + (xlogy(1.0, a1) - xlogy(1.0, c1))
     sign_a, logdet_a = np.linalg.slogdet(a)
     sign_c, logdet_c = np.linalg.slogdet(c)
@@ -573,7 +576,12 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         step = spec.drift(t, x) * dt
-        if chol is not None:
+        if d == 1 and chol is not None:
+            # the 1 x 1 matmul: one multiply, summed from +0.0 as matmul
+            # sums, so a zero product keeps matmul's sign too
+            noise = z[k] * chol[0, 0]
+            noise += 0.0
+        elif chol is not None:
             noise = z[k] @ chol.T
         else:
             a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)

@@ -119,6 +119,12 @@ def _oracle_constant_drift(read) -> float:
     theta = np.atleast_1d(read("theta", 1.0, array=True))
     horizon = _positive(read("horizon", 1.0), "horizon")
     a_mat = read("a", 1.0, array=True)
+    d = theta.shape[0]
+    if theta.ndim != 1 or a_mat.shape not in ((), (d, d)):
+        raise ArgumentError(
+            f"params 'theta' and 'a' do not fit: theta must be a vector of "
+            f"length d and a a scalar or a d x d matrix, got shapes "
+            f"{theta.shape} and {a_mat.shape}")
     if np.linalg.eigvalsh(np.atleast_2d(a_mat)).min() <= 0:
         raise ArgumentError(f"a must be positive definite, got "
                             f"{a_mat.tolist()}")
@@ -197,8 +203,8 @@ def analytic_entropy(oracle: ScenarioOracle) -> float:
         CapabilityError: the scenario has no closed form here.
         ArgumentError: a param name the scenario does not read, a value
             that is not a finite number (or array of them where the param
-            takes one), or a horizon, gamma or diffusion constant that is
-            not positive.
+            takes one), a horizon, gamma or diffusion constant that is
+            not positive, or a theta and an a of different dimensions.
     """
     if oracle.scenario not in _ORACLES:
         raise CapabilityError(

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .diffusion import (GaussianLaw, InitialLaw, path_generator,
                         substream_seed, variance_part)
@@ -157,6 +156,7 @@ def gaussian_cell_probabilities(law: GaussianLaw):
         raise PositiveDefinitenessError("gaussian provider needs PD covariance")
 
     def provider(partition: SpacePartition) -> np.ndarray:
+        from scipy.special import ndtr
         if partition.dim != d:
             raise ArgumentError("partition dimension does not match law")
         per_axis = []
@@ -277,11 +277,6 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw, *,
 # Variational estimator
 
 
-def _dv_objective(g, fbar_mu, values_nu, log_n_nu):
-    s = values_nu @ g
-    return float(fbar_mu @ g - (logsumexp(s) - log_n_nu))
-
-
 def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
                 opt: OptimizerConfig | None = None) -> EntropyEstimate:
     """Variational lower-bound estimate of KL(mu || nu) on a basis span.
@@ -298,9 +293,11 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
 
     Raises:
         ArgumentError: a sample list is empty or holds a NaN or an
-            infinite value, or d != 1 with no basis.
+            infinite value, or, with no basis, d != 1 or the pooled
+            samples hold one value only.
         ConvergenceError: still climbing at max_iter; carries the best value.
     """
+    from scipy.special import logsumexp
     opt = opt or OptimizerConfig()
     x_mu = np.asarray(samples_mu, dtype=float)
     x_nu = np.asarray(samples_nu, dtype=float)
@@ -322,8 +319,11 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
     n_nu = values_nu.shape[0]
     log_n_nu = math.log(n_nu)
 
+    def objective(g):
+        return float(fbar_mu @ g - (logsumexp(values_nu @ g) - log_n_nu))
+
     g = np.zeros(basis.size)
-    val = _dv_objective(g, fbar_mu, values_nu, log_n_nu)
+    val = objective(g)
     history = [val]
     grad_norm = math.inf
     mode = "max_iter"
@@ -340,8 +340,7 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
         step = 1.0
         sufficient = ARMIJO * grad_norm * grad_norm
         while step > 1e-16:
-            cand = _dv_objective(g + step * grad, fbar_mu, values_nu,
-                                 log_n_nu)
+            cand = objective(g + step * grad)
             if cand >= val + step * sufficient:
                 break
             step *= 0.5
@@ -412,11 +411,17 @@ def default_dv_basis(lo: float, hi: float) -> FunctionBasis:
 
 def pooled_dv_basis(samples_mu, samples_nu) -> FunctionBasis:
     """default_dv_basis over the range of both sample lists together.
-    ArgumentError unless the samples are 1-d."""
+    ArgumentError unless the samples are 1-d and span a positive range."""
     pooled = np.concatenate([samples_mu, samples_nu])
     if pooled.ndim > 1 and pooled.shape[1] != 1:
         raise ArgumentError("the default DV basis is one-dimensional")
-    return default_dv_basis(float(pooled.min()), float(pooled.max()))
+    lo, hi = float(pooled.min()), float(pooled.max())
+    if lo == hi:
+        raise ArgumentError(
+            f"the pooled samples_mu and samples_nu have zero extent (every "
+            f"value is {lo!r}), so no default DV basis fits them; pass a "
+            f"basis")
+    return default_dv_basis(lo, hi)
 
 
 def initial_entropy(init_mu: InitialLaw,

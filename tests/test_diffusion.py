@@ -31,6 +31,7 @@ from pathkl.diffusion import (
     PairCoefficients,
     PathEnsemble,
     _keyed_streams,
+    euler_maruyama,
     path_generator,
     stream_inputs,
     variance_part,
@@ -365,6 +366,41 @@ def test_sample_paths_across_block_boundaries():
     # thread ranges do not start at block boundaries
     threaded = sample_paths(spec, init, grid, n, 4, threads=3)
     assert np.array_equal(threaded.states, full.states)
+
+
+def _matmul_euler(spec, grid, x0, z):
+    """The Euler loop with a constant factor, noise by the matmul form."""
+    chol = spec.constant_factor
+    x, out = x0.copy(), [x0]
+    for k in range(grid.n_steps):
+        t = float(grid.points[k])
+        dt = float(grid.points[k + 1]) - t
+        x = x + spec.drift(t, x) * dt + (z[k] @ chol.T) * math.sqrt(dt)
+        out.append(x)
+    return np.stack(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a", [1.0, 0.25, 3.7, 1e-300])
+def test_one_dimensional_constant_noise_matches_matmul(a):
+    # signed zeros, subnormals and 1e300-scale draws; with the drift b = x
+    # and x0 = -0.0, x + step is -0.0, so a zero product's sign reaches the
+    # state: matmul sums it from +0.0
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300,
+                1e300, -1e300, 1.0]
+    m, n = 6, 64
+    z = np.random.default_rng(3).standard_normal((m, n, 1))
+    z[:, :len(specials), 0] = specials
+    x0 = np.full((n, 1), -0.0)
+    spec = DiffusionSpec(dim=1, drift=lambda t, x: x,
+                         diffusion_matrix=lambda t, x: np.full(
+                             x.shape[:-1] + (1, 1), a),
+                         constant_matrix=np.array([[a]]))
+    grid = TimeGrid.uniform(1.0, m)
+    out = np.empty((m + 1, n, 1))
+    euler_maruyama(spec, grid, x0, z, out)
+    want = _matmul_euler(spec, grid, x0, z)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_state_dependent_diffusion_paths():

@@ -175,10 +175,13 @@ def test_oracle_validation():
      {"a": [[1.0, 0.0], [0.0, -1.0]], "theta": [1.0, 1.0]},
      "a must be positive"),
     ("constant_drift_vs_brownian", {"theta": np.inf}, "must be finite"),
+    ("constant_drift_vs_brownian",
+     {"theta": [1, 1, 1], "a": [[1, 0], [0, 1]]},
+     r"'theta' and 'a' do not fit"),
     ("linear_vs_linear", {"horizon": -1}, "horizon must be positive"),
     ("linear_vs_linear", {"x0": np.nan}, "param 'x0' must be finite"),
 ], ids=["typo", "bool", "string", "zero-horizon", "indefinite-a",
-        "inf-theta", "negative-horizon", "nan-x0"])
+        "inf-theta", "theta-a-dimensions", "negative-horizon", "nan-x0"])
 def test_oracle_params_are_checked(scenario, params, message):
     # each used to return a value: the gamma = 1 one for the typo, gamma 1
     # for True and 2 for "2", -0.5 for a negative horizon

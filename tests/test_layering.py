@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pathkl
@@ -32,3 +36,83 @@ def test_every_exported_name_is_defined():
                       for export in getattr(module, "__all__", ())
                       if not hasattr(module, export)]
     assert undefined == []
+
+
+def _import_time_nodes(tree):
+    """The nodes a module runs when imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.special takes longer to import than numpy, so only the routes
+    # that use scipy load it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+_CONSTANT_PAIR = {
+    "model_mu": {"id": "constant_drift", "params": {"theta": 1.0}},
+    "model_P": {"id": "brownian", "params": {}},
+    "initial_mu": {"kind": "gaussian", "mean": [0.5], "covariance": [[2.0]]},
+    "initial_P": {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]},
+    "grid": {"horizon": 1.0, "steps": 16},
+    "n_paths": 64,
+    "seed": 0,
+}
+
+_RUNS = {
+    "girsanov": {"estimator": "girsanov"},
+    "chain": {"estimator": "chain", "estimator_params": {"levels": 3}},
+    "sanov": {"model_mu": _CONSTANT_PAIR["model_P"],
+              "initial_mu": {"kind": "point", "point": [0.0]},
+              "initial_P": {"kind": "point", "point": [0.0]},
+              "estimator": "sanov",
+              "estimator_params": {"observable": "terminal",
+                                   "threshold": 1.0, "n_list": [2, 5],
+                                   "trials": 200}},
+}
+
+_FRESH_RUN = """
+import sys
+from pathkl import cli
+for path in sys.argv[1:]:
+    cli.resolve_config(cli.load_config(path))
+for path in sys.argv[1:]:
+    code = cli.main(["run", "--config", path, "--out", path + ".out"])
+    assert code == 0, (path, code)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_constant_pair_runs_never_load_scipy(tmp_path):
+    paths = []
+    for name, over in _RUNS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**_CONSTANT_PAIR, **over}))
+        paths.append(str(path))
+    search = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(search)}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *paths],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for path in paths:
+        report = json.loads(Path(path + ".out").read_text())
+        assert report["command"] == "run"

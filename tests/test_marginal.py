@@ -371,6 +371,17 @@ def test_dv_default_basis_needs_one_dimension():
         dv_estimate(x, x)
 
 
+def test_dv_default_basis_needs_a_pooled_range():
+    # used to fail with "domain box must have positive extent", about a box
+    # the caller never set
+    x = np.zeros((100, 1))
+    with pytest.raises(ArgumentError,
+                       match="samples_mu and samples_nu have zero extent"
+                             r".*pass a basis"):
+        dv_estimate(x, x)
+    assert dv_estimate(x, x, _wide_basis()).value == 0.0
+
+
 @pytest.fixture
 def dv_evaluations(monkeypatch):
     """(basis, points) of every basis evaluation, in call order."""
