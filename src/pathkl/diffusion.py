@@ -51,10 +51,16 @@ __all__ = [
 # Smallest admissible eigenvalue of a diffusion matrix.
 EPS_PD = 1e-10
 
-# Paths handled at once: the sampler steps, sanov batches its trials and
-# girsanov integrates in blocks of this many paths, which bounds the live
-# increments and temporaries. No result depends on it.
+# Paths handled together: sanov batches its trials in blocks of at most
+# this many paths, and the sampler's and girsanov's blocks, sized by
+# elements, never hold fewer. No result depends on it.
 BLOCK_PATHS = 1024
+
+# Increments the sampler draws and steps at once, 8 MiB (twice that while
+# stream_inputs copies them time-major): a block holds
+# max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d)) paths, so short grids step
+# wide blocks and long ones stay bounded. No result depends on it.
+BLOCK_ELEMENTS = 2 ** 20
 
 # States diffusion_match_check compares, about: it takes every stride-th
 # path at every grid time.
@@ -276,11 +282,14 @@ def substream_seed(seed: int, index: int) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a master seed outside [-2**63, 2**63).
+    """Reject a master seed that is not an integer (a bool is not one) or
+    lies outside [-2**63, 2**63).
 
     Keys take a seed modulo 2**64, so a wider seed would share its streams
     with one in that range.
     """
+    if not is_integer(seed):
+        raise ArgumentError(f"seed must be an integer, got {seed!r}")
     if not -2 ** 63 <= seed < 2 ** 63:
         raise ArgumentError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
@@ -320,7 +329,8 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
 
     Stream j is path_generator(seed, j). It draws per_stream initial states,
     then one (steps, per_stream, d) increment block, and its paths are
-    consecutive.
+    consecutive. Each stream's block is drawn into its own contiguous row of
+    a stream-major buffer, and the buffer is then copied time-major once.
 
     Returns:
         x0 of shape (len(streams) * per_stream, d) and time-major z of
@@ -329,7 +339,7 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
     """
     d = init.dim
     x0 = np.empty((len(streams), per_stream, d))
-    z = np.empty((steps, len(streams), per_stream, d))
+    drawn = np.empty((len(streams), steps, per_stream, d))
     # a point mass draws nothing from the generator: fill it once
     point = init.kind == "point"
     if point:
@@ -337,7 +347,8 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
     for i, gen in enumerate(_keyed_streams(seed, streams)):
         if not point:
             x0[i] = init.draw(gen, per_stream)
-        z[:, i] = gen.standard_normal((steps, per_stream, d))
+        gen.standard_normal(out=drawn[i])
+    z = np.ascontiguousarray(drawn.transpose(1, 0, 2, 3))
     return x0.reshape(-1, d), z.reshape(steps, -1, d)
 
 
@@ -427,8 +438,8 @@ class PairCoefficients:
         return no_nan(variance_part(self.a, self.c),
                       "variance part of the pair", float(self.times[0]))
 
-    def _column(self, k: int):
-        return float(self.times[k]), self.states[:, k]
+    def _column(self, k: int, rows: slice = slice(None)):
+        return float(self.times[k]), self.states[rows, k]
 
     def matrices(self, t: float, x: np.ndarray):
         """(a, c) at time t and states x; a hoisted matrix stands in for
@@ -439,11 +450,14 @@ class PairCoefficients:
             self.spec_mu.diffusion_matrix(t, x), dtype=float)
         return a, c
 
-    def drift_quad(self, k: int, a=None) -> np.ndarray:
-        """Per-path (e - b)' a^{-1} (e - b) at column k; a as evaluated
-        there when P's diffusion is not constant. As with variance_part, a
-        NaN passes through to the result; the estimators call drift_term."""
-        t, x = self._column(k)
+    def drift_quad(self, k: int, a=None,
+                   rows: slice = slice(None)) -> np.ndarray:
+        """Per-path (e - b)' a^{-1} (e - b) at column k, on the given rows
+        of paths; a as evaluated there when P's diffusion is not constant.
+        Each path's value does not depend on the rows asked for. As with
+        variance_part, a NaN passes through to the result; the estimators
+        check it (drift_term)."""
+        t, x = self._column(k, rows)
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
         if self.a_inv is not None:
@@ -612,8 +626,9 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
 
     Path i is stream i of stream_inputs: it draws its initial state and all
     its increments from the Philox substream keyed by (seed, i), so the
-    ensemble is bit-identical for any thread count. Paths are stepped in
-    blocks of BLOCK_PATHS, so only one block's increments are live at once.
+    ensemble is bit-identical for any thread count. Paths are drawn and
+    stepped in blocks of max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d))
+    paths, so only one block's increments are live at once (per thread).
 
     Args:
         spec: the diffusion law to simulate.
@@ -625,16 +640,21 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
 
     Returns:
         PathEnsemble of shape (n, len(grid), d).
+
+    Raises:
+        ArgumentError: n is not a positive integer (a bool is not one), or
+            the initial law's dimension is not the model's.
     """
-    if n < 1:
-        raise ArgumentError("need at least one path")
+    if not is_integer(n) or n < 1:
+        raise ArgumentError(f"n must be a positive integer, got {n!r}")
     if init.dim != spec.dim:
         raise ArgumentError("initial law dimension does not match model")
     buf = np.empty((grid.points.shape[0], n, spec.dim))
+    block = max(BLOCK_PATHS, BLOCK_ELEMENTS // (grid.n_steps * spec.dim))
 
     def simulate(lo: int, hi: int) -> None:
-        for b_lo in range(lo, hi, BLOCK_PATHS):
-            b_hi = min(b_lo + BLOCK_PATHS, hi)
+        for b_lo in range(lo, hi, block):
+            b_hi = min(b_lo + block, hi)
             x0, z = stream_inputs(init, seed, range(b_lo, b_hi), 1,
                                   grid.n_steps)
             euler_maruyama(spec, grid, x0, z, buf[:, b_lo:b_hi])
@@ -685,6 +705,11 @@ def _numbers(value, nested: bool) -> bool:
     if nested and isinstance(value, (list, tuple)):
         return all(_numbers(v, True) for v in value)
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """An integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _finite_array(value, name: str) -> np.ndarray:

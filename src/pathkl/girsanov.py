@@ -39,20 +39,51 @@ __all__ = [
 ]
 
 
+# Integrand entries _drift_gap_energy holds at once, 32 MiB: a block holds
+# max(BLOCK_PATHS, GAP_BLOCK_ELEMENTS // (m + 1)) paths. Each block costs a
+# drift_quad call per grid time, about 20 us, so narrower blocks are slower.
+# No result depends on it.
+GAP_BLOCK_ELEMENTS = 2 ** 22
+
+
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                       ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}."""
+    """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}.
+
+    The (n, m + 1) integrand is never held whole: it is built one block of
+    paths at a time, column by column, and each block is integrated before
+    the next is built. np.trapezoid makes temporaries of about three times
+    its input, so it runs on BLOCK_PATHS rows at a time. Each path's
+    integral does not depend on either block size.
+
+    Raises:
+        ModelEvaluationError: the integrand is NaN or infinite on some path.
+            As for a scan of whole columns, the message names the earliest
+            grid time where any path fails, and says NaN if that time holds
+            a NaN on some path.
+    """
     pair = PairCoefficients(spec_mu, spec_P, ensemble)
     n, m_plus_1, _ = ensemble.states.shape
-    integrand = np.empty((n, m_plus_1))
-    for k in range(m_plus_1):
-        integrand[:, k] = pair.drift_term(k)
-    # np.trapezoid makes temporaries the size of its input, so it runs on
-    # row blocks; each row's sum does not depend on the block
+    times = ensemble.grid.points
+    rows = max(BLOCK_PATHS, GAP_BLOCK_ELEMENTS // m_plus_1)
+    block = np.empty((min(rows, n), m_plus_1))
     out = np.empty(n)
-    for lo in range(0, n, BLOCK_PATHS):
-        out[lo:lo + BLOCK_PATHS] = np.trapezoid(
-            integrand[lo:lo + BLOCK_PATHS], ensemble.grid.points, axis=1)
+    for lo in range(0, n, rows):
+        part = block[:min(rows, n - lo)]
+        try:
+            for k in range(m_plus_1):
+                part[:, k] = pair.drift_quad(k, rows=slice(lo, lo + rows))
+            failed = not np.isfinite(part).all()
+        except np.linalg.LinAlgError:
+            failed = True
+        if failed:
+            # a later block may fail at an earlier time: scan whole columns
+            for k in range(m_plus_1):
+                pair.drift_term(k)
+        energy = out[lo:lo + part.shape[0]]
+        for s in range(0, part.shape[0], BLOCK_PATHS):
+            energy[s:s + BLOCK_PATHS] = np.trapezoid(
+                part[s:s + BLOCK_PATHS], times, axis=1)
     return out
 
 

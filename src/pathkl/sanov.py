@@ -11,6 +11,7 @@ so counts are deterministic for any thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .diffusion import (
     TimeGrid,
     check_seed,
     euler_maruyama,
+    is_integer,
     partition_blocks,
     stream_inputs,
     substream_seed,
@@ -42,7 +44,14 @@ OBSERVABLES = ("terminal", "time_average")
 
 @dataclass(frozen=True)
 class RateExperiment:
-    """Design of one rate study: observable, threshold, sample sizes."""
+    """Design of one rate study: observable, threshold, sample sizes.
+
+    Raises:
+        ArgumentError: naming the field, unless the observable is known, the
+            threshold is a finite number, n_list holds strictly increasing
+            positive integers, trials is an integer of at least 100 and the
+            seed lies in [-2**63, 2**63). A bool is not a number here.
+    """
 
     observable: str
     threshold: float
@@ -55,13 +64,24 @@ class RateExperiment:
             raise ArgumentError(
                 f"unknown observable {self.observable!r}; "
                 f"known: {', '.join(OBSERVABLES)}")
-        ns = tuple(int(n) for n in self.n_list)
-        if len(ns) == 0 or any(n < 1 for n in ns):
-            raise ArgumentError("n_list must hold positive sample sizes")
+        if (isinstance(self.threshold, bool)
+                or not isinstance(self.threshold, numbers.Real)
+                or not math.isfinite(self.threshold)):
+            raise ArgumentError(f"threshold must be a finite number, got "
+                                f"{self.threshold!r}")
+        try:
+            ns = tuple(self.n_list)
+        except TypeError:  # not a sequence
+            ns = ()
+        if not ns or not all(is_integer(n) and n >= 1 for n in ns):
+            raise ArgumentError(f"n_list must hold positive integers, got "
+                                f"{self.n_list!r}")
+        ns = tuple(int(n) for n in ns)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ArgumentError("n_list must be strictly increasing")
-        if self.trials < 100:
-            raise ArgumentError("trials must be at least 100")
+        if not is_integer(self.trials) or self.trials < 100:
+            raise ArgumentError(f"trials must be an integer of at least 100, "
+                                f"got {self.trials!r}")
         check_seed(self.seed)
         object.__setattr__(self, "n_list", ns)
 

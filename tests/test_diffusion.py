@@ -27,6 +27,7 @@ from pathkl import (
     substream_seed,
 )
 from pathkl.diffusion import (
+    BLOCK_ELEMENTS,
     BLOCK_PATHS,
     PairCoefficients,
     PathEnsemble,
@@ -286,6 +287,23 @@ def test_sample_paths_rejects_empty():
                      InitialLaw.point_mass([0.0]), grid, 0, 0)
 
 
+@pytest.mark.parametrize("n", [True, 3.0, np.float64(3.0), "3"])
+def test_sample_paths_rejects_a_non_integer_count(n):
+    grid = TimeGrid.uniform(1.0, 10)
+    with pytest.raises(ArgumentError, match="^n must be a positive integer"):
+        sample_paths(make_model("brownian", {}),
+                     InitialLaw.point_mass([0.0]), grid, n, 0)
+
+
+def test_sample_paths_accepts_a_numpy_integer_count():
+    grid = TimeGrid.uniform(1.0, 10)
+    init = InitialLaw.point_mass([0.0])
+    spec = make_model("brownian", {})
+    assert np.array_equal(
+        sample_paths(spec, init, grid, np.int64(3), 0).states,
+        sample_paths(spec, init, grid, 3, 0).states)
+
+
 def test_bm_mean_clt_bound():
     grid = TimeGrid.uniform(1.0, 100)
     ens = sample_paths(make_model("brownian", {}),
@@ -350,17 +368,21 @@ def test_path_count_independence(init):
 
 
 def test_sample_paths_across_block_boundaries():
-    # a full constant matrix, so each block's noise is one matrix product
+    # a full constant matrix, so each block's noise is one matrix product;
+    # a short grid, so a block holds more than BLOCK_PATHS paths
     spec = make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],
                                  "a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2)
     init = InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])
-    grid = TimeGrid.uniform(1.0, 6)
-    n = 2 * BLOCK_PATHS + 7
+    steps = 128
+    grid = TimeGrid.uniform(1.0, steps)
+    block = max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * 2))
+    assert block > BLOCK_PATHS
+    n = 2 * block + 7
     full = sample_paths(spec, init, grid, n, 4)
-    assert full.states.shape == (n, 7, 2)
-    for k in range(7):
+    assert full.states.shape == (n, steps + 1, 2)
+    for k in range(steps + 1):
         assert full.states[:, k].flags.c_contiguous
-    for k in (5, BLOCK_PATHS, BLOCK_PATHS + 6):
+    for k in (5, block, block + 6):
         assert np.array_equal(sample_paths(spec, init, grid, k, 4).states,
                               full.states[:k])
     # thread ranges do not start at block boundaries

@@ -1,6 +1,8 @@
 """Closed-form path entropy and the analytic scenario catalogue."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from pathkl import (
     sample_paths,
     scenario_ids,
 )
+from pathkl import girsanov
+from pathkl.diffusion import BLOCK_PATHS, PairCoefficients, PathEnsemble
 
 OU_VS_BM_G1 = 0.1419169104045766    # gamma=1, T=1
 OU_VS_BM_G2 = 0.3772894548610918    # gamma=2, T=1
@@ -293,7 +297,6 @@ def test_time_additivity():
      ("brownian", {"a": A_FULL}), 2, False),
 ])
 def test_constant_diffusion_matches_per_path(mu, p, dim, exact):
-    import dataclasses
     spec_mu = make_model(*mu, dim=dim)
     spec_p = make_model(*p, dim=dim)
     init = InitialLaw.point_mass([0.3] * dim)
@@ -326,7 +329,6 @@ def test_nan_reference_diffusion_fails_loudly():
 
 
 def test_state_dependent_1d_pair_makes_no_lapack_call(linalg_calls):
-    import dataclasses
     spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
     spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
     init = InitialLaw.point_mass([0.0])
@@ -335,3 +337,112 @@ def test_state_dependent_1d_pair_makes_no_lapack_call(linalg_calls):
     assert est.diagnostics["match_report"].passed
     assert math.isfinite(est.value) and est.value > 0.0
     assert linalg_calls == {"solve": 0, "slogdet": 0}
+
+
+# ---------------------------------------------------------------------------
+# row blocks of the drift-gap integrand
+
+
+def _whole_integrand_energy(spec_mu, spec_p, ens):
+    """The drift-gap energy from the whole (n, m + 1) integrand at once."""
+    pair = PairCoefficients(spec_mu, spec_p, ens)
+    integrand = np.stack([pair.drift_term(k)
+                          for k in range(ens.states.shape[1])], axis=1)
+    return np.trapezoid(integrand, ens.grid.points, axis=1)
+
+
+@pytest.mark.parametrize("pair", ["ou-bm", "linear-2d", "sine"])
+def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
+    # rows of 1500 paths: block boundaries at 1500 and 3000, and trapezoid
+    # sub-blocks of BLOCK_PATHS rows inside them
+    if pair == "ou-bm":
+        spec_mu, spec_p = make_model("ou", {}), make_model("brownian", {})
+    elif pair == "linear-2d":
+        spec_mu = make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],
+                                        "a": A_FULL}, dim=2)
+        spec_p = make_model("brownian", {"a": A_FULL}, dim=2)
+    else:
+        spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
+        spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
+    steps, rows = 15, 1500
+    monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", rows * (steps + 1),
+                        raising=False)
+    init = InitialLaw.point_mass([0.3] * spec_mu.dim)
+    ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, steps),
+                       2 * rows + 7, 11)
+    full = girsanov._drift_gap_energy(spec_mu, spec_p, ens)
+    assert full.tobytes() == _whole_integrand_energy(
+        spec_mu, spec_p, ens).tobytes()
+    for k in (1, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1, rows - 1,
+              rows, rows + 1, rows + BLOCK_PATHS + 1, 2 * rows,
+              2 * rows + 1):
+        head = PathEnsemble(grid=ens.grid, states=ens.states[:k], seed=11)
+        got = girsanov._drift_gap_energy(spec_mu, spec_p, head)
+        assert got.tobytes() == full[:k].tobytes(), k
+    # and the default budget gives the same bits
+    monkeypatch.undo()
+    assert girsanov._drift_gap_energy(
+        spec_mu, spec_p, ens).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("late,early,kind", [
+    ("nan", np.nan, "NaN"),
+    ("nan", np.inf, "infinite"),
+    ("inf", np.nan, "NaN"),
+    ("singular", np.nan, "NaN"),
+    ("singular", np.inf, "infinite"),
+])
+def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
+                                                        monkeypatch):
+    # a fault at t = 0.75 on a path of the first row block and a non-finite
+    # drift at t = 0.25 on a path of the last: the error names t = 0.25, as
+    # a scan of whole columns does. A zero diffusion matrix makes the solve
+    # fail; it sits on an odd path, which the match check (every second
+    # path here) does not evaluate.
+    monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", 1, raising=False)
+    n, grid = 2 * BLOCK_PATHS + 5, TimeGrid.uniform(1.0, 200)
+    t_late, t_early = float(grid.points[150]), float(grid.points[50])
+    # state i of every path is its index, so the coefficients can single
+    # it out
+    states = np.broadcast_to(np.arange(float(n))[:, None, None],
+                             (n, grid.points.shape[0], 1))
+    ens = PathEnsemble(grid=grid, states=states, seed=0)
+
+    def drift(t, x):
+        gap = np.zeros_like(x)
+        if late != "singular":
+            gap[(t == t_late) & (x == 5.0)] = float(late)
+        gap[(t == t_early) & (x == n - 3.0)] = early
+        return gap
+
+    def diffusion(t, x):
+        zero = late == "singular" and t == t_late
+        return np.where(zero & (x[..., 0] == 5.0), 0.0,
+                        1.0)[..., None, None]
+
+    spec_p = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
+                           diffusion_matrix=diffusion)
+    spec_mu = dataclasses.replace(spec_p, drift=drift)
+    init = InitialLaw.point_mass([0.0])
+    with pytest.raises(ModelEvaluationError,
+                       match=rf"is {kind} on some path at t = 0\.25$"):
+        girsanov_entropy(spec_mu, spec_p, init, init, ens)
+
+
+def test_girsanov_never_holds_the_whole_integrand(monkeypatch):
+    # with blocks of BLOCK_PATHS rows, what girsanov_entropy allocates
+    # beyond the ensemble is one block and its trapezoid temporaries, a
+    # fraction of the (n, m + 1) integrand
+    monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", 1, raising=False)
+    spec_mu, init, ens = _paths("ou", {}, steps=256, n=16 * BLOCK_PATHS,
+                                seed=4)
+    spec_p = make_model("brownian", {})
+    integrand_bytes = ens.states.shape[0] * ens.states.shape[1] * 8
+    tracemalloc.start()
+    try:
+        est = girsanov_entropy(spec_mu, spec_p, init, init, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est.value)
+    assert peak < integrand_bytes / 3, (peak, integrand_bytes)

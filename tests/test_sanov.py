@@ -53,6 +53,36 @@ def test_experiment_validation():
         RateExperiment("terminal", 1.0, (5, 10), trials=50)
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("n_list", {"n_list": (5.5, 10)}),
+    ("n_list", {"n_list": (5.0, 10)}),
+    ("n_list", {"n_list": (True, 10)}),
+    ("trials", {"trials": 10000.0}),
+    ("trials", {"trials": True}),
+    ("threshold", {"threshold": math.nan}),
+    ("threshold", {"threshold": math.inf}),
+    ("threshold", {"threshold": True}),
+    ("n_list", {"n_list": 5}),
+    ("seed", {"seed": 1.5}),
+    ("seed", {"seed": True}),
+], ids=["n_list-fraction", "n_list-float", "n_list-bool", "trials-float",
+        "trials-bool", "threshold-nan", "threshold-inf", "threshold-bool",
+        "n_list-scalar", "seed-float", "seed-bool"])
+def test_experiment_refuses_ill_typed_fields(field, kwargs):
+    # each was silently truncated, a bare TypeError, or a misleading
+    # InsufficientSamplingError once trials had run
+    design = {"observable": "terminal", "threshold": 1.0, "n_list": (5, 10),
+              "trials": 1000, **kwargs}
+    with pytest.raises(ArgumentError, match=f"^{field} must"):
+        RateExperiment(**design)
+
+
+def test_experiment_accepts_numpy_integers():
+    exp = RateExperiment("terminal", np.float64(1.0),
+                         (np.int64(5), np.int32(10)), trials=np.int64(200))
+    assert exp.n_list == (5, 10) and type(exp.n_list[0]) is int
+
+
 @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64,
                                   -2 ** 63 - 1])
 def test_experiment_rejects_seeds_outside_int64(seed):
