@@ -29,7 +29,6 @@ from .errors import (
 from .estimates import TOL_LINALG
 
 __all__ = [
-    "EPS_PD",
     "DiffusionSpec",
     "InitialLaw",
     "TimeGrid",
@@ -37,6 +36,8 @@ __all__ = [
     "GaussianLaw",
     "MatchReport",
     "no_nan",
+    "positive_definite",
+    "check_positive_definite",
     "sample_paths",
     "euler_step_law",
     "diffusion_match_check",
@@ -47,9 +48,6 @@ __all__ = [
     "model_params",
     "param",
 ]
-
-# Smallest admissible eigenvalue of a diffusion matrix.
-EPS_PD = 1e-10
 
 # Paths handled together: sanov batches its trials in blocks of at most
 # this many paths, and the sampler's and girsanov's blocks, sized by
@@ -65,6 +63,43 @@ BLOCK_ELEMENTS = 2 ** 20
 # States diffusion_match_check compares, about: it takes every stride-th
 # path at every grid time.
 MATCH_POINTS = 200_000
+
+
+def positive_definite(a: np.ndarray) -> bool:
+    """Whether every d x d matrix of the (..., d, d) stack a passes the PD
+    rule, which every diffusion matrix and KL reference is held to.
+
+    A matrix passes when it is symmetric within TOL_LINALG · max |entry| of
+    that matrix and positive definite: a > 0 in d = 1, a Cholesky
+    factorization that succeeds in d >= 2. The verdict does not depend on
+    scale: c · A gets A's for every c > 0. A NaN entry passes, and so does
+    an infinite one (but -inf in d = 1), so that the callers' finiteness
+    checks name them.
+    """
+    if a.shape[-1] == 1:
+        return not np.any(a <= 0)
+    mirror = np.swapaxes(a, -1, -2)
+    # an exactly symmetric, finite stack (the common case) skips the
+    # per-matrix tolerance and the copy, which cost as much as Cholesky
+    if not (a == mirror).all():
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        if np.any(np.abs(a - mirror) > TOL_LINALG * scale):
+            return False
+    if not np.isfinite(a).all():
+        a = a[np.isfinite(a).all(axis=(-2, -1))]
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def check_positive_definite(a: np.ndarray, what: str) -> None:
+    """Raise PositiveDefinitenessError, naming what, unless every matrix of
+    the stack a passes positive_definite."""
+    if not positive_definite(a):
+        raise PositiveDefinitenessError(
+            f"{what} is not symmetric positive definite")
 
 
 @dataclass(frozen=True)
@@ -92,21 +127,16 @@ class DiffusionSpec:
 
         Raises:
             PositiveDefinitenessError: constant_matrix has a non-finite
-                entry or is not positive definite.
+                entry or fails positive_definite.
         """
         if self.constant_matrix is None:
             return None
-        # numpy's Cholesky of [[nan]] returns [[nan]] instead of raising
+        what = f"constant diffusion matrix of {self.model_id!r}"
+        # positive_definite passes a NaN entry
         if not np.isfinite(self.constant_matrix).all():
-            raise PositiveDefinitenessError(
-                f"constant diffusion matrix of {self.model_id!r} has a "
-                f"non-finite entry")
-        try:
-            return np.linalg.cholesky(self.constant_matrix)
-        except np.linalg.LinAlgError as exc:
-            raise PositiveDefinitenessError(
-                f"constant diffusion matrix of {self.model_id!r} is not "
-                f"positive definite") from exc
+            raise PositiveDefinitenessError(f"{what} has a non-finite entry")
+        check_positive_definite(self.constant_matrix, what)
+        return np.linalg.cholesky(self.constant_matrix)
 
 
 @dataclass(frozen=True)
@@ -235,7 +265,8 @@ class GaussianLaw:
         ArgumentError: with a message that starts with mean or covariance,
             unless every entry is a finite number, the mean a d-vector and
             the covariance a d x d symmetric PSD matrix, both within
-            TOL_LINALG (1 + max |covariance|).
+            TOL_LINALG (1 + max |covariance|). This covariance rule admits
+            a singular covariance, which positive_definite refuses.
     """
 
     mean: np.ndarray
@@ -363,26 +394,19 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     NaN entry passes through to the result.
 
     Raises:
-        PositiveDefinitenessError: a or c has a nonpositive determinant.
+        PositiveDefinitenessError: a (the reference) or c (the ensemble)
+            fails positive_definite.
     """
+    check_positive_definite(a, "reference diffusion on paths")
+    check_positive_definite(c, "ensemble diffusion on paths")
     if a.shape[-1] == 1:
         a1, c1 = a[..., 0, 0], c[..., 0, 0]
-        if np.any(a1 <= 0):
-            raise PositiveDefinitenessError(
-                "reference diffusion not PD on paths")
-        if np.any(c1 <= 0):
-            raise PositiveDefinitenessError(
-                "ensemble diffusion not PD on paths")
         if a1.ndim == 0 and c1.ndim == 0:
             return c1 / a1 - 1 + (math.log(a1) - math.log(c1))
         from scipy.special import xlogy
         return c1 / a1 - 1 + (xlogy(1.0, a1) - xlogy(1.0, c1))
-    sign_a, logdet_a = np.linalg.slogdet(a)
-    sign_c, logdet_c = np.linalg.slogdet(c)
-    if np.any(sign_a <= 0):
-        raise PositiveDefinitenessError("reference diffusion not PD on paths")
-    if np.any(sign_c <= 0):
-        raise PositiveDefinitenessError("ensemble diffusion not PD on paths")
+    logdet_a = np.linalg.slogdet(a)[1]
+    logdet_c = np.linalg.slogdet(c)[1]
     trace = np.trace(np.linalg.solve(a, c), axis1=-2, axis2=-1)
     return trace - a.shape[-1] + (logdet_a - logdet_c)
 
@@ -453,10 +477,12 @@ class PairCoefficients:
     def drift_quad(self, k: int, a=None,
                    rows: slice = slice(None)) -> np.ndarray:
         """Per-path (e - b)' a^{-1} (e - b) at column k, on the given rows
-        of paths; a as evaluated there when P's diffusion is not constant.
-        Each path's value does not depend on the rows asked for. As with
-        variance_part, a NaN passes through to the result; the estimators
-        check it (drift_term)."""
+        of paths; a as evaluated there when P's diffusion is not constant,
+        which variance_part has checked. Each path's value does not depend
+        on the rows asked for. As with variance_part, a NaN passes through
+        to the result; the estimators check it (drift_term). An a evaluated
+        here is checked: PositiveDefinitenessError, naming t, if it fails
+        positive_definite."""
         t, x = self._column(k, rows)
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
@@ -464,10 +490,9 @@ class PairCoefficients:
             return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
         if a is None:
             a = np.asarray(self.spec_P.diffusion_matrix(t, x), dtype=float)
+            check_positive_definite(a, f"reference diffusion at t = {t:g}")
         if a.shape[-1] == 1:
-            # the 1 x 1 solve is a division, and raises as solve does
-            if np.any(a == 0):
-                raise np.linalg.LinAlgError("Singular matrix")
+            # the 1 x 1 solve is a division
             return np.einsum("nd,nd->n", gap, gap / a[..., 0])
         return np.einsum("nd,nd->n", gap,
                          np.linalg.solve(a, gap[..., None])[..., 0])
@@ -576,8 +601,8 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
     and writes out[k + 1].
 
     Raises:
-        PositiveDefinitenessError: a diffusion matrix along the paths is
-            not positive definite.
+        PositiveDefinitenessError: a diffusion matrix along the paths
+            fails positive_definite.
         ModelEvaluationError: the paths reach non-finite states.
     """
     d = spec.dim
@@ -599,19 +624,12 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
             noise = z[k] @ chol.T
         else:
             a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)
+            check_positive_definite(
+                a, f"diffusion of {spec.model_id!r} at t = {t:g}")
             if d == 1:
-                av = a.reshape(x.shape[0])
-                if np.any(av <= EPS_PD):
-                    raise PositiveDefinitenessError(
-                        f"diffusion of {spec.model_id!r} not PD along path")
-                noise = (np.sqrt(av) * z[k, :, 0])[:, None]
+                noise = (np.sqrt(a.reshape(x.shape[0])) * z[k, :, 0])[:, None]
             else:
-                try:
-                    chols = np.linalg.cholesky(a)
-                except np.linalg.LinAlgError as exc:
-                    raise PositiveDefinitenessError(
-                        f"Cholesky failed for {spec.model_id!r}") from exc
-                noise = np.einsum("nij,nj->ni", chols, z[k])
+                noise = np.einsum("nij,nj->ni", np.linalg.cholesky(a), z[k])
         x = x + step + noise * math.sqrt(dt)
         out[k + 1] = x
 
@@ -671,8 +689,8 @@ def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
         ArgumentError: dt is not positive.
         ModelEvaluationError: the drift or the diffusion matrix is
             non-finite at (t, x).
-        PositiveDefinitenessError: the diffusion matrix is not symmetric or
-            its smallest eigenvalue is <= EPS_PD.
+        PositiveDefinitenessError: the diffusion matrix fails
+            positive_definite.
     """
     if dt <= 0:
         raise ArgumentError("dt must be positive")
@@ -685,11 +703,8 @@ def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
     if not np.isfinite(a).all():
         raise ModelEvaluationError(
             f"diffusion of {spec.model_id!r} non-finite at t={t}, x={x}")
-    if not np.allclose(a, a.T, atol=TOL_LINALG * (1 + np.abs(a).max())):
-        raise PositiveDefinitenessError("diffusion matrix must be symmetric")
-    if np.linalg.eigvalsh(a).min() <= EPS_PD:
-        raise PositiveDefinitenessError(
-            f"diffusion matrix of {spec.model_id!r} not PD at t={t}, x={x}")
+    check_positive_definite(
+        a, f"diffusion matrix of {spec.model_id!r} at t={t}, x={x}")
     return GaussianLaw(mean=x + b * dt, covariance=a * dt)
 
 

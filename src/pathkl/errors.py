@@ -37,7 +37,7 @@ class ModelEvaluationError(ValueError):
 
 
 class PositiveDefinitenessError(ValueError):
-    """A matrix required to be positive definite is not (within eps_pd)."""
+    """A matrix fails the rule of diffusion.positive_definite."""
 
 
 class CapabilityError(NotImplementedError):

@@ -26,8 +26,9 @@ from .diffusion import (
     PathEnsemble,
     diffusion_match_check,
     param,
+    positive_definite,
 )
-from .errors import ArgumentError, CapabilityError
+from .errors import ArgumentError, CapabilityError, PositiveDefinitenessError
 from .estimates import EntropyEstimate, clamp_at_zero
 from .marginal import initial_entropy
 
@@ -54,13 +55,14 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     paths at a time, column by column, and each block is integrated before
     the next is built. np.trapezoid makes temporaries of about three times
     its input, so it runs on BLOCK_PATHS rows at a time. Each path's
-    integral does not depend on either block size.
+    integral does not depend on either block size. As for a scan of whole
+    columns, an error names the earliest grid time where any path fails.
 
     Raises:
-        ModelEvaluationError: the integrand is NaN or infinite on some path.
-            As for a scan of whole columns, the message names the earliest
-            grid time where any path fails, and says NaN if that time holds
-            a NaN on some path.
+        ModelEvaluationError: the integrand is NaN or infinite on some path;
+            the message says NaN if that time holds a NaN on some path.
+        PositiveDefinitenessError: a state-dependent reference diffusion
+            fails positive_definite on some path.
     """
     pair = PairCoefficients(spec_mu, spec_P, ensemble)
     n, m_plus_1, _ = ensemble.states.shape
@@ -74,7 +76,7 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
             for k in range(m_plus_1):
                 part[:, k] = pair.drift_quad(k, rows=slice(lo, lo + rows))
             failed = not np.isfinite(part).all()
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, PositiveDefinitenessError):
             failed = True
         if failed:
             # a later block may fail at an earlier time: scan whole columns
@@ -156,7 +158,7 @@ def _oracle_constant_drift(read) -> float:
             f"params 'theta' and 'a' do not fit: theta must be a vector of "
             f"length d and a a scalar or a d x d matrix, got shapes "
             f"{theta.shape} and {a_mat.shape}")
-    if np.linalg.eigvalsh(np.atleast_2d(a_mat)).min() <= 0:
+    if not positive_definite(np.atleast_2d(a_mat)):
         raise ArgumentError(f"a must be positive definite, got "
                             f"{a_mat.tolist()}")
     if a_mat.ndim == 0:

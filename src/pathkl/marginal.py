@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (GaussianLaw, InitialLaw, path_generator,
-                        substream_seed, variance_part)
-from .errors import (
-    ArgumentError,
-    CapabilityError,
-    ConvergenceError,
-    PositiveDefinitenessError,
-)
-from .estimates import EntropyEstimate, clamp_at_zero
+from .diffusion import (GaussianLaw, InitialLaw, check_positive_definite,
+                        path_generator, positive_definite, substream_seed,
+                        variance_part)
+from .errors import ArgumentError, CapabilityError, ConvergenceError
+from .estimates import TOL_LINALG, EntropyEstimate, clamp_at_zero
 from .variational import FunctionBasis, mixed_basis
 
 __all__ = [
@@ -143,17 +139,17 @@ class SpacePartition:
 def gaussian_cell_probabilities(law: GaussianLaw):
     """Cell-probability provider for a Gaussian law.
 
-    Requires a diagonal covariance for d > 1 (cell probabilities factor over
-    axes); any nondegenerate covariance works for d = 1.
+    Requires a covariance that is diagonal within TOL_LINALG · max |entry|
+    (cell probabilities factor over axes) and passes positive_definite.
     """
     cov = law.covariance
     d = law.mean.shape[0]
-    if d > 1 and not np.allclose(cov, np.diag(np.diag(cov))):
+    off_diagonal = cov - np.diag(np.diag(cov))
+    if np.abs(off_diagonal).max() > TOL_LINALG * np.abs(cov).max():
         raise CapabilityError(
             "gaussian cell probabilities need a diagonal covariance")
+    check_positive_definite(cov, "gaussian provider covariance")
     sd = np.sqrt(np.diag(cov))
-    if np.any(sd <= 0):
-        raise PositiveDefinitenessError("gaussian provider needs PD covariance")
 
     def provider(partition: SpacePartition) -> np.ndarray:
         from scipy.special import ndtr
@@ -252,20 +248,20 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw, *,
                 diagnostics: dict | None = None) -> float:
     """Closed-form KL divergence between Gaussian laws (nats).
 
-    Returns math.inf when p is degenerate (it then lives on an affine
-    subspace that q does not charge). Roundoff can put equal laws slightly
-    below zero: the value is then clamped at 0, and the unclamped value is
-    kept as diagnostics["clamped_from"] when a diagnostics dict is given.
+    Returns math.inf when p's covariance fails positive_definite (p is then
+    degenerate: it lives on an affine subspace that q does not charge).
+    Roundoff can put equal laws slightly below zero: the value is then
+    clamped at 0, and the unclamped value is kept as
+    diagnostics["clamped_from"] when a diagnostics dict is given.
 
     Raises:
-        PositiveDefinitenessError: q's covariance is singular.
+        PositiveDefinitenessError: q's covariance fails positive_definite.
     """
     d = p.mean.shape[0]
     if q.mean.shape[0] != d:
         raise ArgumentError("dimension mismatch")
-    if np.linalg.eigvalsh(q.covariance).min() <= 0:
-        raise PositiveDefinitenessError("reference covariance must be PD")
-    if np.linalg.slogdet(p.covariance)[0] <= 0:
+    check_positive_definite(q.covariance, "reference covariance")
+    if not positive_definite(p.covariance):
         return math.inf
     gap = q.mean - p.mean
     val = 0.5 * (float(variance_part(q.covariance, p.covariance))

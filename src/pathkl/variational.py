@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, PathEnsemble, no_nan
+from .diffusion import (DiffusionSpec, PathEnsemble, check_positive_definite,
+                        no_nan)
 from .errors import ArgumentError, check_json_types
 
 __all__ = [
@@ -563,11 +564,13 @@ class DriftCorrection:
     spec: DiffusionSpec
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate h at points of shape (..., d)."""
+        """Evaluate h at points of shape (..., d); PositiveDefinitenessError
+        if a(t, ·) fails positive_definite at one of them."""
         x = np.asarray(x, dtype=float)
         grads = self.basis.gradient_stack(x)
         combo = np.einsum("k,...kd->...d", self.coefficients, grads)
         a = np.asarray(self.spec.diffusion_matrix(self.t, x), dtype=float)
+        check_positive_definite(a, f"diffusion at t = {self.t:g}")
         return np.einsum("...ij,...j->...i", a, combo)
 
 
@@ -580,8 +583,8 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
     product, (grad · a) · grad, which for d >= 2 may move the last bits.
 
     Raises:
-        PositiveDefinitenessError: spec's constant_matrix is not positive
-            definite.
+        PositiveDefinitenessError: spec's constant_matrix, or a(t, ·) on
+            some sample, fails positive_definite.
         ModelEvaluationError: a Gram entry is NaN (a(t, ·) was NaN on some
             sample).
 
@@ -602,6 +605,7 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
         else gradients                                   # (n, K, d)
     if spec.constant_factor is None:
         a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
+        check_positive_definite(a, f"diffusion at t = {t:g}")
         q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
     else:
         q = np.einsum("nke,nle->kl", grads @ spec.constant_matrix, grads)
@@ -634,6 +638,8 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             dimension is not the ensemble's.
         ModelEvaluationError: the generator term is NaN (a coefficient of
             spec_P was NaN on some path).
+        PositiveDefinitenessError: spec_P's state-dependent a(t, ·) fails
+            positive_definite on some path.
     """
     m = ensemble.grid.n_steps
     lo, hi = t_index - window, t_index + window
@@ -655,6 +661,7 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     a0 = spec_P.constant_matrix
     if a0 is None:
         a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
+        check_positive_definite(a, f"reference diffusion at t = {t:g}")
         second = np.einsum("nij,nkji->nk", a, hesss)
     else:
         second = np.einsum("ij,nkji->nk", a0, hesss)

@@ -2,8 +2,13 @@
 
 Rows are routes, columns are defects. Each cell names the error the route
 must raise, so a new route or shortcut cannot skip a check silently: no
-bad input may come back as a finite or NaN number, or as +inf.
+bad input may come back as a finite or NaN number, or as +inf. A second
+table holds the verdicts of the positive-definiteness rule at each site
+that asks it.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from pathkl import (
     CapabilityError,
     DiffusionSpec,
     EntropyEstimate,
+    FunctionBasis,
     GaussianLaw,
     InitialLaw,
     ModelEvaluationError,
@@ -26,13 +32,20 @@ from pathkl import (
     cramer_rate,
     dv_estimate,
     empirical_rate,
+    euler_step_law,
+    gaussian_bump,
+    gaussian_cell_probabilities,
+    gaussian_kl,
     girsanov_entropy,
     make_model,
     mixed_basis,
     refinement_sweep,
     residual_energy_profile,
     sample_paths,
+    step_kl,
+    windowed_monomial,
 )
+from pathkl.diffusion import variance_part
 
 GRID = TimeGrid.uniform(1.0, 32)
 INIT = InitialLaw.point_mass([0.0])
@@ -58,11 +71,21 @@ def _masked(drift_value=None, diffusion_value=None):
         constant_matrix=np.eye(1) if diffusion_value is None else None)
 
 
+def _state_dependent(spec):
+    """The same law without its constant matrix: every route evaluates
+    a(t, x) along the paths instead of reading the hoisted matrix."""
+    return dataclasses.replace(spec, constant_matrix=None)
+
+
 # defect -> (mu, P); the routes that take one law get P
 DEFECTS = {
     "non-pd-constant": (
         make_model("constant_drift", {"theta": 1.0, "a": -1.0}),
         make_model("brownian", {"a": -1.0})),
+    "non-pd-state": (
+        _state_dependent(make_model("constant_drift",
+                                    {"theta": 1.0, "a": -1.0})),
+        _state_dependent(make_model("brownian", {"a": -1.0}))),
     "nan-constant": (
         make_model("constant_drift", {"theta": 1.0, "a": np.nan}),
         make_model("brownian", {"a": np.nan})),
@@ -105,14 +128,14 @@ CAP = CapabilityError
 # closed form only for a driftless constant-diffusion law, so a defective
 # drift or state-dependent diffusion is outside its capability.
 EXPECTED = {
-    "girsanov":        (PD, ME, ME, ME, ME),
-    "chain":           (PD, PD, ME, ME, ME),
-    "sweep":           (PD, PD, ME, ME, ME),
-    "sample_paths":    (PD, PD, ME, ME, ME),
-    "residual-energy": (PD, ME, ME, ME, ME),
-    "dv-marginal":     (PD, PD, ME, ME, ME),
-    "empirical_rate":  (PD, PD, ME, ME, ME),
-    "cramer_rate":     (PD, PD, CAP, CAP, CAP),
+    "girsanov":        (PD, PD, ME, ME, ME, ME),
+    "chain":           (PD, PD, PD, ME, ME, ME),
+    "sweep":           (PD, PD, PD, ME, ME, ME),
+    "sample_paths":    (PD, PD, PD, ME, ME, ME),
+    "residual-energy": (PD, PD, ME, ME, ME, ME),
+    "dv-marginal":     (PD, PD, PD, ME, ME, ME),
+    "empirical_rate":  (PD, PD, PD, ME, ME, ME),
+    "cramer_rate":     (PD, CAP, PD, CAP, CAP, CAP),
 }
 
 CELLS = [(route, defect, error)
@@ -143,6 +166,175 @@ def test_nan_and_inf_are_named_apart():
         chain_estimate(*DEFECTS["nan-drift"], INIT, INIT, part, ensemble=ens)
     with pytest.raises(ME, match=r"is infinite on some path at t = 0\.5"):
         chain_estimate(*DEFECTS["inf-drift"], INIT, INIT, part, ensemble=ens)
+
+
+# The positive-definiteness rule: one verdict per law at every site that
+# asks it. Each column is a diffusion matrix A; the 1 x 1 columns take the
+# per-path closed forms, the 2 x 2 ones LAPACK. A site that takes models
+# runs the law with its constant matrix and as the state-dependent twin,
+# and every site runs A, 5e-11 A and 1e-300 A. A cell lists every outcome
+# over those runs, so a single outcome means one verdict for them all.
+PD_COLUMNS = {
+    "1": np.eye(1),
+    "0": np.zeros((1, 1)),
+    "-1": -np.eye(1),
+    "nan": np.full((1, 1), np.nan),
+    "I2": np.eye(2),
+    "0_2": np.zeros((2, 2)),
+    "-I2": -np.eye(2),
+    "nan_2": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    # Cholesky reads the lower triangle only: the sampler drew covariance
+    # [[1, .5], [.5, 1.25]] while the estimators solved against this
+    "asymmetric": np.array([[1.0, 0.0], [0.5, 1.0]]),
+    # smallest eigenvalue 5e-7 A: an absolute eigenvalue floor of 1e-10
+    # accepted it at scale 1 only
+    "near-singular": np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]),
+}
+PD_SCALES = (1.0, 5e-11, 1e-300)
+PD_GRID = TimeGrid.uniform(1.0, 32)
+
+
+def _pd_ensemble(d):
+    return sample_paths(make_model("brownian", {}, dim=d),
+                        InitialLaw.point_mass([0.0] * d), PD_GRID, 40, 5)
+
+
+PD_ENSEMBLES = {1: _pd_ensemble(1), 2: _pd_ensemble(2)}
+
+
+def _pd_basis(d):
+    lo, hi = [-3.0] * d, [3.0] * d
+    if d == 1:
+        return mixed_basis(lo, hi, 6)
+    return FunctionBasis((gaussian_bump([0.0, 0.0], 1.0, lo, hi),
+                          windowed_monomial([1, 0], lo, hi),
+                          windowed_monomial([0, 1], lo, hi)), lo, hi)
+
+
+def _pd_laws(a, representation):
+    """(mu, P): a constant drift against Brownian motion, both with the
+    diffusion matrix a."""
+    d = a.shape[0]
+    laws = (make_model("constant_drift", {"theta": 1.0, "a": a}, dim=d),
+            make_model("brownian", {"a": a}, dim=d))
+    if representation == "state":
+        laws = tuple(_state_dependent(spec) for spec in laws)
+    return laws
+
+
+def _point(d):
+    return InitialLaw.point_mass([0.0] * d)
+
+
+# site -> a run of (mu, P, d) on the sampled paths
+PD_MODEL_SITES = {
+    "sample_paths": lambda mu, p, d: sample_paths(p, _point(d), PD_GRID, 8,
+                                                  0),
+    "euler_step_law": lambda mu, p, d: euler_step_law(p, 0.0, np.zeros(d),
+                                                      0.1),
+    "girsanov": lambda mu, p, d: girsanov_entropy(
+        mu, p, _point(d), _point(d), PD_ENSEMBLES[d]).value,
+    "chain": lambda mu, p, d: chain_estimate(
+        mu, p, _point(d), _point(d),
+        Partition.from_times(PD_GRID, [0.0, 0.5, 1.0]),
+        ensemble=PD_ENSEMBLES[d]).total.value,
+    "step_kl": lambda mu, p, d: step_kl(mu, p, PD_ENSEMBLES[d],
+                                        (0.5, 1.0))[0],
+    "residual-energy": lambda mu, p, d: residual_energy_profile(
+        PD_ENSEMBLES[d], p, _pd_basis(d)).integral,
+}
+
+
+def _law(cov):
+    return GaussianLaw(np.zeros(cov.shape[0]), cov)
+
+
+# site -> a run of (A, the identity at A's scale)
+PD_MATRIX_SITES = {
+    "variance_part-ref": lambda a, i: variance_part(a, i),
+    "variance_part-ens": lambda a, i: variance_part(i, a),
+    "gaussian_kl-ref": lambda a, i: gaussian_kl(_law(i), _law(a)),
+    "gaussian_kl-p": lambda a, i: gaussian_kl(_law(a), _law(i)),
+    "cell-probs": lambda a, i: gaussian_cell_probabilities(_law(a)),
+    "oracle": lambda a, i: analytic_entropy(ScenarioOracle(
+        "constant_drift_vs_brownian",
+        {"theta": [1.0] * a.shape[0], "a": a.tolist()})),
+}
+
+OK, INF, ARG = "ok", "+inf", ArgumentError
+# A NaN matrix is refused as not finite: by the constant matrix's factor
+# (PD) in the constant representation and by the finiteness checks (ME)
+# along the paths; variance_part passes it through to its result (OK), as
+# slogdet does. GaussianLaw's covariance rule refuses an indefinite or
+# asymmetric covariance (ARG) at TOL_LINALG (1 + max |entry|), which the
+# two smaller scales pass; the PD rule then refuses it (PD, or +inf for
+# gaussian_kl's p), unless the cell rule refuses its off-diagonal (CAP).
+# The match check runs first in girsanov and finds no distance between
+# two zero matrices (ME).
+NAN = {PD, ME}
+PD_VERDICTS = {
+    #                     1     0      -1          nan    I2    0_2
+    #                     -I2         nan_2  asymmetric  near-singular
+    "sample_paths":      ({OK}, {PD},  {PD},       NAN,   {OK}, {PD},
+                          {PD},       NAN,   {PD},       {OK}),
+    "euler_step_law":    ({OK}, {PD},  {PD},       {ME},  {OK}, {PD},
+                          {PD},       {ME},  {PD},       {OK}),
+    "girsanov":          ({OK}, {ME},  {PD},       {ME},  {OK}, {ME},
+                          {PD},       {ME},  {PD},       {OK}),
+    "chain":             ({OK}, {PD},  {PD},       NAN,   {OK}, {PD},
+                          {PD},       NAN,   {PD},       {OK}),
+    "step_kl":           ({OK}, {PD},  {PD},       NAN,   {OK}, {PD},
+                          {PD},       NAN,   {PD},       {OK}),
+    "residual-energy":   ({OK}, {PD},  {PD},       {ME},  {OK}, {PD},
+                          {PD},       {ME},  {PD},       {OK}),
+    "variance_part-ref": ({OK}, {PD},  {PD},       {OK},  {OK}, {PD},
+                          {PD},       {OK},  {PD},       {OK}),
+    "variance_part-ens": ({OK}, {PD},  {PD},       {OK},  {OK}, {PD},
+                          {PD},       {OK},  {PD},       {OK}),
+    "gaussian_kl-ref":   ({OK}, {PD},  {ARG, PD},  {ARG}, {OK}, {PD},
+                          {ARG, PD},  {ARG}, {ARG, PD},  {OK}),
+    "gaussian_kl-p":     ({OK}, {INF}, {ARG, INF}, {ARG}, {OK}, {INF},
+                          {ARG, INF}, {ARG}, {ARG, INF}, {OK}),
+    "cell-probs":        ({OK}, {PD},  {ARG, PD},  {ARG}, {OK}, {PD},
+                          {ARG, PD},  {ARG}, {ARG, CAP}, {CAP}),
+    "oracle":            ({OK}, {ARG}, {ARG},      {ARG}, {OK}, {ARG},
+                          {ARG},      {ARG}, {ARG},      {OK}),
+}
+PD_CELLS = [(site, column, verdict)
+            for site, verdicts in PD_VERDICTS.items()
+            for column, verdict in zip(PD_COLUMNS, verdicts, strict=True)]
+
+
+def _outcome(run):
+    """OK, INF or the class of the error the run raised."""
+    try:
+        value = run()
+    except (ArgumentError, CapabilityError, ME, PD) as exc:
+        return type(exc)
+    return INF if isinstance(value, float) and math.isinf(value) else OK
+
+
+def test_verdict_table_covers_every_site():
+    assert set(PD_VERDICTS) == set(PD_MODEL_SITES) | set(PD_MATRIX_SITES)
+
+
+@pytest.mark.parametrize("site,column,verdict", PD_CELLS,
+                         ids=[f"{s}-{c}" for s, c, _ in PD_CELLS])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_pd_verdict_per_law(site, column, verdict):
+    a = PD_COLUMNS[column]
+    d = a.shape[0]
+    outcomes = set()
+    for scale in PD_SCALES:
+        if site in PD_MODEL_SITES:
+            for representation in ("constant", "state"):
+                mu, p = _pd_laws(scale * a, representation)
+                outcomes.add(_outcome(
+                    lambda: PD_MODEL_SITES[site](mu, p, d)))
+        else:
+            outcomes.add(_outcome(lambda: PD_MATRIX_SITES[site](
+                scale * a, scale * np.eye(d))))
+    assert outcomes == verdict
 
 
 # constructor -> a build of one value, and the finite value out of its

@@ -492,9 +492,10 @@ def test_variance_part_1x1_raises_as_slogdet(bad, side):
         variance_part(a, c)
 
 
-def _drift_gap_pair(gaps):
+def _drift_gap_pair(gaps, a=None):
     """PairCoefficients whose drift gap is the fixed array gaps (n, 1) and
-    whose P diffusion is state-dependent."""
+    whose P diffusion is state-dependent: the fixed array a (n, 1, 1), or
+    ones."""
     n = gaps.shape[0]
     grid = TimeGrid.uniform(1.0, 2)
     ens = PathEnsemble(grid=grid, states=np.zeros((n, 3, 1)), seed=0)
@@ -502,7 +503,8 @@ def _drift_gap_pair(gaps):
                             diffusion_matrix=lambda t, x: np.ones(
                                 x.shape[:-1] + (1, 1)))
     spec_P = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
-                           diffusion_matrix=spec_mu.diffusion_matrix)
+                           diffusion_matrix=spec_mu.diffusion_matrix
+                           if a is None else lambda t, x: a)
     return PairCoefficients(spec_mu, spec_P, ens)
 
 
@@ -513,24 +515,24 @@ def test_drift_quad_1x1_matches_solve():
     gaps = (rng.normal(size=(n, 1))
             * 10.0 ** rng.uniform(-160, 160, size=(n, 1)))
     gaps[:4, 0] = [0.0, np.inf, np.nan, 1e-320]
-    entries = _entries(n, 4)
-    entries[-20:] *= -1.0    # solve does not raise on negative entries
-    a = entries.reshape(n, 1, 1)
-    got = _drift_gap_pair(gaps).drift_quad(1, a)
+    a = _entries(n, 4).reshape(n, 1, 1)
+    got = _drift_gap_pair(gaps, a).drift_quad(1)
+    assert np.array_equal(_drift_gap_pair(gaps).drift_quad(1, a), got,
+                          equal_nan=True)
     want = np.einsum("nd,nd->n", gaps,
                      np.linalg.solve(a, gaps[..., None])[..., 0])
     assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_drift_quad_1x1_zero_reference_raises(zero):
+@pytest.mark.parametrize("bad", NONPOSITIVE_ENTRIES)
+def test_drift_quad_1x1_nonpositive_reference_raises(bad):
+    # the PD rule refuses what solve refuses (a zero) and what it would
+    # divide by (a negative entry) in the a that drift_quad evaluates
     gaps = np.ones((3, 1))
     a = np.ones((3, 1, 1))
-    a[1, 0, 0] = zero
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(a, gaps[..., None])
-    with pytest.raises(np.linalg.LinAlgError):
-        _drift_gap_pair(gaps).drift_quad(1, a)
+    a[1, 0, 0] = bad
+    with pytest.raises(PositiveDefinitenessError, match=r"t = 0\.5"):
+        _drift_gap_pair(gaps, a).drift_quad(1)
 
 
 # ---------------------------------------------------------------------------

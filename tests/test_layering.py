@@ -66,6 +66,30 @@ def test_no_module_imports_scipy_at_import_time():
     assert found == []
 
 
+def test_one_positive_definiteness_rule():
+    # every diffusion-matrix and KL-reference check asks
+    # diffusion.positive_definite, through check_positive_definite; only a
+    # constant matrix's non-finite entry is refused apart from it
+    raisers, named = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            raisers += [f"{path.name}:{func.name}"
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "PositiveDefinitenessError"]
+        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "EPS_PD"
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "EPS_PD"]
+    assert named == []
+    assert sorted(raisers) == ["diffusion.py:check_positive_definite",
+                               "diffusion.py:constant_factor"]
+
+
 _CONSTANT_PAIR = {
     "model_mu": {"id": "constant_drift", "params": {"theta": 1.0}},
     "model_P": {"id": "brownian", "params": {}},

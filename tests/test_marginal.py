@@ -193,6 +193,20 @@ def test_gaussian_provider_rejects_coupled_covariance():
         gaussian_cell_probabilities(law)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_gaussian_provider_diagonal_test_is_relative(scale):
+    # an absolute 1e-8 on the off-diagonal passed this coupled law as
+    # diagonal at scale 1e-9, and its cells were factored over the axes
+    law = GaussianLaw(np.zeros(2), scale * np.array([[1.0, 0.9],
+                                                     [0.9, 1.0]]))
+    with pytest.raises(CapabilityError):
+        gaussian_cell_probabilities(law)
+    diagonal = GaussianLaw(np.zeros(2), scale * np.diag([1.0, 0.5]))
+    part = SpacePartition.regular(-1.0, 1.0, 4, dim=2)
+    probs = gaussian_cell_probabilities(diagonal)(part)
+    assert probs.sum() == pytest.approx(1.0)
+
+
 # ---------------------------------------------------------------------------
 # histogram estimator
 

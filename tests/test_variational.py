@@ -757,3 +757,14 @@ def test_gram_matrix_rejects_non_pd_constant_matrix():
     with pytest.raises(PositiveDefinitenessError):
         gram_matrix(make_model("brownian", {"a": -1.0}), 0.5,
                     np.zeros((10, 1)), mixed_basis([-3.0], [3.0], 6))
+
+
+def test_correction_field_rejects_non_pd_diffusion():
+    # the field applied a(t, x) = -1 where the route refuses it
+    basis = mixed_basis([-2.0], [2.0], 3)
+    spec = replace(make_model("brownian", {"a": -1.0}), constant_matrix=None)
+    corr = variational.DriftCorrection(
+        coefficients=np.ones(basis.size), energy=0.0, t=0.5, basis=basis,
+        spec=spec)
+    with pytest.raises(PositiveDefinitenessError, match=r"t = 0\.5"):
+        corr.field(np.zeros((3, 1)))
