@@ -111,7 +111,7 @@ class DiffusionSpec:
     x: x of shape (..., d) yields (..., d) and (..., d, d). constant_matrix
     is the d x d matrix of a model whose a(t, x) never varies, or None: where
     it is set, it stands in for diffusion_matrix, and it is trusted to equal
-    it. Whatever relies on it being positive definite reads constant_factor.
+    it. Every route reads a(t, x) through matrix_at.
     """
 
     dim: int
@@ -126,17 +126,32 @@ class DiffusionSpec:
         """Cholesky factor of constant_matrix, computed once, or None.
 
         Raises:
-            PositiveDefinitenessError: constant_matrix has a non-finite
-                entry or fails positive_definite.
+            PositiveDefinitenessError, ModelEvaluationError: as matrix_at,
+                naming t = 0 for constant_matrix.
         """
         if self.constant_matrix is None:
             return None
-        what = f"constant diffusion matrix of {self.model_id!r}"
-        # positive_definite passes a NaN entry
-        if not np.isfinite(self.constant_matrix).all():
-            raise PositiveDefinitenessError(f"{what} has a non-finite entry")
-        check_positive_definite(self.constant_matrix, what)
-        return np.linalg.cholesky(self.constant_matrix)
+        return np.linalg.cholesky(_checked_matrix(
+            self.constant_matrix,
+            f"constant diffusion matrix of {self.model_id!r}", 0.0))
+
+    def matrix_at(self, t: float, x: np.ndarray) -> np.ndarray:
+        """a(t, x): constant_matrix (d, d) where it is set, else
+        diffusion_matrix(t, x) as a (..., d, d) float stack. Raises
+        PositiveDefinitenessError if a matrix fails positive_definite (as
+        -inf in d = 1 does), then ModelEvaluationError if one is not finite.
+        """
+        if self.constant_factor is not None:
+            return self.constant_matrix
+        return _checked_matrix(
+            np.asarray(self.diffusion_matrix(t, x), dtype=float),
+            f"diffusion matrix of {self.model_id!r}", t)
+
+
+def _checked_matrix(a: np.ndarray, what: str, t: float) -> np.ndarray:
+    """a, once it passes the PD rule and then no_nan."""
+    check_positive_definite(a, f"{what} at t = {t:g}")
+    return no_nan(a, what, t)
 
 
 @dataclass(frozen=True)
@@ -265,8 +280,9 @@ class GaussianLaw:
         ArgumentError: with a message that starts with mean or covariance,
             unless every entry is a finite number, the mean a d-vector and
             the covariance a d x d symmetric PSD matrix, both within
-            TOL_LINALG (1 + max |covariance|). This covariance rule admits
-            a singular covariance, which positive_definite refuses.
+            TOL_LINALG · max |covariance|, symmetry measured as in
+            positive_definite. This covariance rule admits a singular
+            covariance, which positive_definite refuses.
     """
 
     mean: np.ndarray
@@ -282,8 +298,8 @@ class GaussianLaw:
                                 f"{mean.shape}")
         if cov.shape != (mean.shape[0],) * 2:
             raise ArgumentError("covariance shape does not match mean")
-        tol = TOL_LINALG * (1 + np.abs(cov).max())
-        if not np.allclose(cov, cov.T, atol=tol):
+        tol = TOL_LINALG * np.abs(cov).max()
+        if np.any(np.abs(cov - cov.T) > tol):
             raise ArgumentError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -tol:
             raise ArgumentError("covariance must be PSD")
@@ -439,58 +455,42 @@ class PairCoefficients:
         self.spec_mu, self.spec_P = spec_mu, spec_P
         self.states = ensemble.states
         self.times = ensemble.grid.points
-        self.c = spec_mu.constant_matrix
-        self.a = spec_P.constant_matrix
 
     @cached_property
     def a_inv(self):
-        """Inverse of P's hoisted matrix, or None. Computed on first use by
-        the drift term, once the matrix's Cholesky factor exists: the match
-        check of a singular matrix must report a mismatch, not fail here."""
+        """Inverse of P's hoisted matrix, or None; computed on first use."""
         if self.spec_P.constant_factor is None:
             return None
-        return np.linalg.inv(self.a)
+        return np.linalg.inv(self.spec_P.constant_matrix)
 
     @cached_property
     def fixed(self):
         """The dt-free part once per run when both diffusions are constant,
-        else None; PositiveDefinitenessError if a constant one is not
-        positive definite."""
+        else None."""
         if (self.spec_P.constant_factor is None
                 or self.spec_mu.constant_factor is None):
             return None
-        return no_nan(variance_part(self.a, self.c),
+        return no_nan(variance_part(self.spec_P.constant_matrix,
+                                    self.spec_mu.constant_matrix),
                       "variance part of the pair", float(self.times[0]))
 
     def _column(self, k: int, rows: slice = slice(None)):
         return float(self.times[k]), self.states[rows, k]
 
-    def matrices(self, t: float, x: np.ndarray):
-        """(a, c) at time t and states x; a hoisted matrix stands in for
-        its model's."""
-        a = self.a if self.a is not None else np.asarray(
-            self.spec_P.diffusion_matrix(t, x), dtype=float)
-        c = self.c if self.c is not None else np.asarray(
-            self.spec_mu.diffusion_matrix(t, x), dtype=float)
-        return a, c
-
     def drift_quad(self, k: int, a=None,
                    rows: slice = slice(None)) -> np.ndarray:
         """Per-path (e - b)' a^{-1} (e - b) at column k, on the given rows
-        of paths; a as evaluated there when P's diffusion is not constant,
-        which variance_part has checked. Each path's value does not depend
-        on the rows asked for. As with variance_part, a NaN passes through
-        to the result; the estimators check it (drift_term). An a evaluated
-        here is checked: PositiveDefinitenessError, naming t, if it fails
-        positive_definite."""
+        of paths; a is P's matrix_at there, evaluated here unless it is
+        passed. Each path's value does not depend on the rows asked for.
+        As with variance_part, a NaN in a passed a or in the drifts passes
+        through to the result; the estimators check it (drift_term)."""
         t, x = self._column(k, rows)
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
         if self.a_inv is not None:
             return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
         if a is None:
-            a = np.asarray(self.spec_P.diffusion_matrix(t, x), dtype=float)
-            check_positive_definite(a, f"reference diffusion at t = {t:g}")
+            a = self.spec_P.matrix_at(t, x)
         if a.shape[-1] == 1:
             # the 1 x 1 solve is a division
             return np.einsum("nd,nd->n", gap, gap / a[..., 0])
@@ -506,7 +506,7 @@ class PairCoefficients:
         """Per-path dt-free part and drift quadratic of the interval KL with
         left endpoint at column k; ModelEvaluationError if one is NaN."""
         t, x = self._column(k)
-        a, c = self.matrices(t, x)
+        a, c = self.spec_P.matrix_at(t, x), self.spec_mu.matrix_at(t, x)
         return (no_nan(variance_part(a, c), "variance part of the pair", t),
                 self.drift_term(k, a))
 
@@ -549,17 +549,21 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         ModelEvaluationError: a matrix entry is not finite, or a distance
             is NaN (both matrices zero).
     """
-    pair = PairCoefficients(spec_mu, spec_P, ensemble_mu)
     states = ensemble_mu.states
     n, m_plus_1, _ = states.shape
     stride = max(1, (n * m_plus_1) // MATCH_POINTS)
-    constant = pair.a is not None and pair.c is not None
+    a0, c0 = spec_P.constant_matrix, spec_mu.constant_matrix
+    constant = a0 is not None and c0 is not None
     max_dist = 0.0
     arg_t = 0.0
     count = 0
     for k in range(1 if constant else m_plus_1):
-        t, x = float(pair.times[k]), states[::stride, k]
-        a, c = pair.matrices(t, x)
+        t, x = float(ensemble_mu.grid.points[k]), states[::stride, k]
+        # the raw matrices: a mismatch is reported, not refused
+        a = a0 if a0 is not None else np.asarray(
+            spec_P.diffusion_matrix(t, x), dtype=float)
+        c = c0 if c0 is not None else np.asarray(
+            spec_mu.diffusion_matrix(t, x), dtype=float)
         k_max = float(_match_distance(a, c).max())
         # eigvalsh can turn a NaN entry into finite eigenvalues, so the
         # matrices are checked, not only the distance
@@ -601,8 +605,8 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
     and writes out[k + 1].
 
     Raises:
-        PositiveDefinitenessError: a diffusion matrix along the paths
-            fails positive_definite.
+        PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
+            a diffusion matrix along the paths.
         ModelEvaluationError: the paths reach non-finite states.
     """
     d = spec.dim
@@ -623,9 +627,7 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
         elif chol is not None:
             noise = z[k] @ chol.T
         else:
-            a = np.asarray(spec.diffusion_matrix(t, x), dtype=float)
-            check_positive_definite(
-                a, f"diffusion of {spec.model_id!r} at t = {t:g}")
+            a = spec.matrix_at(t, x)
             if d == 1:
                 noise = (np.sqrt(a.reshape(x.shape[0])) * z[k, :, 0])[:, None]
             else:
@@ -687,10 +689,9 @@ def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
 
     Raises:
         ArgumentError: dt is not positive.
-        ModelEvaluationError: the drift or the diffusion matrix is
-            non-finite at (t, x).
-        PositiveDefinitenessError: the diffusion matrix fails
-            positive_definite.
+        ModelEvaluationError: the drift is non-finite at (t, x).
+        PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
+            the diffusion matrix.
     """
     if dt <= 0:
         raise ArgumentError("dt must be positive")
@@ -699,13 +700,7 @@ def euler_step_law(spec: DiffusionSpec, t: float, x, dt: float) -> GaussianLaw:
     if not np.isfinite(b).all():
         raise ModelEvaluationError(
             f"drift of {spec.model_id!r} non-finite at t={t}, x={x}")
-    a = np.atleast_2d(np.asarray(spec.diffusion_matrix(t, x), dtype=float))
-    if not np.isfinite(a).all():
-        raise ModelEvaluationError(
-            f"diffusion of {spec.model_id!r} non-finite at t={t}, x={x}")
-    check_positive_definite(
-        a, f"diffusion matrix of {spec.model_id!r} at t={t}, x={x}")
-    return GaussianLaw(mean=x + b * dt, covariance=a * dt)
+    return GaussianLaw(mean=x + b * dt, covariance=spec.matrix_at(t, x) * dt)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from .diffusion import (
     param,
     positive_definite,
 )
-from .errors import ArgumentError, CapabilityError, PositiveDefinitenessError
+from .errors import (ArgumentError, CapabilityError, ModelEvaluationError,
+                     PositiveDefinitenessError)
 from .estimates import EntropyEstimate, clamp_at_zero
 from .marginal import initial_entropy
 
@@ -61,8 +62,8 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     Raises:
         ModelEvaluationError: the integrand is NaN or infinite on some path;
             the message says NaN if that time holds a NaN on some path.
-        PositiveDefinitenessError: a state-dependent reference diffusion
-            fails positive_definite on some path.
+        PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
+            a state-dependent reference diffusion on some path.
     """
     pair = PairCoefficients(spec_mu, spec_P, ensemble)
     n, m_plus_1, _ = ensemble.states.shape
@@ -76,7 +77,8 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
             for k in range(m_plus_1):
                 part[:, k] = pair.drift_quad(k, rows=slice(lo, lo + rows))
             failed = not np.isfinite(part).all()
-        except (np.linalg.LinAlgError, PositiveDefinitenessError):
+        except (np.linalg.LinAlgError, ModelEvaluationError,
+                PositiveDefinitenessError):
             failed = True
         if failed:
             # a later block may fail at an earlier time: scan whole columns

@@ -162,8 +162,8 @@ def empirical_rate(spec_P: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
     Raises:
         ArgumentError: the initial law's dimension is not the model's.
         InsufficientSamplingError: every row had zero exceedances.
-        PositiveDefinitenessError: a diffusion matrix along a trial's paths
-            is not positive definite.
+        PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
+            a diffusion matrix along a trial's paths.
         ModelEvaluationError: a trial's paths reach non-finite states.
     """
     if init.dim != spec_P.dim:
@@ -212,8 +212,8 @@ def cramer_rate(spec_P: DiffusionSpec, z: float, horizon: float) -> float:
 
     Raises:
         CapabilityError: the model's terminal law is not that Gaussian.
-        PositiveDefinitenessError: its constant matrix is not positive
-            definite.
+        PositiveDefinitenessError, ModelEvaluationError: as matrix_at,
+            for its constant matrix.
     """
     if spec_P.dim != 1 or spec_P.constant_factor is None:
         raise CapabilityError(
@@ -223,7 +223,7 @@ def cramer_rate(spec_P: DiffusionSpec, z: float, horizon: float) -> float:
     drift_late = np.asarray(spec_P.drift(0.5 * horizon, x), dtype=float)
     if not (np.allclose(drift, 0.0) and np.allclose(drift_late, 0.0)):
         raise CapabilityError("closed-form rate needs a driftless model")
-    a = float(spec_P.constant_matrix[0, 0])
+    a = float(spec_P.matrix_at(0.0, x)[0, 0])
     if horizon <= 0:
         raise ArgumentError("horizon must be positive")
     return z * z / (2.0 * a * horizon)

@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, PathEnsemble, check_positive_definite,
-                        no_nan)
+from .diffusion import DiffusionSpec, PathEnsemble, no_nan
 from .errors import ArgumentError, check_json_types
 
 __all__ = [
@@ -564,29 +563,28 @@ class DriftCorrection:
     spec: DiffusionSpec
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate h at points of shape (..., d); PositiveDefinitenessError
-        if a(t, ·) fails positive_definite at one of them."""
+        """Evaluate h at points of shape (..., d); the errors of matrix_at
+        if a(t, ·) is refused at one of them."""
         x = np.asarray(x, dtype=float)
         grads = self.basis.gradient_stack(x)
         combo = np.einsum("k,...kd->...d", self.coefficients, grads)
-        a = np.asarray(self.spec.diffusion_matrix(self.t, x), dtype=float)
-        check_positive_definite(a, f"diffusion at t = {self.t:g}")
+        a = self.spec.matrix_at(self.t, x)
         return np.einsum("...ij,...j->...i", a, combo)
 
 
 def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
                 basis: FunctionBasis, *,
-                gradients: np.ndarray | None = None) -> GramData:
+                gradients: np.ndarray | None = None,
+                matrix: np.ndarray | None = None) -> GramData:
     """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
 
     When spec has a constant_matrix, the gradients contract with it in one
     product, (grad · a) · grad, which for d >= 2 may move the last bits.
 
     Raises:
-        PositiveDefinitenessError: spec's constant_matrix, or a(t, ·) on
-            some sample, fails positive_definite.
-        ModelEvaluationError: a Gram entry is NaN (a(t, ·) was NaN on some
-            sample).
+        PositiveDefinitenessError, ModelEvaluationError: as spec.matrix_at,
+            for a(t, ·) on the samples.
+        ModelEvaluationError: a Gram entry is NaN or infinite.
 
     Args:
         spec: law supplying the diffusion matrix weight.
@@ -595,6 +593,8 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
         basis: test functions.
         gradients: basis gradients (n, K, d) at marginal_samples when the
             caller has already evaluated them.
+        matrix: spec.matrix_at(t, marginal_samples), when the caller has
+            already evaluated it.
     """
     y = np.asarray(marginal_samples, dtype=float)
     if y.ndim == 1:
@@ -603,12 +603,11 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
         raise ArgumentError("gram matrix needs at least one sample")
     grads = basis.jet(y, 1)[1] if gradients is None \
         else gradients                                   # (n, K, d)
-    if spec.constant_factor is None:
-        a = np.asarray(spec.diffusion_matrix(t, y), dtype=float)
-        check_positive_definite(a, f"diffusion at t = {t:g}")
-        q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
+    a = spec.matrix_at(t, y) if matrix is None else matrix
+    if a.ndim == 2:
+        q = np.einsum("nke,nle->kl", grads @ a, grads)
     else:
-        q = np.einsum("nke,nle->kl", grads @ spec.constant_matrix, grads)
+        q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
     q = q / y.shape[0]
     q = no_nan(0.5 * (q + q.T), "Gram matrix", t)
     svals = np.linalg.svd(q, compute_uv=False)
@@ -618,8 +617,9 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
 
 def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                            basis: FunctionBasis, t_index: int,
-                           window: int = 1, *,
-                           jets: dict | None = None) -> FokkerPlanckResidual:
+                           window: int = 1, *, jets: dict | None = None,
+                           matrix: np.ndarray | None = None
+                           ) -> FokkerPlanckResidual:
     """Residual of the reference Fokker-Planck identity on the basis.
 
     Under the reference law P the marginals satisfy d/dt <mu_t, f> =
@@ -632,14 +632,15 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         jets: basis.jet of the ensemble's time slices by grid index, when
             the caller has already evaluated them: values are read at
             t_index ± window, gradients and Hessians at t_index.
+        matrix: spec_P.matrix_at at the central slice, when the caller has
+            already evaluated it.
 
     Raises:
         ArgumentError: when t_index ± window leaves the grid, or the basis
             dimension is not the ensemble's.
-        ModelEvaluationError: the generator term is NaN (a coefficient of
-            spec_P was NaN on some path).
-        PositiveDefinitenessError: spec_P's state-dependent a(t, ·) fails
-            positive_definite on some path.
+        PositiveDefinitenessError, ModelEvaluationError: as
+            spec_P.matrix_at, for a(t, ·) on the central slice.
+        ModelEvaluationError: the generator term is NaN or infinite.
     """
     m = ensemble.grid.n_steps
     lo, hi = t_index - window, t_index + window
@@ -658,13 +659,11 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     t = float(times[t_index])
     diff = (jets[hi][0] - jets[lo][0]) / float(times[hi] - times[lo])
     b = np.asarray(spec_P.drift(t, x_mid), dtype=float)
-    a0 = spec_P.constant_matrix
-    if a0 is None:
-        a = np.asarray(spec_P.diffusion_matrix(t, x_mid), dtype=float)
-        check_positive_definite(a, f"reference diffusion at t = {t:g}")
-        second = np.einsum("nij,nkji->nk", a, hesss)
+    a = spec_P.matrix_at(t, x_mid) if matrix is None else matrix
+    if a.ndim == 2:
+        second = np.einsum("ij,nkji->nk", a, hesss)
     else:
-        second = np.einsum("ij,nkji->nk", a0, hesss)
+        second = np.einsum("nij,nkji->nk", a, hesss)
     gen = no_nan(0.5 * second + np.einsum("nd,nkd->nk", b, grads),
                  "reference generator term", t)
 
@@ -725,11 +724,14 @@ class EnergyProfile:
 
 
 def _debiased_slice(ensemble, spec_P, basis, idx, window, jets, debias):
-    # jets holds the basis jets at idx ± window and the order-2 jet at idx
+    # jets holds the basis jets at idx ± window and the order-2 jet at idx;
+    # P's matrix on the slice is evaluated once for both
+    x = ensemble.states[:, idx]
+    a = spec_P.matrix_at(float(ensemble.grid.points[idx]), x)
     res = fokker_planck_residual(ensemble, spec_P, basis, idx, window,
-                                 jets=jets)
-    gram = gram_matrix(spec_P, res.t, ensemble.states[:, idx], basis,
-                       gradients=jets[idx][1])
+                                 jets=jets, matrix=a)
+    gram = gram_matrix(spec_P, res.t, x, basis, gradients=jets[idx][1],
+                       matrix=a)
     sol = dual_energy(res.values, gram)
     value = sol.value
     if debias:

@@ -1,10 +1,11 @@
 """Every route fails loudly on every defective law.
 
 Rows are routes, columns are defects. Each cell names the error the route
-must raise, so a new route or shortcut cannot skip a check silently: no
-bad input may come back as a finite or NaN number, or as +inf. A second
-table holds the verdicts of the positive-definiteness rule at each site
-that asks it.
+must raise, with the law as given and as its state-dependent twin, so a
+new route or shortcut cannot skip a check silently: no bad input may come
+back as a finite or NaN number, or as +inf, unless the route never reads
+the defective coefficient. A second table holds the verdicts of the
+positive-definiteness rule at each site that asks it.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from pathkl import (
     ArgumentError,
     CapabilityError,
     DiffusionSpec,
+    DriftCorrection,
     EntropyEstimate,
     FunctionBasis,
     GaussianLaw,
@@ -33,10 +35,12 @@ from pathkl import (
     dv_estimate,
     empirical_rate,
     euler_step_law,
+    fokker_planck_residual,
     gaussian_bump,
     gaussian_cell_probabilities,
     gaussian_kl,
     girsanov_entropy,
+    gram_matrix,
     make_model,
     mixed_basis,
     refinement_sweep,
@@ -100,6 +104,13 @@ def _ensemble():
     return sample_paths(make_model("brownian", {}), INIT, GRID, 200, 5)
 
 
+BASIS = mixed_basis([-3.0], [3.0], 6)
+
+
+def _mid_states():
+    return _ensemble().states[:, 16]
+
+
 ROUTES = {
     "girsanov": lambda mu, p: girsanov_entropy(mu, p, INIT, INIT,
                                                _ensemble()),
@@ -110,7 +121,13 @@ ROUTES = {
                                             200, 5),
     "sample_paths": lambda mu, p: sample_paths(p, INIT, GRID, 200, 5),
     "residual-energy": lambda mu, p: residual_energy_profile(
-        _ensemble(), p, mixed_basis([-3.0], [3.0], 6)),
+        _ensemble(), p, BASIS),
+    "fokker_planck_residual": lambda mu, p: fokker_planck_residual(
+        _ensemble(), p, BASIS, 16, 8).values.sum(),
+    "gram_matrix": lambda mu, p: gram_matrix(p, 0.5, _mid_states(),
+                                             BASIS).matrix.sum(),
+    "DriftCorrection.field": lambda mu, p: DriftCorrection(
+        np.ones(BASIS.size), 0.0, 0.5, BASIS, p).field(_mid_states()).sum(),
     "dv-marginal": lambda mu, p: dv_estimate(
         sample_paths(mu, INIT, GRID, 200, 5).states[:, -1],
         sample_paths(p, INIT, GRID, 200, 6).states[:, -1]),
@@ -123,19 +140,25 @@ ROUTES = {
 PD = PositiveDefinitenessError
 ME = ModelEvaluationError
 CAP = CapabilityError
+OK, INF, NAN, ARG = "ok", "+inf", "nan", ArgumentError
 
-# route -> the error of each defect, in DEFECTS order. cramer_rate has a
+# route -> the outcome of each defect, in DEFECTS order. cramer_rate has a
 # closed form only for a driftless constant-diffusion law, so a defective
-# drift or state-dependent diffusion is outside its capability.
+# drift or state-dependent diffusion is outside its capability. The Gram
+# matrix and the correction field read no drift, so a defective drift
+# leaves them finite (OK).
 EXPECTED = {
-    "girsanov":        (PD, PD, ME, ME, ME, ME),
-    "chain":           (PD, PD, PD, ME, ME, ME),
-    "sweep":           (PD, PD, PD, ME, ME, ME),
-    "sample_paths":    (PD, PD, PD, ME, ME, ME),
-    "residual-energy": (PD, PD, ME, ME, ME, ME),
-    "dv-marginal":     (PD, PD, PD, ME, ME, ME),
-    "empirical_rate":  (PD, PD, PD, ME, ME, ME),
-    "cramer_rate":     (PD, CAP, PD, CAP, CAP, CAP),
+    "girsanov":               (PD, PD,  ME, ME,  ME, ME),
+    "chain":                  (PD, PD,  ME, ME,  ME, ME),
+    "sweep":                  (PD, PD,  ME, ME,  ME, ME),
+    "sample_paths":           (PD, PD,  ME, ME,  ME, ME),
+    "residual-energy":        (PD, PD,  ME, ME,  ME, ME),
+    "fokker_planck_residual": (PD, PD,  ME, ME,  ME, ME),
+    "gram_matrix":            (PD, PD,  ME, OK,  ME, OK),
+    "DriftCorrection.field":  (PD, PD,  ME, OK,  ME, OK),
+    "dv-marginal":            (PD, PD,  ME, ME,  ME, ME),
+    "empirical_rate":         (PD, PD,  ME, ME,  ME, ME),
+    "cramer_rate":            (PD, CAP, ME, CAP, CAP, CAP),
 }
 
 CELLS = [(route, defect, error)
@@ -149,15 +172,17 @@ def test_table_covers_every_route():
 
 @pytest.mark.parametrize("route,defect,error", CELLS,
                          ids=[f"{r}-{d}" for r, d, _ in CELLS])
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_every_route_raises_on_every_defect(route, defect, error):
+    # each law also runs as its state-dependent twin, but for cramer_rate,
+    # whose closed form needs the constant matrix
     mu, p = DEFECTS[defect]
-    with pytest.raises(error):
-        ROUTES[route](mu, p)
+    laws = [(mu, p)]
+    if route != "cramer_rate":
+        laws.append((_state_dependent(mu), _state_dependent(p)))
+    for mu, p in laws:
+        assert _outcome(lambda: ROUTES[route](mu, p)) == error
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_and_inf_are_named_apart():
     # a NaN keeps the words the NaN checks have always used
     ens = _ensemble()
@@ -242,6 +267,8 @@ PD_MODEL_SITES = {
                                         (0.5, 1.0))[0],
     "residual-energy": lambda mu, p, d: residual_energy_profile(
         PD_ENSEMBLES[d], p, _pd_basis(d)).integral,
+    "fokker_planck_residual": lambda mu, p, d: fokker_planck_residual(
+        PD_ENSEMBLES[d], p, _pd_basis(d), 16, 8).values.sum(),
 }
 
 
@@ -261,44 +288,43 @@ PD_MATRIX_SITES = {
         {"theta": [1.0] * a.shape[0], "a": a.tolist()})),
 }
 
-OK, INF, ARG = "ok", "+inf", ArgumentError
-# A NaN matrix is refused as not finite: by the constant matrix's factor
-# (PD) in the constant representation and by the finiteness checks (ME)
-# along the paths; variance_part passes it through to its result (OK), as
-# slogdet does. GaussianLaw's covariance rule refuses an indefinite or
-# asymmetric covariance (ARG) at TOL_LINALG (1 + max |entry|), which the
-# two smaller scales pass; the PD rule then refuses it (PD, or +inf for
-# gaussian_kl's p), unless the cell rule refuses its off-diagonal (CAP).
-# The match check runs first in girsanov and finds no distance between
-# two zero matrices (ME).
-NAN = {PD, ME}
+# A NaN matrix passes the PD rule and is refused as not finite (ME) by
+# matrix_at, in either representation; variance_part passes it through to
+# its result (NAN), as slogdet does. GaussianLaw's covariance rule refuses
+# an indefinite or asymmetric covariance (ARG) at TOL_LINALG · max |entry|,
+# at every scale, and admits a singular one, which the PD rule refuses
+# (PD, or +inf for gaussian_kl's p) unless the cell rule refuses its
+# near-dependence (CAP). The match check runs first in girsanov and finds
+# no distance between two zero matrices (ME).
 PD_VERDICTS = {
-    #                     1     0      -1          nan    I2    0_2
-    #                     -I2         nan_2  asymmetric  near-singular
-    "sample_paths":      ({OK}, {PD},  {PD},       NAN,   {OK}, {PD},
-                          {PD},       NAN,   {PD},       {OK}),
-    "euler_step_law":    ({OK}, {PD},  {PD},       {ME},  {OK}, {PD},
-                          {PD},       {ME},  {PD},       {OK}),
-    "girsanov":          ({OK}, {ME},  {PD},       {ME},  {OK}, {ME},
-                          {PD},       {ME},  {PD},       {OK}),
-    "chain":             ({OK}, {PD},  {PD},       NAN,   {OK}, {PD},
-                          {PD},       NAN,   {PD},       {OK}),
-    "step_kl":           ({OK}, {PD},  {PD},       NAN,   {OK}, {PD},
-                          {PD},       NAN,   {PD},       {OK}),
-    "residual-energy":   ({OK}, {PD},  {PD},       {ME},  {OK}, {PD},
-                          {PD},       {ME},  {PD},       {OK}),
-    "variance_part-ref": ({OK}, {PD},  {PD},       {OK},  {OK}, {PD},
-                          {PD},       {OK},  {PD},       {OK}),
-    "variance_part-ens": ({OK}, {PD},  {PD},       {OK},  {OK}, {PD},
-                          {PD},       {OK},  {PD},       {OK}),
-    "gaussian_kl-ref":   ({OK}, {PD},  {ARG, PD},  {ARG}, {OK}, {PD},
-                          {ARG, PD},  {ARG}, {ARG, PD},  {OK}),
-    "gaussian_kl-p":     ({OK}, {INF}, {ARG, INF}, {ARG}, {OK}, {INF},
-                          {ARG, INF}, {ARG}, {ARG, INF}, {OK}),
-    "cell-probs":        ({OK}, {PD},  {ARG, PD},  {ARG}, {OK}, {PD},
-                          {ARG, PD},  {ARG}, {ARG, CAP}, {CAP}),
-    "oracle":            ({OK}, {ARG}, {ARG},      {ARG}, {OK}, {ARG},
-                          {ARG},      {ARG}, {ARG},      {OK}),
+    #                          1     0      -1     nan    I2    0_2
+    #                          -I2    nan_2  asymmetric  near-singular
+    "sample_paths":           ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "euler_step_law":         ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "girsanov":               ({OK}, {ME},  {PD},  {ME},  {OK}, {ME},
+                               {PD},  {ME},  {PD},       {OK}),
+    "chain":                  ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "step_kl":                ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "residual-energy":        ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "fokker_planck_residual": ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "variance_part-ref":      ({OK}, {PD},  {PD},  {NAN}, {OK}, {PD},
+                               {PD},  {NAN}, {PD},       {OK}),
+    "variance_part-ens":      ({OK}, {PD},  {PD},  {NAN}, {OK}, {PD},
+                               {PD},  {NAN}, {PD},       {OK}),
+    "gaussian_kl-ref":        ({OK}, {PD},  {ARG}, {ARG}, {OK}, {PD},
+                               {ARG}, {ARG}, {ARG},      {OK}),
+    "gaussian_kl-p":          ({OK}, {INF}, {ARG}, {ARG}, {OK}, {INF},
+                               {ARG}, {ARG}, {ARG},      {OK}),
+    "cell-probs":             ({OK}, {PD},  {ARG}, {ARG}, {OK}, {PD},
+                               {ARG}, {ARG}, {ARG},      {CAP}),
+    "oracle":                 ({OK}, {ARG}, {ARG}, {ARG}, {OK}, {ARG},
+                               {ARG}, {ARG}, {ARG},      {OK}),
 }
 PD_CELLS = [(site, column, verdict)
             for site, verdicts in PD_VERDICTS.items()
@@ -306,12 +332,14 @@ PD_CELLS = [(site, column, verdict)
 
 
 def _outcome(run):
-    """OK, INF or the class of the error the run raised."""
+    """OK, INF, NAN or the class of the error the run raised."""
     try:
         value = run()
     except (ArgumentError, CapabilityError, ME, PD) as exc:
         return type(exc)
-    return INF if isinstance(value, float) and math.isinf(value) else OK
+    if isinstance(value, float) and not math.isfinite(value):
+        return INF if math.isinf(value) else NAN
+    return OK
 
 
 def test_verdict_table_covers_every_site():

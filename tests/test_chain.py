@@ -366,7 +366,6 @@ def _masked_drift(matrix):
                                                  np.nan)),
     ([[1.0, 0.3], [0.3, 0.5]], _masked_drift([[1.0, 0.3], [0.3, 0.5]])),
 ], ids=["diffusion-1d", "drift-1d", "diffusion-2d", "drift-2d"])
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_coefficients_fail_loudly(matrix, spec_p):
     # a NaN coefficient along the paths must raise, naming the time, and
     # never come back as a NaN estimate

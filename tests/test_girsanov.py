@@ -391,14 +391,15 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
     ("inf", np.nan, "NaN"),
     ("singular", np.nan, "NaN"),
     ("singular", np.inf, "infinite"),
+    ("nan-diffusion", np.inf, "infinite"),
 ])
 def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
                                                         monkeypatch):
     # a fault at t = 0.75 on a path of the first row block and a non-finite
     # drift at t = 0.25 on a path of the last: the error names t = 0.25, as
-    # a scan of whole columns does. A zero diffusion matrix makes the solve
-    # fail; it sits on an odd path, which the match check (every second
-    # path here) does not evaluate.
+    # a scan of whole columns does. A zero or NaN diffusion matrix is
+    # refused where it is read; it sits on an odd path, which the match
+    # check (every second path here) does not evaluate.
     monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", 1, raising=False)
     n, grid = 2 * BLOCK_PATHS + 5, TimeGrid.uniform(1.0, 200)
     t_late, t_early = float(grid.points[150]), float(grid.points[50])
@@ -410,14 +411,14 @@ def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
 
     def drift(t, x):
         gap = np.zeros_like(x)
-        if late != "singular":
+        if late in ("nan", "inf"):
             gap[(t == t_late) & (x == 5.0)] = float(late)
         gap[(t == t_early) & (x == n - 3.0)] = early
         return gap
 
     def diffusion(t, x):
-        zero = late == "singular" and t == t_late
-        return np.where(zero & (x[..., 0] == 5.0), 0.0,
+        bad = {"singular": 0.0, "nan-diffusion": np.nan}.get(late, 1.0)
+        return np.where((t == t_late) & (x[..., 0] == 5.0), bad,
                         1.0)[..., None, None]
 
     spec_p = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),

@@ -66,28 +66,46 @@ def test_no_module_imports_scipy_at_import_time():
     assert found == []
 
 
+def _calls_by_function(is_call):
+    """The path:function names of the functions that hold a call is_call
+    accepts."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and is_call(node)}
+    return found
+
+
 def test_one_positive_definiteness_rule():
     # every diffusion-matrix and KL-reference check asks
-    # diffusion.positive_definite, through check_positive_definite; only a
-    # constant matrix's non-finite entry is refused apart from it
-    raisers, named = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            raisers += [f"{path.name}:{func.name}"
-                        for node in ast.walk(func)
-                        if isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "PositiveDefinitenessError"]
-        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Name) and node.id == "EPS_PD"
-                  or isinstance(node, ast.Attribute)
-                  and node.attr == "EPS_PD"]
+    # diffusion.positive_definite, through check_positive_definite
+    named = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id == "EPS_PD"
+             or isinstance(node, ast.Attribute) and node.attr == "EPS_PD"]
     assert named == []
-    assert sorted(raisers) == ["diffusion.py:check_positive_definite",
-                               "diffusion.py:constant_factor"]
+    assert _calls_by_function(
+        lambda call: isinstance(call.func, ast.Name)
+        and call.func.id == "PositiveDefinitenessError") == {
+            "diffusion.py:check_positive_definite"}
+
+
+def test_one_reader_of_the_diffusion_matrix():
+    # the routes read a(t, x) through DiffusionSpec.matrix_at, which checks
+    # it; only the match check compares the raw matrices
+    assert _calls_by_function(
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr == "diffusion_matrix") == {
+            "diffusion.py:diffusion_match_check", "diffusion.py:matrix_at"}
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr == "constant_matrix"}
+    assert readers == {"diffusion.py"}
 
 
 _CONSTANT_PAIR = {

@@ -114,6 +114,21 @@ def test_gaussian_law_refuses_what_initial_laws_refuse(use, message):
         use()
 
 
+@pytest.mark.parametrize("cov,message", [
+    (-5e-11 * np.eye(2), PSD),
+    (1e-300 * np.array([[1.0, 0.0], [0.5, 1.0]]),
+     "^covariance must be symmetric"),
+], ids=["indefinite", "asymmetric"])
+def test_gaussian_law_rule_does_not_depend_on_scale(cov, message):
+    # both passed a tolerance of TOL_LINALG (1 + max |cov|), which is
+    # absolute for small covariances; at scale 1 each was refused
+    for scaled in (cov, cov / np.abs(cov).max()):
+        with pytest.raises(ArgumentError, match=message):
+            GaussianLaw(np.zeros(2), scaled)
+    # a zero covariance, a point mass, stays a law
+    GaussianLaw(np.zeros(2), np.zeros((2, 2)))
+
+
 def test_gaussian_kl_zero_only_at_equality():
     base = _g(0.0, 1.0)
     assert gaussian_kl(_g(1e-4, 1.0), base) > 0.0

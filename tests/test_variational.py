@@ -707,6 +707,21 @@ def test_profile_slices_call_the_public_functions(monkeypatch):
     assert np.array_equal(prof.std_errors, ses)
 
 
+def test_profile_evaluates_the_reference_matrix_once_per_slice():
+    # the generator term and the Gram matrix of a slice share one
+    # evaluation of a state-dependent a(t, ·)
+    sine = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
+    times = []
+
+    def diffusion(t, x):
+        times.append(t)
+        return sine.diffusion_matrix(t, x)
+
+    ens, P, basis = _one_d_case(replace(sine, diffusion_matrix=diffusion))
+    prof = residual_energy_profile(ens, P, basis, window=3, stride=2)
+    assert times == list(prof.times)
+
+
 # ---------------------------------------------------------------------------
 # defaults and bad reference laws
 
@@ -732,7 +747,6 @@ def _nan_above_half(x, on):
 
 @pytest.mark.parametrize("nan_drift", [True, False],
                          ids=["drift", "diffusion"])
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_reference_coefficient_fails_loudly(nan_drift):
     # the profile used to return integral nan, with no error
     ens = sample_paths(make_model("brownian", {}),
@@ -749,7 +763,8 @@ def test_nan_reference_coefficient_fails_loudly(nan_drift):
         residual_energy_profile(ens, spec, basis)
     if not nan_drift:
         with pytest.raises(ModelEvaluationError,
-                           match=r"Gram matrix is NaN .* t = 0\.5"):
+                           match=r"diffusion matrix of 'custom' is NaN "
+                                 r".* t = 0\.5"):
             gram_matrix(spec, 0.5, ens.states[:, 32], basis)
 
 
