@@ -76,30 +76,37 @@ def positive_definite(a: np.ndarray) -> bool:
     an infinite one (but -inf in d = 1), so that the callers' finiteness
     checks name them.
     """
+    return _pd_rule(a)[0]
+
+
+def _pd_rule(a: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """positive_definite's verdict on a, and the Cholesky factor it computed
+    in d >= 2 (of the finite matrices only, where some are not)."""
     if a.shape[-1] == 1:
-        return not np.any(a <= 0)
+        return not np.any(a <= 0), None
     mirror = np.swapaxes(a, -1, -2)
     # an exactly symmetric, finite stack (the common case) skips the
     # per-matrix tolerance and the copy, which cost as much as Cholesky
     if not (a == mirror).all():
         scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
         if np.any(np.abs(a - mirror) > TOL_LINALG * scale):
-            return False
+            return False, None
     if not np.isfinite(a).all():
         a = a[np.isfinite(a).all(axis=(-2, -1))]
     try:
-        np.linalg.cholesky(a)
+        return True, np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return False, None
 
 
-def check_positive_definite(a: np.ndarray, what: str) -> None:
+def check_positive_definite(a: np.ndarray, what: str) -> np.ndarray | None:
     """Raise PositiveDefinitenessError, naming what, unless every matrix of
-    the stack a passes positive_definite."""
-    if not positive_definite(a):
+    the stack a passes positive_definite; return _pd_rule's factor."""
+    passed, factor = _pd_rule(a)
+    if not passed:
         raise PositiveDefinitenessError(
             f"{what} is not symmetric positive definite")
+    return factor
 
 
 @dataclass(frozen=True)
@@ -123,17 +130,18 @@ class DiffusionSpec:
 
     @cached_property
     def constant_factor(self) -> np.ndarray | None:
-        """Cholesky factor of constant_matrix, computed once, or None.
+        """Cholesky factor of constant_matrix, computed once (by the PD rule
+        in d >= 2, the square root in d = 1), or None.
 
         Raises:
             PositiveDefinitenessError, ModelEvaluationError: as matrix_at,
-                naming t = 0 for constant_matrix.
+                naming no time or path.
         """
         if self.constant_matrix is None:
             return None
-        return np.linalg.cholesky(_checked_matrix(
-            self.constant_matrix,
-            f"constant diffusion matrix of {self.model_id!r}", 0.0))
+        a, factor = _checked(self.constant_matrix, f"constant diffusion "
+                             f"matrix of {self.model_id!r}", None)
+        return np.sqrt(a) if factor is None else factor
 
     def matrix_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """a(t, x): constant_matrix (d, d) where it is set, else
@@ -143,15 +151,21 @@ class DiffusionSpec:
         """
         if self.constant_factor is not None:
             return self.constant_matrix
-        return _checked_matrix(
-            np.asarray(self.diffusion_matrix(t, x), dtype=float),
-            f"diffusion matrix of {self.model_id!r}", t)
+        return self._factored_at(t, x)[0]
+
+    def _factored_at(self, t: float, x: np.ndarray):
+        """diffusion_matrix(t, x), checked as matrix_at checks it, and its
+        Cholesky factor from the check (None in d = 1)."""
+        return _checked(np.asarray(self.diffusion_matrix(t, x), dtype=float),
+                        f"diffusion matrix of {self.model_id!r}", t)
 
 
-def _checked_matrix(a: np.ndarray, what: str, t: float) -> np.ndarray:
-    """a, once it passes the PD rule and then no_nan."""
-    check_positive_definite(a, f"{what} at t = {t:g}")
-    return no_nan(a, what, t)
+def _checked(a: np.ndarray, what: str, t: float | None):
+    """a and _pd_rule's factor of it, once a passes the rule and then no_nan
+    (t is None for a matrix that does not depend on (t, x))."""
+    factor = check_positive_definite(
+        a, what if t is None else f"{what} at t = {t:g}")
+    return no_nan(a, what, t), factor
 
 
 @dataclass(frozen=True)
@@ -403,18 +417,15 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """tr(a^{-1} c) - d + logdet a - logdet c over the leading axes of a
     and c: twice KL(N(0, c) || N(0, a)), the mean-free part of a Gaussian KL.
 
+    a (the reference) and c (the ensemble) must have passed the PD rule, as
+    matrix_at, constant_factor and check_positive_definite pass them.
+
     1 x 1 matrices take a closed form with LAPACK's bits: c / a is the 1 x 1
     solve, and the log is libm's, as slogdet takes it: math.log for a
     single pair, xlogy(1, a) per entry otherwise (np.log's vector loop
     differs from libm in the last bit on some inputs). As with slogdet, a
     NaN entry passes through to the result.
-
-    Raises:
-        PositiveDefinitenessError: a (the reference) or c (the ensemble)
-            fails positive_definite.
     """
-    check_positive_definite(a, "reference diffusion on paths")
-    check_positive_definite(c, "ensemble diffusion on paths")
     if a.shape[-1] == 1:
         a1, c1 = a[..., 0, 0], c[..., 0, 0]
         if a1.ndim == 0 and c1.ndim == 0:
@@ -427,17 +438,18 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return trace - a.shape[-1] + (logdet_a - logdet_c)
 
 
-def no_nan(values: np.ndarray, what: str, t: float) -> np.ndarray:
+def no_nan(values: np.ndarray, what: str, t: float | None) -> np.ndarray:
     """values, unless one is NaN or infinite (a coefficient was non-finite
-    on some path).
+    on some path at t, or anywhere when t is None: a value that does not
+    depend on (t, x), named with no time and no path).
 
     Raises:
-        ModelEvaluationError: naming what is NaN or infinite and the time t.
+        ModelEvaluationError: naming what is NaN or infinite, and t.
     """
     if not np.isfinite(values).all():
         kind = "NaN" if np.isnan(values).any() else "infinite"
-        raise ModelEvaluationError(
-            f"{what} is {kind} on some path at t = {t:g}")
+        where = "" if t is None else f" on some path at t = {t:g}"
+        raise ModelEvaluationError(f"{what} is {kind}{where}")
     return values
 
 
@@ -472,7 +484,7 @@ class PairCoefficients:
             return None
         return no_nan(variance_part(self.spec_P.constant_matrix,
                                     self.spec_mu.constant_matrix),
-                      "variance part of the pair", float(self.times[0]))
+                      "variance part of the pair", None)
 
     def _column(self, k: int, rows: slice = slice(None)):
         return float(self.times[k]), self.states[rows, k]
@@ -488,7 +500,7 @@ class PairCoefficients:
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
         if self.a_inv is not None:
-            return np.einsum("nd,nd->n", gap, gap @ self.a_inv.T)
+            return np.einsum("nd,nd->n", gap, _rows_times(gap, self.a_inv))
         if a is None:
             a = self.spec_P.matrix_at(t, x)
         if a.shape[-1] == 1:
@@ -580,6 +592,16 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                        argmax_time=arg_t)
 
 
+def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m.T for rows x (n, d) and a constant (d, d) m, with matmul's bits:
+    in d = 1 one multiply, without the gemm's fixed cost."""
+    if m.shape != (1, 1):
+        return x @ m.T
+    out = x * m[0, 0]
+    out += 0.0  # matmul sums from +0.0, so a -0.0 product is +0.0 there
+    return out
+
+
 def partition_blocks(n: int, threads: int,
                      work: Callable[[int, int], object]) -> list:
     """Run work(lo, hi) on contiguous blocks covering range(n), one per thread.
@@ -619,19 +641,12 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         step = spec.drift(t, x) * dt
-        if d == 1 and chol is not None:
-            # the 1 x 1 matmul: one multiply, summed from +0.0 as matmul
-            # sums, so a zero product keeps matmul's sign too
-            noise = z[k] * chol[0, 0]
-            noise += 0.0
-        elif chol is not None:
-            noise = z[k] @ chol.T
+        if chol is not None:
+            noise = _rows_times(z[k], chol)
+        elif d == 1:
+            noise = np.sqrt(spec.matrix_at(t, x)[..., 0]) * z[k]
         else:
-            a = spec.matrix_at(t, x)
-            if d == 1:
-                noise = (np.sqrt(a.reshape(x.shape[0])) * z[k, :, 0])[:, None]
-            else:
-                noise = np.einsum("nij,nj->ni", np.linalg.cholesky(a), z[k])
+            noise = np.einsum("nij,nj->ni", spec._factored_at(t, x)[1], z[k])
         x = x + step + noise * math.sqrt(dt)
         out[k + 1] = x
 

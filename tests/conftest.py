@@ -10,8 +10,8 @@ hypothesis.settings.load_profile("default")
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts of np.linalg.solve and np.linalg.slogdet calls in the test."""
-    counts = {"solve": 0, "slogdet": 0}
+    """Counts of np.linalg.solve, slogdet and cholesky calls in the test."""
+    counts = {"solve": 0, "slogdet": 0, "cholesky": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 

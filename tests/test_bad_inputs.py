@@ -49,7 +49,7 @@ from pathkl import (
     step_kl,
     windowed_monomial,
 )
-from pathkl.diffusion import variance_part
+from pathkl.diffusion import PairCoefficients
 
 GRID = TimeGrid.uniform(1.0, 32)
 INIT = InitialLaw.point_mass([0.0])
@@ -276,10 +276,19 @@ def _law(cov):
     return GaussianLaw(np.zeros(cov.shape[0]), cov)
 
 
+def _variance_part(a_P, a_mu):
+    """The variance part of a constant pair: variance_part of the matrices
+    that their constant_factor checked."""
+    d = a_P.shape[0]
+    return float(PairCoefficients(make_model("brownian", {"a": a_mu}, dim=d),
+                                  make_model("brownian", {"a": a_P}, dim=d),
+                                  PD_ENSEMBLES[d]).fixed)
+
+
 # site -> a run of (A, the identity at A's scale)
 PD_MATRIX_SITES = {
-    "variance_part-ref": lambda a, i: variance_part(a, i),
-    "variance_part-ens": lambda a, i: variance_part(i, a),
+    "variance_part-ref": lambda a, i: _variance_part(a, i),
+    "variance_part-ens": lambda a, i: _variance_part(i, a),
     "gaussian_kl-ref": lambda a, i: gaussian_kl(_law(i), _law(a)),
     "gaussian_kl-p": lambda a, i: gaussian_kl(_law(a), _law(i)),
     "cell-probs": lambda a, i: gaussian_cell_probabilities(_law(a)),
@@ -289,13 +298,14 @@ PD_MATRIX_SITES = {
 }
 
 # A NaN matrix passes the PD rule and is refused as not finite (ME) by
-# matrix_at, in either representation; variance_part passes it through to
-# its result (NAN), as slogdet does. GaussianLaw's covariance rule refuses
-# an indefinite or asymmetric covariance (ARG) at TOL_LINALG · max |entry|,
-# at every scale, and admits a singular one, which the PD rule refuses
-# (PD, or +inf for gaussian_kl's p) unless the cell rule refuses its
-# near-dependence (CAP). The match check runs first in girsanov and finds
-# no distance between two zero matrices (ME).
+# matrix_at and constant_factor, in either representation. variance_part
+# takes matrices that passed the rule, so its rows read it through a
+# constant pair, whose constant_factor checks both sides. GaussianLaw's
+# covariance rule refuses an indefinite or asymmetric covariance (ARG) at
+# TOL_LINALG · max |entry|, at every scale, and admits a singular one,
+# which the PD rule refuses (PD, or +inf for gaussian_kl's p) unless the
+# cell rule refuses its near-dependence (CAP). The match check runs first
+# in girsanov and finds no distance between two zero matrices (ME).
 PD_VERDICTS = {
     #                          1     0      -1     nan    I2    0_2
     #                          -I2    nan_2  asymmetric  near-singular
@@ -313,10 +323,10 @@ PD_VERDICTS = {
                                {PD},  {ME},  {PD},       {OK}),
     "fokker_planck_residual": ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
                                {PD},  {ME},  {PD},       {OK}),
-    "variance_part-ref":      ({OK}, {PD},  {PD},  {NAN}, {OK}, {PD},
-                               {PD},  {NAN}, {PD},       {OK}),
-    "variance_part-ens":      ({OK}, {PD},  {PD},  {NAN}, {OK}, {PD},
-                               {PD},  {NAN}, {PD},       {OK}),
+    "variance_part-ref":      ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
+    "variance_part-ens":      ({OK}, {PD},  {PD},  {ME},  {OK}, {PD},
+                               {PD},  {ME},  {PD},       {OK}),
     "gaussian_kl-ref":        ({OK}, {PD},  {ARG}, {ARG}, {OK}, {PD},
                                {ARG}, {ARG}, {ARG},      {OK}),
     "gaussian_kl-p":          ({OK}, {INF}, {ARG}, {ARG}, {OK}, {INF},

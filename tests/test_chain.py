@@ -598,4 +598,4 @@ def test_sweep_1d_state_dependent_makes_no_lapack_call(linalg_calls):
         init, init, TimeGrid.uniform(1.0, 64), levels=7, n_paths=50,
         seed=3)
     assert sweep.estimates[-1].partition.n_intervals == 64
-    assert linalg_calls == {"solve": 0, "slogdet": 0}
+    assert linalg_calls == {"solve": 0, "slogdet": 0, "cholesky": 0}

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import pathkl.diffusion
 from pathkl import (
     ArgumentError,
     DiffusionSpec,
@@ -34,6 +35,7 @@ from pathkl.diffusion import (
     _keyed_streams,
     euler_maruyama,
     path_generator,
+    positive_definite,
     stream_inputs,
     variance_part,
 )
@@ -110,6 +112,47 @@ def test_step_law_rejects_bad_matrix(matrix, error):
     spec = _flat_spec(drift=np.zeros(len(matrix)), matrix=matrix)
     with pytest.raises(error):
         euler_step_law(spec, 0.0, np.zeros(len(matrix)), 0.1)
+
+
+def _constant_pair_fixed():
+    # a = 1e-300 against c = 1e300: the checked matrices' variance part
+    # overflows
+    grid = TimeGrid.uniform(1.0, 2)
+    pair = PairCoefficients(make_model("brownian", {"a": 1e300}),
+                            make_model("brownian", {"a": 1e-300}),
+                            PathEnsemble(grid, np.zeros((1, 3, 1)), 0))
+    with np.errstate(over="ignore"):
+        return pair.fixed
+
+
+CONSTANT_VALUE_ERRORS = {
+    "nan": (lambda: euler_step_law(make_model("brownian", {"a": np.nan}),
+                                   0.5, [0.0], 0.1), ModelEvaluationError,
+            "constant diffusion matrix of 'brownian' is NaN"),
+    "inf": (lambda: sample_paths(make_model("ou", {"a": np.inf}),
+                                 InitialLaw.point_mass([0.0]),
+                                 TimeGrid.uniform(1.0, 4), 8, 0),
+            ModelEvaluationError,
+            "constant diffusion matrix of 'ou' is infinite"),
+    "non-pd": (lambda: euler_step_law(make_model("brownian", {"a": -1.0}),
+                                      0.5, [0.0], 0.1),
+               PositiveDefinitenessError,
+               "constant diffusion matrix of 'brownian' is not symmetric "
+               "positive definite"),
+    "variance-part": (_constant_pair_fixed, ModelEvaluationError,
+                      "variance part of the pair is infinite"),
+}
+
+
+@pytest.mark.parametrize("case", CONSTANT_VALUE_ERRORS)
+def test_constant_values_are_named_without_time_or_path(case):
+    # a value that does not depend on (t, x) holds at no one time or path:
+    # these named "on some path at t = 0" (or "at t = 0") whatever time
+    # was read
+    run, error, message = CONSTANT_VALUE_ERRORS[case]
+    with pytest.raises(error) as info:
+        run()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +475,57 @@ def test_state_dependent_diffusion_paths():
 
 
 # ---------------------------------------------------------------------------
+# each diffusion matrix is checked once and factored at most once
+
+
+def test_state_dependent_2d_sampler_factors_each_step_once(linalg_calls):
+    # the PD rule's Cholesky factor is the step's noise factor; 512 steps
+    # make blocks of BLOCK_PATHS paths, so 1030 paths step in two blocks
+    spec = dataclasses.replace(
+        make_model("brownian", {"a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2),
+        constant_matrix=None)
+    steps = 512
+    assert BLOCK_ELEMENTS // (steps * 2) <= BLOCK_PATHS < 1030
+    sample_paths(spec, InitialLaw.point_mass([0.0, 0.0]),
+                 TimeGrid.uniform(1.0, steps), 1030, 0)
+    assert linalg_calls["cholesky"] == 2 * steps
+
+
+def test_constant_factor_factors_once(linalg_calls):
+    spec = make_model("brownian", {"a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2)
+    factor = spec.constant_factor
+    assert linalg_calls["cholesky"] == 1
+    assert np.array_equal(factor, np.linalg.cholesky(spec.constant_matrix))
+    # in d = 1 the rule does not factor: the factor is the square root,
+    # with the bits of the 1 x 1 Cholesky
+    for value in _entries(400, 5):
+        if np.isfinite(value):
+            spec = make_model("brownian", {"a": value})
+            calls = linalg_calls["cholesky"]
+            factor = spec.constant_factor
+            assert linalg_calls["cholesky"] == calls
+            assert (factor.tobytes()
+                    == np.linalg.cholesky(spec.constant_matrix).tobytes())
+
+
+def test_interval_parts_asks_the_pd_rule_once_per_matrix(monkeypatch):
+    # a and c are checked where matrix_at reads them, and variance_part
+    # takes them as checked
+    spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
+    spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
+    grid = TimeGrid.uniform(1.0, 8)
+    pair = PairCoefficients(spec_mu, spec_p, sample_paths(
+        spec_mu, InitialLaw.point_mass([0.0]), grid, 16, 0))
+    asked = []
+    check = pathkl.diffusion.check_positive_definite
+    monkeypatch.setattr(pathkl.diffusion, "check_positive_definite",
+                        lambda a, what: asked.append(what) or check(a, what))
+    for k in range(grid.n_steps):
+        pair.interval_parts(k)
+    assert len(asked) == 2 * grid.n_steps
+
+
+# ---------------------------------------------------------------------------
 # 1 x 1 diffusion matrices: closed forms with LAPACK's bits
 
 # positives over the whole float range, subnormals, 1e300, +inf and NaN
@@ -479,31 +573,44 @@ def test_variance_part_1x1_matches_lapack(lead):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet")
 @pytest.mark.parametrize("bad", NONPOSITIVE_ENTRIES)
 @pytest.mark.parametrize("side", ["reference", "ensemble"])
 def test_variance_part_1x1_raises_as_slogdet(bad, side):
+    # variance_part takes matrices that passed the PD rule, which refuses
+    # a 1 x 1 entry exactly where slogdet's sign is <= 0; the interval's
+    # variance part raises on either side of the pair
+    for entry in SPECIAL_ENTRIES + NONPOSITIVE_ENTRIES:
+        matrix = np.array([[entry]])
+        assert positive_definite(matrix) == (
+            not np.linalg.slogdet(matrix)[0] <= 0)
     good = np.full((4, 1, 1), 2.0)
     worse = good.copy()
     worse[2, 0, 0] = bad
     a, c = (worse, good) if side == "reference" else (good, worse)
     assert np.linalg.slogdet(worse)[0][2] <= 0
-    with pytest.raises(PositiveDefinitenessError, match=side):
-        variance_part(a, c)
+    assert not positive_definite(worse)
+    with pytest.raises(PositiveDefinitenessError, match=r"t = 0\.5"):
+        _drift_gap_pair(np.ones((4, 1)), a, c).interval_parts(1)
 
 
-def _drift_gap_pair(gaps, a=None):
+def _drift_gap_pair(gaps, a=None, c=None):
     """PairCoefficients whose drift gap is the fixed array gaps (n, 1) and
-    whose P diffusion is state-dependent: the fixed array a (n, 1, 1), or
-    ones."""
+    whose diffusions are the fixed arrays a (P's) and c (mu's) of shape
+    (n, 1, 1), or ones; an a of shape (1, 1) is P's constant matrix."""
+    def fixed(value):
+        if value is None:
+            return lambda t, x: np.ones(x.shape[:-1] + (1, 1))
+        return lambda t, x: value
+
     n = gaps.shape[0]
     grid = TimeGrid.uniform(1.0, 2)
     ens = PathEnsemble(grid=grid, states=np.zeros((n, 3, 1)), seed=0)
     spec_mu = DiffusionSpec(dim=1, drift=lambda t, x: gaps,
-                            diffusion_matrix=lambda t, x: np.ones(
-                                x.shape[:-1] + (1, 1)))
+                            diffusion_matrix=fixed(c))
     spec_P = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
-                           diffusion_matrix=spec_mu.diffusion_matrix
-                           if a is None else lambda t, x: a)
+                           diffusion_matrix=fixed(a),
+                           constant_matrix=a if np.ndim(a) == 2 else None)
     return PairCoefficients(spec_mu, spec_P, ens)
 
 
@@ -524,6 +631,16 @@ def test_drift_quad_1x1_matches_solve():
     assert np.array_equal(
         _drift_gap_pair(gaps[finite], a[finite]).drift_quad(1), got[finite],
         equal_nan=True)
+    # a constant reference applies its inverse with matmul's bits, signed
+    # zeros, subnormals, overflow, inf and NaN included
+    gaps = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                            1e300, -1e300, np.inf, -np.inf, np.nan],
+                           gaps[:, 0]])[:, None]
+    for value in [1.0, 0.3, 2.7, 1e-5, 7.1e3]:
+        a = np.array([[value]])
+        want = np.einsum("nd,nd->n", gaps, gaps @ np.linalg.inv(a).T)
+        got = _drift_gap_pair(gaps, a).drift_quad(1)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", NONPOSITIVE_ENTRIES)

@@ -336,7 +336,7 @@ def test_state_dependent_1d_pair_makes_no_lapack_call(linalg_calls):
     est = girsanov_entropy(spec_mu, spec_p, init, init, ens)
     assert est.diagnostics["match_report"].passed
     assert math.isfinite(est.value) and est.value > 0.0
-    assert linalg_calls == {"solve": 0, "slogdet": 0}
+    assert linalg_calls == {"solve": 0, "slogdet": 0, "cholesky": 0}
 
 
 # ---------------------------------------------------------------------------

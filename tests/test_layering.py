@@ -96,11 +96,12 @@ def test_one_positive_definiteness_rule():
 
 def test_one_reader_of_the_diffusion_matrix():
     # the routes read a(t, x) through DiffusionSpec.matrix_at, which checks
-    # it; only the match check compares the raw matrices
+    # it in _factored_at (the sampler's d >= 2 step also takes the factor
+    # from there); only the match check compares the raw matrices
     assert _calls_by_function(
         lambda call: isinstance(call.func, ast.Attribute)
         and call.func.attr == "diffusion_matrix") == {
-            "diffusion.py:diffusion_match_check", "diffusion.py:matrix_at"}
+            "diffusion.py:diffusion_match_check", "diffusion.py:_factored_at"}
     readers = {path.name for path in PACKAGE.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute)
