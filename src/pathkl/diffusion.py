@@ -811,11 +811,9 @@ def _constant_model(model_id: str, params: dict, dim: int,
 
 
 def _build_brownian(params: dict, dim: int) -> DiffusionSpec:
-    zero = np.zeros(dim)
-
     def drift(t, x):
-        x = np.asarray(x)
-        return np.broadcast_to(zero, x.shape)
+        # a fresh array is cheaper than np.broadcast_to's view
+        return np.zeros(np.shape(x))
 
     return _constant_model("brownian", params, dim, drift)
 
@@ -824,8 +822,9 @@ def _build_constant_drift(params: dict, dim: int) -> DiffusionSpec:
     theta = _vector("constant_drift", params, "theta", 1.0, dim)
 
     def drift(t, x):
-        x = np.asarray(x)
-        return np.broadcast_to(theta, x.shape)
+        out = np.empty(np.shape(x))
+        out[...] = theta
+        return out
 
     return _constant_model("constant_drift", params, dim, drift)
 

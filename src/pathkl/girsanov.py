@@ -41,11 +41,17 @@ __all__ = [
 ]
 
 
-# Integrand entries _drift_gap_energy holds at once, 32 MiB: a block holds
+# Integrand entries _drift_gap_energy holds at once, 16 MiB: a block holds
 # max(BLOCK_PATHS, GAP_BLOCK_ELEMENTS // (m + 1)) paths. Each block costs a
-# drift_quad call per grid time, about 20 us, so narrower blocks are slower.
-# No result depends on it.
-GAP_BLOCK_ELEMENTS = 2 ** 22
+# drift_quad call per grid time, about 10 us for a constant pair, so
+# narrower blocks are slower; on 10^4 paths x 1001 times (five blocks) a
+# girsanov_entropy call takes 0.155 s, as with 2^22 entries (best of 7 on
+# a 2-core x86 machine). No result depends on it.
+GAP_BLOCK_ELEMENTS = 2 ** 21
+
+# Integrand entries each np.trapezoid call reads, 2 MiB: it makes
+# temporaries of about three times its input. No result depends on it.
+TRAPEZOID_ELEMENTS = 2 ** 18
 
 
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -55,9 +61,10 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     The (n, m + 1) integrand is never held whole: it is built one block of
     paths at a time, column by column, and each block is integrated before
     the next is built. np.trapezoid makes temporaries of about three times
-    its input, so it runs on BLOCK_PATHS rows at a time. Each path's
-    integral does not depend on either block size. As for a scan of whole
-    columns, an error names the earliest grid time where any path fails.
+    its input, so it runs on sub-blocks of about TRAPEZOID_ELEMENTS
+    entries. Each path's integral does not depend on either block size. As
+    for a scan of whole columns, an error names the earliest grid time
+    where any path fails.
 
     Raises:
         ModelEvaluationError: the integrand is NaN or infinite on some path;
@@ -69,6 +76,7 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     n, m_plus_1, _ = ensemble.states.shape
     times = ensemble.grid.points
     rows = max(BLOCK_PATHS, GAP_BLOCK_ELEMENTS // m_plus_1)
+    sub = max(1, TRAPEZOID_ELEMENTS // m_plus_1)
     block = np.empty((min(rows, n), m_plus_1))
     out = np.empty(n)
     for lo in range(0, n, rows):
@@ -85,9 +93,8 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
             for k in range(m_plus_1):
                 pair.drift_term(k)
         energy = out[lo:lo + part.shape[0]]
-        for s in range(0, part.shape[0], BLOCK_PATHS):
-            energy[s:s + BLOCK_PATHS] = np.trapezoid(
-                part[s:s + BLOCK_PATHS], times, axis=1)
+        for s in range(0, part.shape[0], sub):
+            energy[s:s + sub] = np.trapezoid(part[s:s + sub], times, axis=1)
     return out
 
 

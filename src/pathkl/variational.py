@@ -19,20 +19,22 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, PathEnsemble, no_nan
-from .errors import ArgumentError, check_json_types
+from .diffusion import BLOCK_PATHS, DiffusionSpec, PathEnsemble, no_nan
+from .errors import (ArgumentError, ModelEvaluationError,
+                     PositiveDefinitenessError, check_json_types)
 
 __all__ = [
     "SVD_RCOND",
     "BasisFunction",
     "FunctionBasis",
     "GramData",
+    "ChunkSums",
     "FokkerPlanckResidual",
     "DualSolution",
     "DriftCorrection",
@@ -52,6 +54,11 @@ __all__ = [
 # Pseudo-inverse cutoff relative to the largest singular value; duplicated or
 # near-collinear basis functions degrade gracefully instead of exploding.
 SVD_RCOND = 1e-8
+
+# Basis-jet entries residual_energy_profile holds per path block, 16 MiB
+# (see _block_rows). Blocks are whole chunks of BLOCK_PATHS paths and every
+# sum runs over the chunks, so no result depends on it.
+PROFILE_BLOCK_ELEMENTS = 2 ** 21
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +523,19 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
 
 @dataclass(frozen=True)
 class GramData:
-    """Diffusion-weighted Gram matrix Q_kl = E[grad f_k' a grad f_l]."""
+    """Diffusion-weighted Gram matrix Q_kl = E[grad f_k' a grad f_l].
+
+    chunk_sums (C, K, K) holds the sums of grad f_k' a grad f_l over each
+    chunk of BLOCK_PATHS samples in sample order, whose total is n_samples
+    times Q before symmetrizing.
+    """
 
     matrix: np.ndarray
     n_samples: int
     t: float
     condition: float
+    chunk_sums: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
@@ -535,13 +549,21 @@ class FokkerPlanckResidual:
 
     cov_mean is the covariance of the residual mean (per-path covariance
     divided by the path count); it feeds the debiasing and error bars of the
-    dual value.
+    dual value. Both come from per-chunk path sums of the per-path residual
+    z, over chunks of BLOCK_PATHS paths in path order: chunk_sums (C, K)
+    holds Σz and chunk_moments (C, K, K) Σ(z - shift)(z - shift)'.
     """
 
     values: np.ndarray
     cov_mean: np.ndarray
     t: float
     n_paths: int
+    shift: np.ndarray | None = field(default=None, repr=False,
+                                     compare=False)
+    chunk_sums: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
+    chunk_moments: np.ndarray | None = field(default=None, repr=False,
+                                             compare=False)
 
 
 @dataclass(frozen=True)
@@ -572,14 +594,56 @@ class DriftCorrection:
         return np.einsum("...ij,...j->...i", a, combo)
 
 
+def _chunks(n: int) -> list[slice]:
+    """The fixed chunks of BLOCK_PATHS rows (the last may be shorter) that
+    every path sum of this module runs over, in path order."""
+    return [slice(lo, lo + BLOCK_PATHS) for lo in range(0, n, BLOCK_PATHS)]
+
+
+def _in_path_order(parts: np.ndarray) -> np.ndarray:
+    """The total of per-chunk sums (C, ...), added one after another in
+    path order, so it does not depend on how the chunks were grouped."""
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def _gram_sum(grads: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Σ grad f_k' a grad f_l over one chunk's rows of grads (n, K, d), for
+    a (d, d) or (n, d, d): one GEMM on (n·d, K) reshapes of grads·a and
+    grads (grads·a is one multiply per entry in d = 1)."""
+    n, k, d = grads.shape
+    if d == 1:
+        left = grads * a
+    elif a.ndim == 2:
+        left = (grads.reshape(-1, d) @ a).reshape(grads.shape)
+    else:
+        left = grads @ a
+    return (left.swapaxes(1, 2).reshape(n * d, k).T
+            @ grads.swapaxes(1, 2).reshape(n * d, k))
+
+
+def _gram_data(sums: np.ndarray, n: int, t: float) -> GramData:
+    """GramData of the per-chunk Gram sums (C, K, K) of n samples."""
+    q = _in_path_order(sums) / n
+    q = no_nan(0.5 * (q + q.T), "Gram matrix", t)
+    svals = np.linalg.svd(q, compute_uv=False)
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    return GramData(matrix=q, n_samples=n, t=t, condition=cond,
+                    chunk_sums=sums)
+
+
 def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
                 basis: FunctionBasis, *,
                 gradients: np.ndarray | None = None,
                 matrix: np.ndarray | None = None) -> GramData:
     """Monte Carlo Gram matrix of basis gradients in the a(t,·) metric.
 
-    When spec has a constant_matrix, the gradients contract with it in one
-    product, (grad · a) · grad, which for d >= 2 may move the last bits.
+    The sum over samples runs over fixed chunks of BLOCK_PATHS samples, one
+    GEMM each, added in sample order. When spec has a constant_matrix, the
+    gradients contract with it in one product, (grad · a) · grad, which
+    for d >= 2 may move the last bits.
 
     Raises:
         PositiveDefinitenessError, ModelEvaluationError: as spec.matrix_at,
@@ -604,21 +668,29 @@ def gram_matrix(spec: DiffusionSpec, t: float, marginal_samples,
     grads = basis.jet(y, 1)[1] if gradients is None \
         else gradients                                   # (n, K, d)
     a = spec.matrix_at(t, y) if matrix is None else matrix
-    if a.ndim == 2:
-        q = np.einsum("nke,nle->kl", grads @ a, grads)
-    else:
-        q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
-    q = q / y.shape[0]
-    q = no_nan(0.5 * (q + q.T), "Gram matrix", t)
-    svals = np.linalg.svd(q, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    return GramData(matrix=q, n_samples=y.shape[0], t=t, condition=cond)
+    sums = np.array([_gram_sum(grads[c], a if a.ndim == 2 else a[c])
+                     for c in _chunks(y.shape[0])])
+    return _gram_data(sums, y.shape[0], t)
+
+
+def _residual_data(sums: np.ndarray, moments: np.ndarray, shift: np.ndarray,
+                   n: int, t: float) -> FokkerPlanckResidual:
+    """FokkerPlanckResidual of n paths from the per-chunk sums (C, K) of
+    the per-path residual z and (C, K, K) of (z - shift)(z - shift)'."""
+    c = _in_path_order(sums) / n
+    dev = c - shift
+    cov_mean = ((_in_path_order(moments) - n * np.outer(dev, dev))
+                / (n * max(n - 1, 1)))
+    return FokkerPlanckResidual(values=c, cov_mean=cov_mean, t=t, n_paths=n,
+                                shift=shift, chunk_sums=sums,
+                                chunk_moments=moments)
 
 
 def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                            basis: FunctionBasis, t_index: int,
                            window: int = 1, *, jets: dict | None = None,
-                           matrix: np.ndarray | None = None
+                           matrix: np.ndarray | None = None,
+                           shift: np.ndarray | None = None
                            ) -> FokkerPlanckResidual:
     """Residual of the reference Fokker-Planck identity on the basis.
 
@@ -626,7 +698,9 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     <mu_t, L f> for every test f; a nonzero residual is the signature of a
     drift discrepancy. The time derivative is a central difference over
     ``window`` grid steps on each path; the generator term is averaged at
-    the central slice, with spec_P's constant_matrix when it has one.
+    the central slice, with spec_P's constant_matrix when it has one. The
+    path sums run over fixed chunks of BLOCK_PATHS paths, added in path
+    order.
 
     Args:
         jets: basis.jet of the ensemble's time slices by grid index, when
@@ -634,6 +708,10 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             t_index ± window, gradients and Hessians at t_index.
         matrix: spec_P.matrix_at at the central slice, when the caller has
             already evaluated it.
+        shift: what the second-moment sums are taken about; by default the
+            mean residual of the first chunk, which is close enough to the
+            mean that the covariance does not cancel. A block of a larger
+            ensemble passes the one of the first block.
 
     Raises:
         ArgumentError: when t_index ± window leaves the grid, or the basis
@@ -668,11 +746,16 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                  "reference generator term", t)
 
     z = diff - gen                                        # (n, K)
-    n = z.shape[0]
-    c = z.mean(axis=0)
-    centered = z - c
-    cov_mean = (centered.T @ centered) / (n * max(n - 1, 1))
-    return FokkerPlanckResidual(values=c, cov_mean=cov_mean, t=t, n_paths=n)
+    if shift is None:
+        head = z[:BLOCK_PATHS]
+        shift = head.sum(axis=0) / head.shape[0]
+    sums = np.empty((len(_chunks(z.shape[0])),) + z.shape[1:])
+    moments = np.empty(sums.shape + z.shape[1:])
+    for j, c in enumerate(_chunks(z.shape[0])):
+        dev = z[c] - shift
+        sums[j] = z[c].sum(axis=0)
+        moments[j] = dev.T @ dev
+    return _residual_data(sums, moments, shift, z.shape[0], t)
 
 
 def dual_energy(c: np.ndarray, gram: GramData) -> DualSolution:
@@ -712,8 +795,27 @@ def drift_correction(residual: FokkerPlanckResidual, gram: GramData,
 
 
 @dataclass(frozen=True)
+class ChunkSums:
+    """Path sums of every profile slice over fixed chunks of BLOCK_PATHS
+    paths (the last may be shorter), one entry per chunk in path order.
+
+    residual[c, s] is Σz over chunk c at slice s, for the per-path residual
+    z; moments[c, s] is Σ(z - shift[s])(z - shift[s])', with shift[s] the
+    first chunk's mean residual; gram[c, s] is Σ grad f_k' a grad f_l.
+    counts[c] is chunk c's path count.
+    """
+
+    counts: np.ndarray      # (C,)
+    shift: np.ndarray       # (S, K)
+    residual: np.ndarray    # (C, S, K)
+    moments: np.ndarray     # (C, S, K, K)
+    gram: np.ndarray        # (C, S, K, K)
+
+
+@dataclass(frozen=True)
 class EnergyProfile:
-    """Per-slice debiased dual values and their time integral."""
+    """Per-slice debiased dual values and their time integral, with the
+    per-chunk path sums they were solved from."""
 
     times: np.ndarray
     values: np.ndarray
@@ -721,25 +823,7 @@ class EnergyProfile:
     integral: float
     integral_std_error: float
     diagnostics: dict
-
-
-def _debiased_slice(ensemble, spec_P, basis, idx, window, jets, debias):
-    # jets holds the basis jets at idx ± window and the order-2 jet at idx;
-    # P's matrix on the slice is evaluated once for both
-    x = ensemble.states[:, idx]
-    a = spec_P.matrix_at(float(ensemble.grid.points[idx]), x)
-    res = fokker_planck_residual(ensemble, spec_P, basis, idx, window,
-                                 jets=jets, matrix=a)
-    gram = gram_matrix(spec_P, res.t, x, basis, gradients=jets[idx][1],
-                       matrix=a)
-    sol = dual_energy(res.values, gram)
-    value = sol.value
-    if debias:
-        # E[½ c'Q⁺c] inflates by ½ tr(Q⁺ Σ_c) under residual noise.
-        value -= 0.5 * float(np.trace(gram.pseudo_inverse @ res.cov_mean))
-    se = math.sqrt(max(float(sol.coefficients @ res.cov_mean
-                             @ sol.coefficients), 0.0))
-    return res.t, value, se
+    chunk_sums: ChunkSums = field(repr=False, compare=False)
 
 
 def default_energy_basis(ensemble: PathEnsemble) -> FunctionBasis:
@@ -769,6 +853,15 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     the trapezoid weights; overlap correlation between nearby slices is not
     modeled (diagnosed, not corrected).
 
+    Every quantity a slice needs is a path sum, so the paths are read in
+    blocks, each a whole number of chunks of BLOCK_PATHS paths with about
+    PROFILE_BLOCK_ELEMENTS basis-jet entries, and every slice of a block
+    is done before the next block is read: memory does not grow with the
+    path count beyond the per-chunk sums (profile.chunk_sums). Each slice's
+    dual is solved once, from the chunk sums added in path order, so no
+    value depends on the block size. As for a scan of whole slices, an
+    error names the earliest slice time where any path fails.
+
     Args:
         ensemble: paths sampled under the law being measured.
         spec_P: reference law.
@@ -778,6 +871,12 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         stride: grid steps between evaluated slices.
         t_min_frac: burn-in fraction of the horizon.
         debias: subtract the ½ tr(Q⁺ Σ_c) noise floor per slice.
+
+    Raises:
+        ArgumentError: a window or stride below 1, a t_min_frac outside
+            [0, 1), no slice on the grid, or a basis of another dimension.
+        PositiveDefinitenessError, ModelEvaluationError: as
+            fokker_planck_residual and gram_matrix, for the earliest slice.
     """
     m = ensemble.grid.n_steps
     if window < 1 or stride < 1:
@@ -792,24 +891,33 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     if basis is None:
         basis = default_energy_basis(ensemble)
 
-    # Each grid index is evaluated once, at the highest order a slice reads
-    # there (2 at a centre, 0 at a difference end), and kept only while a
-    # later slice can read it: those read indices above i - window only.
-    centres = set(idxs)
-    jets: dict[int, tuple] = {}
-    cols = []
-    for i in idxs:
-        for j in (i - window, i + window, i):
-            if j not in jets:
-                jets[j] = basis.jet(ensemble.states[:, j],
-                                    2 if j in centres else 0)
-        cols.append(_debiased_slice(ensemble, spec_P, basis, i, window,
-                                    jets, debias))
-        jets[i] = jets[i][:1]       # later slices read only its values
-        jets = {j: jet for j, jet in jets.items() if j > i - window}
-    times = np.array([c[0] for c in cols])
-    values = np.array([c[1] for c in cols])
-    ses = np.array([c[2] for c in cols])
+    try:
+        sums = _profile_sums(ensemble, spec_P, basis, idxs, window,
+                             _block_rows(basis, window, stride))
+    except (ModelEvaluationError, PositiveDefinitenessError):
+        # a later block may fail at an earlier slice: scan whole slices
+        for i in idxs:
+            res = fokker_planck_residual(ensemble, spec_P, basis, i, window)
+            gram_matrix(spec_P, res.t, ensemble.states[:, i], basis)
+        raise
+    n = ensemble.n_paths
+    times = ensemble.grid.points[idxs]
+    values, ses, conds = [], [], []
+    for s, t in enumerate(times.tolist()):
+        res = _residual_data(sums.residual[:, s], sums.moments[:, s],
+                             sums.shift[s], n, t)
+        gram = _gram_data(sums.gram[:, s], n, t)
+        sol = dual_energy(res.values, gram)
+        value = sol.value
+        if debias:
+            # E[½ c'Q⁺c] inflates by ½ tr(Q⁺ Σ_c) under residual noise.
+            value -= 0.5 * float(np.trace(gram.pseudo_inverse
+                                          @ res.cov_mean))
+        values.append(value)
+        ses.append(math.sqrt(max(float(sol.coefficients @ res.cov_mean
+                                       @ sol.coefficients), 0.0)))
+        conds.append(gram.condition)
+    values, ses = np.array(values), np.array(ses)
 
     # Clamp the edge extension so one noisy end slice cannot dominate.
     ext_times = np.concatenate([[0.0], times, [horizon]])
@@ -826,4 +934,64 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             "n_slices": len(idxs), "window": window, "stride": stride,
             "t_min_frac": t_min_frac, "debias": debias,
             "slice_correlation": "ignored",
-        })
+            "gram_condition_max": max(conds),
+        },
+        chunk_sums=sums)
+
+
+def _block_rows(basis: FunctionBasis, window: int, stride: int) -> int:
+    """Paths per block of the profile: whole chunks, at least one, that take
+    about PROFILE_BLOCK_ELEMENTS entries, counted as one order-2 jet, K (1 +
+    d + d²) entries per path, for each of 2 · window // stride + 2 grid
+    indices. That covers the jets a block keeps and the temporaries of
+    evaluating them: at the defaults (K = 12, d = 1, window 8, stride 4)
+    it counts 216 entries per path, and tracemalloc measures about 218."""
+    d = basis.dim
+    per_chunk = (BLOCK_PATHS * basis.size * (1 + d + d * d)
+                 * (2 * window // stride + 2))
+    return BLOCK_PATHS * max(1, PROFILE_BLOCK_ELEMENTS // per_chunk)
+
+
+def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,
+                  basis: FunctionBasis, idxs: list[int], window: int,
+                  rows: int) -> ChunkSums:
+    """The per-chunk path sums of the slices centred at idxs, from
+    fokker_planck_residual and gram_matrix on path blocks of `rows` paths.
+
+    Within a block, each grid index is evaluated once, at the highest
+    order a slice reads there (2 at a centre, 0 at a difference end), and
+    kept only while a later slice can read it: those read indices above
+    i - window only. P's matrix on a slice is evaluated once for the
+    residual and the Gram matrix.
+    """
+    n, k = ensemble.n_paths, basis.size
+    shape = (len(_chunks(n)), len(idxs), k)
+    sums = ChunkSums(
+        counts=np.array([min(BLOCK_PATHS, n - lo)
+                         for lo in range(0, n, BLOCK_PATHS)]),
+        shift=np.empty(shape[1:]), residual=np.empty(shape),
+        moments=np.empty(shape + (k,)), gram=np.empty(shape + (k,)))
+    centres = set(idxs)
+    for lo in range(0, n, rows):
+        block = replace(ensemble, states=ensemble.states[lo:lo + rows])
+        chunks = slice(lo // BLOCK_PATHS, (lo + rows) // BLOCK_PATHS)
+        jets: dict[int, tuple] = {}
+        for s, i in enumerate(idxs):
+            for j in (i - window, i + window, i):
+                if j not in jets:
+                    jets[j] = basis.jet(block.states[:, j],
+                                        2 if j in centres else 0)
+            x = block.states[:, i]
+            a = spec_P.matrix_at(float(ensemble.grid.points[i]), x)
+            res = fokker_planck_residual(
+                block, spec_P, basis, i, window, jets=jets, matrix=a,
+                shift=sums.shift[s] if lo else None)
+            gram = gram_matrix(spec_P, res.t, x, basis,
+                               gradients=jets[i][1], matrix=a)
+            sums.shift[s] = res.shift
+            sums.residual[chunks, s] = res.chunk_sums
+            sums.moments[chunks, s] = res.chunk_moments
+            sums.gram[chunks, s] = gram.chunk_sums
+            jets[i] = jets[i][:1]       # later slices read only its values
+            jets = {j: jet for j, jet in jets.items() if j > i - window}
+    return sums

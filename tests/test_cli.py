@@ -1,6 +1,7 @@
 """Command-line surface: configs, reports, exit codes, determinism."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -650,3 +651,18 @@ def test_run_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == 2
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once per process: a parser per call was garbage
+    # that only a full collection freed, and its heap blocks kept freed
+    # route arrays resident in long-running callers
+    main(["list-models"])
+    gc.collect()
+    gc.disable()
+    try:
+        main(["list-models"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

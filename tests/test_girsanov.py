@@ -354,7 +354,7 @@ def _whole_integrand_energy(spec_mu, spec_p, ens):
 @pytest.mark.parametrize("pair", ["ou-bm", "linear-2d", "sine"])
 def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
     # rows of 1500 paths: block boundaries at 1500 and 3000, and trapezoid
-    # sub-blocks of BLOCK_PATHS rows inside them
+    # sub-blocks of 400 rows inside them (at 400, 800, 1200, then 1900, ...)
     if pair == "ou-bm":
         spec_mu, spec_p = make_model("ou", {}), make_model("brownian", {})
     elif pair == "linear-2d":
@@ -364,8 +364,10 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
     else:
         spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
         spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
-    steps, rows = 15, 1500
+    steps, rows, sub = 15, 1500, 400
     monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", rows * (steps + 1),
+                        raising=False)
+    monkeypatch.setattr(girsanov, "TRAPEZOID_ELEMENTS", sub * (steps + 1),
                         raising=False)
     init = InitialLaw.point_mass([0.3] * spec_mu.dim)
     ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, steps),
@@ -375,11 +377,12 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
         spec_mu, spec_p, ens).tobytes()
     for k in (1, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1, rows - 1,
               rows, rows + 1, rows + BLOCK_PATHS + 1, 2 * rows,
-              2 * rows + 1):
+              2 * rows + 1, sub - 1, sub, sub + 1, 3 * sub, 3 * sub + 1,
+              rows + sub - 1, rows + sub, rows + sub + 1, 2 * rows + 5):
         head = PathEnsemble(grid=ens.grid, states=ens.states[:k], seed=11)
         got = girsanov._drift_gap_energy(spec_mu, spec_p, head)
         assert got.tobytes() == full[:k].tobytes(), k
-    # and the default budget gives the same bits
+    # and the default budgets give the same bits
     monkeypatch.undo()
     assert girsanov._drift_gap_energy(
         spec_mu, spec_p, ens).tobytes() == full.tobytes()
@@ -447,3 +450,25 @@ def test_girsanov_never_holds_the_whole_integrand(monkeypatch):
         tracemalloc.stop()
     assert math.isfinite(est.value)
     assert peak < integrand_bytes / 3, (peak, integrand_bytes)
+
+
+def test_girsanov_holds_one_block_at_the_default_budget():
+    # 16384 paths x 257 grid times is twice GAP_BLOCK_ELEMENTS: what
+    # girsanov_entropy allocates beyond the ensemble is one block of
+    # GAP_BLOCK_ELEMENTS entries, np.trapezoid's temporaries on one
+    # TRAPEZOID_ELEMENTS sub-block (about three times its input) and
+    # per-column vectors of one block's rows
+    spec_mu, init, ens = _paths("ou", {}, steps=256, n=16 * BLOCK_PATHS,
+                                seed=4)
+    spec_p = make_model("brownian", {})
+    rows = girsanov.GAP_BLOCK_ELEMENTS // ens.states.shape[1]
+    bound = 8 * (girsanov.GAP_BLOCK_ELEMENTS
+                 + 4 * girsanov.TRAPEZOID_ELEMENTS + 8 * rows)
+    tracemalloc.start()
+    try:
+        est = girsanov_entropy(spec_mu, spec_p, init, init, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est.value)
+    assert peak < bound, (peak, bound)

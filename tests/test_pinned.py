@@ -7,6 +7,9 @@ diffusions and stacking the basis families must reproduce them bit for bit.
 The sampled path states were recorded from the sampler that stored paths
 path-major and built one generator per path; any storage order or block
 size must reproduce them.
+The residual-energy profiles were recorded from the profile that sums
+every slice over fixed chunks of BLOCK_PATHS paths, the Gram matrix one
+GEMM per chunk; any path block size must reproduce them.
 Sizes are small so the file runs in about a second.
 """
 
@@ -95,67 +98,67 @@ def test_refinement_sweep_pinned(ou_bm):
 PROFILES = {
     "bumps": {
         "values": [
-            "0x1.5200139bc046ep-4",
-            "0x1.3147bc85e5812p-3",
-            "0x1.25978872e900ap-3",
-            "0x1.cdf36c1ce53bfp-4",
-            "0x1.1f3aa57437dc3p-3",
-            "0x1.ba3bfda0a5978p-3",
-            "0x1.bfb788f477adap-3",
-            "0x1.d3b5a12512c4ep-3",
-            "0x1.e8ead6c4d9adep-3",
-            "0x1.cb173e691fb32p-3",
-            "0x1.46b4eee88e71dp-3",
-            "0x1.77f1041d57188p-3",
+            "0x1.52001398b6ea8p-4",
+            "0x1.3147bc84632dcp-3",
+            "0x1.25978872eae3ap-3",
+            "0x1.cdf36c1ccbc0dp-4",
+            "0x1.1f3aa574388b1p-3",
+            "0x1.ba3bfda0a4122p-3",
+            "0x1.bfb788f47770fp-3",
+            "0x1.d3b5a12512b31p-3",
+            "0x1.e8ead6c4da531p-3",
+            "0x1.cb173e691f6a1p-3",
+            "0x1.46b4eee88e8b9p-3",
+            "0x1.77f1041d57093p-3",
         ],
         "ses": [
-            "0x1.f0e6c5a00659dp-5",
-            "0x1.3854aaa59ff4ep-4",
-            "0x1.88adc316f1a8fp-5",
-            "0x1.e2f4b0325357ep-6",
-            "0x1.ace3da1bc547fp-6",
-            "0x1.6c3c9413e2d42p-5",
-            "0x1.dbff710ca3b1cp-6",
-            "0x1.fd605ab287ef4p-6",
-            "0x1.499878c23ff81p-5",
-            "0x1.5ca3193ae48dbp-5",
-            "0x1.dad60931c985bp-6",
-            "0x1.0b5e78a38c15ap-5",
+            "0x1.f0e6c5a2995f9p-5",
+            "0x1.3854aaa380df5p-4",
+            "0x1.88adc316b8124p-5",
+            "0x1.e2f4b032b0d9ep-6",
+            "0x1.ace3da1bc4ee7p-6",
+            "0x1.6c3c9413da4e8p-5",
+            "0x1.dbff710ca393fp-6",
+            "0x1.fd605ab28873ep-6",
+            "0x1.499878c240d26p-5",
+            "0x1.5ca3193ae4441p-5",
+            "0x1.dad60931c9d61p-6",
+            "0x1.0b5e78a38b901p-5",
         ],
-        "integral": "0x1.4a0ce78e61b12p-3",
-        "integral_se": "0x1.132c06c00c9d0p-6",
+        "integral": "0x1.4a0ce78df3cacp-3",
+        "integral_se": "0x1.132c06c0d6f60p-6",
     },
     "mixed": {
         "values": [
-            "0x1.6acc0bfbf3d79p-4",
-            "0x1.97ca951f7692fp-4",
-            "0x1.08221089a81b9p-3",
-            "0x1.2675f955c0473p-3",
-            "0x1.2cd9e84673e34p-3",
-            "0x1.9edb276fcd5fdp-3",
-            "0x1.ef4876b394c68p+2",
-            "0x1.c407895cbc625p-3",
-            "0x1.bd34ffe55af98p-3",
-            "0x1.aef4ff9a288c6p-3",
-            "0x1.4a7ae5586bf90p-3",
-            "0x1.72d58f9fe8bc4p-3",
+            "0x1.6acc0bfbf2176p-4",
+            "0x1.97ca951f75f95p-4",
+            "0x1.08221089a7e85p-3",
+            "0x1.2675f955c0ac1p-3",
+            "0x1.2cd9e8467427bp-3",
+            "0x1.9edb276fcd359p-3",
+            "0x1.ef4876badf798p+2",
+            "0x1.c407895cbc1dbp-3",
+            "0x1.bd34ffe55adf5p-3",
+            "0x1.aef4ff9a2864cp-3",
+            "0x1.4a7ae5586c277p-3",
+            "0x1.72d58f9fe8d92p-3",
         ],
         "ses": [
-            "0x1.1c2ebec4a13adp-6",
-            "0x1.fe831cc7423bfp-7",
-            "0x1.358e26c412af5p-6",
-            "0x1.3bc25135ed204p-6",
-            "0x1.3bc314d77733cp-6",
-            "0x1.6f1780acda86cp-6",
-            "0x1.442457ed96f4bp+6",
-            "0x1.ab45374b17cb5p-6",
-            "0x1.b28ac2cbe052fp-6",
-            "0x1.d7059c8127b1cp-5",
-            "0x1.84f8f67e954c0p-6",
-            "0x1.a3c922db4bcf7p-6",
+            "0x1.1c2ebec49e398p-6",
+            "0x1.fe831cc742ad2p-7",
+            "0x1.358e26c4121cfp-6",
+            "0x1.3bc25135ee7dap-6",
+            "0x1.3bc314d777598p-6",
+            "0x1.6f1780acda837p-6",
+            "0x1.442457ee4d107p+6",
+            "0x1.ab45374b178b3p-6",
+            "0x1.b28ac2cbe05b4p-6",
+            "0x1.d7059c8127b5ep-5",
+            "0x1.84f8f67e958d7p-6",
+            "0x1.a3c922db4be1ep-6",
         ],
-        "integral": "0x1.410fa2935568cp-1",
-        "integral_se": "0x1.4424705eec387p+2",
+        "integral": "0x1.410fa296fab5dp-1",
+        "integral_se": "0x1.4424705fa2542p+2",
     },
 }
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -720,6 +721,270 @@ def test_profile_evaluates_the_reference_matrix_once_per_slice():
     ens, P, basis = _one_d_case(replace(sine, diffusion_matrix=diffusion))
     prof = residual_energy_profile(ens, P, basis, window=3, stride=2)
     assert times == list(prof.times)
+
+
+# ---------------------------------------------------------------------------
+# the profile in path blocks: fixed chunk sums, memory, earliest errors
+
+
+def _unblocked_profile(ens, spec_P, basis, window=8, stride=4,
+                       t_min_frac=0.15):
+    """The profile as it was computed before path blocks: every slice over
+    all paths at once, the Gram matrix and the drift term as einsums, the
+    residual moments about their mean. Returns values, standard errors,
+    the integral and its standard error, and each slice's Gram condition
+    on the span its pseudo-inverse keeps."""
+    grid = ens.grid
+    idxs = [i for i in range(window, grid.n_steps - window + 1, stride)
+            if grid.points[i] >= t_min_frac * grid.horizon]
+    values, ses, conds = [], [], []
+    for i in idxs:
+        t = float(grid.points[i])
+        x = ens.states[:, i]
+        _, grads, hesss = basis.jet(x, 2)
+        span = float(grid.points[i + window] - grid.points[i - window])
+        diff = (basis.jet(ens.states[:, i + window], 0)[0]
+                - basis.jet(ens.states[:, i - window], 0)[0]) / span
+        a = spec_P.matrix_at(t, x)
+        if a.ndim == 2:
+            second = np.einsum("ij,nkji->nk", a, hesss)
+            q = np.einsum("nke,nle->kl", grads @ a, grads)
+        else:
+            second = np.einsum("nij,nkji->nk", a, hesss)
+            q = np.einsum("nkd,nde,nle->kl", grads, a, grads)
+        b = np.asarray(spec_P.drift(t, x), dtype=float)
+        z = diff - (0.5 * second + np.einsum("nd,nkd->nk", b, grads))
+        n = z.shape[0]
+        c = z.mean(axis=0)
+        centered = z - c
+        cov = centered.T @ centered / (n * max(n - 1, 1))
+        q = q / n
+        q = 0.5 * (q + q.T)
+        q_plus = np.linalg.pinv(q, rcond=variational.SVD_RCOND,
+                                hermitian=True)
+        g = q_plus @ c
+        values.append(0.5 * float(g @ (q @ g))
+                      - 0.5 * float(np.trace(q_plus @ cov)))
+        ses.append(math.sqrt(max(float(g @ cov @ g), 0.0)))
+        # the condition of what the pseudo-inverse keeps
+        svals = np.linalg.svd(q, compute_uv=False)
+        conds.append(svals[0] / svals[svals > variational.SVD_RCOND
+                                      * svals[0]][-1])
+    times = np.concatenate([[0.0], grid.points[idxs], [grid.horizon]])
+    ext_v = np.concatenate([values[:1], values, values[-1:]])
+    ext_s = np.concatenate([ses[:1], ses, ses[-1:]])
+    integral = float(np.trapezoid(ext_v, times))
+    integral_se = float(np.sqrt(np.sum((np.gradient(times) * ext_s) ** 2)))
+    return (np.array(values), np.array(ses), integral, integral_se,
+            np.array(conds))
+
+
+def _six_bumps():
+    return mixed_basis([-2.5], [2.5], 6, 0.7, [], bump_span=(-1.5, 1.5))
+
+
+_PROFILE_CASES = {
+    "1d-constant": lambda: (_one_d_case(None)[0],
+                            make_model("brownian", {"a": 0.7}), _six_bumps()),
+    "2d-constant": _two_d_case,
+    "sine": lambda: (_one_d_case(None)[0],
+                     make_model("sine_diffusion", {"a": 1.0}), _six_bumps()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROFILE_CASES))
+def test_profile_matches_the_unblocked_einsum_profile(case):
+    # the chunk sums and the Gram GEMM reorder sums, which moves the last
+    # bits of c, Q and Σ_c; a slice's dual amplifies that by its Gram
+    # condition number, so the 1e-12 agreement is checked where the Grams
+    # are well conditioned (an ill-conditioned basis, such as the pinned
+    # ones, agrees only to about cond · 1e-17)
+    ens, P, basis = _PROFILE_CASES[case]()
+    prof = residual_energy_profile(ens, P, basis)
+    values, ses, integral, integral_se, conds = _unblocked_profile(
+        ens, P, basis)
+    assert conds.max() < 1e5
+    np.testing.assert_allclose(prof.values, values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(prof.std_errors, ses, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([prof.integral, prof.integral_std_error],
+                               [integral, integral_se], rtol=1e-12, atol=0)
+
+
+def test_profile_reports_the_largest_gram_condition():
+    ens, P, basis = _PROFILE_CASES["sine"]()
+    prof = residual_energy_profile(ens, P, basis)
+    conds = [gram_matrix(P, t, ens.states[:, ens.grid.index_of(t)],
+                         basis).condition for t in prof.times]
+    assert prof.diagnostics["gram_condition_max"] == max(conds)
+    assert json.loads(json.dumps(prof.diagnostics)) == prof.diagnostics
+
+
+def _rows_per_block(chunks):
+    return lambda *args: chunks * variational.BLOCK_PATHS
+
+
+@pytest.mark.parametrize("case", sorted(_PROFILE_CASES))
+def test_profile_bits_do_not_depend_on_the_memory_block(case, monkeypatch):
+    # chunks of 256 paths: 2000 paths are 7 full chunks and one of 208.
+    # Blocks of one chunk, and of three (which divide neither the chunk
+    # count nor the path count), give the bits of a single block.
+    ens, P, basis = _PROFILE_CASES[case]()
+    monkeypatch.setattr(variational, "BLOCK_PATHS", 256)
+    whole = residual_energy_profile(ens, P, basis, window=3, stride=2)
+    assert whole.chunk_sums.counts.tolist() == [256] * 7 + [208]
+    for chunks in (1, 3):
+        monkeypatch.setattr(variational, "_block_rows",
+                            _rows_per_block(chunks))
+        got = residual_energy_profile(ens, P, basis, window=3, stride=2)
+        for name in ("values", "std_errors", "times"):
+            assert getattr(got, name).tobytes() == \
+                getattr(whole, name).tobytes(), (chunks, name)
+        assert got.integral.hex() == whole.integral.hex()
+        assert got.integral_std_error.hex() == \
+            whole.integral_std_error.hex()
+        for name in ("shift", "residual", "moments", "gram"):
+            assert getattr(got.chunk_sums, name).tobytes() == \
+                getattr(whole.chunk_sums, name).tobytes(), (chunks, name)
+    # and at the real chunk size, blocks of one chunk
+    monkeypatch.undo()
+    whole = residual_energy_profile(ens, P, basis)
+    monkeypatch.setattr(variational, "_block_rows", _rows_per_block(1))
+    got = residual_energy_profile(ens, P, basis)
+    assert got.values.tobytes() == whole.values.tobytes()
+    assert got.std_errors.tobytes() == whole.std_errors.tobytes()
+
+
+def test_profile_chunk_sums_add_up_to_the_slices():
+    # each slice's residual and Gram are the chunk sums added in path
+    # order: the profile keeps the per-chunk blocks a jackknife needs
+    ens, P, basis = _PROFILE_CASES["sine"]()
+    prof = residual_energy_profile(ens, P, basis)
+    sums = prof.chunk_sums
+    assert sums.residual.shape == (2, prof.times.shape[0], basis.size)
+    assert sums.counts.tolist() == [variational.BLOCK_PATHS,
+                                    2000 - variational.BLOCK_PATHS]
+    for s, t in enumerate(prof.times):
+        i = ens.grid.index_of(t)
+        res = fokker_planck_residual(ens, P, basis, i, 8)
+        gram = gram_matrix(P, res.t, ens.states[:, i], basis)
+        assert res.chunk_sums.tobytes() == sums.residual[:, s].tobytes()
+        assert res.chunk_moments.tobytes() == sums.moments[:, s].tobytes()
+        assert gram.chunk_sums.tobytes() == sums.gram[:, s].tobytes()
+
+
+def _profile_extra_peak(n_chunks, monkeypatch):
+    """tracemalloc peak of a profile over n_chunks chunks in one-chunk
+    blocks, the ensemble sampled beforehand."""
+    monkeypatch.setattr(variational, "_block_rows", _rows_per_block(1))
+    ens = sample_paths(make_model("ou", {"gamma": 1.0}),
+                       InitialLaw.point_mass([0.0]), TimeGrid.uniform(1.0, 32),
+                       n_chunks * variational.BLOCK_PATHS, 6)
+    basis = mixed_basis([-2.5], [2.5], 8, 0.7, [], bump_span=(-1.5, 1.5))
+    tracemalloc.start()
+    try:
+        prof = residual_energy_profile(ens, make_model("brownian", {}),
+                                       basis, window=4, stride=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(prof.integral)
+    return peak
+
+
+def test_profile_memory_does_not_grow_with_the_paths(monkeypatch):
+    # one block's jets (8 functions, 3 entries per path each, about six
+    # grid times) are about 1.2 MB; the whole 16-chunk ensemble's would be
+    # 16 times that, and the chunk sums are a few kB per chunk
+    bound = 3 * 2 ** 20
+    small = _profile_extra_peak(4, monkeypatch)
+    large = _profile_extra_peak(16, monkeypatch)
+    assert small < bound, small
+    assert large < bound, large
+
+
+def _fault_profile(faults, t_early, t_late, n):
+    """A profile over n paths whose state at grid time k on path p is
+    p + n·k, with custom coefficients and basis that plant faults at
+    (time, path) pairs: faults maps a kind to [(t, path), ...]."""
+    grid = TimeGrid.uniform(1.0, 8)
+    states = (np.arange(float(n))[:, None]
+              + n * np.arange(9.0)[None, :])[..., None]
+    ens = variational.PathEnsemble(grid=grid, states=states, seed=0)
+
+    def at(kind, t, x):
+        hit = np.zeros(x.shape[:-1], dtype=bool)
+        for t_f, path in faults.get(kind, ()):
+            if t == t_f:
+                hit |= x[..., 0] == path + n * round(t * 8)
+        return hit
+
+    def drift(t, x):
+        out = np.zeros_like(x)
+        out[at("gen-nan", t, x)] = np.nan
+        out[at("gen-inf", t, x)] = np.inf
+        return out
+
+    def diffusion(t, x):
+        a = np.ones(x.shape[:-1])
+        a[at("non-pd", t, x)] = 0.0
+        a[at("nan-diffusion", t, x)] = np.nan
+        return a[..., None, None]
+
+    # two functions whose gradients reach 1e200 where the Gram fault is
+    # planted, the second with the sign +, then -: their cross term sums
+    # to +inf on one path and -inf on the other, a NaN entry, while the
+    # generator term (zero drift, zero Hessian) stays finite
+    gram_paths = {path + n * round(t * 8): sign
+                  for (t, path), sign in zip(faults.get("gram-nan", ()),
+                                             (1.0, -1.0))}
+
+    def gradient(x, signed):
+        out = np.ones_like(x)
+        for state, sign in gram_paths.items():
+            out[x == state] = 1e200 * (sign if signed else 1.0)
+        return out
+
+    fns = tuple(BasisFunction(
+        value=lambda x: x[..., 0],
+        gradient=lambda x, signed=signed: gradient(x, signed),
+        hessian=lambda x: np.zeros(x.shape + x.shape[-1:]))
+        for signed in (False, True))
+    basis = FunctionBasis(functions=fns, lo=[0.0], hi=[1.0])
+    spec = DiffusionSpec(dim=1, drift=drift, diffusion_matrix=diffusion)
+    return lambda: residual_energy_profile(ens, spec, basis, window=1,
+                                           stride=1, t_min_frac=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("late,early,error,message", [
+    ("gen-nan", "gen-nan", ModelEvaluationError,
+     "reference generator term is NaN"),
+    ("non-pd", "gen-inf", ModelEvaluationError,
+     "reference generator term is infinite"),
+    ("gen-nan", "non-pd", PositiveDefinitenessError,
+     "diffusion matrix of 'custom' at t = 0.25 is not symmetric positive"),
+    ("nan-diffusion", "gram-nan", ModelEvaluationError, "Gram matrix is NaN"),
+    ("non-pd", "nan-diffusion", ModelEvaluationError,
+     "diffusion matrix of 'custom' is NaN"),
+])
+def test_profile_error_names_earliest_time_over_blocks(late, early, error,
+                                                       message, monkeypatch):
+    # blocks of one chunk over 2 chunks and 5 paths: a fault at t = 0.75
+    # on a path of the first block and one at t = 0.25 on paths of the
+    # last: the error names t = 0.25, as a scan of whole slices does. The
+    # Gram's +inf and -inf must come from two chunks (within one chunk's
+    # GEMM a fused multiply-add keeps the sum infinite), so its -inf path
+    # is in the middle block.
+    monkeypatch.setattr(variational, "_block_rows", _rows_per_block(1))
+    n = 2 * variational.BLOCK_PATHS + 5
+    last = (n - 3, variational.BLOCK_PATHS + 7 if early == "gram-nan"
+            else n - 2)
+    faults = {late: [(0.75, 5)]}
+    faults.setdefault(early, []).extend((0.25, path) for path in last)
+    run = _fault_profile(faults, 0.25, 0.75, n)
+    with pytest.raises(error, match=re.escape(message)) as info:
+        run()
+    assert "t = 0.25" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
