@@ -19,6 +19,7 @@ from pathkl import (
     FunctionBasis,
     InitialLaw,
     ModelEvaluationError,
+    PathEnsemble,
     PositiveDefinitenessError,
     TimeGrid,
     basis_from_config,
@@ -902,14 +903,14 @@ def test_profile_memory_does_not_grow_with_the_paths(monkeypatch):
     assert large < bound, large
 
 
-def _fault_profile(faults, t_early, t_late, n):
+def _fault_profile(faults, n):
     """A profile over n paths whose state at grid time k on path p is
     p + n·k, with custom coefficients and basis that plant faults at
     (time, path) pairs: faults maps a kind to [(t, path), ...]."""
     grid = TimeGrid.uniform(1.0, 8)
     states = (np.arange(float(n))[:, None]
               + n * np.arange(9.0)[None, :])[..., None]
-    ens = variational.PathEnsemble(grid=grid, states=states, seed=0)
+    ens = PathEnsemble(grid=grid, states=states, seed=0)
 
     def at(kind, t, x):
         hit = np.zeros(x.shape[:-1], dtype=bool)
@@ -981,7 +982,7 @@ def test_profile_error_names_earliest_time_over_blocks(late, early, error,
             else n - 2)
     faults = {late: [(0.75, 5)]}
     faults.setdefault(early, []).extend((0.25, path) for path in last)
-    run = _fault_profile(faults, 0.25, 0.75, n)
+    run = _fault_profile(faults, n)
     with pytest.raises(error, match=re.escape(message)) as info:
         run()
     assert "t = 0.25" in str(info.value)
