@@ -50,14 +50,13 @@ __all__ = [
 ]
 
 # Paths handled together: sanov batches its trials in blocks of at most
-# this many paths, and the sampler's and girsanov's blocks, sized by
-# elements, never hold fewer. No result depends on it.
+# this many paths, and the sampler's draw blocks and girsanov's blocks,
+# sized by elements, never hold fewer. No result depends on it.
 BLOCK_PATHS = 1024
 
-# Increments the sampler draws and steps at once, 8 MiB (twice that while
-# stream_inputs copies them time-major): a block holds
-# max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d)) paths, so short grids step
-# wide blocks and long ones stay bounded. No result depends on it.
+# Increments the sampler draws at once, 8 MiB of scratch beside the
+# ensemble: a draw block holds max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d))
+# paths, so long grids stay bounded. No result depends on it.
 BLOCK_ELEMENTS = 2 ** 20
 
 # States diffusion_match_check compares, about: it takes every stride-th
@@ -385,22 +384,19 @@ def _keyed_streams(seed: int, streams: range):
 
 
 def stream_inputs(init: InitialLaw, seed: int, streams: range,
-                  per_stream: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start states and standard increments for the paths of some streams.
+                  per_stream: int, out: np.ndarray) -> None:
+    """Start states and standard increments for the paths of some streams,
+    written into out[0] and out[1:] of the time-major buffer
+    out (steps + 1, len(streams) * per_stream, d) that euler_maruyama steps.
 
     Stream j is path_generator(seed, j). It draws per_stream initial states,
     then one (steps, per_stream, d) increment block, and its paths are
     consecutive. Each stream's block is drawn into its own contiguous row of
-    a stream-major buffer, and the buffer is then copied time-major once.
-
-    Returns:
-        x0 of shape (len(streams) * per_stream, d) and time-major z of
-        shape (steps, len(streams) * per_stream, d), in the form
-        euler_maruyama takes.
+    a stream-major scratch block, which is then copied time-major into out.
     """
-    d = init.dim
-    x0 = np.empty((len(streams), per_stream, d))
-    drawn = np.empty((len(streams), steps, per_stream, d))
+    steps, shape = out.shape[0] - 1, (len(streams), per_stream, init.dim)
+    x0, z = out[0].reshape(shape), out[1:].reshape((steps,) + shape)
+    drawn = np.empty((len(streams), steps) + shape[1:])
     # a point mass draws nothing from the generator: fill it once
     point = init.kind == "point"
     if point:
@@ -409,8 +405,9 @@ def stream_inputs(init: InitialLaw, seed: int, streams: range,
         if not point:
             x0[i] = init.draw(gen, per_stream)
         gen.standard_normal(out=drawn[i])
-    z = np.ascontiguousarray(drawn.transpose(1, 0, 2, 3))
-    return x0.reshape(-1, d), z.reshape(steps, -1, d)
+    # 64 streams at a time: each part of the transpose stays in cache
+    for i in range(0, len(streams), 64):
+        z[:, i:i + 64] = drawn[i:i + 64].transpose(1, 0, 2, 3)
 
 
 def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -592,12 +589,12 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                        argmax_time=arg_t)
 
 
-def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m.T for rows x (n, d) and a constant (d, d) m, with matmul's bits:
-    in d = 1 one multiply, without the gemm's fixed cost."""
+def _rows_times(x: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+    """x @ m.T (into out if given) for rows x (n, d) and a constant (d, d) m,
+    with matmul's bits: in d = 1 one multiply, without the gemm's cost."""
     if m.shape != (1, 1):
-        return x @ m.T
-    out = x * m[0, 0]
+        return np.matmul(x, m.T, out=out)
+    out = np.multiply(x, m[0, 0], out=out)
     out += 0.0  # matmul sums from +0.0, so a -0.0 product is +0.0 there
     return out
 
@@ -618,39 +615,41 @@ def partition_blocks(n: int, threads: int,
         return [fut.result() for fut in futures]
 
 
-def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid, x0: np.ndarray,
-                   z: np.ndarray, out: np.ndarray) -> None:
-    """Step start states x0 (n, d) with time-major standard increments
-    z (m, n, d).
-
-    Writes the n paths time-major into out (m + 1, n, d): step k reads z[k]
-    and writes out[k + 1].
+def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid,
+                   out: np.ndarray) -> None:
+    """Step n paths in place in the time-major buffer out (m + 1, n, d) that
+    stream_inputs fills with start states (out[0]) and standard increments
+    (out[1:]). Step k reads the states out[k] and overwrites the increments
+    in out[k + 1] with (x + b dt) + noise sqrt(dt). All n paths take each
+    step together, so an error from a diffusion matrix names the earliest
+    time at which any of them fails.
 
     Raises:
         PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
             a diffusion matrix along the paths.
         ModelEvaluationError: the paths reach non-finite states.
     """
-    d = spec.dim
     times = grid.points
-    out[0] = x0
-    x = out[0].copy()
     chol = spec.constant_factor
+    step, noise = np.empty_like(out[0]), np.empty_like(out[0])
 
     for k in range(grid.n_steps):
-        t = float(times[k])
+        t, x, z = float(times[k]), out[k], out[k + 1]
         dt = float(times[k + 1] - times[k])
-        step = spec.drift(t, x) * dt
+        np.multiply(spec.drift(t, x), dt, out=step)
         if chol is not None:
-            noise = _rows_times(z[k], chol)
-        elif d == 1:
-            noise = np.sqrt(spec.matrix_at(t, x)[..., 0]) * z[k]
+            _rows_times(z, chol, noise)
+        elif spec.dim == 1:
+            np.sqrt(spec.matrix_at(t, x)[..., 0], out=noise)
+            noise *= z
         else:
-            noise = np.einsum("nij,nj->ni", spec._factored_at(t, x)[1], z[k])
-        x = x + step + noise * math.sqrt(dt)
-        out[k + 1] = x
+            np.einsum("nij,nj->ni", spec._factored_at(t, x)[1], z, out=noise)
+        noise *= math.sqrt(dt)
+        np.add(x, step, out=step)
+        np.add(step, noise, out=z)
 
-    if not np.isfinite(out).all():
+    # min and max are NaN if a state is, and unlike isfinite make no mask
+    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
         raise ModelEvaluationError(
             f"simulation of {spec.model_id!r} produced non-finite states")
 
@@ -661,9 +660,11 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
 
     Path i is stream i of stream_inputs: it draws its initial state and all
     its increments from the Philox substream keyed by (seed, i), so the
-    ensemble is bit-identical for any thread count. Paths are drawn and
-    stepped in blocks of max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d))
-    paths, so only one block's increments are live at once (per thread).
+    ensemble is bit-identical for any thread count. Each thread draws its
+    range into the ensemble in blocks of max(BLOCK_PATHS, BLOCK_ELEMENTS //
+    (steps * d)) paths, then steps it in place in one Euler pass: an error
+    from a diffusion matrix names the earliest time at which a path of the
+    first failing range fails.
 
     Args:
         spec: the diffusion law to simulate.
@@ -690,9 +691,8 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
     def simulate(lo: int, hi: int) -> None:
         for b_lo in range(lo, hi, block):
             b_hi = min(b_lo + block, hi)
-            x0, z = stream_inputs(init, seed, range(b_lo, b_hi), 1,
-                                  grid.n_steps)
-            euler_maruyama(spec, grid, x0, z, buf[:, b_lo:b_hi])
+            stream_inputs(init, seed, range(b_lo, b_hi), 1, buf[:, b_lo:b_hi])
+        euler_maruyama(spec, grid, buf[:, lo:hi])
 
     partition_blocks(n, threads, simulate)
     return PathEnsemble(grid=grid, states=buf.transpose(1, 0, 2), seed=seed,

@@ -138,9 +138,9 @@ def _row_counts(spec, init, grid, exp: RateExperiment, n: int,
         c = 0
         for b_lo in range(lo, hi, per_batch):
             trials = range(b_lo, min(b_lo + per_batch, hi))
-            x0, z = stream_inputs(init, row_seed, trials, n, m)
             states = np.empty((m + 1, len(trials) * n, spec.dim))
-            euler_maruyama(spec, grid, x0, z, states)
+            stream_inputs(init, row_seed, trials, n, states)
+            euler_maruyama(spec, grid, states)
             vals = _observable(states, grid, exp.observable)
             means = vals.reshape(len(trials), n).mean(axis=1)
             c += int(np.count_nonzero(means > exp.threshold))

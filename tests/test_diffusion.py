@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,12 +277,15 @@ def test_rekeyed_streams_match_fresh_generators(init):
 ], ids=["point", "gaussian", "empirical"])
 def test_stream_inputs_match_fresh_streams(init, per_stream):
     # stream j draws its start states, then its increments, from a fresh
-    # path_generator(seed, j); its paths are consecutive rows
+    # path_generator(seed, j); its paths are consecutive rows of out, here
+    # a column range of a wider buffer
     streams, steps, d = range(2, 7), 4, init.dim
+    n = len(streams) * per_stream
     for seed in (5, 2 ** 63 + 4097, 2 ** 64 - 1, -3):
-        x0, z = stream_inputs(init, seed, streams, per_stream, steps)
-        assert x0.shape == (len(streams) * per_stream, d)
-        assert z.shape == (steps, len(streams) * per_stream, d)
+        buf = np.full((steps + 1, n + 3, d), np.nan)
+        stream_inputs(init, seed, streams, per_stream, buf[:, 1:n + 1])
+        x0, z = buf[0, 1:n + 1], buf[1:, 1:n + 1]
+        assert np.isnan(buf[:, [0, n + 1, n + 2]]).all()
         for i, j in enumerate(streams):
             gen = path_generator(seed, j)
             rows = slice(i * per_stream, (i + 1) * per_stream)
@@ -433,6 +438,82 @@ def test_sample_paths_across_block_boundaries():
     assert np.array_equal(threaded.states, full.states)
 
 
+def test_sampler_calls_the_model_once_per_step():
+    # 1024 steps make draw blocks of BLOCK_PATHS paths; 1030 paths are drawn
+    # in two blocks and stepped in one pass
+    steps, n = 1024, 1030
+    assert max(BLOCK_PATHS, BLOCK_ELEMENTS // steps) < n
+    spec = make_model("sine_diffusion", {"amplitude": 0.5})
+    calls = {"drift": 0, "diffusion_matrix": 0}
+
+    def counted(name):
+        original = getattr(spec, name)
+
+        def call(t, x):
+            calls[name] += 1
+            return original(t, x)
+        return call
+
+    spec = dataclasses.replace(spec, **{name: counted(name) for name in calls})
+    sample_paths(spec, InitialLaw.point_mass([0.0]),
+                 TimeGrid.uniform(1.0, steps), n, 0, threads=1)
+    assert calls == {"drift": steps, "diffusion_matrix": steps}
+
+
+@pytest.mark.parametrize("model", ["ou", "sine_diffusion"])
+def test_sampler_holds_one_draw_block_beside_the_ensemble(model):
+    # 128 steps make draw blocks of BLOCK_ELEMENTS // 128 paths, and n spans
+    # two: beyond the ensemble the sampler holds one block's draw scratch,
+    # then a few rows of n states for the Euler pass
+    steps = 128
+    n = 2 * (BLOCK_ELEMENTS // steps)
+    spec, grid = make_model(model, {}), TimeGrid.uniform(1.0, steps)
+    init = InitialLaw.gaussian([0.0], [[1.0]])
+    # a first call makes the process's one-time allocations (about 1 MiB)
+    sample_paths(spec, init, grid, 2, 0)
+    tracemalloc.start()
+    try:
+        ens = sample_paths(spec, init, grid, n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = ens.states.nbytes + 8 * BLOCK_ELEMENTS + 8 * (8 * n)
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (-1.0, PositiveDefinitenessError),
+    (np.nan, ModelEvaluationError),
+], ids=["refused", "nan"])
+def test_sampler_error_names_the_earliest_time_over_draw_blocks(bad, error):
+    # a(t, x) is bad where |x| > 2; with seed 4 a path of the second draw
+    # block leaves [-2, 2] before any path of the first does, and the one
+    # Euler pass over both names that earlier time
+    steps, seed = 512, 4
+    block = BLOCK_ELEMENTS // steps
+    grid = TimeGrid.uniform(1.0, steps)
+    init = InitialLaw.point_mass([0.0])
+
+    def model(bound):
+        def diffusion(t, x):
+            a = np.ones(x.shape[:-1] + (1, 1))
+            a[np.abs(x[..., 0]) > bound] = bad
+            return a
+        return DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
+                             diffusion_matrix=diffusion)
+
+    # the states a(t, x) is asked at, up to the first bad one
+    states = sample_paths(model(np.inf), init, grid, 2 * block,
+                          seed).states[:, :-1, 0]
+    outside = np.abs(states) > 2.0
+    first = [int(np.argmax(outside[rows].any(axis=0)))
+             for rows in (slice(0, block), slice(block, None))]
+    assert outside[:block].any() and 0 < first[1] < first[0]
+    when = re.escape(f"at t = {grid.points[first[1]]:g}")
+    with pytest.raises(error, match=when + "( |$)"):
+        sample_paths(model(2.0), init, grid, 2 * block, seed, threads=1)
+
+
 def _matmul_euler(spec, grid, x0, z):
     """The Euler loop with a constant factor, noise by the matmul form."""
     chol = spec.constant_factor
@@ -461,8 +542,8 @@ def test_one_dimensional_constant_noise_matches_matmul(a):
                              x.shape[:-1] + (1, 1), a),
                          constant_matrix=np.array([[a]]))
     grid = TimeGrid.uniform(1.0, m)
-    out = np.empty((m + 1, n, 1))
-    euler_maruyama(spec, grid, x0, z, out)
+    out = np.concatenate([x0[None], z])
+    euler_maruyama(spec, grid, out)
     want = _matmul_euler(spec, grid, x0, z)
     assert out.tobytes() == want.tobytes()
 
@@ -480,7 +561,8 @@ def test_state_dependent_diffusion_paths():
 
 def test_state_dependent_2d_sampler_factors_each_step_once(linalg_calls):
     # the PD rule's Cholesky factor is the step's noise factor; 512 steps
-    # make blocks of BLOCK_PATHS paths, so 1030 paths step in two blocks
+    # make draw blocks of BLOCK_PATHS paths, so 1030 paths are drawn in two
+    # blocks and stepped in one pass
     spec = dataclasses.replace(
         make_model("brownian", {"a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2),
         constant_matrix=None)
@@ -488,7 +570,7 @@ def test_state_dependent_2d_sampler_factors_each_step_once(linalg_calls):
     assert BLOCK_ELEMENTS // (steps * 2) <= BLOCK_PATHS < 1030
     sample_paths(spec, InitialLaw.point_mass([0.0, 0.0]),
                  TimeGrid.uniform(1.0, steps), 1030, 0)
-    assert linalg_calls["cholesky"] == 2 * steps
+    assert linalg_calls["cholesky"] == steps
 
 
 def test_constant_factor_factors_once(linalg_calls):
