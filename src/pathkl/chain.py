@@ -23,10 +23,11 @@ from .diffusion import (
     PairCoefficients,
     PathEnsemble,
     TimeGrid,
+    check_number,
     sample_paths,
 )
 from .errors import ArgumentError
-from .estimates import EntropyEstimate, clamp_at_zero
+from .estimates import EntropyEstimate, path_mean_and_se, path_space_estimate
 from .marginal import initial_entropy
 
 __all__ = [
@@ -163,10 +164,7 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     idx_lo = ensemble_mu.grid.index_of(t_lo)
     ensemble_mu.grid.index_of(t_hi)
     fixed, quad = _interval_terms(spec_mu, spec_P, ensemble_mu, [idx_lo])
-    values = _interval_kls(fixed, quad, t_hi - t_lo)[:, 0]
-    n = values.shape[0]
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(values.mean()), se
+    return path_mean_and_se(_interval_kls(fixed, quad, t_hi - t_lo)[:, 0])
 
 
 def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -177,21 +175,13 @@ def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
 
     The interval parts are evaluated once, at the finest partition's left
     endpoints read on the ensemble's grid; each partition's left endpoints
-    are every step-th of them, so it reads strided columns. A total is the
-    plain left-to-right sum of the initial term and the interval means, so
-    the reported decomposition is an arithmetic identity, and its standard
-    error comes from the per-path totals (which captures the correlation
-    between intervals along a path).
+    are every step-th of them, so it reads strided columns. A total is
+    path_space_estimate of the initial term and the interval means, a plain
+    left-to-right sum, so the reported decomposition is an arithmetic
+    identity; its path standard error comes from the per-path totals (which
+    captures the correlation between intervals along a path).
     """
     initial = initial_entropy(init_mu, init_P)
-    if initial.is_infinite:
-        return tuple(ChainEstimate(
-            total=EntropyEstimate(value=math.inf, std_error=0.0,
-                                  method="chain-gauss",
-                                  diagnostics={"divergent_term": "initial"}),
-            initial_term=math.inf, contributions=(), partition=part)
-            for part in partitions)
-
     finest = partitions[-1]
     columns = [ensemble.grid.index_of(t_lo) for t_lo in finest.times[:-1]]
     fixed, quad = _interval_terms(spec_mu, spec_P, ensemble, columns)
@@ -200,26 +190,15 @@ def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         step = finest.n_intervals // part.n_intervals
         per_path = _interval_kls(fixed[:, ::step], quad[:, ::step],
                                  np.diff(part.times))
-        n = per_path.shape[0]
-        means = per_path.mean(axis=0)
-        ses = per_path.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 \
-            else np.zeros(per_path.shape[1])
-        path_totals = per_path.sum(axis=1)
-        paths_se = float(path_totals.std(ddof=1) / math.sqrt(n)) if n > 1 \
-            else 0.0
+        means, ses = path_mean_and_se(per_path)
+        _, paths_se = path_mean_and_se(per_path.sum(axis=1))
         terms = tuple(
-            StepTerm(t_lo=lo, t_hi=hi, value=float(means[j]),
-                     std_error=float(ses[j]))
+            StepTerm(t_lo=lo, t_hi=hi, value=means[j], std_error=ses[j])
             for j, (lo, hi) in enumerate(part.intervals()))
-        total_value = initial.value
-        for term in terms:
-            total_value = total_value + term.value
-        diagnostics = {"n_paths": n, "n_intervals": part.n_intervals,
-                       "initial_method": initial.method}
-        total = EntropyEstimate(
-            value=clamp_at_zero(total_value, diagnostics),
-            std_error=math.sqrt(initial.std_error ** 2 + paths_se ** 2),
-            method="chain-gauss", diagnostics=diagnostics)
+        total = path_space_estimate(
+            initial, means, paths_se, "chain-gauss",
+            {"n_paths": per_path.shape[0], "n_intervals": part.n_intervals,
+             "initial_method": initial.method})
         estimates.append(ChainEstimate(total=total,
                                        initial_term=initial.value,
                                        contributions=terms, partition=part))
@@ -290,8 +269,11 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     level's total exceeds divergence_threshold, the fitted per-interval
     slope (the signature of a diffusion-matrix mismatch is affine growth in
     the interval count), and the gap between the last two levels as a
-    crude extrapolation diagnostic.
+    crude extrapolation diagnostic. ArgumentError unless
+    divergence_threshold is a finite number >= 0.
     """
+    check_number(divergence_threshold, "divergence_threshold",
+                 nonnegative=True)
     partitions = refine_sequence(grid, levels)
     ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
                             threads=threads)
@@ -311,10 +293,10 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                 "drop": drop, "allowed": 3 * combined,
             })
 
+    # the threshold is finite, so an infinite total exceeds it
+    diverged = any(e.total.value > divergence_threshold for e in estimates)
     finite_vals = [e.total.value for e in estimates
                    if not e.total.is_infinite]
-    diverged = any(v > divergence_threshold for v in finite_vals) or any(
-        e.total.is_infinite for e in estimates)
 
     slope = None
     if len(estimates) >= 2:

@@ -42,6 +42,7 @@ from .errors import (
     check_keys,
     exit_code_for,
 )
+from .estimates import path_space_estimate
 from .girsanov import girsanov_entropy
 from .marginal import (OptimizerConfig, dv_estimate, initial_entropy,
                        pooled_dv_basis)
@@ -163,16 +164,10 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
                 "estimator_params.partition_times cannot be set with levels: "
                 "a refinement sweep runs the dyadic partitions")
         steps = resolved["grid"]["steps"]
-        levels = params["levels"]
-        if levels < 1:
-            raise ArgumentError("levels must be at least 1")
         if steps & (steps - 1) != 0:
             raise ArgumentError(
                 f"chain refinement needs a dyadic step count "
                 f"(power of two), got steps={steps}")
-        if steps < 2 ** (levels - 1):
-            raise ArgumentError(
-                f"steps={steps} cannot host {levels} refinement levels")
     elif estimator == "chain" and "divergence_threshold" in params:
         raise ArgumentError(
             "estimator_params.divergence_threshold needs levels: only a "
@@ -241,7 +236,7 @@ def _run_girsanov(resolved, objs, threads):
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
     return {"estimate": _jsonable(est)}, rows, \
-        ["estimator", "value", "std_error", "is_infinite"]
+        ["estimator", "value", "std_error", "is_infinite"], est
 
 
 def _run_chain(resolved, objs, threads):
@@ -274,7 +269,8 @@ def _run_chain(resolved, objs, threads):
             "monotonicity_violations": _jsonable(
                 sweep.monotonicity_violations),
         }
-        return results, rows, ["level", "mesh", "value", "std_error", "slope"]
+        return results, rows, ["level", "mesh", "value", "std_error",
+                               "slope"], sweep.estimates[-1].total
 
     partition = Partition.from_times(
         grid, params.get("partition_times", grid.points))
@@ -292,7 +288,7 @@ def _run_chain(resolved, objs, threads):
         "contributions": _jsonable(est.contributions),
         "n_intervals": partition.n_intervals,
     }
-    return results, rows, ["t_lo", "t_hi", "value", "std_error"]
+    return results, rows, ["t_lo", "t_hi", "value", "std_error"], est.total
 
 
 def _run_dv_marginal(resolved, objs, threads):
@@ -302,6 +298,7 @@ def _run_dv_marginal(resolved, objs, threads):
                       "plateau_rtol")
     t = opt.pop("t", grid.horizon)
     n = opt.pop("n_samples", resolved["n_paths"])
+    config = OptimizerConfig(**opt)
     seed = resolved["seed"]
     idx = grid.index_of(t)
     # dv_estimate loads scipy.special. Loaded while the ensembles are live,
@@ -318,12 +315,12 @@ def _run_dv_marginal(resolved, objs, threads):
 
     basis = basis_from_config(params["basis"]) if "basis" in params \
         else pooled_dv_basis(s_mu, s_p)
-    est = dv_estimate(s_mu, s_p, basis, OptimizerConfig(**opt))
+    est = dv_estimate(s_mu, s_p, basis, config)
     rows = [{"estimator": "dv-marginal", "t": t, "value": est.value,
              "std_error": est.std_error}]
     return {"estimate": _jsonable(est), "t": t, "n_samples": n,
             "basis": basis.describe()}, rows, \
-        ["estimator", "t", "value", "std_error"]
+        ["estimator", "t", "value", "std_error"], est
 
 
 def _run_residual_energy(resolved, objs, threads):
@@ -337,8 +334,9 @@ def _run_residual_energy(resolved, objs, threads):
         ensemble, spec_p, basis,
         **_set_params(resolved, "window", "stride", "t_min_frac", "debias"))
     initial = initial_entropy(init_mu, init_p)
-    total = profile.integral + initial.value
-    total_se = math.hypot(profile.integral_std_error, initial.std_error)
+    total = path_space_estimate(initial, [profile.integral],
+                                profile.integral_std_error, "residual-energy",
+                                _jsonable(profile.diagnostics))
     rows = [{"t": float(t), "energy": float(v), "std_error": float(s)}
             for t, v, s in zip(profile.times, profile.values,
                                profile.std_errors)]
@@ -346,13 +344,13 @@ def _run_residual_energy(resolved, objs, threads):
         "integral": profile.integral,
         "integral_std_error": profile.integral_std_error,
         "initial_term": _jsonable(initial),
-        "total": total,
-        "total_std_error": total_se,
+        "total": total.value,
+        "total_std_error": total.std_error,
         "profile": rows,
         "basis": basis.describe(),
-        "diagnostics": _jsonable(profile.diagnostics),
+        "diagnostics": total.diagnostics,
     }
-    return results, rows, ["t", "energy", "std_error"]
+    return results, rows, ["t", "energy", "std_error"], total
 
 
 def _run_sanov(resolved, objs, threads):
@@ -369,11 +367,13 @@ def _run_sanov(resolved, objs, threads):
              "zero_count": r.zero_count} for r in table.rows]
     return {"table": rows, "diagnostics": _jsonable(table.diagnostics)}, \
         rows, ["n", "count", "p_hat", "rate", "std_error", "oracle",
-               "zero_count"]
+               "zero_count"], None
 
 
 # estimator -> (runner, JSON type of each estimator_params key); a runner
-# passes on only the keys a config sets, so every default is the library's
+# passes on only the keys a config sets, so every default is the library's,
+# and returns results, csv rows and header, and its headline EntropyEstimate
+# (None for sanov, whose rate is not a path-space entropy)
 ESTIMATORS = {
     "girsanov": (_run_girsanov, {"tol_match": "number"}),
     "chain": (_run_chain, {
@@ -392,6 +392,15 @@ ESTIMATORS = {
 }
 
 
+def _run_with_headline(cfg: dict, seed_override: int | None, threads: int):
+    """run_config's triple plus the run's headline EntropyEstimate."""
+    resolved = resolve_config(cfg, seed_override)
+    objs = _built_objects(resolved)
+    results, rows, header, headline = ESTIMATORS[resolved["estimator"]][0](
+        resolved, objs, threads)
+    return resolved, results, (rows, header), headline
+
+
 def run_config(cfg: dict, *, seed_override: int | None = None,
                threads: int = 1) -> tuple[dict, dict, tuple[list, list]]:
     """Validate and dispatch cfg.
@@ -399,11 +408,7 @@ def run_config(cfg: dict, *, seed_override: int | None = None,
     Returns:
         (resolved config, results, (csv rows, csv header)).
     """
-    resolved = resolve_config(cfg, seed_override)
-    objs = _built_objects(resolved)
-    results, rows, header = ESTIMATORS[resolved["estimator"]][0](
-        resolved, objs, threads)
-    return resolved, results, (rows, header)
+    return _run_with_headline(cfg, seed_override, threads)[:3]
 
 
 def build_report(resolved: dict, results: dict, *, command: str,
@@ -478,22 +483,6 @@ def _scenario_fingerprint(resolved: dict) -> dict:
     }
 
 
-def _headline_value(estimator: str, results: dict) -> tuple[float, float]:
-    if estimator == "girsanov":
-        est = results["estimate"]
-    elif estimator == "chain":
-        est = results.get("finest") or results["total"]
-    elif estimator == "dv-marginal":
-        est = results["estimate"]
-    elif estimator == "residual-energy":
-        return float(results["total"]), float(results["total_std_error"])
-    else:
-        raise ArgumentError(
-            "sanov runs estimate a decay rate, not a path-space entropy; "
-            "they cannot join a compare table")
-    return float(est["value"]), float(est["std_error"])
-
-
 def _cmd_compare(args) -> int:
     if len(args.config) < 2:
         raise ArgumentError("compare needs at least two --config files")
@@ -502,8 +491,8 @@ def _cmd_compare(args) -> int:
     fingerprint = None
     for path in args.config:
         cfg = load_config(path)
-        resolved, results, _ = run_config(cfg, seed_override=args.seed,
-                                          threads=args.threads)
+        resolved, _, _, headline = _run_with_headline(cfg, args.seed,
+                                                      args.threads)
         fp = _scenario_fingerprint(resolved)
         if fingerprint is None:
             fingerprint = fp
@@ -511,10 +500,14 @@ def _cmd_compare(args) -> int:
             raise ArgumentError(
                 f"config {path} runs a different scenario; compare needs a "
                 f"shared model pair, initial laws, and horizon")
-        value, se = _headline_value(resolved["estimator"], results)
+        if headline is None:
+            raise ArgumentError(
+                "sanov runs estimate a decay rate, not a path-space entropy; "
+                "they cannot join a compare table")
         entries.append({"config": path, "estimator": resolved["estimator"],
-                        "value": value, "std_error": se,
-                        "is_infinite": math.isinf(value)})
+                        "value": float(headline.value),
+                        "std_error": float(headline.std_error),
+                        "is_infinite": headline.is_infinite})
 
     z_scores = []
     for i in range(len(entries)):

@@ -737,6 +737,15 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_number(value, name: str, *, nonnegative: bool = False) -> None:
+    """Raises ArgumentError naming name unless value is a finite number (a
+    bool is not one), and >= 0 where nonnegative is set."""
+    if not (_numbers(value, False) and math.isfinite(value)
+            and (value >= 0 or not nonnegative)):
+        raise ArgumentError(f"{name} must be a finite number"
+                            f"{' >= 0' * nonnegative}, got {value!r}")
+
+
 def _finite_array(value, name: str) -> np.ndarray:
     """value as a float array.
 

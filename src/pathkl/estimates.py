@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["EntropyEstimate", "TOL_LINALG", "clamp_at_zero"]
+import numpy as np
+
+__all__ = ["EntropyEstimate", "TOL_LINALG", "clamp_at_zero",
+           "path_mean_and_se", "path_space_estimate"]
 
 # Relative tolerance for linear-algebra identities (double precision headroom).
 TOL_LINALG = 1e-9
@@ -48,3 +51,33 @@ def clamp_at_zero(value: float, diagnostics: dict) -> float:
     if value < 0:
         diagnostics["clamped_from"] = value
     return max(value, 0.0)
+
+
+def path_mean_and_se(values: np.ndarray):
+    """Mean over the paths (axis 0) and its standard error
+    std(ddof=1) / sqrt(n), which is 0 for one path: floats, or lists of
+    them for one column per term."""
+    n = values.shape[0]
+    mean = values.mean(axis=0)
+    se = values.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 \
+        else np.zeros_like(mean)
+    return mean.tolist(), se.tolist()
+
+
+def path_space_estimate(initial: EntropyEstimate, terms, path_se: float,
+                        method: str, diagnostics: dict) -> EntropyEstimate:
+    """R(mu || P) of a path-space route, the one place where the initial-law
+    term joins the route's path terms: +inf with standard error 0 and
+    diagnostics["reason"] "singular initial laws" for an infinite initial
+    term, else clamp_at_zero(initial.value + terms[0] + terms[1] + ...),
+    summed left to right, with standard error
+    hypot(initial.std_error, path_se)."""
+    if initial.is_infinite:
+        diagnostics["reason"] = "singular initial laws"
+        return EntropyEstimate(math.inf, 0.0, method, diagnostics)
+    total = initial.value
+    for term in terms:
+        total += term
+    return EntropyEstimate(clamp_at_zero(total, diagnostics),
+                           math.hypot(initial.std_error, path_se), method,
+                           diagnostics)

@@ -24,13 +24,14 @@ from .diffusion import (
     InitialLaw,
     PairCoefficients,
     PathEnsemble,
+    check_number,
     diffusion_match_check,
     param,
     positive_definite,
 )
 from .errors import (ArgumentError, CapabilityError, ModelEvaluationError,
                      PositiveDefinitenessError)
-from .estimates import EntropyEstimate, clamp_at_zero
+from .estimates import EntropyEstimate, path_mean_and_se, path_space_estimate
 from .marginal import initial_entropy
 
 __all__ = [
@@ -106,12 +107,14 @@ def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
 
     Runs the diffusion match check first: a mismatch means mutual
     singularity, and the estimate is +inf with the report attached rather
-    than a meaningless finite number.
+    than a meaningless finite number. path_space_estimate adds the two
+    terms. ArgumentError unless tol_match is a finite number >= 0.
 
     Returns:
         EntropyEstimate with the match report, the initial term, and the
         two pieces of the total in diagnostics.
     """
+    check_number(tol_match, "tol_match", nonnegative=True)
     report = diffusion_match_check(spec_mu, spec_P, ensemble_mu,
                                    tol_match=tol_match)
     if not report.passed:
@@ -121,22 +124,12 @@ def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                          "reason": "diffusion mismatch"})
 
     initial = initial_entropy(init_mu, init_P)
-    if initial.is_infinite:
-        return EntropyEstimate(
-            value=math.inf, std_error=0.0, method="girsanov",
-            diagnostics={"match_report": report,
-                         "reason": "singular initial laws"})
-
     energies = 0.5 * _drift_gap_energy(spec_mu, spec_P, ensemble_mu)
-    n = energies.shape[0]
-    drift_term = float(energies.mean())
-    drift_se = float(energies.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    diagnostics = {"match_report": report, "initial_term": initial.value,
-                   "drift_term": drift_term, "n_paths": n}
-    return EntropyEstimate(
-        value=clamp_at_zero(initial.value + drift_term, diagnostics),
-        std_error=math.hypot(initial.std_error, drift_se),
-        method="girsanov", diagnostics=diagnostics)
+    drift_term, drift_se = path_mean_and_se(energies)
+    return path_space_estimate(
+        initial, [drift_term], drift_se, "girsanov",
+        {"match_report": report, "initial_term": initial.value,
+         "drift_term": drift_term, "n_paths": energies.shape[0]})
 
 
 @dataclass(frozen=True)

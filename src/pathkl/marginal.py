@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (GaussianLaw, InitialLaw, check_positive_definite,
-                        path_generator, positive_definite, substream_seed,
-                        variance_part)
+from .diffusion import (GaussianLaw, InitialLaw, check_number,
+                        check_positive_definite, is_integer, path_generator,
+                        positive_definite, substream_seed, variance_part)
 from .errors import ArgumentError, CapabilityError, ConvergenceError
 from .estimates import TOL_LINALG, EntropyEstimate, clamp_at_zero
 from .variational import FunctionBasis, mixed_basis
@@ -48,12 +48,20 @@ class OptimizerConfig:
     that ends at max_iter with relative improvement below plateau_rtol over
     the trailing fifth of the budget is reported as converged-to-plateau
     rather than failed. Runs still climbing at max_iter raise, with the best
-    value attached.
+    value attached. max_iter must be an integer >= 1, and gtol and
+    plateau_rtol finite numbers >= 0 (ArgumentError otherwise).
     """
 
     gtol: float = 1e-8
     max_iter: int = 500
     plateau_rtol: float = 0.02
+
+    def __post_init__(self):
+        if not (is_integer(self.max_iter) and self.max_iter >= 1):
+            raise ArgumentError(f"max_iter must be an integer >= 1, got "
+                                f"{self.max_iter!r}")
+        check_number(self.gtol, "gtol", nonnegative=True)
+        check_number(self.plateau_rtol, "plateau_rtol", nonnegative=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ so counts are deterministic for any thread count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .diffusion import (
     DiffusionSpec,
     InitialLaw,
     TimeGrid,
+    check_number,
     check_seed,
     euler_maruyama,
     is_integer,
@@ -64,11 +64,7 @@ class RateExperiment:
             raise ArgumentError(
                 f"unknown observable {self.observable!r}; "
                 f"known: {', '.join(OBSERVABLES)}")
-        if (isinstance(self.threshold, bool)
-                or not isinstance(self.threshold, numbers.Real)
-                or not math.isfinite(self.threshold)):
-            raise ArgumentError(f"threshold must be a finite number, got "
-                                f"{self.threshold!r}")
+        check_number(self.threshold, "threshold")
         try:
             ns = tuple(self.n_list)
         except TypeError:  # not a sequence

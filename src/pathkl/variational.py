@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import BLOCK_PATHS, DiffusionSpec, PathEnsemble, no_nan
+from .diffusion import (BLOCK_PATHS, DiffusionSpec, PathEnsemble, is_integer,
+                        no_nan)
 from .errors import (ArgumentError, ModelEvaluationError,
                      PositiveDefinitenessError, check_json_types)
 
@@ -873,14 +874,16 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         debias: subtract the ½ tr(Q⁺ Σ_c) noise floor per slice.
 
     Raises:
-        ArgumentError: a window or stride below 1, a t_min_frac outside
-            [0, 1), no slice on the grid, or a basis of another dimension.
+        ArgumentError: a window or stride that is not an integer >= 1, a
+            t_min_frac outside [0, 1), no slice on the grid, or a basis of
+            another dimension.
         PositiveDefinitenessError, ModelEvaluationError: as
             fokker_planck_residual and gram_matrix, for the earliest slice.
     """
     m = ensemble.grid.n_steps
-    if window < 1 or stride < 1:
-        raise ArgumentError("window and stride must be positive")
+    if not all(is_integer(v) and v >= 1 for v in (window, stride)):
+        raise ArgumentError(f"window and stride must be positive integers, "
+                            f"got {window!r} and {stride!r}")
     if not 0 <= t_min_frac < 1:
         raise ArgumentError("t_min_frac must lie in [0, 1)")
     horizon = ensemble.grid.horizon

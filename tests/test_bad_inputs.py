@@ -24,6 +24,7 @@ from pathkl import (
     GaussianLaw,
     InitialLaw,
     ModelEvaluationError,
+    OptimizerConfig,
     Partition,
     PositiveDefinitenessError,
     RateExperiment,
@@ -377,7 +378,7 @@ def test_one_pd_verdict_per_law(site, column, verdict):
 
 # constructor -> a build of one value, and the finite value out of its
 # range: a covariance entry that makes it indefinite, a bump_span end
-# outside the box, a negative diffusion constant
+# outside the box, a negative diffusion constant or tolerance, no iteration
 CONSTRUCTORS = {
     "GaussianLaw": (lambda v: GaussianLaw(np.zeros(2), [[1.0, 0.0],
                                                          [0.0, v]]), -1.0),
@@ -387,6 +388,10 @@ CONSTRUCTORS = {
                                           bump_span=(0.0, v)), 5.0),
     "analytic_entropy": (lambda v: analytic_entropy(ScenarioOracle(
         "constant_drift_vs_brownian", {"a": v})), -1.0),
+    "OptimizerConfig.gtol": (lambda v: OptimizerConfig(gtol=v), -1.0),
+    "OptimizerConfig.plateau_rtol": (
+        lambda v: OptimizerConfig(plateau_rtol=v), -1.0),
+    "OptimizerConfig.max_iter": (lambda v: OptimizerConfig(max_iter=v), 0),
 }
 
 
@@ -399,6 +404,32 @@ def test_every_constructor_refuses_every_bad_value(constructor, column):
     build, bad = CONSTRUCTORS[constructor]
     with pytest.raises(ArgumentError):
         build({"nan": np.nan, "inf": np.inf, "out-of-range": bad}[column])
+
+
+# argument -> a call with one value of it, and its finite value out of range
+ARGUMENTS = {
+    "tol_match": (lambda v: girsanov_entropy(
+        make_model("brownian", {}), make_model("brownian", {}), INIT, INIT,
+        _ensemble(), tol_match=v), -1.0),
+    "divergence_threshold": (lambda v: refinement_sweep(
+        make_model("brownian", {}), make_model("brownian", {}), INIT, INIT,
+        GRID, 2, 200, 5, divergence_threshold=v), -1.0),
+    "window": (lambda v: residual_energy_profile(
+        _ensemble(), make_model("brownian", {}), BASIS, window=v), 1.5),
+    "stride": (lambda v: residual_energy_profile(
+        _ensemble(), make_model("brownian", {}), BASIS, stride=v), 1.5),
+}
+
+
+@pytest.mark.parametrize("column", ["nan", "inf", "out-of-range"])
+@pytest.mark.parametrize("argument", ARGUMENTS)
+def test_every_argument_refuses_every_bad_value(argument, column):
+    # a NaN tol_match turned a matched pair into a "diffusion mismatch"
+    # +inf, a NaN divergence threshold never flagged, and a window of 1.5
+    # raised TypeError
+    call, bad = ARGUMENTS[argument]
+    with pytest.raises(ArgumentError, match=argument):
+        call({"nan": np.nan, "inf": np.inf, "out-of-range": bad}[column])
 
 
 @pytest.mark.parametrize("value,std_error", [(np.nan, 0.0), (0.5, np.nan)],

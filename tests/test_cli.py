@@ -358,6 +358,28 @@ def test_run_refuses_removed_keys(tmp_path, capsys, cfg):
     assert "unknown keys in estimator_params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg,key", [
+    (_ou_cfg("dv-marginal", max_iter=0), "max_iter"),
+    (_ou_cfg("dv-marginal", max_iter=-3), "max_iter"),
+    (_ou_cfg("dv-marginal", gtol=-1.0), "gtol"),
+    (_ou_cfg("dv-marginal", plateau_rtol=-0.5), "plateau_rtol"),
+    (_ou_cfg("girsanov", tol_match=-1.0), "tol_match"),
+    (_ou_cfg("chain", levels=2, divergence_threshold=-1.0),
+     "divergence_threshold"),
+], ids=["max-iter-0", "max-iter-negative", "gtol", "plateau-rtol",
+        "tol-match", "divergence-threshold"])
+def test_run_refuses_estimator_params_out_of_range(tmp_path, capsys, cfg,
+                                                   key):
+    # max_iter 0 or -3 reported 0.0 with "convergence": "plateau" for an
+    # ascent that never ran; a negative tol_match made every pair a
+    # mismatch, a negative threshold flagged every sweep as diverged
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "o.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def _readme_table(header: str) -> list[list[str]]:
     """The README table under header, as rows of stripped cells."""
     lines = README.read_text(encoding="utf-8").splitlines()
@@ -581,6 +603,40 @@ def test_compare_rejects_different_scenarios(tmp_path):
     b = _write(tmp_path, "b.json",
                _girsanov_cfg(grid={"horizon": 2.0, "steps": 50}))
     assert main(["compare", "--config", a, "--config", b]) == 2
+
+
+def test_singular_initial_laws_follow_one_rule_on_every_route(tmp_path,
+                                                              capsys):
+    # a point mu_0 against a Gaussian P_0: the chain used to flag it as
+    # "divergent_term" and residual-energy to report +inf with the
+    # profile's standard error and no reason
+    base = dict(model_mu={"id": "ou", "params": {"gamma": 1.0}},
+                initial_P={"kind": "gaussian", "mean": [0.0],
+                           "covariance": [[1.0]]},
+                grid={"horizon": 1.0, "steps": 64}, n_paths=300)
+    paths = [_write(tmp_path, f"{name}.json", _girsanov_cfg(**over, **base))
+             for name, over in [
+                 ("g", {}),
+                 ("c", {"estimator": "chain",
+                        "estimator_params": {"levels": 3}}),
+                 ("r", {"estimator": "residual-energy",
+                        "estimator_params": {}})]]
+    headlines = []
+    for path in paths:
+        out = tmp_path / "run.json"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        results = _report(out)["results"]
+        est = results.get("estimate") or results.get("finest") or {
+            "value": results["total"],
+            "std_error": results["total_std_error"],
+            "diagnostics": results["diagnostics"]}
+        headlines.append((est["value"], est["std_error"],
+                          est["diagnostics"]["reason"]))
+    assert headlines == [(math.inf, 0.0, "singular initial laws")] * 3
+    assert main(["compare", *[a for p in paths for a in ("--config", p)]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flags"] == ["girsanov", "chain", "residual-energy"]
+    assert [e["std_error"] for e in report["entries"]] == [0.0] * 3
 
 
 def test_compare_rejects_sanov(tmp_path):

@@ -109,6 +109,16 @@ def test_one_reader_of_the_diffusion_matrix():
     assert readers == {"diffusion.py"}
 
 
+
+def test_one_rule_joins_the_initial_term_to_the_path_terms():
+    # every path-space route clamps through path_space_estimate; only the
+    # marginal estimators clamp on their own
+    assert _calls_by_function(
+        lambda call: isinstance(call.func, ast.Name)
+        and call.func.id == "clamp_at_zero") == {
+            "estimates.py:path_space_estimate", "marginal.py:gaussian_kl",
+            "marginal.py:histogram_report", "marginal.py:dv_estimate"}
+
 _CONSTANT_PAIR = {
     "model_mu": {"id": "constant_drift", "params": {"theta": 1.0}},
     "model_P": {"id": "brownian", "params": {}},
