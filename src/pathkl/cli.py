@@ -301,12 +301,6 @@ def _run_dv_marginal(resolved, objs, threads):
     config = OptimizerConfig(**opt)
     seed = resolved["seed"]
     idx = grid.index_of(t)
-    # dv_estimate loads scipy.special. Loaded while the ensembles are live,
-    # its allocations sit above theirs on the heap and keep their freed
-    # memory resident (about 15 MiB more peak RSS over repeated runs in one
-    # process), so it is loaded before they are sampled.
-    import scipy.special  # noqa: F401
-
     ens_mu = sample_paths(spec_mu, init_mu, grid, n, seed, threads=threads)
     ens_p = sample_paths(spec_p, init_p, grid, n,
                          substream_seed(seed, 1), threads=threads)

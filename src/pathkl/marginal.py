@@ -281,6 +281,19 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw, *,
 # Variational estimator
 
 
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-d float array with the bits of scipy 1.17.1's
+    logsumexp: the m entries equal to the maximum are taken out of the
+    shifted sum s, and the result is log1p(s / m) + log(m) + max."""
+    top = a.max()
+    ties = a == top
+    m = np.count_nonzero(ties)
+    with np.errstate(all="ignore"):
+        shifted = np.exp(a - top)
+        shifted[ties] = 0.0
+        return float(np.log1p(shifted.sum() / m) + np.log(m) + top)
+
+
 def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
                 opt: OptimizerConfig | None = None) -> EntropyEstimate:
     """Variational lower-bound estimate of KL(mu || nu) on a basis span.
@@ -301,14 +314,9 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
             samples hold one value only.
         ConvergenceError: still climbing at max_iter; carries the best value.
     """
-    from scipy.special import logsumexp
     opt = opt or OptimizerConfig()
-    x_mu = np.asarray(samples_mu, dtype=float)
-    x_nu = np.asarray(samples_nu, dtype=float)
-    if x_mu.ndim == 1:
-        x_mu = x_mu[:, None]
-    if x_nu.ndim == 1:
-        x_nu = x_nu[:, None]
+    x_mu, x_nu = (np.asarray(s, dtype=float) for s in (samples_mu, samples_nu))
+    x_mu, x_nu = (x[:, None] if x.ndim == 1 else x for x in (x_mu, x_nu))
     if x_mu.shape[0] == 0 or x_nu.shape[0] == 0:
         raise ArgumentError("both sample lists must be nonempty")
     for name, x in (("samples_mu", x_mu), ("samples_nu", x_nu)):
@@ -323,20 +331,18 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
     n_nu = values_nu.shape[0]
     log_n_nu = math.log(n_nu)
 
-    def objective(g):
-        return float(fbar_mu @ g - (logsumexp(values_nu @ g) - log_n_nu))
+    def evaluate(g):  # J(g), the scores values_nu @ g, their log-sum-exp
+        scores = values_nu @ g
+        log_z = _log_sum_exp(scores)
+        return float(fbar_mu @ g - (log_z - log_n_nu)), scores, log_z
 
     g = np.zeros(basis.size)
-    val = objective(g)
+    val, scores, log_z = evaluate(g)
     history = [val]
-    grad_norm = math.inf
-    mode = "max_iter"
-    iterations = opt.max_iter
+    grad_norm, mode, iterations = math.inf, "max_iter", opt.max_iter
 
     for it in range(1, opt.max_iter + 1):
-        s = values_nu @ g
-        weights = np.exp(s - logsumexp(s))
-        grad = fbar_mu - weights @ values_nu
+        grad = fbar_mu - np.exp(scores - log_z) @ values_nu
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= opt.gtol:
             mode, iterations = "gradient", it
@@ -344,23 +350,23 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
         step = 1.0
         sufficient = ARMIJO * grad_norm * grad_norm
         while step > 1e-16:
-            cand = objective(g + step * grad)
-            if cand >= val + step * sufficient:
+            trial = g + step * grad
+            cand = evaluate(trial)
+            if cand[0] >= val + step * sufficient:
                 break
             step *= 0.5
         if step <= 1e-16:
             # no ascent direction survives backtracking: numerical optimum
             mode, iterations = "stalled", it
             break
-        g = g + step * grad
-        val = cand
+        g = trial
+        val, scores, log_z = cand
         history.append(val)
 
     if mode == "max_iter":
         tail = max(1, opt.max_iter // 5)
         baseline = history[-tail - 1] if len(history) > tail else history[0]
-        improvement = val - baseline
-        rel = improvement / max(abs(val), 1e-2)
+        rel = (val - baseline) / max(abs(val), 1e-2)
         if rel < opt.plateau_rtol:
             mode = "plateau"
         else:
@@ -373,13 +379,10 @@ def dv_estimate(samples_mu, samples_nu, basis: FunctionBasis | None = None,
                              "trailing_improvement": rel})
 
     # delta-method error: mu side from Var f, nu side from Var e^f
-    f_mu = values_mu @ g
-    s_nu = values_nu @ g
-    w = np.exp(s_nu - s_nu.max())
+    w = np.exp(scores - scores.max())
     ratio = float(np.mean(w * w) / np.mean(w) ** 2)
-    var = (float(np.var(f_mu)) / x_mu.shape[0]
-           + max(ratio - 1.0, 0.0) / n_nu)
-    se = math.sqrt(var)
+    se = math.sqrt(float(np.var(values_mu @ g)) / x_mu.shape[0]
+                   + max(ratio - 1.0, 0.0) / n_nu)
 
     diagnostics = {
         "iterations": iterations, "gradient_norm": grad_norm,

@@ -207,19 +207,21 @@ def cramer_rate(spec_P: DiffusionSpec, z: float, horizon: float) -> float:
     a T: scalar driftless model with constant diffusion.
 
     Raises:
+        ArgumentError: z or horizon is not a finite number, or horizon <= 0.
         CapabilityError: the model's terminal law is not that Gaussian.
         PositiveDefinitenessError, ModelEvaluationError: as matrix_at,
             for its constant matrix.
     """
+    check_number(z, "z")
+    check_number(horizon, "horizon")
+    if horizon <= 0:
+        raise ArgumentError(f"horizon must be positive, got {horizon!r}")
     if spec_P.dim != 1 or spec_P.constant_factor is None:
         raise CapabilityError(
             "closed-form rate needs a scalar constant-diffusion model")
     x = np.array([[0.0], [1.0], [-1.7]])
-    drift = np.asarray(spec_P.drift(0.0, x), dtype=float)
-    drift_late = np.asarray(spec_P.drift(0.5 * horizon, x), dtype=float)
-    if not (np.allclose(drift, 0.0) and np.allclose(drift_late, 0.0)):
+    if not all(np.allclose(np.asarray(spec_P.drift(t, x), dtype=float), 0.0)
+               for t in (0.0, 0.5 * horizon)):
         raise CapabilityError("closed-form rate needs a driftless model")
     a = float(spec_P.matrix_at(0.0, x)[0, 0])
-    if horizon <= 0:
-        raise ArgumentError("horizon must be positive")
     return z * z / (2.0 * a * horizon)

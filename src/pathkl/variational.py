@@ -715,18 +715,19 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             ensemble passes the one of the first block.
 
     Raises:
-        ArgumentError: when t_index ± window leaves the grid, or the basis
-            dimension is not the ensemble's.
+        ArgumentError: t_index or window is not an integer, window < 1,
+            t_index ± window leaves the grid, or the basis dimension is not
+            the ensemble's.
         PositiveDefinitenessError, ModelEvaluationError: as
             spec_P.matrix_at, for a(t, ·) on the central slice.
         ModelEvaluationError: the generator term is NaN or infinite.
     """
-    m = ensemble.grid.n_steps
+    if not (is_integer(t_index) and is_integer(window) and window >= 1):
+        raise ArgumentError(f"t_index and window must be integers, window "
+                            f">= 1, got {t_index!r} and {window!r}")
     lo, hi = t_index - window, t_index + window
-    if not (0 <= lo and hi <= m):
+    if not (0 <= lo and hi <= ensemble.grid.n_steps):
         raise ArgumentError("finite-difference window leaves the grid")
-    if window < 1:
-        raise ArgumentError("window must be at least one step")
     states = ensemble.states
     x_mid = states[:, t_index]
     if jets is None:

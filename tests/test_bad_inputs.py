@@ -406,7 +406,9 @@ def test_every_constructor_refuses_every_bad_value(constructor, column):
         build({"nan": np.nan, "inf": np.inf, "out-of-range": bad}[column])
 
 
-# argument -> a call with one value of it, and its finite value out of range
+# argument -> a call with one value of it, and its finite value out of
+# range; a key "route.name" is the argument name of that route. z has no
+# real value out of range, so its row takes a complex one.
 ARGUMENTS = {
     "tol_match": (lambda v: girsanov_entropy(
         make_model("brownian", {}), make_model("brownian", {}), INIT, INIT,
@@ -418,18 +420,31 @@ ARGUMENTS = {
         _ensemble(), make_model("brownian", {}), BASIS, window=v), 1.5),
     "stride": (lambda v: residual_energy_profile(
         _ensemble(), make_model("brownian", {}), BASIS, stride=v), 1.5),
+    "fokker_planck_residual.t_index": (lambda v: fokker_planck_residual(
+        _ensemble(), make_model("brownian", {}), BASIS, v, 8), 16.0),
+    "fokker_planck_residual.window": (lambda v: fokker_planck_residual(
+        _ensemble(), make_model("brownian", {}), BASIS, 16, v), 1.5),
+    "cramer_rate.z": (lambda v: cramer_rate(make_model("brownian", {}), v,
+                                            1.0), 1j),
+    "cramer_rate.horizon": (lambda v: cramer_rate(
+        make_model("brownian", {}), 1.0, v), 0.0),
 }
 
 
-@pytest.mark.parametrize("column", ["nan", "inf", "out-of-range"])
+@pytest.mark.parametrize("column", ["nan", "inf", "out-of-range", "bool"])
 @pytest.mark.parametrize("argument", ARGUMENTS)
 def test_every_argument_refuses_every_bad_value(argument, column):
     # a NaN tol_match turned a matched pair into a "diffusion mismatch"
     # +inf, a NaN divergence threshold never flagged, and a window of 1.5
-    # raised TypeError
+    # raised TypeError; fokker_planck_residual's window of 1.5 and t_index
+    # of 16.0 raised IndexError and a t_index of True TypeError, and
+    # cramer_rate read a NaN z or horizon as nan, an infinite horizon as 0
+    # and a z of True as 1
     call, bad = ARGUMENTS[argument]
-    with pytest.raises(ArgumentError, match=argument):
-        call({"nan": np.nan, "inf": np.inf, "out-of-range": bad}[column])
+    name = argument.split(".")[-1]
+    with pytest.raises(ArgumentError, match=rf"\b{name}\b"):
+        call({"nan": np.nan, "inf": np.inf, "out-of-range": bad,
+              "bool": True}[column])
 
 
 @pytest.mark.parametrize("value,std_error", [(np.nan, 0.0), (0.5, np.nan)],

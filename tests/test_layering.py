@@ -132,6 +132,10 @@ _CONSTANT_PAIR = {
 _RUNS = {
     "girsanov": {"estimator": "girsanov"},
     "chain": {"estimator": "chain", "estimator_params": {"levels": 3}},
+    # a plateau_rtol of 1e9 ends the ascent at max_iter as a plateau, so
+    # the run exits 0
+    "dv-marginal": {"estimator": "dv-marginal",
+                    "estimator_params": {"plateau_rtol": 1e9}},
     "sanov": {"model_mu": _CONSTANT_PAIR["model_P"],
               "initial_mu": {"kind": "point", "point": [0.0]},
               "initial_P": {"kind": "point", "point": [0.0]},
