@@ -29,6 +29,7 @@ from .diffusion import (
     make_model,
     model_ids,
     model_params,
+    probe_stride,
     sample_paths,
     substream_seed,
 )
@@ -43,7 +44,8 @@ from .errors import (
     exit_code_for,
 )
 from .estimates import path_space_estimate
-from .girsanov import girsanov_entropy
+from .girsanov import (girsanov_entropy, girsanov_match,
+                       matched_girsanov_entropy)
 from .marginal import (OptimizerConfig, dv_estimate, initial_entropy,
                        pooled_dv_basis)
 from .sanov import RateExperiment, empirical_rate
@@ -229,10 +231,26 @@ def _set_params(resolved: dict, *keys: str) -> dict:
 
 def _run_girsanov(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
-    ensemble = sample_paths(spec_mu, init_mu, grid, resolved["n_paths"],
-                            resolved["seed"], threads=threads)
-    est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p, ensemble,
-                           **_set_params(resolved, "tol_match"))
+    n, seed = resolved["n_paths"], resolved["seed"]
+    tol = _set_params(resolved, "tol_match")
+    # the paths the match check reads first: on a mismatch the estimate is
+    # +inf, and the rest of the ensemble is never sampled; on a match the
+    # probe's report is the full ensemble's
+    stride = probe_stride(spec_mu, spec_p, n, grid.points.shape[0])
+    if stride is None:
+        ensemble = sample_paths(spec_mu, init_mu, grid, n, seed,
+                                threads=threads)
+        est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p, ensemble,
+                               **tol)
+    else:
+        probe = sample_paths(spec_mu, init_mu, grid, n, seed,
+                             threads=threads, stride=stride)
+        report, est = girsanov_match(spec_mu, spec_p, probe, **tol)
+        if est is None:
+            ensemble = sample_paths(spec_mu, init_mu, grid, n, seed,
+                                    threads=threads)
+            est = matched_girsanov_entropy(spec_mu, spec_p, init_mu, init_p,
+                                           ensemble, report)
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
     return {"estimate": _jsonable(est)}, rows, \

@@ -41,6 +41,7 @@ __all__ = [
     "sample_paths",
     "euler_step_law",
     "diffusion_match_check",
+    "probe_stride",
     "substream_seed",
     "make_model",
     "register_model",
@@ -60,7 +61,7 @@ BLOCK_PATHS = 1024
 BLOCK_ELEMENTS = 2 ** 20
 
 # States diffusion_match_check compares, about: it takes every stride-th
-# path at every grid time.
+# path at every grid time (probe_stride).
 MATCH_POINTS = 200_000
 
 
@@ -542,6 +543,22 @@ def _match_distance(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return diff_norm / a_norm
 
 
+def probe_stride(spec_mu: DiffusionSpec, spec_P: DiffusionSpec, n: int,
+                 n_times: int) -> int | None:
+    """The stride s of the paths diffusion_match_check reads of an ensemble
+    of n paths on n_times grid times: paths 0, s, 2s, ... < n at every
+    time, s = max(1, n * n_times // MATCH_POINTS), about MATCH_POINTS
+    states. None when those paths are not a probe worth sampling first:
+    both diffusions are constant (the check compares the two matrices
+    once and reads no path) or s is 1 (it reads every path).
+    """
+    if spec_mu.constant_matrix is not None \
+            and spec_P.constant_matrix is not None:
+        return None
+    stride = n * n_times // MATCH_POINTS
+    return stride if stride > 1 else None
+
+
 def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                           ensemble_mu: PathEnsemble,
                           tol_match: float = 1e-6) -> MatchReport:
@@ -550,9 +567,10 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     Finiteness of the path-space entropy forces the diffusion matrices to
     agree along the ensemble; the check reports
     max ||c - a||_2 / ||a||_2 over sampled (t, x_t) and passes iff it is
-    within tol_match. The states are every stride-th path at every grid
-    time, about MATCH_POINTS in all. When both models have a
-    constant_matrix, the two are compared once and n_evaluated is 1.
+    within tol_match. The states are every s-th path at every grid time,
+    s = probe_stride's (1 where that is None), about MATCH_POINTS in all.
+    When both models have a constant_matrix, the two are compared once and
+    n_evaluated is 1.
 
     Raises:
         ModelEvaluationError: a matrix entry is not finite, or a distance
@@ -560,7 +578,7 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     """
     states = ensemble_mu.states
     n, m_plus_1, _ = states.shape
-    stride = max(1, (n * m_plus_1) // MATCH_POINTS)
+    stride = probe_stride(spec_mu, spec_P, n, m_plus_1) or 1
     a0, c0 = spec_P.constant_matrix, spec_mu.constant_matrix
     constant = a0 is not None and c0 is not None
     max_dist = 0.0
@@ -655,12 +673,14 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid,
 
 
 def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
-                 n: int, seed: int, threads: int = 1) -> PathEnsemble:
-    """Sample n Euler-Maruyama paths.
+                 n: int, seed: int, threads: int = 1,
+                 stride: int = 1) -> PathEnsemble:
+    """Sample the Euler-Maruyama paths 0, stride, 2 stride, ... < n.
 
     Path i is stream i of stream_inputs: it draws its initial state and all
     its increments from the Philox substream keyed by (seed, i), so the
-    ensemble is bit-identical for any thread count. Each thread draws its
+    ensemble is bit-identical for any thread count, and a stride > 1 gives
+    states[::stride] of the run with stride 1. Each thread draws its
     range into the ensemble in blocks of max(BLOCK_PATHS, BLOCK_ELEMENTS //
     (steps * d)) paths, then steps it in place in one Euler pass: an error
     from a diffusion matrix names the earliest time at which a path of the
@@ -670,31 +690,34 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
         spec: the diffusion law to simulate.
         init: time-zero law.
         grid: simulation grid.
-        n: number of paths (>= 1).
+        n: paths 0 to n - 1 are sampled (n >= 1), or every stride-th.
         seed: master seed for the substream family.
         threads: worker threads; partitions the path range only.
+        stride: sample every stride-th path (>= 1).
 
     Returns:
-        PathEnsemble of shape (n, len(grid), d).
+        PathEnsemble of shape (len(range(0, n, stride)), len(grid), d).
 
     Raises:
-        ArgumentError: n is not a positive integer (a bool is not one), or
-            the initial law's dimension is not the model's.
+        ArgumentError: n or stride is not a positive integer (a bool is not
+            one), or the initial law's dimension is not the model's.
     """
-    if not is_integer(n) or n < 1:
-        raise ArgumentError(f"n must be a positive integer, got {n!r}")
+    check_count(n, "n")
+    check_count(stride, "stride")
     if init.dim != spec.dim:
         raise ArgumentError("initial law dimension does not match model")
-    buf = np.empty((grid.points.shape[0], n, spec.dim))
+    streams = range(0, n, stride)
+    buf = np.empty((grid.points.shape[0], len(streams), spec.dim))
     block = max(BLOCK_PATHS, BLOCK_ELEMENTS // (grid.n_steps * spec.dim))
 
     def simulate(lo: int, hi: int) -> None:
         for b_lo in range(lo, hi, block):
             b_hi = min(b_lo + block, hi)
-            stream_inputs(init, seed, range(b_lo, b_hi), 1, buf[:, b_lo:b_hi])
+            stream_inputs(init, seed, streams[b_lo:b_hi], 1,
+                          buf[:, b_lo:b_hi])
         euler_maruyama(spec, grid, buf[:, lo:hi])
 
-    partition_blocks(n, threads, simulate)
+    partition_blocks(len(streams), threads, simulate)
     return PathEnsemble(grid=grid, states=buf.transpose(1, 0, 2), seed=seed,
                         model_id=spec.model_id)
 
@@ -735,6 +758,14 @@ def _numbers(value, nested: bool) -> bool:
 def is_integer(value) -> bool:
     """An integer (a bool is not one)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(value, name: str) -> None:
+    """Raises ArgumentError naming name unless value is a positive integer
+    (a bool is not one)."""
+    if not is_integer(value) or value < 1:
+        raise ArgumentError(f"{name} must be a positive integer, got "
+                            f"{value!r}")
 
 
 def check_number(value, name: str, *, nonnegative: bool = False) -> None:

@@ -22,6 +22,7 @@ from .diffusion import (
     BLOCK_PATHS,
     DiffusionSpec,
     InitialLaw,
+    MatchReport,
     PairCoefficients,
     PathEnsemble,
     check_number,
@@ -36,6 +37,8 @@ from .marginal import initial_entropy
 
 __all__ = [
     "girsanov_entropy",
+    "girsanov_match",
+    "matched_girsanov_entropy",
     "ScenarioOracle",
     "analytic_entropy",
     "scenario_ids",
@@ -99,6 +102,35 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     return out
 
 
+def girsanov_match(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
+                   ensemble: PathEnsemble, *, tol_match: float = 1e-6
+                   ) -> tuple[MatchReport, EntropyEstimate | None]:
+    """The diffusion match check's report on ensemble, and girsanov_entropy's
+    +inf estimate of mutually singular laws if it fails (else None).
+
+    ensemble may be the probe of a larger ensemble of n paths on p grid
+    times: sample_paths with the stride s = probe_stride(spec_mu, spec_P,
+    n, p) of the n paths, so it holds exactly the paths the check reads of
+    the larger one. The check reads every path of the probe too, so the
+    report is the larger ensemble's, field for field. With M = MATCH_POINTS
+    and n' = ceil(n / s) probe paths, n p < (s + 1) M: if p <= M then
+    n' p <= (n + s - 1) p / s < 2M, and the probe's own stride is 1; if
+    p > M then s >= n, and the probe is a single path, which any stride
+    reads whole.
+
+    Raises:
+        ArgumentError: tol_match is not a finite number >= 0.
+    """
+    check_number(tol_match, "tol_match", nonnegative=True)
+    report = diffusion_match_check(spec_mu, spec_P, ensemble,
+                                   tol_match=tol_match)
+    if report.passed:
+        return report, None
+    return report, EntropyEstimate(
+        value=math.inf, std_error=0.0, method="girsanov",
+        diagnostics={"match_report": report, "reason": "diffusion mismatch"})
+
+
 def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                      init_mu: InitialLaw, init_P: InitialLaw,
                      ensemble_mu: PathEnsemble, *,
@@ -114,15 +146,20 @@ def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         EntropyEstimate with the match report, the initial term, and the
         two pieces of the total in diagnostics.
     """
-    check_number(tol_match, "tol_match", nonnegative=True)
-    report = diffusion_match_check(spec_mu, spec_P, ensemble_mu,
-                                   tol_match=tol_match)
-    if not report.passed:
-        return EntropyEstimate(
-            value=math.inf, std_error=0.0, method="girsanov",
-            diagnostics={"match_report": report,
-                         "reason": "diffusion mismatch"})
+    report, mismatch = girsanov_match(spec_mu, spec_P, ensemble_mu,
+                                      tol_match=tol_match)
+    if mismatch is not None:
+        return mismatch
+    return matched_girsanov_entropy(spec_mu, spec_P, init_mu, init_P,
+                                    ensemble_mu, report)
 
+
+def matched_girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
+                             init_mu: InitialLaw, init_P: InitialLaw,
+                             ensemble_mu: PathEnsemble,
+                             report: MatchReport) -> EntropyEstimate:
+    """girsanov_entropy on ensemble_mu, whose diffusion match check passed
+    with report: girsanov_match's on ensemble_mu or on its probe."""
     initial = initial_entropy(init_mu, init_P)
     energies = 0.5 * _drift_gap_energy(spec_mu, spec_P, ensemble_mu)
     drift_term, drift_se = path_mean_and_se(energies)

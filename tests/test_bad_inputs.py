@@ -424,6 +424,8 @@ ARGUMENTS = {
         _ensemble(), make_model("brownian", {}), BASIS, v, 8), 16.0),
     "fokker_planck_residual.window": (lambda v: fokker_planck_residual(
         _ensemble(), make_model("brownian", {}), BASIS, 16, v), 1.5),
+    "sample_paths.stride": (lambda v: sample_paths(
+        make_model("brownian", {}), INIT, GRID, 200, 5, stride=v), 0),
     "cramer_rate.z": (lambda v: cramer_rate(make_model("brownian", {}), v,
                                             1.0), 1j),
     "cramer_rate.horizon": (lambda v: cramer_rate(

@@ -1,6 +1,7 @@
 """Command-line surface: configs, reports, exit codes, determinism."""
 
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -8,9 +9,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pathkl.cli import ESTIMATORS, main
+from pathkl import (DiffusionSpec, InitialLaw, ModelEvaluationError, TimeGrid,
+                    girsanov_entropy, make_model, register_model,
+                    sample_paths)
+from pathkl.cli import ESTIMATORS, main, run_config
 from pathkl.diffusion import model_ids, model_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -439,6 +444,141 @@ def test_run_forwards_only_set_keys(tmp_path, monkeypatch):
     assert type(seen["t_min_frac"]) is float
     diagnostics = _report(out)["results"]["diagnostics"]
     assert (diagnostics["window"], diagnostics["debias"]) == (8, True)
+
+
+# ---------------------------------------------------------------------------
+# girsanov on a state-dependent pair: the probe is sampled first
+
+SINE_P = {"id": "sine_diffusion", "params": {"a": 1.0, "amplitude": 0.5}}
+SINE_MU = {"id": "sine_diffusion", "params": {"a": 2.0, "amplitude": 0.5}}
+
+
+def _spy(monkeypatch, module, name, record):
+    """Replace module.name by a wrapper that appends record(*args, **kw)
+    to the returned list before each call."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# pair -> (model_mu, model_P, n_paths, the (n, stride) of the sample_paths
+# calls expected, the paths of the ensemble the match check reads); 2000
+# paths x 257 grid times is above twice MATCH_POINTS, so the check reads
+# every second path, and 500 x 257 is below it
+PROBE_RUNS = {
+    "mismatch": (SINE_MU, SINE_P, 2000, [(2000, 2)], 1000),
+    "match": (SINE_P, SINE_P, 2000, [(2000, 2), (2000, 1)], 1000),
+    "constant": ({"id": "ou", "params": {}}, {"id": "brownian", "params": {}},
+                 2000, [(2000, 1)], 2000),
+    "stride-one": (SINE_MU, SINE_P, 500, [(500, 1)], 500),
+}
+
+
+@pytest.mark.parametrize("pair", PROBE_RUNS)
+def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
+    # a mismatched state-dependent pair never samples all n paths; a
+    # constant pair, or a check that reads every path, samples once; the
+    # match check runs once, on the probe where there is one; the estimate
+    # is the library's on the full ensemble either way
+    from pathkl import cli, girsanov
+
+    model_mu, model_p, n, expected, checked = PROBE_RUNS[pair]
+    cfg = _girsanov_cfg(model_mu=model_mu, model_P=model_p, n_paths=n,
+                        grid={"horizon": 1.0, "steps": 256}, seed=3)
+    sampled = _spy(monkeypatch, cli, "sample_paths",
+                   lambda spec, init, grid, n, seed, threads=1, stride=1:
+                   (n, stride))
+    matched = _spy(monkeypatch, girsanov, "diffusion_match_check",
+                   lambda spec_mu, spec_p, ensemble, **kw: ensemble.n_paths)
+    est = run_config(cfg)[1]["estimate"]
+    assert (sampled, matched) == (expected, [checked])
+    spec_mu = make_model(model_mu["id"], model_mu["params"])
+    spec_p = make_model(model_p["id"], model_p["params"])
+    init, grid = InitialLaw.point_mass([0.0]), TimeGrid.uniform(1.0, 256)
+    want = girsanov_entropy(spec_mu, spec_p, init, init,
+                            sample_paths(spec_mu, init, grid, n, 3))
+    assert (est["value"], est["std_error"]) == (want.value, want.std_error)
+    report = want.diagnostics["match_report"]
+    assert est["diagnostics"]["match_report"] == dataclasses.asdict(report)
+
+
+def _masked_sine(drift_above, diffusion_above):
+    """A builder of sine_diffusion a = 2 (amplitude 0.5) whose drift or
+    diffusion matrix is replaced by the given value where x > bound: below
+    the bound its paths are sine_diffusion's, bit for bit."""
+    def build(params, dim):
+        bound = float(params["bound"])
+
+        def drift(t, x):
+            return np.where(x > bound, drift_above, 0.0)
+
+        def diffusion(t, x):
+            a = 2.0 * (1.0 + 0.5 * np.sin(np.clip(x[..., 0], -10.0, 10.0)))
+            bad = diffusion_above if diffusion_above is not None else a
+            return np.where(x[..., 0] > bound, bad, a)[..., None, None]
+
+        return DiffusionSpec(dim=1, drift=drift, diffusion_matrix=diffusion)
+    return build
+
+
+@pytest.fixture
+def probe_paths(monkeypatch):
+    """Masked sine laws in the catalogue, and the states of the 2000
+    unmasked paths of seed 3 split into those the match check reads (even
+    rows) and the rest."""
+    from pathkl import diffusion
+
+    monkeypatch.setattr(diffusion, "_CATALOG", dict(diffusion._CATALOG))
+    register_model("nan_diffusion_above", _masked_sine(0.0, np.nan),
+                   ("bound",))
+    register_model("inf_drift_above", _masked_sine(np.inf, None), ("bound",))
+    states = sample_paths(make_model(SINE_MU["id"], SINE_MU["params"]),
+                          InitialLaw.point_mass([0.0]),
+                          TimeGrid.uniform(1.0, 256), 2000, 3).states[..., 0]
+    return states[::2], states[1::2]
+
+
+def _masked_cfg(model_id, bound):
+    return _girsanov_cfg(
+        model_mu={"id": model_id, "params": {"bound": bound}},
+        model_P=SINE_P, n_paths=2000, grid={"horizon": 1.0, "steps": 256},
+        seed=3)
+
+
+@pytest.mark.parametrize("model_id", ["nan_diffusion_above",
+                                      "inf_drift_above"])
+def test_mismatch_on_the_probe_ignores_faults_on_unread_paths(model_id,
+                                                              probe_paths):
+    # declared behaviour: the probe fails the match check, so the result
+    # is +inf "diffusion mismatch", and a NaN diffusion matrix (a model
+    # error) or an infinite drift (non-finite states) on a path the check
+    # does not read is never met; sampling all paths raised on either
+    read, unread = probe_paths
+    # a(t, x) is asked at every state but the last
+    assert unread[:, :-1].max() > read.max()
+    bound = 0.5 * (unread[:, :-1].max() + read.max())
+    est = run_config(_masked_cfg(model_id, bound))[1]["estimate"]
+    assert est["value"] == math.inf
+    assert est["diagnostics"]["reason"] == "diffusion mismatch"
+    assert est["diagnostics"]["match_report"]["max_distance"] == 1.0
+
+
+def test_a_fault_on_the_probe_names_its_earliest_time(probe_paths):
+    # an unread path passes 2.2 first (column 47 of seed 3), a read one
+    # later (column 55): the error names the read path's time
+    read, unread = probe_paths
+    bound, times = 2.2, TimeGrid.uniform(1.0, 256).points
+    first_read = int(np.argmax((read[:, :-1] > bound).any(axis=0)))
+    first_unread = int(np.argmax((unread[:, :-1] > bound).any(axis=0)))
+    assert 0 < first_unread < first_read
+    when = re.escape(f"at t = {times[first_read]:g}")
+    with pytest.raises(ModelEvaluationError, match=when + "( |$)"):
+        run_config(_masked_cfg("nan_diffusion_above", bound))
 
 
 def test_run_capability_error_exits_4(tmp_path, capsys):

@@ -438,6 +438,48 @@ def test_sample_paths_across_block_boundaries():
     assert np.array_equal(threaded.states, full.states)
 
 
+def _state_dependent_2d():
+    """A d = 2 law whose diffusion matrix moves with the state."""
+    def diffusion(t, x):
+        a = np.empty(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = 1.0 + 0.5 * np.sin(x[..., 0])
+        a[..., 1, 1] = 1.0 + 0.3 * np.cos(x[..., 1] + t)
+        a[..., 0, 1] = a[..., 1, 0] = 0.2 * np.tanh(x[..., 0] * x[..., 1])
+        return a
+    return DiffusionSpec(dim=2, drift=lambda t, x: -0.5 * x,
+                         diffusion_matrix=diffusion)
+
+
+STRIDED_LAWS = {
+    "sine-1d": (make_model("sine_diffusion", {"amplitude": 0.5}),
+                InitialLaw.gaussian([0.2], [[0.5]])),
+    "linear-2d": (make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],
+                                        "a": [[1.0, 0.3], [0.3, 0.5]]},
+                             dim=2),
+                  InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])),
+    "state-2d": (_state_dependent_2d(), InitialLaw.point_mass([0.1, -0.2])),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law", STRIDED_LAWS)
+def test_strided_paths_are_rows_of_the_full_run(law, threads, monkeypatch):
+    # path i is stream (seed, i) whatever else is sampled: the paths 0, s,
+    # 2s, ... < n are states[::s] of the full run. Draw blocks of 8 paths,
+    # so both runs span several blocks and thread ranges
+    monkeypatch.setattr(pathkl.diffusion, "BLOCK_PATHS", 8)
+    monkeypatch.setattr(pathkl.diffusion, "BLOCK_ELEMENTS", 8)
+    spec, init = STRIDED_LAWS[law]
+    grid, n = TimeGrid.uniform(1.0, 24), 61
+    full = sample_paths(spec, init, grid, n, 3, threads=1)
+    for stride in (1, 2, 3, 7, 60, 61, 100):
+        strided = sample_paths(spec, init, grid, n, 3, threads=threads,
+                               stride=stride)
+        assert strided.states.shape == (len(range(0, n, stride)), 25,
+                                        spec.dim)
+        assert np.array_equal(strided.states, full.states[::stride]), stride
+
+
 def test_sampler_calls_the_model_once_per_step():
     # 1024 steps make draw blocks of BLOCK_PATHS paths; 1030 paths are drawn
     # in two blocks and stepped in one pass

@@ -18,13 +18,16 @@ from pathkl import (
     ScenarioOracle,
     TimeGrid,
     analytic_entropy,
+    diffusion_match_check,
     girsanov_entropy,
     make_model,
     sample_paths,
     scenario_ids,
 )
-from pathkl import girsanov
-from pathkl.diffusion import BLOCK_PATHS, PairCoefficients, PathEnsemble
+from pathkl import diffusion, girsanov
+from pathkl.diffusion import (BLOCK_PATHS, PairCoefficients, PathEnsemble,
+                              probe_stride)
+from pathkl.girsanov import girsanov_match
 
 OU_VS_BM_G1 = 0.1419169104045766    # gamma=1, T=1
 OU_VS_BM_G2 = 0.3772894548610918    # gamma=2, T=1
@@ -337,6 +340,67 @@ def test_state_dependent_1d_pair_makes_no_lapack_call(linalg_calls):
     assert est.diagnostics["match_report"].passed
     assert math.isfinite(est.value) and est.value > 0.0
     assert linalg_calls == {"solve": 0, "slogdet": 0, "cholesky": 0}
+
+
+# ---------------------------------------------------------------------------
+# the match check on a probe of the paths it reads
+
+# size -> (n, steps), against a MATCH_POINTS of 1000: n (m + 1) below it,
+# between it and twice it (stride 1, no probe), far above it (stride 32),
+# and grids of more than half of it (stride 6, two probe paths) and of
+# more than twice it (stride 10, one probe path)
+PROBE_SIZES = {
+    "below": (10, 63),
+    "between": (20, 63),
+    "far-above": (500, 63),
+    "long-grid": (9, 699),
+    "longer-grid": (5, 2047),
+}
+
+
+@pytest.mark.parametrize("amplitude_p", [0.3, 0.5],
+                         ids=["mismatch", "match"])
+@pytest.mark.parametrize("size", PROBE_SIZES)
+def test_probe_report_is_the_full_report(size, amplitude_p, monkeypatch):
+    # the probe holds exactly the paths the check reads of the full
+    # ensemble, so the check on it reports the same, field for field; the
+    # mismatched pair's distance moves along the paths
+    monkeypatch.setattr(diffusion, "MATCH_POINTS", 1000)
+    n, steps = PROBE_SIZES[size]
+    spec_mu = make_model("sine_diffusion", {"amplitude": 0.5})
+    spec_p = make_model("sine_diffusion", {"amplitude": amplitude_p})
+    init, grid = InitialLaw.gaussian([0.0], [[1.0]]), TimeGrid.uniform(1.0,
+                                                                      steps)
+    full = sample_paths(spec_mu, init, grid, n, 4)
+    want = diffusion_match_check(spec_mu, spec_p, full)
+    stride = probe_stride(spec_mu, spec_p, n, steps + 1)
+    if n * (steps + 1) < 2000:
+        # the check reads every path: there is no probe
+        assert stride is None and want.n_evaluated == n * (steps + 1)
+        return
+    probe = sample_paths(spec_mu, init, grid, n, 4, stride=stride)
+    got = diffusion_match_check(spec_mu, spec_p, probe)
+    for name in ("max_distance", "passed", "n_evaluated", "argmax_time"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert want.n_evaluated == probe.n_paths * (steps + 1) < n * (steps + 1)
+    assert want.passed == (amplitude_p == 0.5)
+    report, short = girsanov_match(spec_mu, spec_p, probe)
+    assert report == got
+    if want.passed:
+        assert short is None
+    else:
+        assert short == girsanov_entropy(spec_mu, spec_p, init, init, full)
+
+
+def test_constant_pairs_have_no_probe(monkeypatch):
+    # a constant pair compares its two matrices once, reading no path
+    monkeypatch.setattr(diffusion, "MATCH_POINTS", 1000)
+    sine = make_model("sine_diffusion", {})
+    for spec_mu, spec_p, stride in [
+            (make_model("ou", {}), make_model("brownian", {}), None),
+            (make_model("ou", {}), sine, 650),
+            (sine, make_model("brownian", {}), 650)]:
+        assert probe_stride(spec_mu, spec_p, 10_000, 65) == stride
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,24 @@ def test_one_reader_of_the_diffusion_matrix():
 
 
 
+def _called(name):
+    return lambda call: (isinstance(call.func, ast.Name)
+                         and call.func.id == name
+                         or isinstance(call.func, ast.Attribute)
+                         and call.func.attr == name)
+
+
+def test_sampling_and_the_match_check_are_called_where_the_trace_wraps():
+    # the benchmark trace wraps sample_paths where cli.py and chain.py look
+    # it up and diffusion_match_check where girsanov.py does: a call from
+    # anywhere else would do work the trace does not count
+    def modules(name):
+        return {site.split(":")[0] for site in _calls_by_function(
+            _called(name))}
+    assert modules("sample_paths") == {"cli.py", "chain.py"}
+    assert modules("diffusion_match_check") == {"girsanov.py"}
+
+
 def test_one_rule_joins_the_initial_term_to_the_path_terms():
     # every path-space route clamps through path_space_estimate; only the
     # marginal estimators clamp on their own
