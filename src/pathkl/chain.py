@@ -111,32 +111,15 @@ class SweepResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _interval_terms(spec_mu, spec_P, ensemble, columns):
-    """Parts of the frozen-coefficient Gaussian interval KLs at left endpoints.
+def _interval_kls(parts, dt) -> np.ndarray:
+    """Per-path interval KLs ½ (fixed + dt · quad) from the (fixed, quad)
+    of PairCoefficients.interval_parts.
 
-    KL(N(x + e dt, c dt) || N(x + b dt, a dt)) per path is
-    ½ (fixed + dt · quad): the variance part is dt-free and the drift part
-    depends on the left endpoint only, so nested partitions can share them.
-
-    Returns:
-        (fixed, quad), each of shape (n_paths, len(columns)); fixed is one
-        value of shape (1, 1) when both diffusions are constant.
+    KL(N(x + e dt, c dt) || N(x + b dt, a dt)) per path has a dt-free
+    variance part and a drift part that depends on the left endpoint only,
+    so nested partitions can share them.
     """
-    pair = PairCoefficients(spec_mu, spec_P, ensemble)
-    n = ensemble.states.shape[0]
-    quad = np.empty((n, len(columns)))
-    if pair.fixed is not None:
-        for j, k in enumerate(columns):
-            quad[:, j] = pair.drift_term(int(k))
-        return np.full((1, 1), pair.fixed), quad
-    fixed = np.empty((n, len(columns)))
-    for j, k in enumerate(columns):
-        fixed[:, j], quad[:, j] = pair.interval_parts(int(k))
-    return fixed, quad
-
-
-def _interval_kls(fixed, quad, dt) -> np.ndarray:
-    """Per-path interval KLs ½ (fixed + dt · quad) from _interval_terms."""
+    fixed, quad = parts
     out = quad * dt
     out += fixed
     out *= 0.5
@@ -163,8 +146,9 @@ def step_kl(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         raise ArgumentError("interval must have positive length")
     idx_lo = ensemble_mu.grid.index_of(t_lo)
     ensemble_mu.grid.index_of(t_hi)
-    fixed, quad = _interval_terms(spec_mu, spec_P, ensemble_mu, [idx_lo])
-    return path_mean_and_se(_interval_kls(fixed, quad, t_hi - t_lo)[:, 0])
+    pair = PairCoefficients(spec_mu, spec_P, ensemble_mu)
+    return path_mean_and_se(_interval_kls(pair.interval_parts(idx_lo),
+                                          t_hi - t_lo))
 
 
 def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -173,38 +157,43 @@ def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                   partitions: list[Partition]) -> tuple[ChainEstimate, ...]:
     """Chain estimates over nested partitions on one ensemble, finest last.
 
-    The interval parts are evaluated once, at the finest partition's left
-    endpoints read on the ensemble's grid; each partition's left endpoints
-    are every step-th of them, so it reads strided columns. A total is
-    path_space_estimate of the initial term and the interval means, a plain
-    left-to-right sum, so the reported decomposition is an arithmetic
-    identity; its path standard error comes from the per-path totals (which
-    captures the correlation between intervals along a path).
+    One walk over the finest partition's left endpoints, read on the
+    ensemble's grid, evaluates the interval parts once per endpoint; each
+    partition's left endpoints are every step-th of them. A level's
+    interval term is reduced to its mean and standard error where it is
+    formed and added to the level's per-path running total, so levels x
+    n_paths floats are held. A total is path_space_estimate of the initial
+    term and the interval means, a plain left-to-right sum, so the reported
+    decomposition is an arithmetic identity; its path standard error comes
+    from the per-path totals (which captures the correlation between
+    intervals along a path).
     """
     initial = initial_entropy(init_mu, init_P)
     finest = partitions[-1]
-    columns = [ensemble.grid.index_of(t_lo) for t_lo in finest.times[:-1]]
-    fixed, quad = _interval_terms(spec_mu, spec_P, ensemble, columns)
+    pair = PairCoefficients(spec_mu, spec_P, ensemble)
+    per_path_totals = np.zeros((len(partitions), ensemble.states.shape[0]))
+    terms = [[] for _ in partitions]
+    for j, t_lo in enumerate(finest.times[:-1]):
+        parts = pair.interval_parts(ensemble.grid.index_of(t_lo))
+        for level, part in enumerate(partitions):
+            step = finest.n_intervals // part.n_intervals
+            if j % step == 0:
+                lo, hi = part.times[j // step], part.times[j // step + 1]
+                kls = _interval_kls(parts, hi - lo)
+                terms[level].append(StepTerm(float(lo), float(hi),
+                                             *path_mean_and_se(kls)))
+                per_path_totals[level] += kls
     estimates = []
-    for part in partitions:
-        step = finest.n_intervals // part.n_intervals
-        per_path = _interval_kls(fixed[:, ::step], quad[:, ::step],
-                                 np.diff(part.times))
-        means, ses = path_mean_and_se(per_path)
-        _, paths_se = path_mean_and_se(per_path.sum(axis=1))
-        terms = tuple(
-            StepTerm(t_lo=lo, t_hi=hi, value=means[j], std_error=ses[j])
-            for j, (lo, hi) in enumerate(part.intervals()))
+    for part, level_terms, totals in zip(partitions, terms, per_path_totals):
         total = path_space_estimate(
-            initial, means, paths_se, "chain-gauss",
-            {"n_paths": per_path.shape[0], "n_intervals": part.n_intervals,
+            initial, [term.value for term in level_terms],
+            path_mean_and_se(totals)[1], "chain-gauss",
+            {"n_paths": totals.shape[0], "n_intervals": part.n_intervals,
              "initial_method": initial.method})
         estimates.append(ChainEstimate(total=total,
                                        initial_term=initial.value,
-                                       contributions=terms, partition=part))
-        # free this level's per-path terms before the next, finer level
-        # builds its own: both alive at once raise the peak memory
-        del per_path
+                                       contributions=tuple(level_terms),
+                                       partition=part))
     return tuple(estimates)
 
 

@@ -253,8 +253,7 @@ def _run_girsanov(resolved, objs, threads):
                                            ensemble, report)
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
-    return {"estimate": _jsonable(est)}, rows, \
-        ["estimator", "value", "std_error", "is_infinite"], est
+    return {"estimate": _jsonable(est)}, rows, est
 
 
 def _run_chain(resolved, objs, threads):
@@ -287,8 +286,7 @@ def _run_chain(resolved, objs, threads):
             "monotonicity_violations": _jsonable(
                 sweep.monotonicity_violations),
         }
-        return results, rows, ["level", "mesh", "value", "std_error",
-                               "slope"], sweep.estimates[-1].total
+        return results, rows, sweep.estimates[-1].total
 
     partition = Partition.from_times(
         grid, params.get("partition_times", grid.points))
@@ -306,7 +304,7 @@ def _run_chain(resolved, objs, threads):
         "contributions": _jsonable(est.contributions),
         "n_intervals": partition.n_intervals,
     }
-    return results, rows, ["t_lo", "t_hi", "value", "std_error"], est.total
+    return results, rows, est.total
 
 
 def _run_dv_marginal(resolved, objs, threads):
@@ -331,8 +329,7 @@ def _run_dv_marginal(resolved, objs, threads):
     rows = [{"estimator": "dv-marginal", "t": t, "value": est.value,
              "std_error": est.std_error}]
     return {"estimate": _jsonable(est), "t": t, "n_samples": n,
-            "basis": basis.describe()}, rows, \
-        ["estimator", "t", "value", "std_error"], est
+            "basis": basis.describe()}, rows, est
 
 
 def _run_residual_energy(resolved, objs, threads):
@@ -362,7 +359,7 @@ def _run_residual_energy(resolved, objs, threads):
         "basis": basis.describe(),
         "diagnostics": total.diagnostics,
     }
-    return results, rows, ["t", "energy", "std_error"], total
+    return results, rows, total
 
 
 def _run_sanov(resolved, objs, threads):
@@ -378,14 +375,14 @@ def _run_sanov(resolved, objs, threads):
              "std_error": r.std_error, "oracle": r.oracle,
              "zero_count": r.zero_count} for r in table.rows]
     return {"table": rows, "diagnostics": _jsonable(table.diagnostics)}, \
-        rows, ["n", "count", "p_hat", "rate", "std_error", "oracle",
-               "zero_count"], None
+        rows, None
 
 
 # estimator -> (runner, JSON type of each estimator_params key); a runner
 # passes on only the keys a config sets, so every default is the library's,
-# and returns results, csv rows and header, and its headline EntropyEstimate
-# (None for sanov, whose rate is not a path-space entropy)
+# and returns results, csv rows (the header is the first row's keys) and its
+# headline EntropyEstimate (None for sanov, whose rate is not a path-space
+# entropy)
 ESTIMATORS = {
     "girsanov": (_run_girsanov, {"tol_match": "number"}),
     "chain": (_run_chain, {
@@ -408,9 +405,9 @@ def _run_with_headline(cfg: dict, seed_override: int | None, threads: int):
     """run_config's triple plus the run's headline EntropyEstimate."""
     resolved = resolve_config(cfg, seed_override)
     objs = _built_objects(resolved)
-    results, rows, header, headline = ESTIMATORS[resolved["estimator"]][0](
+    results, rows, headline = ESTIMATORS[resolved["estimator"]][0](
         resolved, objs, threads)
-    return resolved, results, (rows, header), headline
+    return resolved, results, (rows, list(rows[0])), headline
 
 
 def run_config(cfg: dict, *, seed_override: int | None = None,
@@ -542,9 +539,7 @@ def _cmd_compare(args) -> int:
         "flags": [e["estimator"] for e in entries if e["is_infinite"]],
         "wall_clock_s": time.perf_counter() - t0,
     }
-    rows = [dict(e) for e in entries]
-    _emit(report, (rows, ["config", "estimator", "value", "std_error",
-                          "is_infinite"]), args.format, args.out)
+    _emit(report, (entries, list(entries[0])), args.format, args.out)
     return EXIT_OK
 
 

@@ -514,7 +514,10 @@ class PairCoefficients:
 
     def interval_parts(self, k: int):
         """Per-path dt-free part and drift quadratic of the interval KL with
-        left endpoint at column k; ModelEvaluationError if one is NaN."""
+        left endpoint at column k; ModelEvaluationError if one is NaN. When
+        both diffusions are constant the dt-free part is the scalar fixed."""
+        if self.fixed is not None:
+            return self.fixed, self.drift_term(k)
         t, x = self._column(k)
         a, c = self.spec_P.matrix_at(t, x), self.spec_mu.matrix_at(t, x)
         return (no_nan(variance_part(a, c), "variance part of the pair", t),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from pathkl import (
     sample_paths,
     step_kl,
 )
-from pathkl.chain import _interval_kls, _interval_terms
+from pathkl.chain import _chain_levels, _interval_kls
+from pathkl.diffusion import PairCoefficients
 
 OU_VS_BM = 0.1419169104045766                  # gamma=1, T=1
 MISMATCH_STEP = 0.5 * (1.0 - math.log(2.0))    # c = 2a, one interval
@@ -540,8 +542,8 @@ def test_interval_kl_is_gaussian_kl_of_step_laws(mu, p, dim):
     ens = sample_paths(spec_mu, InitialLaw.point_mass([0.3] * dim), grid,
                        60, 5)
     k, dt = 4, 0.1875
-    per_path = _interval_kls(*_interval_terms(spec_mu, spec_p, ens, [k]),
-                             dt)[:, 0]
+    per_path = _interval_kls(
+        PairCoefficients(spec_mu, spec_p, ens).interval_parts(k), dt)
     t, states = float(grid.points[k]), ens.states[:, k]
     for x, got in zip(states, per_path):
         want = gaussian_kl(euler_step_law(spec_mu, t, x, dt),
@@ -599,3 +601,38 @@ def test_sweep_1d_state_dependent_makes_no_lapack_call(linalg_calls):
         seed=3)
     assert sweep.estimates[-1].partition.n_intervals == 64
     assert linalg_calls == {"solve": 0, "slogdet": 0, "cholesky": 0}
+
+
+# ---------------------------------------------------------------------------
+# Memory: one walk over the finest columns holds levels x n_paths floats
+
+
+@pytest.mark.parametrize("mu,p", [
+    (("sine_diffusion", {"a": 2.0, "amplitude": 0.5}),
+     ("sine_diffusion", {"a": 1.0, "amplitude": 0.5})),
+    (("ou", {"gamma": 1.0, "a": 1.0}), ("brownian", {"a": 1.0})),
+])
+def test_chain_holds_levels_times_paths_floats(mu, p):
+    # beyond the ensemble, a chain holds one per-path running total per
+    # level and a few per-path rows of the column being read; never an
+    # (n_paths, n_columns) array, which here would be 256 rows
+    spec_mu, spec_p = make_model(*mu), make_model(*p)
+    init = InitialLaw.point_mass([0.0])
+    grid = TimeGrid.uniform(1.0, 256)
+    n, levels = 4096, 9
+    ens = sample_paths(spec_mu, init, grid, n, 11)
+    partitions = refine_sequence(grid, levels)
+    for run, held in [
+            (lambda: chain_estimate(spec_mu, spec_p, init, init,
+                                    partitions[-1], ensemble=ens), 1),
+            (lambda: _chain_levels(spec_mu, spec_p, init, init, ens,
+                                   partitions), levels)]:
+        run()       # a first call may import scipy.special for xlogy
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * n * (held + 16)
+        assert peak < bound, (peak, bound)

@@ -102,11 +102,14 @@ def test_one_reader_of_the_diffusion_matrix():
         lambda call: isinstance(call.func, ast.Attribute)
         and call.func.attr == "diffusion_matrix") == {
             "diffusion.py:diffusion_match_check", "diffusion.py:_factored_at"}
-    readers = {path.name for path in PACKAGE.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute)
-               and node.attr == "constant_matrix"}
-    assert readers == {"diffusion.py"}
+    def readers(attr):
+        return {path.name for path in PACKAGE.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == attr}
+    assert readers("constant_matrix") == {"diffusion.py"}
+    # the constant-pair variance part is forked inside
+    # PairCoefficients.interval_parts, not by the routes
+    assert readers("fixed") == {"diffusion.py"}
 
 
 
