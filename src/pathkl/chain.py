@@ -23,7 +23,6 @@ from .diffusion import (
     PairCoefficients,
     PathEnsemble,
     TimeGrid,
-    check_number,
     sample_paths,
 )
 from .errors import ArgumentError
@@ -248,21 +247,16 @@ def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
 def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                      init_mu: InitialLaw, init_P: InitialLaw,
                      grid: TimeGrid, levels: int, n_paths: int = 10_000,
-                     seed: int = 0, *, threads: int = 1,
-                     divergence_threshold: float = DIVERGENCE_THRESHOLD
-                     ) -> SweepResult:
+                     seed: int = 0, *, threads: int = 1) -> SweepResult:
     """Chain estimates over nested dyadic partitions on one shared ensemble.
 
     Reports monotonicity violations beyond 3 combined standard errors (the
     refinement total is nondecreasing in law), a divergence flag when a
-    level's total exceeds divergence_threshold, the fitted per-interval
+    level's total exceeds DIVERGENCE_THRESHOLD, the fitted per-interval
     slope (the signature of a diffusion-matrix mismatch is affine growth in
     the interval count), and the gap between the last two levels as a
-    crude extrapolation diagnostic. ArgumentError unless
-    divergence_threshold is a finite number >= 0.
+    crude extrapolation diagnostic.
     """
-    check_number(divergence_threshold, "divergence_threshold",
-                 nonnegative=True)
     partitions = refine_sequence(grid, levels)
     ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
                             threads=threads)
@@ -283,7 +277,7 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
             })
 
     # the threshold is finite, so an infinite total exceeds it
-    diverged = any(e.total.value > divergence_threshold for e in estimates)
+    diverged = any(e.total.value > DIVERGENCE_THRESHOLD for e in estimates)
     finite_vals = [e.total.value for e in estimates
                    if not e.total.is_infinite]
 
@@ -304,5 +298,4 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         diverged=diverged,
         slope_per_interval=slope,
         richardson_gap=richardson,
-        diagnostics={"n_paths": n_paths, "levels": levels, "seed": seed,
-                     "divergence_threshold": divergence_threshold})
+        diagnostics={"n_paths": n_paths, "levels": levels, "seed": seed})

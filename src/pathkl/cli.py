@@ -44,8 +44,7 @@ from .errors import (
     exit_code_for,
 )
 from .estimates import path_space_estimate
-from .girsanov import (girsanov_entropy, girsanov_match,
-                       matched_girsanov_entropy)
+from .girsanov import girsanov_entropy, girsanov_match
 from .marginal import (OptimizerConfig, dv_estimate, initial_entropy,
                        pooled_dv_basis)
 from .sanov import RateExperiment, empirical_rate
@@ -156,24 +155,12 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     if resolved["n_paths"] < 1:
         raise ArgumentError("n_paths must be positive")
 
-    # a chain config runs a refinement sweep (levels, divergence_threshold)
-    # or one chain (partition_times); a key the other run would read is
-    # refused, not ignored. Refinement needs power-of-two step counts so
-    # every level's partition lands exactly on grid points.
-    if estimator == "chain" and "levels" in params:
-        if "partition_times" in params:
-            raise ArgumentError(
-                "estimator_params.partition_times cannot be set with levels: "
-                "a refinement sweep runs the dyadic partitions")
-        steps = resolved["grid"]["steps"]
-        if steps & (steps - 1) != 0:
-            raise ArgumentError(
-                f"chain refinement needs a dyadic step count "
-                f"(power of two), got steps={steps}")
-    elif estimator == "chain" and "divergence_threshold" in params:
+    # a chain config runs a refinement sweep (levels) or one chain
+    # (partition_times), so the two keys are not set together
+    if estimator == "chain" and {"levels", "partition_times"} <= set(params):
         raise ArgumentError(
-            "estimator_params.divergence_threshold needs levels: only a "
-            "refinement sweep flags divergence")
+            "estimator_params.partition_times cannot be set with levels: "
+            "a refinement sweep runs the dyadic partitions")
     if estimator == "sanov":
         for key in ("observable", "threshold", "n_list"):
             _need(params, key, "estimator_params (sanov)")
@@ -235,22 +222,17 @@ def _run_girsanov(resolved, objs, threads):
     tol = _set_params(resolved, "tol_match")
     # the paths the match check reads first: on a mismatch the estimate is
     # +inf, and the rest of the ensemble is never sampled; on a match the
-    # probe's report is the full ensemble's
+    # probe's report is the full ensemble's, and a stride-1 probe is it
     stride = probe_stride(spec_mu, spec_p, n, grid.points.shape[0])
-    if stride is None:
-        ensemble = sample_paths(spec_mu, init_mu, grid, n, seed,
-                                threads=threads)
-        est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p, ensemble,
-                               **tol)
-    else:
-        probe = sample_paths(spec_mu, init_mu, grid, n, seed,
-                             threads=threads, stride=stride)
-        report, est = girsanov_match(spec_mu, spec_p, probe, **tol)
-        if est is None:
+    ensemble = sample_paths(spec_mu, init_mu, grid, n, seed, threads=threads,
+                            stride=stride)
+    report, est = girsanov_match(spec_mu, spec_p, ensemble, **tol)
+    if est is None:
+        if stride > 1:
             ensemble = sample_paths(spec_mu, init_mu, grid, n, seed,
                                     threads=threads)
-            est = matched_girsanov_entropy(spec_mu, spec_p, init_mu, init_p,
-                                           ensemble, report)
+        est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p, ensemble,
+                               report=report)
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
     return {"estimate": _jsonable(est)}, rows, est
@@ -262,8 +244,7 @@ def _run_chain(resolved, objs, threads):
     if "levels" in params:
         sweep = refinement_sweep(
             spec_mu, spec_p, init_mu, init_p, grid, params["levels"],
-            resolved["n_paths"], resolved["seed"], threads=threads,
-            **_set_params(resolved, "divergence_threshold"))
+            resolved["n_paths"], resolved["seed"], threads=threads)
         rows = []
         for level, est in enumerate(sweep.estimates, start=1):
             rows.append({
@@ -341,7 +322,7 @@ def _run_residual_energy(resolved, objs, threads):
         else default_energy_basis(ensemble)
     profile = residual_energy_profile(
         ensemble, spec_p, basis,
-        **_set_params(resolved, "window", "stride", "t_min_frac", "debias"))
+        **_set_params(resolved, "window", "stride", "t_min_frac"))
     initial = initial_entropy(init_mu, init_p)
     total = path_space_estimate(initial, [profile.integral],
                                 profile.integral_std_error, "residual-energy",
@@ -386,14 +367,13 @@ def _run_sanov(resolved, objs, threads):
 ESTIMATORS = {
     "girsanov": (_run_girsanov, {"tol_match": "number"}),
     "chain": (_run_chain, {
-        "levels": "integer", "partition_times": "array of numbers",
-        "divergence_threshold": "number"}),
+        "levels": "integer", "partition_times": "array of numbers"}),
     "dv-marginal": (_run_dv_marginal, {
         "t": "number", "n_samples": "integer", "basis": "object",
         "max_iter": "integer", "gtol": "number", "plateau_rtol": "number"}),
     "residual-energy": (_run_residual_energy, {
         "basis": "object", "window": "integer", "stride": "integer",
-        "t_min_frac": "number", "debias": "boolean"}),
+        "t_min_frac": "number"}),
     "sanov": (_run_sanov, {
         "observable": "string", "threshold": "number",
         "n_list": "array of integers", "trials": "integer",
@@ -401,13 +381,12 @@ ESTIMATORS = {
 }
 
 
-def _run_with_headline(cfg: dict, seed_override: int | None, threads: int):
-    """run_config's triple plus the run's headline EntropyEstimate."""
-    resolved = resolve_config(cfg, seed_override)
-    objs = _built_objects(resolved)
+def _run_resolved(resolved: dict, objs, threads: int):
+    """Results, (csv rows, csv header) and the headline EntropyEstimate of
+    a resolved config's run on its built objects."""
     results, rows, headline = ESTIMATORS[resolved["estimator"]][0](
         resolved, objs, threads)
-    return resolved, results, (rows, list(rows[0])), headline
+    return results, (rows, list(rows[0])), headline
 
 
 def run_config(cfg: dict, *, seed_override: int | None = None,
@@ -417,7 +396,10 @@ def run_config(cfg: dict, *, seed_override: int | None = None,
     Returns:
         (resolved config, results, (csv rows, csv header)).
     """
-    return _run_with_headline(cfg, seed_override, threads)[:3]
+    resolved = resolve_config(cfg, seed_override)
+    results, rows_header, _ = _run_resolved(
+        resolved, _built_objects(resolved), threads)
+    return resolved, results, rows_header
 
 
 def build_report(resolved: dict, results: dict, *, command: str,
@@ -496,23 +478,23 @@ def _cmd_compare(args) -> int:
     if len(args.config) < 2:
         raise ArgumentError("compare needs at least two --config files")
     t0 = time.perf_counter()
-    entries = []
-    fingerprint = None
+    # every config is checked before any route runs
+    runs = []
     for path in args.config:
-        cfg = load_config(path)
-        resolved, _, _, headline = _run_with_headline(cfg, args.seed,
-                                                      args.threads)
-        fp = _scenario_fingerprint(resolved)
-        if fingerprint is None:
-            fingerprint = fp
-        elif fp != fingerprint:
+        resolved = resolve_config(load_config(path), args.seed)
+        fingerprint = _scenario_fingerprint(resolved)
+        if runs and fingerprint != _scenario_fingerprint(runs[0][1]):
             raise ArgumentError(
                 f"config {path} runs a different scenario; compare needs a "
                 f"shared model pair, initial laws, and horizon")
-        if headline is None:
+        if resolved["estimator"] == "sanov":
             raise ArgumentError(
                 "sanov runs estimate a decay rate, not a path-space entropy; "
                 "they cannot join a compare table")
+        runs.append((path, resolved, _built_objects(resolved)))
+    entries = []
+    for path, resolved, objs in runs:
+        headline = _run_resolved(resolved, objs, args.threads)[2]
         entries.append({"config": path, "estimator": resolved["estimator"],
                         "value": float(headline.value),
                         "std_error": float(headline.std_error),

@@ -547,19 +547,17 @@ def _match_distance(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def probe_stride(spec_mu: DiffusionSpec, spec_P: DiffusionSpec, n: int,
-                 n_times: int) -> int | None:
+                 n_times: int) -> int:
     """The stride s of the paths diffusion_match_check reads of an ensemble
     of n paths on n_times grid times: paths 0, s, 2s, ... < n at every
     time, s = max(1, n * n_times // MATCH_POINTS), about MATCH_POINTS
-    states. None when those paths are not a probe worth sampling first:
-    both diffusions are constant (the check compares the two matrices
-    once and reads no path) or s is 1 (it reads every path).
+    states. s is 1 when both diffusions are constant: the check compares
+    the two matrices once and reads no path.
     """
     if spec_mu.constant_matrix is not None \
             and spec_P.constant_matrix is not None:
-        return None
-    stride = n * n_times // MATCH_POINTS
-    return stride if stride > 1 else None
+        return 1
+    return max(1, n * n_times // MATCH_POINTS)
 
 
 def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -571,7 +569,7 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     agree along the ensemble; the check reports
     max ||c - a||_2 / ||a||_2 over sampled (t, x_t) and passes iff it is
     within tol_match. The states are every s-th path at every grid time,
-    s = probe_stride's (1 where that is None), about MATCH_POINTS in all.
+    s = probe_stride's, about MATCH_POINTS in all.
     When both models have a constant_matrix, the two are compared once and
     n_evaluated is 1.
 
@@ -581,7 +579,7 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     """
     states = ensemble_mu.states
     n, m_plus_1, _ = states.shape
-    stride = probe_stride(spec_mu, spec_P, n, m_plus_1) or 1
+    stride = probe_stride(spec_mu, spec_P, n, m_plus_1)
     a0, c0 = spec_P.constant_matrix, spec_mu.constant_matrix
     constant = a0 is not None and c0 is not None
     max_dist = 0.0

@@ -38,7 +38,6 @@ from .marginal import initial_entropy
 __all__ = [
     "girsanov_entropy",
     "girsanov_match",
-    "matched_girsanov_entropy",
     "ScenarioOracle",
     "analytic_entropy",
     "scenario_ids",
@@ -133,33 +132,31 @@ def girsanov_match(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
 
 def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                      init_mu: InitialLaw, init_P: InitialLaw,
-                     ensemble_mu: PathEnsemble, *,
-                     tol_match: float = 1e-6) -> EntropyEstimate:
+                     ensemble_mu: PathEnsemble, *, tol_match: float = 1e-6,
+                     report: MatchReport | None = None) -> EntropyEstimate:
     """Initial term plus half the expected weighted drift-gap energy.
 
-    Runs the diffusion match check first: a mismatch means mutual
-    singularity, and the estimate is +inf with the report attached rather
-    than a meaningless finite number. path_space_estimate adds the two
-    terms. ArgumentError unless tol_match is a finite number >= 0.
+    Runs the diffusion match check first, unless report is the passing
+    report girsanov_match gave on ensemble_mu or on its probe: a mismatch
+    means mutual singularity, and the estimate is +inf with the report
+    attached rather than a meaningless finite number. path_space_estimate
+    adds the two terms.
 
     Returns:
         EntropyEstimate with the match report, the initial term, and the
         two pieces of the total in diagnostics.
+
+    Raises:
+        ArgumentError: tol_match is not a finite number >= 0, or report
+            did not pass.
     """
-    report, mismatch = girsanov_match(spec_mu, spec_P, ensemble_mu,
-                                      tol_match=tol_match)
-    if mismatch is not None:
-        return mismatch
-    return matched_girsanov_entropy(spec_mu, spec_P, init_mu, init_P,
-                                    ensemble_mu, report)
-
-
-def matched_girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                             init_mu: InitialLaw, init_P: InitialLaw,
-                             ensemble_mu: PathEnsemble,
-                             report: MatchReport) -> EntropyEstimate:
-    """girsanov_entropy on ensemble_mu, whose diffusion match check passed
-    with report: girsanov_match's on ensemble_mu or on its probe."""
+    if report is None:
+        report, mismatch = girsanov_match(spec_mu, spec_P, ensemble_mu,
+                                          tol_match=tol_match)
+        if mismatch is not None:
+            return mismatch
+    elif not report.passed:
+        raise ArgumentError("report must be a passing match report")
     initial = initial_entropy(init_mu, init_P)
     energies = 0.5 * _drift_gap_energy(spec_mu, spec_P, ensemble_mu)
     drift_term, drift_se = path_mean_and_se(energies)

@@ -470,31 +470,24 @@ def mixed_basis(lo, hi, n_bumps: int, bump_scale: float | None = None,
 
 
 # basis config field -> its JSON type
-_BASIS_TYPES = {"family": "string", "box": "array of numbers",
-                "count": "integer", "scale": "number or null",
-                "degrees": "array of integers", "margin": "number",
-                "bump_span": "array of numbers or null"}
-
-# basis family -> its default monomial degrees, the one field it sets
-_FAMILY_DEGREES = {"bumps": [], "mixed": [0, 1, 2]}
+_BASIS_TYPES = {"box": "array of numbers", "count": "integer",
+                "scale": "number or null", "degrees": "array of integers",
+                "margin": "number", "bump_span": "array of numbers or null"}
 
 
 def basis_from_config(cfg: dict) -> FunctionBasis:
     """Build a basis from a config record (CLI surface): mixed_basis of the
-    record's fields, where family only picks the default degrees.
+    record's fields, with no monomials unless degrees are given.
 
     Each field must have its JSON type in _BASIS_TYPES.
 
     Raises:
         ArgumentError: an unknown field, a field of the wrong JSON type
             (named basis.<field>), a missing box, a box or bump_span that is
-            not two numbers, an unknown family, or what mixed_basis refuses
+            not two numbers, or what mixed_basis refuses
             (a bump_span outside the box is named basis.bump_span).
     """
     check_json_types(cfg, _BASIS_TYPES, "basis")
-    family = cfg.get("family", "bumps")
-    if family not in _FAMILY_DEGREES:
-        raise ArgumentError(f"unknown basis family {family!r}")
     box = cfg.get("box")
     if box is None or len(box) != 2:
         raise ArgumentError("basis config needs box: [lo, hi]")
@@ -507,7 +500,7 @@ def basis_from_config(cfg: dict) -> FunctionBasis:
         return mixed_basis([float(box[0])], [float(box[1])],
                            cfg.get("count", 8),
                            None if scale is None else float(scale),
-                           cfg.get("degrees", _FAMILY_DEGREES[family]),
+                           cfg.get("degrees", []),
                            float(cfg.get("margin", 0.25)),
                            None if span is None else (float(span[0]),
                                                       float(span[1])))
@@ -844,9 +837,9 @@ def default_energy_basis(ensemble: PathEnsemble) -> FunctionBasis:
 def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                             basis: FunctionBasis | None = None, *,
                             window: int = 8, stride: int = 4,
-                            t_min_frac: float = 0.15,
-                            debias: bool = True) -> EnergyProfile:
-    """Trapezoidal time integral of the slice dual energies.
+                            t_min_frac: float = 0.15) -> EnergyProfile:
+    """Trapezoidal time integral of the slice dual energies, each less its
+    ½ tr(Q⁺ Σ_c) noise floor.
 
     Slices earlier than t_min_frac · T are skipped (near-degenerate
     marginals produce wild residuals when the initial law is a point mass)
@@ -872,7 +865,6 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         window: central-difference half-width in grid steps.
         stride: grid steps between evaluated slices.
         t_min_frac: burn-in fraction of the horizon.
-        debias: subtract the ½ tr(Q⁺ Σ_c) noise floor per slice.
 
     Raises:
         ArgumentError: a window or stride that is not an integer >= 1, a
@@ -912,12 +904,9 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                              sums.shift[s], n, t)
         gram = _gram_data(sums.gram[:, s], n, t)
         sol = dual_energy(res.values, gram)
-        value = sol.value
-        if debias:
-            # E[½ c'Q⁺c] inflates by ½ tr(Q⁺ Σ_c) under residual noise.
-            value -= 0.5 * float(np.trace(gram.pseudo_inverse
-                                          @ res.cov_mean))
-        values.append(value)
+        # E[½ c'Q⁺c] inflates by ½ tr(Q⁺ Σ_c) under residual noise.
+        values.append(sol.value - 0.5 * float(np.trace(gram.pseudo_inverse
+                                                       @ res.cov_mean)))
         ses.append(math.sqrt(max(float(sol.coefficients @ res.cov_mean
                                        @ sol.coefficients), 0.0)))
         conds.append(gram.condition)
@@ -936,7 +925,7 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         integral_std_error=integral_se,
         diagnostics={
             "n_slices": len(idxs), "window": window, "stride": stride,
-            "t_min_frac": t_min_frac, "debias": debias,
+            "t_min_frac": t_min_frac, "debias": True,
             "slice_correlation": "ignored",
             "gram_condition_max": max(conds),
         },

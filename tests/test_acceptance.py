@@ -225,7 +225,7 @@ def test_criterion_07_drift_recovery(record):
 
     profile = residual_energy_profile(
         ens, spec_p, mixed_basis([-4.0], [5.0], 14), window=8, stride=4,
-        t_min_frac=0.15, debias=True)
+        t_min_frac=0.15)
     reference = _reference_drift_run()["estimate"].value
     integral_ok = abs(profile.integral - reference) <= 0.10 * reference
     slice_ok = sup_err <= 0.05

@@ -413,9 +413,6 @@ ARGUMENTS = {
     "tol_match": (lambda v: girsanov_entropy(
         make_model("brownian", {}), make_model("brownian", {}), INIT, INIT,
         _ensemble(), tol_match=v), -1.0),
-    "divergence_threshold": (lambda v: refinement_sweep(
-        make_model("brownian", {}), make_model("brownian", {}), INIT, INIT,
-        GRID, 2, 200, 5, divergence_threshold=v), -1.0),
     "window": (lambda v: residual_energy_profile(
         _ensemble(), make_model("brownian", {}), BASIS, window=v), 1.5),
     "stride": (lambda v: residual_energy_profile(

@@ -26,6 +26,7 @@ from pathkl import (
     sample_paths,
     step_kl,
 )
+from pathkl import chain
 from pathkl.chain import _chain_levels, _interval_kls
 from pathkl.diffusion import PairCoefficients
 
@@ -259,13 +260,14 @@ def test_sweep_records_monotonicity_violations():
     )
 
 
-def test_sweep_mismatch_diverges_linearly():
+def test_sweep_mismatch_diverges_linearly(monkeypatch):
+    monkeypatch.setattr(chain, "DIVERGENCE_THRESHOLD", 2.0)
     grid = TimeGrid.uniform(1.0, 64)
     init = InitialLaw.point_mass([0.0])
     sweep = refinement_sweep(make_model("brownian", {"a": 2.0}),
                              make_model("brownian", {"a": 1.0}),
                              init, init, grid, levels=5, n_paths=200,
-                             seed=7, divergence_threshold=2.0)
+                             seed=7)
     totals = np.array([e.total.value for e in sweep.estimates])
     counts = np.array([e.partition.n_intervals for e in sweep.estimates])
     np.testing.assert_allclose(totals, counts * MISMATCH_STEP, rtol=1e-12)

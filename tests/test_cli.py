@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from pathkl import (DiffusionSpec, InitialLaw, ModelEvaluationError, TimeGrid,
-                    girsanov_entropy, make_model, register_model,
-                    sample_paths)
+                    girsanov_entropy, make_model, refinement_sweep,
+                    register_model, sample_paths)
 from pathkl.cli import ESTIMATORS, main, run_config
 from pathkl.diffusion import model_ids, model_params
 
@@ -113,8 +113,7 @@ def test_run_rejects_non_numeric_model_param(tmp_path, capsys):
 def test_run_rejects_bump_span_not_two_numbers(tmp_path, capsys, span):
     # three used to build on [-1, 1] and drop the 7; one ended in an
     # IndexError traceback with exit code 1
-    basis = {"family": "mixed", "box": [-3, 3], "count": 4,
-             "bump_span": span}
+    basis = {"box": [-3, 3], "count": 4, "bump_span": span}
     cfg = _girsanov_cfg(estimator="dv-marginal",
                         estimator_params={"basis": basis})
     assert main(["run", "--config", _write(tmp_path, "b.json", cfg)]) == 2
@@ -146,8 +145,8 @@ def test_run_rejects_initial_entries_that_are_not_finite_numbers(
 
 
 def test_run_rejects_negative_basis_count(tmp_path, capsys):
-    # mixed used to build its monomials only
-    basis = {"family": "mixed", "box": [-3, 3], "count": -1}
+    # a basis with monomials used to build them only
+    basis = {"box": [-3, 3], "count": -1, "degrees": [0, 1, 2]}
     cfg = _girsanov_cfg(estimator="dv-marginal",
                         estimator_params={"basis": basis})
     assert main(["run", "--config", _write(tmp_path, "n.json", cfg)]) == 2
@@ -156,10 +155,29 @@ def test_run_rejects_negative_basis_count(tmp_path, capsys):
 
 def test_run_chain_requires_dyadic_steps(tmp_path, capsys):
     cfg = _girsanov_cfg(estimator="chain",
-                        estimator_params={"levels": 3},
+                        estimator_params={"levels": 4},
                         grid={"horizon": 1.0, "steps": 100})
     assert main(["run", "--config", _write(tmp_path, "c.json", cfg)]) == 2
-    assert "power of two" in capsys.readouterr().err
+    assert "grid with 100 steps cannot host 4 dyadic levels" in \
+        capsys.readouterr().err
+
+
+def test_run_chain_sweep_needs_only_divisible_steps(tmp_path):
+    # 768 = 3 * 2^8 hosts 9 dyadic levels; the CLI used to refuse every
+    # step count that is not a power of two
+    cfg = _girsanov_cfg(estimator="chain", estimator_params={"levels": 9},
+                        grid={"horizon": 1.0, "steps": 768}, n_paths=50)
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    init = InitialLaw.point_mass([0.0])
+    sweep = refinement_sweep(make_model("constant_drift", {"theta": 1.0}),
+                             make_model("brownian", {}), init, init,
+                             TimeGrid.uniform(1.0, 768), 9, 50, 0)
+    got = _report(out)["results"]["sweep"]
+    assert [(r["intervals"], r["value"], r["std_error"]) for r in got] == [
+        (e.partition.n_intervals, e.total.value, e.total.std_error)
+        for e in sweep.estimates]
 
 
 def test_run_chain_sweep_csv(tmp_path, capsys):
@@ -218,8 +236,7 @@ def test_run_residual_energy_basis_dimension_mismatch_exits_2(tmp_path,
         initial_mu={"kind": "point", "point": [0.0, 0.0]},
         initial_P={"kind": "point", "point": [0.0, 0.0]},
         estimator="residual-energy", n_paths=200,
-        estimator_params={"basis": {"family": "mixed", "box": [-3.0, 3.0],
-                                    "count": 4}},
+        estimator_params={"basis": {"box": [-3.0, 3.0], "count": 4}},
         grid={"horizon": 1.0, "steps": 32})
     out = tmp_path / "r.json"
     assert main(["run", "--config", _write(tmp_path, "cfg.json", cfg),
@@ -268,11 +285,10 @@ def _sanov_cfg(**params):
     (_girsanov_cfg(n_paths=300.9), "n_paths"),
     (_residual_cfg(window=4.9), "window"),
     (_residual_cfg(stride=True), "stride"),
-    (_residual_cfg(debias="no"), "debias"),
     (_sanov_cfg(trials=1e4), "trials"),
-], ids=["steps", "n_paths", "window", "stride", "debias", "trials"])
+], ids=["steps", "n_paths", "window", "stride", "trials"])
 def test_run_rejects_wrong_typed_values(tmp_path, capsys, cfg, key):
-    # each used to run, cast or defaulted to 64, 300, 4, 1, False or 10000
+    # each used to run, cast or defaulted to 64, 300, 4, 1 or 10000
     out = tmp_path / "r.json"
     assert main(["run", "--config", _write(tmp_path, "t.json", cfg),
                  "--out", str(out)]) == 2
@@ -287,7 +303,7 @@ def test_run_rejects_wrong_typed_values(tmp_path, capsys, cfg, key):
 def test_run_rejects_wrong_typed_basis_fields(tmp_path, capsys, field,
                                               value):
     # each used to run cast: 4 bumps, 1 bump, box -3, degree 0, margin 0.3
-    basis = {"family": "mixed", "box": [-3.0, 3.0], "count": 4, field: value}
+    basis = {"box": [-3.0, 3.0], "count": 4, field: value}
     out = tmp_path / "r.json"
     assert main(["run", "--config",
                  _write(tmp_path, "t.json", _residual_cfg(basis=basis)),
@@ -304,8 +320,6 @@ def _ou_cfg(estimator, **params):
 
 @pytest.mark.parametrize("cfg,key", [
     (_ou_cfg("girsanov", tol_match=math.nan), "estimator_params.tol_match"),
-    (_ou_cfg("chain", levels=2, divergence_threshold=math.nan),
-     "estimator_params.divergence_threshold"),
     (_ou_cfg("chain", partition_times=[0.0, -math.inf, 1.0]),
      "estimator_params.partition_times"),
     (_ou_cfg("sanov", observable="terminal", threshold=math.nan,
@@ -314,13 +328,13 @@ def _ou_cfg(estimator, **params):
     (_ou_cfg("dv-marginal", basis={"box": [-3.0, 3.0], "scale": math.inf}),
      "basis.scale"),
     (_girsanov_cfg(grid={"horizon": math.inf, "steps": 16}), "grid.horizon"),
-], ids=["tol-match", "divergence-threshold", "partition-times",
+], ids=["tol-match", "partition-times",
         "sanov-threshold", "basis-box", "basis-scale", "horizon"])
 def test_run_rejects_numbers_that_are_not_finite(tmp_path, capsys, cfg,
                                                  key):
     # json.load takes NaN and +-Infinity: tol_match NaN reported +inf as a
-    # diffusion mismatch, a NaN divergence threshold never flagged, a NaN
-    # sanov threshold exited 3 and a NaN box gave a NaN dv value
+    # diffusion mismatch, a NaN sanov threshold exited 3 and a NaN box gave
+    # a NaN dv value
     out = tmp_path / "r.json"
     assert main(["run", "--config", _write(tmp_path, "f.json", cfg),
                  "--out", str(out)]) == 2
@@ -333,7 +347,7 @@ def test_run_rejects_numbers_that_are_not_finite(tmp_path, capsys, cfg,
 def test_run_rejects_bump_span_outside_the_box(tmp_path, capsys, span):
     # outside used to give a plausible DV zero for a KL of 1.39, reversed
     # failed as "bump scale must be positive"
-    basis = {"family": "bumps", "box": [-1, 1], "count": 3, "bump_span": span}
+    basis = {"box": [-1, 1], "count": 3, "bump_span": span}
     cfg = _ou_cfg("dv-marginal", basis=basis)
     assert main(["run", "--config", _write(tmp_path, "s.json", cfg)]) == 2
     assert "basis.bump_span must be an increasing pair inside the box" in \
@@ -342,25 +356,29 @@ def test_run_rejects_bump_span_outside_the_box(tmp_path, capsys, span):
 
 @pytest.mark.parametrize("params,key", [
     ({"levels": 2, "partition_times": [0.0, 0.25, 1.0]}, "partition_times"),
-    ({"divergence_threshold": -1.0}, "divergence_threshold"),
-], ids=["partition-times-with-levels", "threshold-without-levels"])
+], ids=["partition-times-with-levels"])
 def test_run_chain_refuses_keys_its_run_would_ignore(tmp_path, capsys,
                                                      params, key):
-    # the first used to run the dyadic sweep, the second one chain
+    # it used to run the dyadic sweep
     cfg = _girsanov_cfg(estimator="chain", estimator_params=params,
                         grid={"horizon": 1.0, "steps": 64})
     assert main(["run", "--config", _write(tmp_path, "c.json", cfg)]) == 2
     assert f"estimator_params.{key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cfg", [
-    _girsanov_cfg(estimator="chain", estimator_params={"method": "gauss"},
-                  grid={"horizon": 1.0, "steps": 64}),
-    _residual_cfg(include_initial=True),
-], ids=["chain-method", "include-initial"])
-def test_run_refuses_removed_keys(tmp_path, capsys, cfg):
+@pytest.mark.parametrize("cfg,where", [
+    (_girsanov_cfg(estimator="chain", estimator_params={"method": "gauss"},
+                   grid={"horizon": 1.0, "steps": 64}), "estimator_params"),
+    (_residual_cfg(include_initial=True), "estimator_params"),
+    (_residual_cfg(debias=True), "estimator_params"),
+    (_ou_cfg("chain", levels=2, divergence_threshold=1e3),
+     "estimator_params"),
+    (_residual_cfg(basis={"family": "bumps", "box": [-3.0, 3.0]}), "basis"),
+], ids=["chain-method", "include-initial", "debias", "divergence-threshold",
+        "basis-family"])
+def test_run_refuses_removed_keys(tmp_path, capsys, cfg, where):
     assert main(["run", "--config", _write(tmp_path, "t.json", cfg)]) == 2
-    assert "unknown keys in estimator_params" in capsys.readouterr().err
+    assert f"unknown keys in {where}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg,key", [
@@ -369,15 +387,13 @@ def test_run_refuses_removed_keys(tmp_path, capsys, cfg):
     (_ou_cfg("dv-marginal", gtol=-1.0), "gtol"),
     (_ou_cfg("dv-marginal", plateau_rtol=-0.5), "plateau_rtol"),
     (_ou_cfg("girsanov", tol_match=-1.0), "tol_match"),
-    (_ou_cfg("chain", levels=2, divergence_threshold=-1.0),
-     "divergence_threshold"),
 ], ids=["max-iter-0", "max-iter-negative", "gtol", "plateau-rtol",
-        "tol-match", "divergence-threshold"])
+        "tol-match"])
 def test_run_refuses_estimator_params_out_of_range(tmp_path, capsys, cfg,
                                                    key):
     # max_iter 0 or -3 reported 0.0 with "convergence": "plateau" for an
     # ascent that never ran; a negative tol_match made every pair a
-    # mismatch, a negative threshold flagged every sweep as diverged
+    # mismatch
     out = tmp_path / "r.json"
     assert main(["run", "--config", _write(tmp_path, "o.json", cfg),
                  "--out", str(out)]) == 2
@@ -484,7 +500,8 @@ def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
     # a mismatched state-dependent pair never samples all n paths; a
     # constant pair, or a check that reads every path, samples once; the
     # match check runs once, on the probe where there is one; the estimate
-    # is the library's on the full ensemble either way
+    # is the library's on the full ensemble either way, and unless the
+    # check fails it comes from one girsanov_entropy call on that ensemble
     from pathkl import cli, girsanov
 
     model_mu, model_p, n, expected, checked = PROBE_RUNS[pair]
@@ -495,8 +512,13 @@ def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
                    (n, stride))
     matched = _spy(monkeypatch, girsanov, "diffusion_match_check",
                    lambda spec_mu, spec_p, ensemble, **kw: ensemble.n_paths)
+    estimated = _spy(monkeypatch, cli, "girsanov_entropy",
+                     lambda spec_mu, spec_p, init_mu, init_p, ensemble, **kw:
+                     ensemble.n_paths)
     est = run_config(cfg)[1]["estimate"]
     assert (sampled, matched) == (expected, [checked])
+    passed = est["diagnostics"]["match_report"]["passed"]
+    assert estimated == ([n] if passed else [])
     spec_mu = make_model(model_mu["id"], model_mu["params"])
     spec_p = make_model(model_p["id"], model_p["params"])
     init, grid = InitialLaw.point_mass([0.0]), TimeGrid.uniform(1.0, 256)
@@ -788,6 +810,29 @@ def test_compare_rejects_sanov(tmp_path):
         estimator_params={"observable": "terminal", "threshold": 1.0,
                           "n_list": [2], "trials": 200}))
     assert main(["compare", "--config", g, "--config", s]) == 2
+
+
+@pytest.mark.parametrize("second", [
+    _girsanov_cfg(estimator="sanov",
+                  estimator_params={"observable": "terminal",
+                                    "threshold": 1.0, "n_list": [2],
+                                    "trials": 200}),
+    _girsanov_cfg(grid={"horizon": 2.0, "steps": 50}),
+], ids=["sanov", "horizon"])
+def test_compare_checks_every_config_before_running(tmp_path, monkeypatch,
+                                                    second):
+    # both used to run the first config's route before the refusal, and a
+    # sanov config first ran its whole rate table
+    from pathkl import cli
+
+    sampled = _spy(monkeypatch, cli, "sample_paths", lambda *a, **kw: a[3])
+    rated = _spy(monkeypatch, cli, "empirical_rate", lambda *a, **kw: a[3])
+    g = _write(tmp_path, "g.json", _girsanov_cfg())
+    s = _write(tmp_path, "s.json", second)
+    for order in ([g, s], [s, g]):
+        assert main(["compare", *[a for p in order
+                                  for a in ("--config", p)]]) == 2
+    assert (sampled, rated) == ([], [])
 
 
 def test_compare_needs_two_configs(tmp_path):

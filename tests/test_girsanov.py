@@ -375,8 +375,8 @@ def test_probe_report_is_the_full_report(size, amplitude_p, monkeypatch):
     want = diffusion_match_check(spec_mu, spec_p, full)
     stride = probe_stride(spec_mu, spec_p, n, steps + 1)
     if n * (steps + 1) < 2000:
-        # the check reads every path: there is no probe
-        assert stride is None and want.n_evaluated == n * (steps + 1)
+        # the check reads every path: the probe is the ensemble
+        assert stride == 1 and want.n_evaluated == n * (steps + 1)
         return
     probe = sample_paths(spec_mu, init, grid, n, 4, stride=stride)
     got = diffusion_match_check(spec_mu, spec_p, probe)
@@ -387,9 +387,16 @@ def test_probe_report_is_the_full_report(size, amplitude_p, monkeypatch):
     report, short = girsanov_match(spec_mu, spec_p, probe)
     assert report == got
     if want.passed:
+        # the full ensemble's estimate from the probe's report
         assert short is None
+        assert girsanov_entropy(spec_mu, spec_p, init, init, full,
+                                report=report) \
+            == girsanov_entropy(spec_mu, spec_p, init, init, full)
     else:
         assert short == girsanov_entropy(spec_mu, spec_p, init, init, full)
+        with pytest.raises(ArgumentError, match="passing match report"):
+            girsanov_entropy(spec_mu, spec_p, init, init, full,
+                             report=report)
 
 
 def test_constant_pairs_have_no_probe(monkeypatch):
@@ -397,7 +404,7 @@ def test_constant_pairs_have_no_probe(monkeypatch):
     monkeypatch.setattr(diffusion, "MATCH_POINTS", 1000)
     sine = make_model("sine_diffusion", {})
     for spec_mu, spec_p, stride in [
-            (make_model("ou", {}), make_model("brownian", {}), None),
+            (make_model("ou", {}), make_model("brownian", {}), 1),
             (make_model("ou", {}), sine, 650),
             (sine, make_model("brownian", {}), 650)]:
         assert probe_stride(spec_mu, spec_p, 10_000, 65) == stride

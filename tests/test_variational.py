@@ -124,13 +124,11 @@ def test_basis_builders_validate():
 
 def test_basis_from_config_strict():
     with pytest.raises(ArgumentError):
-        basis_from_config({"family": "bumps", "box": [-1, 1], "typo": 3})
+        basis_from_config({"box": [-1, 1], "typo": 3})
     with pytest.raises(ArgumentError):
-        basis_from_config({"family": "bumps"})
-    with pytest.raises(ArgumentError):
-        basis_from_config({"family": "fourier", "box": [-1, 1]})
-    basis = basis_from_config({"family": "mixed", "box": [-3, 3],
-                               "count": 4, "degrees": [0, 1]})
+        basis_from_config({"count": 3})
+    basis = basis_from_config({"box": [-3, 3], "count": 4,
+                               "degrees": [0, 1]})
     assert basis.size == 6
 
 
@@ -159,7 +157,7 @@ def _readme_basis_examples():
 def test_readme_basis_examples_build_as_documented():
     # each README example builds the bumps and monomials its comment states
     examples = _readme_basis_examples()
-    assert [cfg["family"] for cfg, _, _ in examples] == ["bumps", "mixed"]
+    assert len(examples) == 2
     for cfg, (count, first, last, scale), degrees in examples:
         described = basis_from_config(cfg).describe()
         bumps = [f for f in described if f["family"] == "bump"]
@@ -176,21 +174,6 @@ def test_readme_basis_examples_build_as_documented():
         assert described[:count] == bumps
 
 
-def test_basis_families_differ_only_in_default_degrees():
-    # bumps used to drop bump_span and degrees: three bumps on the core
-    cfg = {"box": [-1, 1], "count": 3, "bump_span": [0, 1], "degrees": [5]}
-    for family in ("bumps", "mixed"):
-        assert basis_from_config({"family": family, **cfg}).describe() == [
-            {"family": "bump", "center": [c], "scale": 0.75}
-            for c in (0.0, 0.5, 1.0)] + [{"family": "poly", "degree": [5]}]
-    bumps = basis_from_config({"family": "bumps", "box": [-3, 3],
-                               "count": 4})
-    mixed = basis_from_config({"family": "mixed", "box": [-3, 3],
-                               "count": 4, "scale": None})
-    assert mixed.describe() == bumps.describe() + [
-        {"family": "poly", "degree": [d]} for d in (0, 1, 2)]
-
-
 def test_mixed_basis_rules():
     # a single bump sits at the span's midpoint, scale 1.5x its half-width
     assert mixed_basis([-1.0], [1.0], 1).describe() == [
@@ -203,7 +186,7 @@ def test_mixed_basis_rules():
     with pytest.raises(ArgumentError, match="nonnegative"):
         mixed_basis([-1.0], [1.0], -1, degrees=[0])
     with pytest.raises(ArgumentError, match="nonnegative"):
-        basis_from_config({"family": "mixed", "box": [-1, 1], "count": -1})
+        basis_from_config({"box": [-1, 1], "count": -1})
 
 
 def test_basis_builders_refuse_what_they_cannot_build():
