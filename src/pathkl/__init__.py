@@ -1,10 +1,11 @@
 """Numerical relative entropy between path-space laws of diffusions.
 
-Three independent routes to the same quantity: the closed-form drift-gap
-integral for matched diffusions, partition chains of one-step Gaussian
-laws, and variational lower bounds through test-function families. Their
-agreement, and their agreement with analytic special cases, is the point;
-each route checks the others.
+Five routes, each checking the others: girsanov (the closed-form drift-gap
+integral for matched diffusions), chain (partition chains of one-step
+Gaussian laws), dv-marginal (a variational lower bound on a fixed-time
+marginal), residual-energy (the energy of the drift correction recovered
+from samples) and sanov (large-deviation rate tables against their
+closed forms). Their agreement with analytic special cases is the point.
 """
 
 from .chain import (

@@ -23,6 +23,7 @@ from .diffusion import (
     PairCoefficients,
     PathEnsemble,
     TimeGrid,
+    check_count,
     sample_paths,
 )
 from .errors import ArgumentError
@@ -226,10 +227,10 @@ def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
     """Nested dyadic partitions; level n has 2^(n-1) intervals.
 
     Raises:
-        ArgumentError: the grid's step count is not divisible by 2^(levels-1).
+        ArgumentError: levels is not a positive integer, or the grid's step
+            count is not divisible by 2^(levels-1).
     """
-    if levels < 1:
-        raise ArgumentError("levels must be at least 1")
+    check_count(levels, "levels")
     m = grid.n_steps
     finest = 2 ** (levels - 1)
     if m % finest != 0:

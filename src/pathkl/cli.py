@@ -20,7 +20,8 @@ import time
 
 import numpy as np
 
-from .chain import Partition, chain_estimate, refinement_sweep, step_kl
+from .chain import (Partition, chain_estimate, refine_sequence,
+                    refinement_sweep, step_kl)
 from .diffusion import (
     DiffusionSpec,
     InitialLaw,
@@ -491,7 +492,10 @@ def _cmd_compare(args) -> int:
             raise ArgumentError(
                 "sanov runs estimate a decay rate, not a path-space entropy; "
                 "they cannot join a compare table")
-        runs.append((path, resolved, _built_objects(resolved)))
+        objs = _built_objects(resolved)
+        if "levels" in resolved["estimator_params"]:    # a chain sweep
+            refine_sequence(objs[-1], resolved["estimator_params"]["levels"])
+        runs.append((path, resolved, objs))
     entries = []
     for path, resolved, objs in runs:
         headline = _run_resolved(resolved, objs, args.threads)[2]

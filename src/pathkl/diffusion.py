@@ -55,6 +55,12 @@ __all__ = [
 # sized by elements, never hold fewer. No result depends on it.
 BLOCK_PATHS = 1024
 
+# Entries a blocked path reduction holds beside the ensemble, 16 MiB: one
+# block of girsanov's half-sums or of the residual-energy profile's basis
+# jets. A girsanov block costs a drift_quad call per grid time (about 10 us
+# for a constant pair), so narrower blocks are slower. No result depends on it.
+WORKING_SET_ELEMENTS = 2 ** 21
+
 # Increments the sampler draws at once, 8 MiB of scratch beside the
 # ensemble: a draw block holds max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d))
 # paths, so long grids stay bounded. No result depends on it.
@@ -454,7 +460,7 @@ def no_nan(values: np.ndarray, what: str, t: float | None) -> np.ndarray:
 class PairCoefficients:
     """Coefficients of (mu, P) on the time slices of an ensemble.
 
-    A model's constant_matrix is inverted at most once per run; any other
+    P's constant_matrix is inverted at most once per instance; any other
     model's matrix is evaluated and solved against at every (t, x) of a
     slice. In d = 1 that solve is a division with the same bits, so a
     state-dependent pair makes no LAPACK call per slice.
@@ -484,17 +490,15 @@ class PairCoefficients:
                                     self.spec_mu.constant_matrix),
                       "variance part of the pair", None)
 
-    def _column(self, k: int, rows: slice = slice(None)):
-        return float(self.times[k]), self.states[rows, k]
+    def _column(self, k: int):
+        return float(self.times[k]), self.states[:, k]
 
-    def drift_quad(self, k: int, a=None,
-                   rows: slice = slice(None)) -> np.ndarray:
-        """Per-path (e - b)' a^{-1} (e - b) at column k, on the given rows
-        of paths; a is P's matrix_at there, evaluated here unless it is
-        passed. Each path's value does not depend on the rows asked for.
-        As with variance_part, a NaN in a passed a or in the drifts passes
-        through to the result; the estimators check it (drift_term)."""
-        t, x = self._column(k, rows)
+    def drift_quad(self, k: int, a=None) -> np.ndarray:
+        """Per-path (e - b)' a^{-1} (e - b) at column k; a is P's matrix_at
+        there, evaluated here unless it is passed. As with variance_part, a
+        NaN in a passed a or in the drifts passes through to the result;
+        the estimators check it (drift_term)."""
+        t, x = self._column(k)
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
         if self.a_inv is not None:

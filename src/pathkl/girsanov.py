@@ -14,12 +14,13 @@ against an independent expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .diffusion import (
     BLOCK_PATHS,
+    WORKING_SET_ELEMENTS,
     DiffusionSpec,
     InitialLaw,
     MatchReport,
@@ -44,28 +45,15 @@ __all__ = [
 ]
 
 
-# Integrand entries _drift_gap_energy holds at once, 16 MiB: a block holds
-# max(BLOCK_PATHS, GAP_BLOCK_ELEMENTS // (m + 1)) paths. Each block costs a
-# drift_quad call per grid time, about 10 us for a constant pair, so
-# narrower blocks are slower; on 10^4 paths x 1001 times (five blocks) a
-# girsanov_entropy call takes 0.155 s, as with 2^22 entries (best of 7 on
-# a 2-core x86 machine). No result depends on it.
-GAP_BLOCK_ELEMENTS = 2 ** 21
-
-# Integrand entries each np.trapezoid call reads, 2 MiB: it makes
-# temporaries of about three times its input. No result depends on it.
-TRAPEZOID_ELEMENTS = 2 ** 18
-
-
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                       ensemble: PathEnsemble) -> np.ndarray:
     """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}.
 
-    The (n, m + 1) integrand is never held whole: it is built one block of
-    paths at a time, column by column, and each block is integrated before
-    the next is built. np.trapezoid makes temporaries of about three times
-    its input, so it runs on sub-blocks of about TRAPEZOID_ELEMENTS
-    entries. Each path's integral does not depend on either block size. As
+    The (n, m + 1) integrand is never held whole: the paths are read in
+    blocks of max(BLOCK_PATHS, WORKING_SET_ELEMENTS // (m + 1)), and each
+    block's m trapezoid half-sums are written as its columns are walked,
+    then summed per path, the arithmetic of np.trapezoid on the whole
+    integrand. Each path's integral does not depend on the block size. As
     for a scan of whole columns, an error names the earliest grid time
     where any path fails.
 
@@ -75,29 +63,34 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
             a state-dependent reference diffusion on some path.
     """
-    pair = PairCoefficients(spec_mu, spec_P, ensemble)
     n, m_plus_1, _ = ensemble.states.shape
-    times = ensemble.grid.points
-    rows = max(BLOCK_PATHS, GAP_BLOCK_ELEMENTS // m_plus_1)
-    sub = max(1, TRAPEZOID_ELEMENTS // m_plus_1)
-    block = np.empty((min(rows, n), m_plus_1))
+    dt = np.diff(ensemble.grid.points)
+    rows = max(BLOCK_PATHS, WORKING_SET_ELEMENTS // m_plus_1)
+    block = np.empty((min(rows, n), dt.size))
     out = np.empty(n)
     for lo in range(0, n, rows):
-        part = block[:min(rows, n - lo)]
+        pair = PairCoefficients(spec_mu, spec_P, replace(
+            ensemble, states=ensemble.states[lo:lo + rows]))
+        part = block[:pair.states.shape[0]]
+        energy = out[lo:lo + part.shape[0]]
         try:
-            for k in range(m_plus_1):
-                part[:, k] = pair.drift_quad(k, rows=slice(lo, lo + rows))
-            failed = not np.isfinite(part).all()
-        except (np.linalg.LinAlgError, ModelEvaluationError,
-                PositiveDefinitenessError):
+            q = pair.drift_quad(0)
+            for k, step in enumerate(dt):
+                q_next = pair.drift_quad(k + 1)
+                h = q + q_next
+                h *= step
+                h /= 2.0
+                part[:, k] = h
+                q = q_next
+            # a non-finite half-sum makes its path's sum non-finite
+            failed = not np.isfinite(part.sum(axis=1, out=energy)).all()
+        except (ModelEvaluationError, PositiveDefinitenessError):
             failed = True
         if failed:
             # a later block may fail at an earlier time: scan whole columns
+            whole = PairCoefficients(spec_mu, spec_P, ensemble)
             for k in range(m_plus_1):
-                pair.drift_term(k)
-        energy = out[lo:lo + part.shape[0]]
-        for s in range(0, part.shape[0], sub):
-            energy[s:s + sub] = np.trapezoid(part[s:s + sub], times, axis=1)
+                whole.drift_term(k)
     return out
 
 

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import (BLOCK_PATHS, DiffusionSpec, PathEnsemble, is_integer,
-                        no_nan)
+from .diffusion import (BLOCK_PATHS, WORKING_SET_ELEMENTS, DiffusionSpec,
+                        PathEnsemble, is_integer, no_nan)
 from .errors import (ArgumentError, ModelEvaluationError,
                      PositiveDefinitenessError, check_json_types)
 
@@ -55,11 +55,6 @@ __all__ = [
 # Pseudo-inverse cutoff relative to the largest singular value; duplicated or
 # near-collinear basis functions degrade gracefully instead of exploding.
 SVD_RCOND = 1e-8
-
-# Basis-jet entries residual_energy_profile holds per path block, 16 MiB
-# (see _block_rows). Blocks are whole chunks of BLOCK_PATHS paths and every
-# sum runs over the chunks, so no result depends on it.
-PROFILE_BLOCK_ELEMENTS = 2 ** 21
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +765,9 @@ def dual_energy(c: np.ndarray, gram: GramData) -> DualSolution:
 
 
 def drift_correction(residual: FokkerPlanckResidual, gram: GramData,
-                     basis: FunctionBasis, spec: DiffusionSpec,
-                     t: float | None = None) -> DriftCorrection:
-    """Drift-correction field for one time slice.
+                     basis: FunctionBasis, spec: DiffusionSpec
+                     ) -> DriftCorrection:
+    """Drift-correction field for one time slice, read at its time t.
 
     The field h = a · Σ g_k ∇f_k with g = Q⁺c makes the corrected generator
     reproduce the observed marginal flow within the basis resolution; its
@@ -781,8 +776,7 @@ def drift_correction(residual: FokkerPlanckResidual, gram: GramData,
     """
     sol = dual_energy(residual.values, gram)
     return DriftCorrection(coefficients=sol.coefficients, energy=sol.value,
-                           t=residual.t if t is None else t,
-                           basis=basis, spec=spec)
+                           t=residual.t, basis=basis, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +844,7 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
 
     Every quantity a slice needs is a path sum, so the paths are read in
     blocks, each a whole number of chunks of BLOCK_PATHS paths with about
-    PROFILE_BLOCK_ELEMENTS basis-jet entries, and every slice of a block
+    WORKING_SET_ELEMENTS basis-jet entries, and every slice of a block
     is done before the next block is read: memory does not grow with the
     path count beyond the per-chunk sums (profile.chunk_sums). Each slice's
     dual is solved once, from the chunk sums added in path order, so no
@@ -934,7 +928,7 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
 
 def _block_rows(basis: FunctionBasis, window: int, stride: int) -> int:
     """Paths per block of the profile: whole chunks, at least one, that take
-    about PROFILE_BLOCK_ELEMENTS entries, counted as one order-2 jet, K (1 +
+    about WORKING_SET_ELEMENTS entries, counted as one order-2 jet, K (1 +
     d + d²) entries per path, for each of 2 · window // stride + 2 grid
     indices. That covers the jets a block keeps and the temporaries of
     evaluating them: at the defaults (K = 12, d = 1, window 8, stride 4)
@@ -942,7 +936,7 @@ def _block_rows(basis: FunctionBasis, window: int, stride: int) -> int:
     d = basis.dim
     per_chunk = (BLOCK_PATHS * basis.size * (1 + d + d * d)
                  * (2 * window // stride + 2))
-    return BLOCK_PATHS * max(1, PROFILE_BLOCK_ELEMENTS // per_chunk)
+    return BLOCK_PATHS * max(1, WORKING_SET_ELEMENTS // per_chunk)
 
 
 def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,

@@ -44,6 +44,7 @@ from pathkl import (
     gram_matrix,
     make_model,
     mixed_basis,
+    refine_sequence,
     refinement_sweep,
     residual_energy_profile,
     sample_paths,
@@ -427,6 +428,7 @@ ARGUMENTS = {
                                             1.0), 1j),
     "cramer_rate.horizon": (lambda v: cramer_rate(
         make_model("brownian", {}), 1.0, v), 0.0),
+    "refine_sequence.levels": (lambda v: refine_sequence(GRID, v), 2.5),
 }
 
 

@@ -818,11 +818,14 @@ def test_compare_rejects_sanov(tmp_path):
                                     "threshold": 1.0, "n_list": [2],
                                     "trials": 200}),
     _girsanov_cfg(grid={"horizon": 2.0, "steps": 50}),
-], ids=["sanov", "horizon"])
+    _girsanov_cfg(grid={"horizon": 1.0, "steps": 100}, estimator="chain",
+                  estimator_params={"levels": 4}),
+], ids=["sanov", "horizon", "sweep-grid"])
 def test_compare_checks_every_config_before_running(tmp_path, monkeypatch,
                                                     second):
-    # both used to run the first config's route before the refusal, and a
-    # sanov config first ran its whole rate table
+    # each used to run the first config's route before the refusal, and a
+    # sanov config first ran its whole rate table; 2^3 does not divide a
+    # sweep's 100 steps
     from pathkl import cli
 
     sampled = _spy(monkeypatch, cli, "sample_paths", lambda *a, **kw: a[3])

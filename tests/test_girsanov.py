@@ -424,8 +424,7 @@ def _whole_integrand_energy(spec_mu, spec_p, ens):
 
 @pytest.mark.parametrize("pair", ["ou-bm", "linear-2d", "sine"])
 def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
-    # rows of 1500 paths: block boundaries at 1500 and 3000, and trapezoid
-    # sub-blocks of 400 rows inside them (at 400, 800, 1200, then 1900, ...)
+    # rows of 1500 paths: block boundaries at 1500 and 3000
     if pair == "ou-bm":
         spec_mu, spec_p = make_model("ou", {}), make_model("brownian", {})
     elif pair == "linear-2d":
@@ -435,11 +434,8 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
     else:
         spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
         spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
-    steps, rows, sub = 15, 1500, 400
-    monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", rows * (steps + 1),
-                        raising=False)
-    monkeypatch.setattr(girsanov, "TRAPEZOID_ELEMENTS", sub * (steps + 1),
-                        raising=False)
+    steps, rows = 15, 1500
+    monkeypatch.setattr(girsanov, "WORKING_SET_ELEMENTS", rows * (steps + 1))
     init = InitialLaw.point_mass([0.3] * spec_mu.dim)
     ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, steps),
                        2 * rows + 7, 11)
@@ -448,8 +444,7 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
         spec_mu, spec_p, ens).tobytes()
     for k in (1, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1, rows - 1,
               rows, rows + 1, rows + BLOCK_PATHS + 1, 2 * rows,
-              2 * rows + 1, sub - 1, sub, sub + 1, 3 * sub, 3 * sub + 1,
-              rows + sub - 1, rows + sub, rows + sub + 1, 2 * rows + 5):
+              2 * rows + 1, 2 * rows + 5):
         head = PathEnsemble(grid=ens.grid, states=ens.states[:k], seed=11)
         got = girsanov._drift_gap_energy(spec_mu, spec_p, head)
         assert got.tobytes() == full[:k].tobytes(), k
@@ -474,7 +469,7 @@ def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
     # a scan of whole columns does. A zero or NaN diffusion matrix is
     # refused where it is read; it sits on an odd path, which the match
     # check (every second path here) does not evaluate.
-    monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", 1, raising=False)
+    monkeypatch.setattr(girsanov, "WORKING_SET_ELEMENTS", 1)
     n, grid = 2 * BLOCK_PATHS + 5, TimeGrid.uniform(1.0, 200)
     t_late, t_early = float(grid.points[150]), float(grid.points[50])
     # state i of every path is its index, so the coefficients can single
@@ -506,9 +501,9 @@ def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
 
 def test_girsanov_never_holds_the_whole_integrand(monkeypatch):
     # with blocks of BLOCK_PATHS rows, what girsanov_entropy allocates
-    # beyond the ensemble is one block and its trapezoid temporaries, a
-    # fraction of the (n, m + 1) integrand
-    monkeypatch.setattr(girsanov, "GAP_BLOCK_ELEMENTS", 1, raising=False)
+    # beyond the ensemble is one block and per-column vectors of its rows,
+    # a fraction of the (n, m + 1) integrand
+    monkeypatch.setattr(girsanov, "WORKING_SET_ELEMENTS", 1)
     spec_mu, init, ens = _paths("ou", {}, steps=256, n=16 * BLOCK_PATHS,
                                 seed=4)
     spec_p = make_model("brownian", {})
@@ -524,17 +519,16 @@ def test_girsanov_never_holds_the_whole_integrand(monkeypatch):
 
 
 def test_girsanov_holds_one_block_at_the_default_budget():
-    # 16384 paths x 257 grid times is twice GAP_BLOCK_ELEMENTS: what
+    # 16384 paths x 257 grid times is twice WORKING_SET_ELEMENTS: what
     # girsanov_entropy allocates beyond the ensemble is one block of
-    # GAP_BLOCK_ELEMENTS entries, np.trapezoid's temporaries on one
-    # TRAPEZOID_ELEMENTS sub-block (about three times its input) and
-    # per-column vectors of one block's rows
+    # half-sums, at most WORKING_SET_ELEMENTS entries, and per-column
+    # vectors of one block's rows
     spec_mu, init, ens = _paths("ou", {}, steps=256, n=16 * BLOCK_PATHS,
                                 seed=4)
     spec_p = make_model("brownian", {})
-    rows = girsanov.GAP_BLOCK_ELEMENTS // ens.states.shape[1]
-    bound = 8 * (girsanov.GAP_BLOCK_ELEMENTS
-                 + 4 * girsanov.TRAPEZOID_ELEMENTS + 8 * rows)
+    budget = girsanov.WORKING_SET_ELEMENTS
+    rows = budget // ens.states.shape[1]
+    bound = 8 * (budget + 16 * rows)
     tracemalloc.start()
     try:
         est = girsanov_entropy(spec_mu, spec_p, init, init, ens)

@@ -452,7 +452,7 @@ def test_recovered_field_ou_shape():
     idx = 64
     res = fokker_planck_residual(ens, P, basis, t_index=idx, window=8)
     gram = gram_matrix(P, res.t, ens.states[:, idx], basis)
-    corr = drift_correction(res, gram, basis, P, t=res.t)
+    corr = drift_correction(res, gram, basis, P)
     ys = np.linspace(-0.9, 0.9, 9)[:, None]
     h = corr.field(ys)[:, 0]
     np.testing.assert_allclose(h, -gamma * ys[:, 0], atol=0.12)
