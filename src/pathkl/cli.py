@@ -25,11 +25,13 @@ from .chain import (Partition, chain_estimate, refine_sequence,
 from .diffusion import (
     DiffusionSpec,
     InitialLaw,
+    PathEnsemble,
     TimeGrid,
     check_seed,
     make_model,
     model_ids,
     model_params,
+    path_blocks,
     probe_stride,
     sample_paths,
     substream_seed,
@@ -40,6 +42,8 @@ from .errors import (
     CapabilityError,
     ConvergenceError,
     InsufficientSamplingError,
+    ModelEvaluationError,
+    PositiveDefinitenessError,
     check_json_types,
     check_keys,
     exit_code_for,
@@ -217,22 +221,74 @@ def _set_params(resolved: dict, *keys: str) -> dict:
             else params[key] for key in keys if key in params}
 
 
+class _SampledPaths:
+    """Paths 0 to n_paths - 1 of one law's run, sampled through sample_paths
+    a block at a time and never held whole: block(lo, hi) is paths lo to
+    hi - 1, states[lo:hi] of the whole ensemble bit for bit, as
+    PathEnsemble.block gives them."""
+
+    # a plain class: a dataclass would add about 1 ms to every import
+    def __init__(self, spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
+                 n_paths: int, seed: int, threads: int):
+        self.spec, self.init, self.grid = spec, init, grid
+        self.n_paths, self.seed, self.threads = n_paths, seed, threads
+        self.buffer = np.empty(0)
+
+    def sample(self, lo: int, hi: int, stride: int = 1, out=None):
+        """Paths lo, lo + stride, ... < hi."""
+        return sample_paths(self.spec, self.init, self.grid, hi, self.seed,
+                            threads=self.threads, stride=stride, first=lo,
+                            out=out)
+
+    def block(self, lo: int, hi: int):
+        """Paths lo to hi - 1, valid until the next block is sampled: the
+        blocks share one buffer, which grows to the largest, so a run
+        allocates its states once (and the heap is not left holding the
+        freed blocks). A sampler's error is the one sampling all n_paths
+        paths raises, which names the earliest failing time over them all:
+        a later block may fail at an earlier time."""
+        size = (hi - lo) * self.grid.points.shape[0] * self.spec.dim
+        if self.buffer.size < size:
+            self.buffer = np.empty(0)       # the old one goes first
+            self.buffer = np.empty(size)
+        try:
+            return self.sample(lo, hi, out=self.buffer)
+        except (ModelEvaluationError, PositiveDefinitenessError):
+            if hi - lo < self.n_paths:
+                self.sample(0, self.n_paths)
+            raise
+
+    def column(self, k: int) -> np.ndarray:
+        """The states of all paths at grid index k, an (n_paths, d) array,
+        sampled in the blocks of path_blocks."""
+        out = np.empty((self.n_paths, self.spec.dim))
+        for lo, hi in path_blocks(self.n_paths, self.grid.points.shape[0]):
+            out[lo:hi] = self.block(lo, hi).states[:, k]
+        return out
+
+
 def _run_girsanov(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     n, seed = resolved["n_paths"], resolved["seed"]
     tol = _set_params(resolved, "tol_match")
-    # the paths the match check reads first: on a mismatch the estimate is
-    # +inf, and the rest of the ensemble is never sampled; on a match the
-    # probe's report is the full ensemble's, and a stride-1 probe is it
+    paths = _SampledPaths(spec_mu, init_mu, grid, n, seed, threads)
+    # the paths the match check reads come first: on a mismatch the
+    # estimate is +inf, and the rest are never sampled; on a match the
+    # probe's report is the full ensemble's, a stride-1 probe is the
+    # ensemble, and otherwise girsanov_entropy samples the paths a block
+    # at a time. A constant pair's check reads no path, so its probe holds
+    # none; mu's matrix is refused first, as sampling refuses it
     stride = probe_stride(spec_mu, spec_p, n, grid.points.shape[0])
-    ensemble = sample_paths(spec_mu, init_mu, grid, n, seed, threads=threads,
-                            stride=stride)
-    report, est = girsanov_match(spec_mu, spec_p, ensemble, **tol)
+    if stride:
+        probe = paths.sample(0, n, stride)
+    else:
+        spec_mu.constant_factor
+        probe = PathEnsemble(grid, np.empty((0, grid.points.shape[0],
+                                             spec_mu.dim)), seed)
+    report, est = girsanov_match(spec_mu, spec_p, probe, **tol)
     if est is None:
-        if stride > 1:
-            ensemble = sample_paths(spec_mu, init_mu, grid, n, seed,
-                                    threads=threads)
-        est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p, ensemble,
+        est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p,
+                               probe if stride == 1 else paths,
                                report=report)
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
@@ -299,11 +355,11 @@ def _run_dv_marginal(resolved, objs, threads):
     config = OptimizerConfig(**opt)
     seed = resolved["seed"]
     idx = grid.index_of(t)
-    ens_mu = sample_paths(spec_mu, init_mu, grid, n, seed, threads=threads)
-    ens_p = sample_paths(spec_p, init_p, grid, n,
-                         substream_seed(seed, 1), threads=threads)
-    s_mu = ens_mu.states[:, idx]
-    s_p = ens_p.states[:, idx]
+    # only the column at t of each ensemble is kept
+    s_mu = _SampledPaths(spec_mu, init_mu, grid, n, seed,
+                         threads).column(idx)
+    s_p = _SampledPaths(spec_p, init_p, grid, n, substream_seed(seed, 1),
+                        threads).column(idx)
 
     basis = basis_from_config(params["basis"]) if "basis" in params \
         else pooled_dv_basis(s_mu, s_p)

@@ -14,7 +14,7 @@ import math
 import numbers
 import reprlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -55,10 +55,11 @@ __all__ = [
 # sized by elements, never hold fewer. No result depends on it.
 BLOCK_PATHS = 1024
 
-# Entries a blocked path reduction holds beside the ensemble, 16 MiB: one
-# block of girsanov's half-sums or of the residual-energy profile's basis
-# jets. A girsanov block costs a drift_quad call per grid time (about 10 us
-# for a constant pair), so narrower blocks are slower. No result depends on it.
+# Entries a blocked path reduction holds at once, 16 MiB: one path_blocks
+# block of sampled states or of girsanov's half-sums, or one block of the
+# residual-energy profile's basis jets. A girsanov block costs a drift_quad
+# call per grid time (about 10 us for a constant pair), so narrower blocks
+# are slower. No result depends on it.
 WORKING_SET_ELEMENTS = 2 ** 21
 
 # Increments the sampler draws at once, 8 MiB of scratch beside the
@@ -69,6 +70,21 @@ BLOCK_ELEMENTS = 2 ** 20
 # States diffusion_match_check compares, about: it takes every stride-th
 # path at every grid time (probe_stride).
 MATCH_POINTS = 200_000
+
+
+def path_blocks(n: int, n_times: int) -> list[tuple[int, int]]:
+    """The (lo, hi) ranges, in order, in which a blocked reduction reads n
+    paths on n_times grid times: max(BLOCK_PATHS, WORKING_SET_ELEMENTS //
+    n_times) paths each, but the last, which also takes a lone path left
+    over. numpy computes a matrix product of one row with BLAS gemv, which
+    can round otherwise than the same row of a larger product, so a path
+    in d >= 2 is never stepped or evaluated alone unless n is 1.
+    """
+    starts = list(range(0, n, max(BLOCK_PATHS, WORKING_SET_ELEMENTS
+                                  // n_times)))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def positive_definite(a: np.ndarray) -> bool:
@@ -289,6 +305,10 @@ class PathEnsemble:
     @property
     def dim(self) -> int:
         return self.states.shape[2]
+
+    def block(self, lo: int, hi: int) -> "PathEnsemble":
+        """Paths lo to hi - 1, a view of their states."""
+        return replace(self, states=self.states[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -555,12 +575,12 @@ def probe_stride(spec_mu: DiffusionSpec, spec_P: DiffusionSpec, n: int,
     """The stride s of the paths diffusion_match_check reads of an ensemble
     of n paths on n_times grid times: paths 0, s, 2s, ... < n at every
     time, s = max(1, n * n_times // MATCH_POINTS), about MATCH_POINTS
-    states. s is 1 when both diffusions are constant: the check compares
+    states. s is 0 when both diffusions are constant: the check compares
     the two matrices once and reads no path.
     """
     if spec_mu.constant_matrix is not None \
             and spec_P.constant_matrix is not None:
-        return 1
+        return 0
     return max(1, n * n_times // MATCH_POINTS)
 
 
@@ -574,8 +594,8 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     max ||c - a||_2 / ||a||_2 over sampled (t, x_t) and passes iff it is
     within tol_match. The states are every s-th path at every grid time,
     s = probe_stride's, about MATCH_POINTS in all.
-    When both models have a constant_matrix, the two are compared once and
-    n_evaluated is 1.
+    When both models have a constant_matrix, the two are compared once, at
+    the first grid time, no path is read and n_evaluated is 1.
 
     Raises:
         ModelEvaluationError: a matrix entry is not finite, or a distance
@@ -590,7 +610,8 @@ def diffusion_match_check(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     arg_t = 0.0
     count = 0
     for k in range(1 if constant else m_plus_1):
-        t, x = float(ensemble_mu.grid.points[k]), states[::stride, k]
+        t = float(ensemble_mu.grid.points[k])
+        x = None if constant else states[::stride, k]
         # the raw matrices: a mismatch is reported, not refused
         a = a0 if a0 is not None else np.asarray(
             spec_P.diffusion_matrix(t, x), dtype=float)
@@ -679,40 +700,60 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid,
 
 def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
                  n: int, seed: int, threads: int = 1,
-                 stride: int = 1) -> PathEnsemble:
-    """Sample the Euler-Maruyama paths 0, stride, 2 stride, ... < n.
+                 stride: int = 1, first: int = 0,
+                 out: np.ndarray | None = None) -> PathEnsemble:
+    """Sample the Euler-Maruyama paths first, first + stride, ... < n.
 
     Path i is stream i of stream_inputs: it draws its initial state and all
     its increments from the Philox substream keyed by (seed, i), so the
-    ensemble is bit-identical for any thread count, and a stride > 1 gives
-    states[::stride] of the run with stride 1. Each thread draws its
-    range into the ensemble in blocks of max(BLOCK_PATHS, BLOCK_ELEMENTS //
-    (steps * d)) paths, then steps it in place in one Euler pass: an error
-    from a diffusion matrix names the earliest time at which a path of the
-    first failing range fails.
+    ensemble is bit-identical for any thread count, and a first > 0 or a
+    stride > 1 gives states[first::stride] of the run of paths 0 to n - 1
+    (in d >= 2, unless it is a single path: path_blocks). Each thread
+    draws its range into the ensemble in blocks of max(BLOCK_PATHS,
+    BLOCK_ELEMENTS // (steps * d)) paths, then steps it in place in one
+    Euler pass: an error from a diffusion matrix names the earliest time
+    at which a path of the first failing range fails.
 
     Args:
         spec: the diffusion law to simulate.
         init: time-zero law.
         grid: simulation grid.
-        n: paths 0 to n - 1 are sampled (n >= 1), or every stride-th.
+        n: paths first to n - 1 are sampled (n >= 1), or every stride-th.
         seed: master seed for the substream family.
         threads: worker threads; partitions the path range only.
         stride: sample every stride-th path (>= 1).
+        first: the first path sampled (0 <= first < n).
+        out: a contiguous 1-d float64 array to sample into, of at least
+            len(grid) × (number of paths) × d entries, or None for a new
+            one; the states are a view of its first entries.
 
     Returns:
-        PathEnsemble of shape (len(range(0, n, stride)), len(grid), d).
+        PathEnsemble of shape (len(range(first, n, stride)), len(grid), d).
 
     Raises:
-        ArgumentError: n or stride is not a positive integer (a bool is not
-            one), or the initial law's dimension is not the model's.
+        ArgumentError: n or stride is not a positive integer, first is not
+            an integer in [0, n) (a bool is not an integer), out is not an
+            array as above, or the initial law's dimension is not the
+            model's.
     """
     check_count(n, "n")
     check_count(stride, "stride")
+    if not (is_integer(first) and 0 <= first < n):
+        raise ArgumentError(f"first must be an integer in [0, {n}), got "
+                            f"{first!r}")
     if init.dim != spec.dim:
         raise ArgumentError("initial law dimension does not match model")
-    streams = range(0, n, stride)
-    buf = np.empty((grid.points.shape[0], len(streams), spec.dim))
+    streams = range(first, n, stride)
+    shape = (grid.points.shape[0], len(streams), spec.dim)
+    if out is None:
+        buf = np.empty(shape)
+    elif (isinstance(out, np.ndarray) and out.dtype == np.float64
+          and out.ndim == 1 and out.flags.c_contiguous
+          and out.size >= math.prod(shape)):
+        buf = out[:math.prod(shape)].reshape(shape)
+    else:
+        raise ArgumentError(f"out must be a contiguous 1-d float64 array of "
+                            f"at least {math.prod(shape)} entries")
     block = max(BLOCK_PATHS, BLOCK_ELEMENTS // (grid.n_steps * spec.dim))
 
     def simulate(lo: int, hi: int) -> None:

@@ -14,13 +14,11 @@ against an independent expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diffusion import (
-    BLOCK_PATHS,
-    WORKING_SET_ELEMENTS,
     DiffusionSpec,
     InitialLaw,
     MatchReport,
@@ -29,6 +27,7 @@ from .diffusion import (
     check_number,
     diffusion_match_check,
     param,
+    path_blocks,
     positive_definite,
 )
 from .errors import (ArgumentError, CapabilityError, ModelEvaluationError,
@@ -46,16 +45,20 @@ __all__ = [
 
 
 def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                      ensemble: PathEnsemble) -> np.ndarray:
+                      paths) -> np.ndarray:
     """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}.
 
-    The (n, m + 1) integrand is never held whole: the paths are read in
-    blocks of max(BLOCK_PATHS, WORKING_SET_ELEMENTS // (m + 1)), and each
-    block's m trapezoid half-sums are written as its columns are walked,
-    then summed per path, the arithmetic of np.trapezoid on the whole
-    integrand. Each path's integral does not depend on the block size. As
-    for a scan of whole columns, an error names the earliest grid time
-    where any path fails.
+    paths is a PathEnsemble, or any source of one with its grid, n_paths
+    and block(lo, hi), the PathEnsemble of paths lo to hi - 1 (pathkl run
+    samples each block as it is read). The paths are read in the blocks
+    of path_blocks(n, m + 1), and each block's m trapezoid half-sums are
+    written as its columns are walked, then summed per path, the
+    arithmetic of np.trapezoid on the whole integrand. A block is dropped
+    before the next is read, so neither the (n, m + 1) integrand nor,
+    from a source, the ensemble is held whole. Each path's integral does
+    not depend on the block size. On a fault in any block, all n paths are
+    read as one block and their columns scanned, so an error names the
+    earliest grid time where any path fails.
 
     Raises:
         ModelEvaluationError: the integrand is NaN or infinite on some path;
@@ -63,35 +66,39 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
             a state-dependent reference diffusion on some path.
     """
-    n, m_plus_1, _ = ensemble.states.shape
-    dt = np.diff(ensemble.grid.points)
-    rows = max(BLOCK_PATHS, WORKING_SET_ELEMENTS // m_plus_1)
-    block = np.empty((min(rows, n), dt.size))
+    n, times = paths.n_paths, paths.grid.points
+    dt = np.diff(times)
+    blocks = path_blocks(n, times.shape[0])
+    half = np.empty((max(hi - lo for lo, hi in blocks), dt.size))
     out = np.empty(n)
-    for lo in range(0, n, rows):
-        pair = PairCoefficients(spec_mu, spec_P, replace(
-            ensemble, states=ensemble.states[lo:lo + rows]))
-        part = block[:pair.states.shape[0]]
-        energy = out[lo:lo + part.shape[0]]
-        try:
-            q = pair.drift_quad(0)
-            for k, step in enumerate(dt):
-                q_next = pair.drift_quad(k + 1)
-                h = q + q_next
-                h *= step
-                h /= 2.0
-                part[:, k] = h
-                q = q_next
-            # a non-finite half-sum makes its path's sum non-finite
-            failed = not np.isfinite(part.sum(axis=1, out=energy)).all()
-        except (ModelEvaluationError, PositiveDefinitenessError):
-            failed = True
-        if failed:
+    for lo, hi in blocks:
+        if not _block_energy(PairCoefficients(spec_mu, spec_P,
+                                              paths.block(lo, hi)),
+                             dt, half[:hi - lo], out[lo:hi]):
             # a later block may fail at an earlier time: scan whole columns
-            whole = PairCoefficients(spec_mu, spec_P, ensemble)
-            for k in range(m_plus_1):
+            whole = PairCoefficients(spec_mu, spec_P, paths.block(0, n))
+            for k in range(times.shape[0]):
                 whole.drift_term(k)
     return out
+
+
+def _block_energy(pair: PairCoefficients, dt: np.ndarray, half: np.ndarray,
+                  out: np.ndarray) -> bool:
+    """Write each path's drift-gap integral into out, through its half-sums
+    in half; whether all are finite (False if a coefficient raised)."""
+    try:
+        q = pair.drift_quad(0)
+        for k, step in enumerate(dt):
+            q_next = pair.drift_quad(k + 1)
+            h = q + q_next
+            h *= step
+            h /= 2.0
+            half[:, k] = h
+            q = q_next
+    except (ModelEvaluationError, PositiveDefinitenessError):
+        return False
+    # a non-finite half-sum makes its path's sum non-finite
+    return bool(np.isfinite(half.sum(axis=1, out=out)).all())
 
 
 def girsanov_match(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -108,7 +115,8 @@ def girsanov_match(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     and n' = ceil(n / s) probe paths, n p < (s + 1) M: if p <= M then
     n' p <= (n + s - 1) p / s < 2M, and the probe's own stride is 1; if
     p > M then s >= n, and the probe is a single path, which any stride
-    reads whole.
+    reads whole. For a constant pair s is 0: the check reads no path, and
+    ensemble may hold none.
 
     Raises:
         ArgumentError: tol_match is not a finite number >= 0.
@@ -125,15 +133,16 @@ def girsanov_match(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
 
 def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                      init_mu: InitialLaw, init_P: InitialLaw,
-                     ensemble_mu: PathEnsemble, *, tol_match: float = 1e-6,
+                     ensemble_mu, *, tol_match: float = 1e-6,
                      report: MatchReport | None = None) -> EntropyEstimate:
     """Initial term plus half the expected weighted drift-gap energy.
 
-    Runs the diffusion match check first, unless report is the passing
-    report girsanov_match gave on ensemble_mu or on its probe: a mismatch
-    means mutual singularity, and the estimate is +inf with the report
-    attached rather than a meaningless finite number. path_space_estimate
-    adds the two terms.
+    ensemble_mu is mu's PathEnsemble, or a source that gives it a block at
+    a time (_drift_gap_energy). Runs the diffusion match check first, on
+    all its paths, unless report is the passing report girsanov_match gave
+    on ensemble_mu or on its probe: a mismatch means mutual singularity,
+    and the estimate is +inf with the report attached rather than a
+    meaningless finite number. path_space_estimate adds the two terms.
 
     Returns:
         EntropyEstimate with the match report, the initial term, and the
@@ -144,8 +153,9 @@ def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
             did not pass.
     """
     if report is None:
-        report, mismatch = girsanov_match(spec_mu, spec_P, ensemble_mu,
-                                          tol_match=tol_match)
+        report, mismatch = girsanov_match(
+            spec_mu, spec_P, ensemble_mu.block(0, ensemble_mu.n_paths),
+            tol_match=tol_match)
         if mismatch is not None:
             return mismatch
     elif not report.passed:

@@ -19,7 +19,7 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -960,7 +960,7 @@ def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         moments=np.empty(shape + (k,)), gram=np.empty(shape + (k,)))
     centres = set(idxs)
     for lo in range(0, n, rows):
-        block = replace(ensemble, states=ensemble.states[lo:lo + rows])
+        block = ensemble.block(lo, lo + rows)
         chunks = slice(lo // BLOCK_PATHS, (lo + rows) // BLOCK_PATHS)
         jets: dict[int, tuple] = {}
         for s, i in enumerate(idxs):

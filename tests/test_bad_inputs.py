@@ -424,6 +424,11 @@ ARGUMENTS = {
         _ensemble(), make_model("brownian", {}), BASIS, 16, v), 1.5),
     "sample_paths.stride": (lambda v: sample_paths(
         make_model("brownian", {}), INIT, GRID, 200, 5, stride=v), 0),
+    "sample_paths.first": (lambda v: sample_paths(
+        make_model("brownian", {}), INIT, GRID, 200, 5, first=v), 200),
+    "sample_paths.out": (lambda v: sample_paths(
+        make_model("brownian", {}), INIT, GRID, 200, 5, out=v),
+        np.empty(200 * GRID.points.shape[0] - 1)),
     "cramer_rate.z": (lambda v: cramer_rate(make_model("brownian", {}), v,
                                             1.0), 1j),
     "cramer_rate.horizon": (lambda v: cramer_rate(

@@ -7,14 +7,16 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pathkl import (DiffusionSpec, InitialLaw, ModelEvaluationError, TimeGrid,
-                    girsanov_entropy, make_model, refinement_sweep,
-                    register_model, sample_paths)
+from pathkl import (DiffusionSpec, InitialLaw, ModelEvaluationError,
+                    PositiveDefinitenessError, TimeGrid, girsanov_entropy,
+                    make_model, refinement_sweep, register_model,
+                    sample_paths)
 from pathkl.cli import ESTIMATORS, main, run_config
 from pathkl.diffusion import model_ids, model_params
 
@@ -482,24 +484,26 @@ def _spy(monkeypatch, module, name, record):
     return calls
 
 
-# pair -> (model_mu, model_P, n_paths, the (n, stride) of the sample_paths
-# calls expected, the paths of the ensemble the match check reads); 2000
-# paths x 257 grid times is above twice MATCH_POINTS, so the check reads
-# every second path, and 500 x 257 is below it
+# pair -> (model_mu, model_P, n_paths, the (first, n, stride) of the
+# sample_paths calls expected, the paths of the ensemble the match check
+# reads); 2000 paths x 257 grid times is above twice MATCH_POINTS, so the
+# check reads every second path, and 500 x 257 is below it; 2000 paths are
+# one block
 PROBE_RUNS = {
-    "mismatch": (SINE_MU, SINE_P, 2000, [(2000, 2)], 1000),
-    "match": (SINE_P, SINE_P, 2000, [(2000, 2), (2000, 1)], 1000),
+    "mismatch": (SINE_MU, SINE_P, 2000, [(0, 2000, 2)], 1000),
+    "match": (SINE_P, SINE_P, 2000, [(0, 2000, 2), (0, 2000, 1)], 1000),
     "constant": ({"id": "ou", "params": {}}, {"id": "brownian", "params": {}},
-                 2000, [(2000, 1)], 2000),
-    "stride-one": (SINE_MU, SINE_P, 500, [(500, 1)], 500),
+                 2000, [(0, 2000, 1)], 0),
+    "stride-one": (SINE_MU, SINE_P, 500, [(0, 500, 1)], 500),
 }
 
 
 @pytest.mark.parametrize("pair", PROBE_RUNS)
 def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
     # a mismatched state-dependent pair never samples all n paths; a
-    # constant pair, or a check that reads every path, samples once; the
-    # match check runs once, on the probe where there is one; the estimate
+    # constant pair's check reads no path, and it samples once, after the
+    # check; a check that reads every path samples once; the match check
+    # runs once, on the probe where there is one; the estimate
     # is the library's on the full ensemble either way, and unless the
     # check fails it comes from one girsanov_entropy call on that ensemble
     from pathkl import cli, girsanov
@@ -508,8 +512,8 @@ def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
     cfg = _girsanov_cfg(model_mu=model_mu, model_P=model_p, n_paths=n,
                         grid={"horizon": 1.0, "steps": 256}, seed=3)
     sampled = _spy(monkeypatch, cli, "sample_paths",
-                   lambda spec, init, grid, n, seed, threads=1, stride=1:
-                   (n, stride))
+                   lambda spec, init, grid, n, seed, threads=1, stride=1,
+                   first=0, out=None: (first, n, stride))
     matched = _spy(monkeypatch, girsanov, "diffusion_match_check",
                    lambda spec_mu, spec_p, ensemble, **kw: ensemble.n_paths)
     estimated = _spy(monkeypatch, cli, "girsanov_entropy",
@@ -527,6 +531,32 @@ def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
     assert (est["value"], est["std_error"]) == (want.value, want.std_error)
     report = want.diagnostics["match_report"]
     assert est["diagnostics"]["match_report"] == dataclasses.asdict(report)
+
+
+def test_a_constant_mismatch_samples_nothing(monkeypatch):
+    # declared behaviour: a constant pair's check compares the two matrices
+    # and reads no path, so a mismatch is +inf before any path is sampled,
+    # and an infinite drift is never met (sampling first raised on it)
+    from pathkl import cli, diffusion
+
+    monkeypatch.setattr(diffusion, "_CATALOG", dict(diffusion._CATALOG))
+    register_model("runaway", lambda params, dim: dataclasses.replace(
+        make_model("brownian", {"a": 2.0}),
+        drift=lambda t, x: np.full(np.shape(x), np.inf)), ())
+    sampled = _spy(monkeypatch, cli, "sample_paths", lambda *a, **kw: None)
+    est = run_config(_girsanov_cfg(
+        model_mu={"id": "runaway", "params": {}}))[1]["estimate"]
+    assert (est["value"], sampled) == (math.inf, [])
+    assert est["diagnostics"]["match_report"]["n_evaluated"] == 1
+
+
+def test_a_constant_pair_refuses_mu_matrix_before_its_check():
+    # mu's constant matrix is refused before the check, as sampling refuses
+    # it, so a mismatch against a matrix that is not positive definite is
+    # an error, not +inf
+    cfg = _girsanov_cfg(model_mu={"id": "brownian", "params": {"a": -1.0}})
+    with pytest.raises(PositiveDefinitenessError, match="constant diffusion"):
+        run_config(cfg)
 
 
 def _masked_sine(drift_above, diffusion_above):
@@ -601,6 +631,258 @@ def test_a_fault_on_the_probe_names_its_earliest_time(probe_paths):
     when = re.escape(f"at t = {times[first_read]:g}")
     with pytest.raises(ModelEvaluationError, match=when + "( |$)"):
         run_config(_masked_cfg("nan_diffusion_above", bound))
+
+
+# ---------------------------------------------------------------------------
+# girsanov on a match: the paths are sampled, integrated and dropped one
+# block at a time
+
+
+def _sine_ou(params, dim):
+    """sine_diffusion a = 1 (amplitude 0.5) with the drift -x: matched with
+    sine_diffusion, with a drift gap."""
+    spec = make_model("sine_diffusion", {"a": 1.0})
+    return dataclasses.replace(spec, drift=lambda t, x: -np.asarray(x))
+
+
+@pytest.fixture
+def sine_ou(monkeypatch):
+    from pathkl import diffusion
+
+    monkeypatch.setattr(diffusion, "_CATALOG", dict(diffusion._CATALOG))
+    register_model("sine_ou", _sine_ou, ())
+
+
+A_2D = [[1.0, 0.3], [0.3, 0.5]]
+
+# pair -> (model_mu, model_P, initial law)
+BLOCK_PAIRS = {
+    "constant": ({"id": "ou", "params": {}}, {"id": "brownian", "params": {}},
+                 {"kind": "point", "point": [0.3]}),
+    "sine": ({"id": "sine_ou", "params": {}},
+             {"id": "sine_diffusion", "params": {"a": 1.0}},
+             {"kind": "gaussian", "mean": [0.3], "covariance": [[0.5]]}),
+    # matrix products: numpy takes one of a single row through gemv, which
+    # rounds otherwise for some rows, so a lone path joins the last block
+    "linear-2d": ({"id": "linear", "params": {
+        "A": [[-1.0, 0.5], [0.2, -0.3]], "a": A_2D}},
+                  {"id": "brownian", "params": {"a": A_2D}},
+                  {"kind": "gaussian", "mean": [0.3, 0.3],
+                   "covariance": A_2D}),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("blocks", [1, 2, 3.5, "2+1"])
+@pytest.mark.parametrize("pair", BLOCK_PAIRS)
+def test_girsanov_run_is_the_library_on_the_whole_ensemble(
+        pair, blocks, threads, sine_ou, monkeypatch):
+    # blocks of BLOCK_PATHS paths, each sampled through cli.sample_paths:
+    # the value, the standard error and every per-path energy are those of
+    # girsanov_entropy on all n paths sampled at once
+    from pathkl import cli, diffusion, girsanov
+
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    monkeypatch.setattr(diffusion, "MATCH_POINTS", 1000)
+    rows, steps = diffusion.BLOCK_PATHS, 32
+    n = 2 * rows + 1 if blocks == "2+1" else int(blocks * rows)
+    model_mu, model_p, init = BLOCK_PAIRS[pair]
+    cfg = _girsanov_cfg(model_mu=model_mu, model_P=model_p, initial_mu=init,
+                        initial_P=init, n_paths=n, seed=5,
+                        grid={"horizon": 1.0, "steps": steps})
+    energies = _spy(monkeypatch, girsanov, "path_mean_and_se",
+                    lambda values: values.copy())
+    sampled = _spy(monkeypatch, cli, "sample_paths",
+                   lambda spec, init, grid, n, seed, threads=1, stride=1,
+                   first=0, out=None: (first, n, stride))
+    est = run_config(cfg, threads=threads)[1]["estimate"]
+    spec_mu, spec_p, init_mu, init_p, grid = cli._built_objects(
+        cli.resolve_config(cfg))
+    stride = diffusion.probe_stride(spec_mu, spec_p, n, steps + 1)
+    probe = [(0, n, stride)] if stride else []
+    bounds = list(range(0, n, rows)) + [n]
+    if blocks == "2+1":
+        bounds.remove(2 * rows)
+    assert sampled == probe + [(lo, hi, 1)
+                               for lo, hi in zip(bounds, bounds[1:])]
+    want = girsanov_entropy(spec_mu, spec_p, init_mu, init_p,
+                            sample_paths(spec_mu, init_mu, grid, n, 5))
+    assert (est["value"], est["std_error"]) == (want.value, want.std_error)
+    assert len(energies) == 2 and energies[0].shape == (n,)
+    assert energies[0].tobytes() == energies[1].tobytes()
+    assert est["diagnostics"]["match_report"] == dataclasses.asdict(
+        want.diagnostics["match_report"])
+
+
+def test_girsanov_run_holds_one_block_of_paths():
+    # 16384 paths x 257 grid times are two blocks: beside small vectors the
+    # run holds one block of states, one of half-sums and the sampler's
+    # draw scratch, below the whole ensemble and one block of half-sums
+    from pathkl import diffusion
+
+    n, steps = 16 * diffusion.BLOCK_PATHS, 256
+    rows = diffusion.path_blocks(n, steps + 1)[0][1]
+    assert n == 2 * rows + 64
+    cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
+                        grid={"horizon": 1.0, "steps": steps}, seed=4)
+    block = 8 * diffusion.WORKING_SET_ELEMENTS
+    bound = 2 * block + 8 * diffusion.BLOCK_ELEMENTS + 8 * 16 * rows
+    run_config(dict(cfg, n_paths=10))   # what a first run imports
+    tracemalloc.start()
+    try:
+        est = run_config(cfg)[1]["estimate"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est["value"])
+    ensemble = 8 * n * (steps + 1)
+    assert peak < bound < ensemble + 8 * rows * steps, (peak, bound)
+
+
+def _first_faults(states, bound, rows):
+    """The first grid index at which a path of each block of rows paths
+    lies above bound (-1 if none does)."""
+    above = states > bound
+    return [int(np.argmax(block.any(axis=0))) if block.any() else -1
+            for block in (above[lo:lo + rows]
+                          for lo in range(0, states.shape[0], rows))]
+
+
+@pytest.fixture
+def fault_bound(monkeypatch):
+    """Masked sine laws in the catalogue, blocks of BLOCK_PATHS paths, a
+    probe of path 0 alone, and a function of the unmasked states of 3.5
+    blocks of paths (seed 3, 64 steps) that gives a bound the first block
+    passes later than a later block does, and path 0 never passes."""
+    from pathkl import diffusion
+
+    monkeypatch.setattr(diffusion, "_CATALOG", dict(diffusion._CATALOG))
+    register_model("zero_diffusion_above", _masked_sine(0.0, 0.0),
+                   ("bound",))
+    register_model("nan_drift_above", _masked_sine(np.nan, None), ("bound",))
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    monkeypatch.setattr(diffusion, "MATCH_POINTS", 65)
+    rows = diffusion.BLOCK_PATHS
+    grid = TimeGrid.uniform(1.0, 64)
+    states = sample_paths(make_model(SINE_MU["id"], SINE_MU["params"]),
+                          InitialLaw.point_mass([0.0]), grid,
+                          7 * rows // 2, 3).states[..., 0]
+
+    def find(read):
+        # read: the grid indices at which the faulty coefficient is read
+        for bound in np.quantile(states[1:, read].max(axis=1),
+                                 np.linspace(0.999, 0.5, 200)):
+            first = _first_faults(states[:, read], bound, rows)
+            later = [k for k in first[1:] if k >= 0]
+            if (states[0].max() < bound and first[0] >= 0 and later
+                    and min(later) < first[0]):
+                return float(bound), grid.points[read][min(later)]
+        raise AssertionError("no bound separates the blocks")
+
+    return grid, rows, find
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fault", ["sampler", "drift-gap"])
+def test_girsanov_block_fault_raises_the_whole_ensemble_error(
+        fault, threads, fault_bound):
+    # the first block fails at a later time than a later block: the run
+    # raises what the whole ensemble raises, the error of sampling all
+    # paths at once (a diffusion matrix of 0) or of the whole-column scan
+    # (a NaN drift of P), which names the earliest failing time
+    grid, rows, find = fault_bound
+    n, init = 7 * rows // 2, InitialLaw.point_mass([0.0])
+    if fault == "sampler":
+        bound, t_early = find(slice(0, -1))
+        model_mu = {"id": "zero_diffusion_above", "params": {"bound": bound}}
+        model_p = SINE_MU
+    else:
+        bound, t_early = find(slice(None))
+        model_mu = SINE_MU
+        model_p = {"id": "nan_drift_above", "params": {"bound": bound}}
+    cfg = _girsanov_cfg(model_mu=model_mu, model_P=model_p, n_paths=n,
+                        grid={"horizon": 1.0, "steps": 64}, seed=3)
+    spec_mu = make_model(model_mu["id"], model_mu["params"])
+    spec_p = make_model(model_p["id"], model_p["params"])
+    with pytest.raises((ModelEvaluationError,
+                        PositiveDefinitenessError)) as whole:
+        girsanov_entropy(spec_mu, spec_p, init, init, sample_paths(
+            spec_mu, init, grid, n, 3, threads=threads))
+    if fault == "drift-gap" or threads == 1:
+        # (two sampling threads name the first failing half's earliest time)
+        assert f"at t = {t_early:g} " in str(whole.value) + " "
+    with pytest.raises(type(whole.value)) as run:
+        run_config(cfg, threads=threads)
+    assert str(run.value) == str(whole.value)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _dv_cfg(n, steps, seed):
+    return _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
+                         grid={"horizon": 1.0, "steps": steps}, seed=seed,
+                         estimator="dv-marginal",
+                         estimator_params={"t": 0.5})
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dv_marginal_samples_keep_one_column(threads, monkeypatch):
+    # blocks of BLOCK_PATHS paths, and 3.5 blocks of each law: the samples
+    # are the columns at t of the two whole ensembles, bit for bit
+    from pathkl import cli, diffusion
+
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    rows, steps = diffusion.BLOCK_PATHS, 16
+    n = 7 * rows // 2
+
+    def stop(s_mu, s_p, basis, config):
+        raise _Stop(s_mu, s_p)
+
+    monkeypatch.setattr(cli, "dv_estimate", stop)
+    sampled = _spy(monkeypatch, cli, "sample_paths",
+                   lambda spec, init, grid, n, seed, threads=1, stride=1,
+                   first=0, out=None: (first, n))
+    with pytest.raises(_Stop) as got:
+        run_config(_dv_cfg(n, steps, 6), threads=threads)
+    bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    assert sampled == bounds + bounds
+    spec_mu, spec_p, init_mu, init_p, grid = cli._built_objects(
+        cli.resolve_config(_dv_cfg(n, steps, 6)))
+    idx = grid.index_of(0.5)
+    for samples, spec, init, seed in zip(
+            got.value.args, (spec_mu, spec_p), (init_mu, init_p),
+            (6, cli.substream_seed(6, 1))):
+        whole = sample_paths(spec, init, grid, n, seed).states[:, idx]
+        assert samples.tobytes() == np.ascontiguousarray(whole).tobytes()
+
+
+def test_dv_marginal_samples_one_block_at_a_time(monkeypatch):
+    # 16384 paths x 129 grid times are two blocks of each law: sampling
+    # holds one block of states and the draw scratch beside the two
+    # columns, less than the two ensembles
+    from pathkl import cli, diffusion
+
+    n, steps = 16 * diffusion.BLOCK_PATHS, 128
+    assert len(diffusion.path_blocks(n, steps + 1)) == 2
+
+    def stop(s_mu, s_p, basis, config):
+        raise _Stop(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(cli, "dv_estimate", stop)
+    with pytest.raises(_Stop):
+        run_config(_dv_cfg(10, steps, 2))   # what a first run imports
+    bound = 8 * (diffusion.WORKING_SET_ELEMENTS + diffusion.BLOCK_ELEMENTS
+                 + 16 * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop) as got:
+            run_config(_dv_cfg(n, steps, 2))
+    finally:
+        tracemalloc.stop()
+    peak = got.value.args[0]
+    assert peak < bound < 2 * 8 * n * (steps + 1), (peak, bound)
 
 
 def test_run_capability_error_exits_4(tmp_path, capsys):

@@ -480,6 +480,36 @@ def test_strided_paths_are_rows_of_the_full_run(law, threads, monkeypatch):
         assert np.array_equal(strided.states, full.states[::stride]), stride
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law", STRIDED_LAWS)
+def test_path_blocks_are_rows_of_the_full_run(law, threads, monkeypatch):
+    # paths first, first + s, ... < n are states[first:n:s] of the run of
+    # paths 0 to n - 1, across draw blocks of 8 paths and thread ranges
+    # (blocks of two paths or more: in d >= 2 a lone path's matrix
+    # products go through gemv, and path_blocks never leaves one alone)
+    monkeypatch.setattr(pathkl.diffusion, "BLOCK_PATHS", 8)
+    monkeypatch.setattr(pathkl.diffusion, "BLOCK_ELEMENTS", 8)
+    spec, init = STRIDED_LAWS[law]
+    grid, n = TimeGrid.uniform(1.0, 24), 61
+    full = sample_paths(spec, init, grid, n, 3, threads=1)
+    buffer = np.full(n * 25 * spec.dim, np.nan)
+    for first, hi, stride in [(0, 8, 1), (1, 9, 1), (7, 61, 1), (8, 16, 1),
+                              (33, 61, 1), (59, 61, 1), (5, 40, 3),
+                              (46, 61, 7)]:
+        block = sample_paths(spec, init, grid, hi, 3, threads=threads,
+                             stride=stride, first=first)
+        assert np.array_equal(block.states,
+                              full.states[first:hi:stride]), (first, hi)
+        # and sampled into a buffer that a previous block filled
+        block = sample_paths(spec, init, grid, hi, 3, threads=threads,
+                             stride=stride, first=first, out=buffer)
+        assert np.shares_memory(block.states, buffer)
+        assert np.array_equal(block.states,
+                              full.states[first:hi:stride]), (first, hi)
+        assert np.array_equal(full.block(first, hi).states,
+                              full.states[first:hi])
+
+
 def test_sampler_calls_the_model_once_per_step():
     # 1024 steps make draw blocks of BLOCK_PATHS paths; 1030 paths are drawn
     # in two blocks and stepped in one pass

@@ -400,14 +400,21 @@ def test_probe_report_is_the_full_report(size, amplitude_p, monkeypatch):
 
 
 def test_constant_pairs_have_no_probe(monkeypatch):
-    # a constant pair compares its two matrices once, reading no path
+    # a constant pair compares its two matrices once, reading no path: its
+    # stride is 0, and the check on no paths gives the full report
     monkeypatch.setattr(diffusion, "MATCH_POINTS", 1000)
     sine = make_model("sine_diffusion", {})
     for spec_mu, spec_p, stride in [
-            (make_model("ou", {}), make_model("brownian", {}), 1),
+            (make_model("ou", {}), make_model("brownian", {}), 0),
             (make_model("ou", {}), sine, 650),
             (sine, make_model("brownian", {}), 650)]:
         assert probe_stride(spec_mu, spec_p, 10_000, 65) == stride
+    spec_mu = make_model("ou", {"a": 2.0})
+    spec_p = make_model("brownian", {})
+    grid = TimeGrid.uniform(1.0, 64)
+    full = sample_paths(spec_mu, InitialLaw.point_mass([0.0]), grid, 50, 1)
+    assert diffusion_match_check(spec_mu, spec_p, full.block(0, 0)) \
+        == diffusion_match_check(spec_mu, spec_p, full)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +442,7 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
         spec_p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
         spec_mu = dataclasses.replace(spec_p, drift=lambda t, x: -x)
     steps, rows = 15, 1500
-    monkeypatch.setattr(girsanov, "WORKING_SET_ELEMENTS", rows * (steps + 1))
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", rows * (steps + 1))
     init = InitialLaw.point_mass([0.3] * spec_mu.dim)
     ens = sample_paths(spec_mu, init, TimeGrid.uniform(1.0, steps),
                        2 * rows + 7, 11)
@@ -454,6 +461,28 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
         spec_mu, spec_p, ens).tobytes() == full.tobytes()
 
 
+def test_a_lone_path_joins_the_last_block(monkeypatch):
+    # numpy takes a matrix product of one row through BLAS gemv, which
+    # rounds otherwise than a larger product for some rows (path 1024 of
+    # seed 0 here), so path_blocks leaves no path alone in a block
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    n = BLOCK_PATHS + 1
+    assert diffusion.path_blocks(1, 16) == [(0, 1)]
+    assert diffusion.path_blocks(n, 16) == [(0, n)]
+    assert diffusion.path_blocks(2 * BLOCK_PATHS + 1, 16) == [
+        (0, BLOCK_PATHS), (BLOCK_PATHS, 2 * BLOCK_PATHS + 1)]
+    assert diffusion.path_blocks(2 * BLOCK_PATHS + 2, 16) == [
+        (0, BLOCK_PATHS), (BLOCK_PATHS, 2 * BLOCK_PATHS),
+        (2 * BLOCK_PATHS, 2 * BLOCK_PATHS + 2)]
+    spec_mu = make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],
+                                    "a": A_FULL}, dim=2)
+    spec_p = make_model("brownian", {"a": A_FULL}, dim=2)
+    ens = sample_paths(spec_mu, InitialLaw.point_mass([0.3, 0.3]),
+                       TimeGrid.uniform(1.0, 15), n, 0)
+    assert girsanov._drift_gap_energy(spec_mu, spec_p, ens).tobytes() \
+        == _whole_integrand_energy(spec_mu, spec_p, ens).tobytes()
+
+
 @pytest.mark.parametrize("late,early,kind", [
     ("nan", np.nan, "NaN"),
     ("nan", np.inf, "infinite"),
@@ -469,7 +498,7 @@ def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
     # a scan of whole columns does. A zero or NaN diffusion matrix is
     # refused where it is read; it sits on an odd path, which the match
     # check (every second path here) does not evaluate.
-    monkeypatch.setattr(girsanov, "WORKING_SET_ELEMENTS", 1)
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
     n, grid = 2 * BLOCK_PATHS + 5, TimeGrid.uniform(1.0, 200)
     t_late, t_early = float(grid.points[150]), float(grid.points[50])
     # state i of every path is its index, so the coefficients can single
@@ -485,13 +514,13 @@ def test_drift_gap_error_names_earliest_time_over_blocks(late, early, kind,
         gap[(t == t_early) & (x == n - 3.0)] = early
         return gap
 
-    def diffusion(t, x):
+    def matrix(t, x):
         bad = {"singular": 0.0, "nan-diffusion": np.nan}.get(late, 1.0)
         return np.where((t == t_late) & (x[..., 0] == 5.0), bad,
                         1.0)[..., None, None]
 
     spec_p = DiffusionSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
-                           diffusion_matrix=diffusion)
+                           diffusion_matrix=matrix)
     spec_mu = dataclasses.replace(spec_p, drift=drift)
     init = InitialLaw.point_mass([0.0])
     with pytest.raises(ModelEvaluationError,
@@ -503,7 +532,7 @@ def test_girsanov_never_holds_the_whole_integrand(monkeypatch):
     # with blocks of BLOCK_PATHS rows, what girsanov_entropy allocates
     # beyond the ensemble is one block and per-column vectors of its rows,
     # a fraction of the (n, m + 1) integrand
-    monkeypatch.setattr(girsanov, "WORKING_SET_ELEMENTS", 1)
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
     spec_mu, init, ens = _paths("ou", {}, steps=256, n=16 * BLOCK_PATHS,
                                 seed=4)
     spec_p = make_model("brownian", {})
@@ -526,7 +555,7 @@ def test_girsanov_holds_one_block_at_the_default_budget():
     spec_mu, init, ens = _paths("ou", {}, steps=256, n=16 * BLOCK_PATHS,
                                 seed=4)
     spec_p = make_model("brownian", {})
-    budget = girsanov.WORKING_SET_ELEMENTS
+    budget = diffusion.WORKING_SET_ELEMENTS
     rows = budget // ens.states.shape[1]
     bound = 8 * (budget + 16 * rows)
     tracemalloc.start()

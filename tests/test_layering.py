@@ -129,6 +129,14 @@ def test_sampling_and_the_match_check_are_called_where_the_trace_wraps():
             _called(name))}
     assert modules("sample_paths") == {"cli.py", "chain.py"}
     assert modules("diffusion_match_check") == {"girsanov.py"}
+    # girsanov's and dv-marginal's path blocks are sampled by
+    # _SampledPaths.sample, so they are timed and counted like a whole
+    # ensemble; the self-test's checks sample their own small ensembles
+    assert {site for site in _calls_by_function(_called("sample_paths"))
+            if site.startswith("cli.py")} == {
+                "cli.py:sample", "cli.py:_run_residual_energy",
+                "cli.py:_selftest_checks", "cli.py:check_mismatch_step",
+                "cli.py:check_constant_drift"}
 
 
 def test_one_rule_joins_the_initial_term_to_the_path_terms():
