@@ -78,7 +78,8 @@ def path_blocks(n: int, n_times: int) -> list[tuple[int, int]]:
     n_times) paths each, but the last, which also takes a lone path left
     over. numpy computes a matrix product of one row with BLAS gemv, which
     can round otherwise than the same row of a larger product, so a path
-    in d >= 2 is never stepped or evaluated alone unless n is 1.
+    in d >= 2 is never evaluated alone unless n is 1 (euler_maruyama
+    never steps one alone).
     """
     starts = list(range(0, n, max(BLOCK_PATHS, WORKING_SET_ELEMENTS
                                   // n_times)))
@@ -444,18 +445,15 @@ def variance_part(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     a (the reference) and c (the ensemble) must have passed the PD rule, as
     matrix_at, constant_factor and check_positive_definite pass them.
 
-    1 x 1 matrices take a closed form with LAPACK's bits: c / a is the 1 x 1
-    solve, and the log is libm's, as slogdet takes it: math.log for a
-    single pair, xlogy(1, a) per entry otherwise (np.log's vector loop
-    differs from libm in the last bit on some inputs). As with slogdet, a
-    NaN entry passes through to the result.
+    1 x 1 matrices take a closed form: c / a is the 1 x 1 solve, with
+    LAPACK's bits, and the logs are np.log's, the same bits for a single
+    pair and for a stack of them. np.log is within 1 ulp of the libm log
+    slogdet takes, and differs from it in the last bit on a few entries in
+    1000. As with slogdet, a NaN entry passes through to the result.
     """
     if a.shape[-1] == 1:
         a1, c1 = a[..., 0, 0], c[..., 0, 0]
-        if a1.ndim == 0 and c1.ndim == 0:
-            return c1 / a1 - 1 + (math.log(a1) - math.log(c1))
-        from scipy.special import xlogy
-        return c1 / a1 - 1 + (xlogy(1.0, a1) - xlogy(1.0, c1))
+        return c1 / a1 - 1 + (np.log(a1) - np.log(c1))
     logdet_a = np.linalg.slogdet(a)[1]
     logdet_c = np.linalg.slogdet(c)[1]
     trace = np.trace(np.linalg.solve(a, c), axis1=-2, axis2=-1)
@@ -482,8 +480,9 @@ class PairCoefficients:
 
     P's constant_matrix is inverted at most once per instance; any other
     model's matrix is evaluated and solved against at every (t, x) of a
-    slice. In d = 1 that solve is a division with the same bits, so a
-    state-dependent pair makes no LAPACK call per slice.
+    slice. In d = 1 that solve is a division with the same bits, and the
+    log-determinants are np.log's (variance_part), so a state-dependent
+    pair makes no LAPACK call per slice.
     """
 
     def __init__(self, spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
@@ -666,13 +665,21 @@ def euler_maruyama(spec: DiffusionSpec, grid: TimeGrid,
     (out[1:]). Step k reads the states out[k] and overwrites the increments
     in out[k + 1] with (x + b dt) + noise sqrt(dt). All n paths take each
     step together, so an error from a diffusion matrix names the earliest
-    time at which any of them fails.
+    time at which any of them fails. A single path in d >= 2 is stepped
+    beside a copy of itself, so it gets the bits it has in a larger block:
+    numpy computes a matrix product of one row with BLAS gemv, which can
+    round otherwise than the same row of a larger product.
 
     Raises:
         PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
             a diffusion matrix along the paths.
         ModelEvaluationError: the paths reach non-finite states.
     """
+    if out.shape[1] == 1 and spec.dim > 1:
+        pair = np.concatenate([out, out], axis=1)
+        euler_maruyama(spec, grid, pair)
+        out[...] = pair[:, :1]
+        return
     times = grid.points
     chol = spec.constant_factor
     step, noise = np.empty_like(out[0]), np.empty_like(out[0])
@@ -707,12 +714,11 @@ def sample_paths(spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
     Path i is stream i of stream_inputs: it draws its initial state and all
     its increments from the Philox substream keyed by (seed, i), so the
     ensemble is bit-identical for any thread count, and a first > 0 or a
-    stride > 1 gives states[first::stride] of the run of paths 0 to n - 1
-    (in d >= 2, unless it is a single path: path_blocks). Each thread
-    draws its range into the ensemble in blocks of max(BLOCK_PATHS,
-    BLOCK_ELEMENTS // (steps * d)) paths, then steps it in place in one
-    Euler pass: an error from a diffusion matrix names the earliest time
-    at which a path of the first failing range fails.
+    stride > 1 gives states[first::stride] of the run of paths 0 to n - 1.
+    Each thread draws its range into the ensemble in blocks of
+    max(BLOCK_PATHS, BLOCK_ELEMENTS // (steps * d)) paths, then steps it
+    in place in one Euler pass: an error from a diffusion matrix names the
+    earliest time at which a path of the first failing range fails.
 
     Args:
         spec: the diffusion law to simulate.

@@ -149,6 +149,10 @@ def gaussian_cell_probabilities(law: GaussianLaw):
 
     Requires a covariance that is diagonal within TOL_LINALG · max |entry|
     (cell probabilities factor over axes) and passes positive_definite.
+    A cell's probability on an axis is a difference of math.erfc values:
+    of the survival function ½ erfc(z / √2) for a cell above the mean, so
+    that upper-tail cells keep their relative precision, else of the
+    distribution function ½ erfc(-z / √2).
     """
     cov = law.covariance
     d = law.mean.shape[0]
@@ -160,14 +164,13 @@ def gaussian_cell_probabilities(law: GaussianLaw):
     sd = np.sqrt(np.diag(cov))
 
     def provider(partition: SpacePartition) -> np.ndarray:
-        from scipy.special import ndtr
         if partition.dim != d:
             raise ArgumentError("partition dimension does not match law")
         per_axis = []
         for i, e in enumerate(partition.axis_edges):
-            z = (e - law.mean[i]) / sd[i]
-            cdf = ndtr(z)
-            per_axis.append(np.diff(cdf))
+            z = ((e - law.mean[i]) / sd[i]).tolist()
+            per_axis.append(np.array([_normal_mass(lo, hi)
+                                      for lo, hi in zip(z, z[1:])]))
         probs = per_axis[0]
         for arr in per_axis[1:]:
             probs = np.multiply.outer(probs, arr)
@@ -176,6 +179,15 @@ def gaussian_cell_probabilities(law: GaussianLaw):
         return np.concatenate([probs, [remainder]])
 
     return provider
+
+
+def _normal_mass(lo: float, hi: float) -> float:
+    """P(lo < Z < hi) for a standard normal Z, from the side of the mean
+    the cell lies on."""
+    r = math.sqrt(2.0)
+    if lo >= 0.0:
+        return 0.5 * (math.erfc(lo / r) - math.erfc(hi / r))
+    return 0.5 * (math.erfc(-hi / r) - math.erfc(-lo / r))
 
 
 def empirical_cell_probabilities(samples):

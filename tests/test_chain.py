@@ -629,7 +629,7 @@ def test_chain_holds_levels_times_paths_floats(mu, p):
                                     partitions[-1], ensemble=ens), 1),
             (lambda: _chain_levels(spec_mu, spec_p, init, init, ens,
                                    partitions), levels)]:
-        run()       # a first call may import scipy.special for xlogy
+        run()
         tracemalloc.start()
         try:
             run()

@@ -1,6 +1,7 @@
 """Model evaluation, the one-step law, and path sampling."""
 
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -510,6 +511,20 @@ def test_path_blocks_are_rows_of_the_full_run(law, threads, monkeypatch):
                               full.states[first:hi])
 
 
+def test_a_one_path_run_is_path_zero_of_a_larger_run():
+    # in d >= 2 a one-row matrix product goes through gemv, which rounds
+    # otherwise than the same row of a larger product; the sampler steps a
+    # lone path beside a copy of itself, so the "first k paths" rule holds
+    # for k = 1 too
+    spec, init = STRIDED_LAWS["linear-2d"]
+    grid = TimeGrid.uniform(1.0, 128)
+    for seed in range(60):
+        one = sample_paths(spec, init, grid, 1, seed)
+        assert np.array_equal(one.states,
+                              sample_paths(spec, init, grid, 50,
+                                           seed).states[:1]), seed
+
+
 def test_sampler_calls_the_model_once_per_step():
     # 1024 steps make draw blocks of BLOCK_PATHS paths; 1030 paths are drawn
     # in two blocks and stepped in one pass
@@ -712,19 +727,48 @@ def _lapack_variance_part(a, c):
 @pytest.mark.parametrize("lead", [(), (4000,), (200, 20)],
                          ids=["scalar", "stack", "grid"])
 def test_variance_part_1x1_matches_lapack(lead):
-    size = int(np.prod(lead, dtype=int))
+    # c / a is LAPACK's 1 x 1 solve; the logs are np.log's, which differ
+    # from slogdet's libm log by at most 1 ulp. The scalar case is every
+    # pair of special entries, the other cases stacks of random entries
     if lead:
+        size = int(np.prod(lead, dtype=int))
         a = _entries(size, 1).reshape(lead + (1, 1))
         c = _entries(size, 2)[::-1].reshape(lead + (1, 1))
-        pairs = [(a, c)]
     else:
         entries = SPECIAL_ENTRIES + [3.7, 1e-5]
-        pairs = [(np.array([[x]]), np.array([[y]]))
-                 for x in entries for y in entries]
-    for a, c in pairs:
-        got, want = variance_part(a, c), _lapack_variance_part(a, c)
-        assert np.shape(got) == lead
+        a, c = (np.array(side).reshape(-1, 1, 1)
+                for side in zip(*itertools.product(entries, entries)))
+    got = variance_part(a, c)
+    assert np.shape(got) == a.shape[:-2]
+    # (i) each pair alone gives the bits it has in the stack
+    alone = [variance_part(x, y) for x, y in
+             zip(a.reshape(-1, 1, 1), c.reshape(-1, 1, 1))]
+    assert all(np.shape(value) == () for value in alone)
+    assert np.array_equal(got.reshape(-1), alone, equal_nan=True)
+    # (ii) each log is within 1 ulp of slogdet's, so the result is within
+    # the rounding those ulps can reach of the LAPACK formula
+    x = np.concatenate([a.reshape(-1), c.reshape(-1)])
+    lapack_log = np.linalg.slogdet(x[:, None, None])[1]
+    finite = np.isfinite(lapack_log)
+    assert np.all(np.abs(np.log(x) - lapack_log)[finite]
+                  <= np.spacing(np.abs(lapack_log))[finite])
+    assert np.array_equal(np.log(x)[~finite], lapack_log[~finite],
+                          equal_nan=True)
+    want = _lapack_variance_part(a, c)
+    log_a, log_c = np.linalg.slogdet(a)[1], np.linalg.slogdet(c)[1]
+    ulps = (np.spacing(np.abs(log_a)) + np.spacing(np.abs(log_c))
+            + 2 * np.spacing(np.abs(log_a - log_c))
+            + 2 * np.spacing(np.abs(want)))
+    close = np.isfinite(want)
+    assert np.all(np.abs(got - want)[close] <= ulps[close])
+    assert np.array_equal(got[~close], want[~close], equal_nan=True)
+    if not lead:
+        # on the special entries np.log and libm agree: a constant pair of
+        # them keeps the bits it had with math.log
         assert np.array_equal(got, want, equal_nan=True)
+    # (iii) a NaN entry passes through, as with slogdet
+    nan = np.isnan(a[..., 0, 0]) | np.isnan(c[..., 0, 0])
+    assert nan.any() and np.isnan(got[nan]).all()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet")

@@ -38,23 +38,12 @@ def test_every_exported_name_is_defined():
     assert undefined == []
 
 
-def _import_time_nodes(tree):
-    """The nodes a module runs when imported: all but function bodies."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def test_no_module_imports_scipy_at_import_time():
-    # scipy.special takes longer to import than numpy, so only the routes
-    # that use scipy load it
+def test_no_module_imports_scipy():
+    # the package needs numpy only: no module imports scipy, at import time
+    # or in a function body
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _import_time_nodes(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -174,6 +163,15 @@ _RUNS = {
                                    "trials": 200}},
 }
 
+# the mismatch-sine workload's models
+_SINE_PAIR = {
+    **_CONSTANT_PAIR,
+    "model_mu": {"id": "sine_diffusion",
+                 "params": {"a": 2.0, "amplitude": 0.5}},
+    "model_P": {"id": "sine_diffusion",
+                "params": {"a": 1.0, "amplitude": 0.5}},
+}
+
 _FRESH_RUN = """
 import sys
 from pathkl import cli
@@ -182,23 +180,45 @@ for path in sys.argv[1:]:
 for path in sys.argv[1:]:
     code = cli.main(["run", "--config", path, "--out", path + ".out"])
     assert code == 0, (path, code)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_constant_pair_runs_never_load_scipy(tmp_path):
+def _scipy_after_fresh_runs(tmp_path, pair, runs, then=""):
+    """The scipy modules a fresh interpreter has loaded after a `pathkl
+    run` of pair with each of runs' overrides, then the statements then."""
     paths = []
-    for name, over in _RUNS.items():
+    for name, over in runs.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({**_CONSTANT_PAIR, **over}))
+        path.write_text(json.dumps({**pair, **over}))
         paths.append(str(path))
+    script = _FRESH_RUN + then + """
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
     search = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(search)}
-    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *paths],
+    proc = subprocess.run([sys.executable, "-c", script, *paths],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
     for path in paths:
         report = json.loads(Path(path + ".out").read_text())
         assert report["command"] == "run"
+    return proc.stdout.strip()
+
+
+def test_constant_pair_runs_never_load_scipy(tmp_path):
+    assert _scipy_after_fresh_runs(tmp_path, _CONSTANT_PAIR, _RUNS) == "[]"
+
+
+def test_state_dependent_runs_and_the_histogram_never_load_scipy(tmp_path):
+    # the per-column log of a 1-d state-dependent pair is np.log's, and the
+    # Gaussian histogram provider takes its normal masses from math.erfc
+    histogram = """
+import numpy as np
+from pathkl import GaussianLaw, SpacePartition, gaussian_cell_probabilities
+law = GaussianLaw(np.zeros(1), np.eye(1))
+gaussian_cell_probabilities(law)(SpacePartition.regular(-3.0, 3.0, 8))
+"""
+    runs = {name: _RUNS[name] for name in ("girsanov", "chain")}
+    assert _scipy_after_fresh_runs(tmp_path, _SINE_PAIR, runs,
+                                   histogram) == "[]"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,6 +201,20 @@ def test_gaussian_provider_sums_to_one():
     assert probs.shape == (11,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert probs[-1] == pytest.approx(2 * (1 - 0.9986501019683699), rel=1e-6)
+
+
+@pytest.mark.parametrize("lo,hi", [(8.0, 9.0), (-9.0, -8.0), (-1.0, 2.0),
+                                   (0.0, 0.5)])
+def test_gaussian_provider_keeps_tail_cells_precise(lo, hi):
+    # a cell 8 to 9 SD above the mean holds 6.2e-16: a difference of the
+    # distribution function there is 7% off, the survival side is not
+    law = _g(1.0, 4.0)
+    part = SpacePartition((np.array([1.0 + 2 * lo, 1.0 + 2 * hi]),))
+    probs = gaussian_cell_probabilities(law)(part)
+    want = (scipy.stats.norm.sf(lo) - scipy.stats.norm.sf(hi) if lo >= 0
+            else scipy.stats.norm.cdf(hi) - scipy.stats.norm.cdf(lo))
+    assert probs[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert probs[1] == pytest.approx(1.0 - want, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_provider_rejects_coupled_covariance():
