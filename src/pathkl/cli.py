@@ -31,8 +31,8 @@ from .diffusion import (
     make_model,
     model_ids,
     model_params,
-    path_blocks,
     probe_stride,
+    read_blocks,
     sample_paths,
     substream_seed,
 )
@@ -42,8 +42,6 @@ from .errors import (
     CapabilityError,
     ConvergenceError,
     InsufficientSamplingError,
-    ModelEvaluationError,
-    PositiveDefinitenessError,
     check_json_types,
     check_keys,
     exit_code_for,
@@ -225,7 +223,9 @@ class _SampledPaths:
     """Paths 0 to n_paths - 1 of one law's run, sampled through sample_paths
     a block at a time and never held whole: block(lo, hi) is paths lo to
     hi - 1, states[lo:hi] of the whole ensemble bit for bit, as
-    PathEnsemble.block gives them."""
+    PathEnsemble.block gives them. Read through read_blocks, a sampler's
+    error is the one sampling all n_paths paths raises, which names the
+    earliest failing time over them all."""
 
     # a plain class: a dataclass would add about 1 ms to every import
     def __init__(self, spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
@@ -244,26 +244,22 @@ class _SampledPaths:
         """Paths lo to hi - 1, valid until the next block is sampled: the
         blocks share one buffer, which grows to the largest, so a run
         allocates its states once (and the heap is not left holding the
-        freed blocks). A sampler's error is the one sampling all n_paths
-        paths raises, which names the earliest failing time over them all:
-        a later block may fail at an earlier time."""
+        freed blocks)."""
         size = (hi - lo) * self.grid.points.shape[0] * self.spec.dim
         if self.buffer.size < size:
             self.buffer = np.empty(0)       # the old one goes first
             self.buffer = np.empty(size)
-        try:
-            return self.sample(lo, hi, out=self.buffer)
-        except (ModelEvaluationError, PositiveDefinitenessError):
-            if hi - lo < self.n_paths:
-                self.sample(0, self.n_paths)
-            raise
+        return self.sample(lo, hi, out=self.buffer)
 
     def column(self, k: int) -> np.ndarray:
         """The states of all paths at grid index k, an (n_paths, d) array,
-        sampled in the blocks of path_blocks."""
+        sampled in the blocks of read_blocks."""
         out = np.empty((self.n_paths, self.spec.dim))
-        for lo, hi in path_blocks(self.n_paths, self.grid.points.shape[0]):
-            out[lo:hi] = self.block(lo, hi).states[:, k]
+
+        def keep(block: PathEnsemble, lo: int, hi: int) -> None:
+            out[lo:hi] = block.states[:, k]
+
+        read_blocks(self, self.grid.points.shape[0], keep)
         return out
 
 

@@ -50,9 +50,11 @@ __all__ = [
     "param",
 ]
 
-# Paths handled together: sanov batches its trials in blocks of at most
-# this many paths, and the sampler's draw blocks and girsanov's blocks,
-# sized by elements, never hold fewer. No result depends on it.
+# Paths handled together: a blocked path reduction reads whole chunks of
+# this many paths (path_blocks), the residual-energy route sums over them,
+# sanov batches its trials in blocks of at most this many paths, and the
+# sampler's draw blocks, sized by elements, never hold fewer. No result
+# depends on it.
 BLOCK_PATHS = 1024
 
 # Entries a blocked path reduction holds at once, 16 MiB: one path_blocks
@@ -72,20 +74,44 @@ BLOCK_ELEMENTS = 2 ** 20
 MATCH_POINTS = 200_000
 
 
-def path_blocks(n: int, n_times: int) -> list[tuple[int, int]]:
-    """The (lo, hi) ranges, in order, in which a blocked reduction reads n
-    paths on n_times grid times: max(BLOCK_PATHS, WORKING_SET_ELEMENTS //
-    n_times) paths each, but the last, which also takes a lone path left
-    over. numpy computes a matrix product of one row with BLAS gemv, which
-    can round otherwise than the same row of a larger product, so a path
-    in d >= 2 is never evaluated alone unless n is 1 (euler_maruyama
-    never steps one alone).
+def path_blocks(n: int, per_path: int) -> list[tuple[int, int]]:
+    """The (lo, hi) ranges, in order, in which read_blocks reads n paths
+    that cost per_path entries each: whole chunks of BLOCK_PATHS paths, as
+    many as fit in WORKING_SET_ELEMENTS entries and at least one, but the
+    last block, which may be shorter and also takes a lone path left over.
+    numpy computes a matrix product of one row with BLAS gemv, which can
+    round otherwise than the same row of a larger product, so a path in
+    d >= 2 is never evaluated alone unless n is 1 (euler_maruyama never
+    steps one alone).
     """
-    starts = list(range(0, n, max(BLOCK_PATHS, WORKING_SET_ELEMENTS
-                                  // n_times)))
+    rows = BLOCK_PATHS * max(1, WORKING_SET_ELEMENTS
+                             // (BLOCK_PATHS * per_path))
+    starts = list(range(0, n, rows))
     if n - starts[-1] == 1 and len(starts) > 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
+
+
+def read_blocks(paths, per_path: int,
+                work: Callable[[PathEnsemble, int, int], object]) -> None:
+    """Call work(paths.block(lo, hi), lo, hi) for each range of
+    path_blocks(n, per_path), in order: a blocked reduction over the n
+    paths of paths, a PathEnsemble or any source of one with its grid,
+    n_paths and block(lo, hi), the PathEnsemble of paths lo to hi - 1.
+
+    A later block may fail at an earlier time than the block that failed
+    first, so on a ModelEvaluationError or PositiveDefinitenessError from
+    a block, work runs once more on all n paths as one block, and its
+    error, which names the earliest failing time over all paths, is the
+    one raised.
+    """
+    n = paths.n_paths
+    try:
+        for lo, hi in path_blocks(n, per_path):
+            work(paths.block(lo, hi), lo, hi)
+    except (ModelEvaluationError, PositiveDefinitenessError):
+        work(paths.block(0, n), 0, n)
+        raise
 
 
 def positive_definite(a: np.ndarray) -> bool:
@@ -490,6 +516,13 @@ class PairCoefficients:
         self.spec_mu, self.spec_P = spec_mu, spec_P
         self.states = ensemble.states
         self.times = ensemble.grid.points
+        # a lone path in d >= 2 is evaluated beside a copy of itself, and
+        # its row kept, as euler_maruyama steps it: a one-row matrix
+        # product goes through gemv, which can round otherwise
+        self.rows = slice(None)
+        if self.states.shape[0] == 1 and self.states.shape[2] > 1:
+            self.states = np.concatenate([self.states, self.states])
+            self.rows = slice(1)
 
     @cached_property
     def a_inv(self):
@@ -521,14 +554,14 @@ class PairCoefficients:
         gap = (np.asarray(self.spec_mu.drift(t, x), dtype=float)
                - np.asarray(self.spec_P.drift(t, x), dtype=float))
         if self.a_inv is not None:
-            return np.einsum("nd,nd->n", gap, _rows_times(gap, self.a_inv))
-        if a is None:
-            a = self.spec_P.matrix_at(t, x)
-        if a.shape[-1] == 1:
+            weighted = _rows_times(gap, self.a_inv)
+        else:
+            if a is None:
+                a = self.spec_P.matrix_at(t, x)
             # the 1 x 1 solve is a division
-            return np.einsum("nd,nd->n", gap, gap / a[..., 0])
-        return np.einsum("nd,nd->n", gap,
-                         np.linalg.solve(a, gap[..., None])[..., 0])
+            weighted = gap / a[..., 0] if a.shape[-1] == 1 \
+                else np.linalg.solve(a, gap[..., None])[..., 0]
+        return np.einsum("nd,nd->n", gap, weighted)[self.rows]
 
     def drift_term(self, k: int, a=None) -> np.ndarray:
         """drift_quad at column k; ModelEvaluationError if one is NaN."""
@@ -543,7 +576,8 @@ class PairCoefficients:
             return self.fixed, self.drift_term(k)
         t, x = self._column(k)
         a, c = self.spec_P.matrix_at(t, x), self.spec_mu.matrix_at(t, x)
-        return (no_nan(variance_part(a, c), "variance part of the pair", t),
+        return (no_nan(variance_part(a, c)[self.rows],
+                       "variance part of the pair", t),
                 self.drift_term(k, a))
 
 

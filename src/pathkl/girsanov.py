@@ -27,8 +27,8 @@ from .diffusion import (
     check_number,
     diffusion_match_check,
     param,
-    path_blocks,
     positive_definite,
+    read_blocks,
 )
 from .errors import (ArgumentError, CapabilityError, ModelEvaluationError,
                      PositiveDefinitenessError)
@@ -48,17 +48,16 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
                       paths) -> np.ndarray:
     """Per-path trapezoidal integral of |b - e|^2 weighted by a^{-1}.
 
-    paths is a PathEnsemble, or any source of one with its grid, n_paths
-    and block(lo, hi), the PathEnsemble of paths lo to hi - 1 (pathkl run
-    samples each block as it is read). The paths are read in the blocks
-    of path_blocks(n, m + 1), and each block's m trapezoid half-sums are
-    written as its columns are walked, then summed per path, the
-    arithmetic of np.trapezoid on the whole integrand. A block is dropped
-    before the next is read, so neither the (n, m + 1) integrand nor,
-    from a source, the ensemble is held whole. Each path's integral does
-    not depend on the block size. On a fault in any block, all n paths are
-    read as one block and their columns scanned, so an error names the
-    earliest grid time where any path fails.
+    paths is a PathEnsemble, or any source of one that read_blocks reads
+    (pathkl run samples each block as it is read). Each block's m
+    trapezoid half-sums are written as its columns are walked, then
+    summed per path, the arithmetic of np.trapezoid on the whole
+    integrand. A block is dropped before the next is read, so neither the
+    (n, m + 1) integrand nor, from a source, the ensemble is held whole.
+    Each path's integral does not depend on the block size. A block with a
+    non-finite integral has its columns scanned, so that, through
+    read_blocks, an error names the earliest grid time where any path
+    fails; an integral that overflows with finite columns stays inf.
 
     Raises:
         ModelEvaluationError: the integrand is NaN or infinite on some path;
@@ -66,26 +65,24 @@ def _drift_gap_energy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         PositiveDefinitenessError, ModelEvaluationError: as matrix_at, for
             a state-dependent reference diffusion on some path.
     """
-    n, times = paths.n_paths, paths.grid.points
-    dt = np.diff(times)
-    blocks = path_blocks(n, times.shape[0])
-    half = np.empty((max(hi - lo for lo, hi in blocks), dt.size))
-    out = np.empty(n)
-    for lo, hi in blocks:
-        if not _block_energy(PairCoefficients(spec_mu, spec_P,
-                                              paths.block(lo, hi)),
-                             dt, half[:hi - lo], out[lo:hi]):
-            # a later block may fail at an earlier time: scan whole columns
-            whole = PairCoefficients(spec_mu, spec_P, paths.block(0, n))
-            for k in range(times.shape[0]):
-                whole.drift_term(k)
+    dt = np.diff(paths.grid.points)
+    out = np.empty(paths.n_paths)
+
+    def work(block: PathEnsemble, lo: int, hi: int) -> None:
+        pair = PairCoefficients(spec_mu, spec_P, block)
+        if not _block_energy(pair, dt, out[lo:hi]):
+            for k in range(dt.size + 1):
+                pair.drift_term(k)
+
+    read_blocks(paths, dt.size + 1, work)
     return out
 
 
-def _block_energy(pair: PairCoefficients, dt: np.ndarray, half: np.ndarray,
+def _block_energy(pair: PairCoefficients, dt: np.ndarray,
                   out: np.ndarray) -> bool:
-    """Write each path's drift-gap integral into out, through its half-sums
-    in half; whether all are finite (False if a coefficient raised)."""
+    """Write each path's drift-gap integral into out, through its half-sums;
+    whether all are finite (False if a coefficient raised)."""
+    half = np.empty((out.shape[0], dt.size))
     try:
         q = pair.drift_quad(0)
         for k, step in enumerate(dt):

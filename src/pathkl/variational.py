@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import (BLOCK_PATHS, WORKING_SET_ELEMENTS, DiffusionSpec,
-                        PathEnsemble, is_integer, no_nan)
-from .errors import (ArgumentError, ModelEvaluationError,
-                     PositiveDefinitenessError, check_json_types)
+from . import diffusion
+from .diffusion import (DiffusionSpec, PathEnsemble, is_integer, no_nan,
+                        read_blocks)
+from .errors import ArgumentError, check_json_types
 
 __all__ = [
     "SVD_RCOND",
@@ -586,7 +586,8 @@ class DriftCorrection:
 def _chunks(n: int) -> list[slice]:
     """The fixed chunks of BLOCK_PATHS rows (the last may be shorter) that
     every path sum of this module runs over, in path order."""
-    return [slice(lo, lo + BLOCK_PATHS) for lo in range(0, n, BLOCK_PATHS)]
+    rows = diffusion.BLOCK_PATHS
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 def _in_path_order(parts: np.ndarray) -> np.ndarray:
@@ -737,7 +738,7 @@ def fokker_planck_residual(ensemble: PathEnsemble, spec_P: DiffusionSpec,
 
     z = diff - gen                                        # (n, K)
     if shift is None:
-        head = z[:BLOCK_PATHS]
+        head = z[:diffusion.BLOCK_PATHS]
         shift = head.sum(axis=0) / head.shape[0]
     sums = np.empty((len(_chunks(z.shape[0])),) + z.shape[1:])
     moments = np.empty(sums.shape + z.shape[1:])
@@ -843,16 +844,18 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     modeled (diagnosed, not corrected).
 
     Every quantity a slice needs is a path sum, so the paths are read in
-    blocks, each a whole number of chunks of BLOCK_PATHS paths with about
-    WORKING_SET_ELEMENTS basis-jet entries, and every slice of a block
-    is done before the next block is read: memory does not grow with the
-    path count beyond the per-chunk sums (profile.chunk_sums). Each slice's
-    dual is solved once, from the chunk sums added in path order, so no
-    value depends on the block size. As for a scan of whole slices, an
-    error names the earliest slice time where any path fails.
+    the blocks of read_blocks, at the cost of their basis jets, and every
+    slice of a block is done before the next block is read: memory does
+    not grow with the path count beyond the per-chunk sums
+    (profile.chunk_sums). Each slice's dual is solved once, from the chunk
+    sums added in path order, so no value depends on the block size. As
+    for a scan of whole slices, an error names the earliest slice time
+    where any path fails.
 
     Args:
-        ensemble: paths sampled under the law being measured.
+        ensemble: paths sampled under the law being measured, a
+            PathEnsemble or any source of one that read_blocks reads (the
+            default basis reads a PathEnsemble).
         spec_P: reference law.
         basis: test functions for every slice; default_energy_basis of
             the ensemble when None.
@@ -881,15 +884,15 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     if basis is None:
         basis = default_energy_basis(ensemble)
 
-    try:
-        sums = _profile_sums(ensemble, spec_P, basis, idxs, window,
-                             _block_rows(basis, window, stride))
-    except (ModelEvaluationError, PositiveDefinitenessError):
-        # a later block may fail at an earlier slice: scan whole slices
-        for i in idxs:
-            res = fokker_planck_residual(ensemble, spec_P, basis, i, window)
-            gram_matrix(spec_P, res.t, ensemble.states[:, i], basis)
-        raise
+    # a block costs about one order-2 jet, K (1 + d + d²) entries per
+    # path, at each of the 2 · window // stride + 2 grid indices it keeps:
+    # that covers the jets and the temporaries of evaluating them (at the
+    # defaults, K = 12, d = 1, window 8, stride 4, it counts 216 entries
+    # per path, and tracemalloc measures about 218)
+    d = basis.dim
+    sums = _profile_sums(ensemble, spec_P, basis, idxs, window,
+                         basis.size * (1 + d + d * d)
+                         * (2 * window // stride + 2))
     n = ensemble.n_paths
     times = ensemble.grid.points[idxs]
     values, ses, conds = [], [], []
@@ -926,24 +929,11 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
         chunk_sums=sums)
 
 
-def _block_rows(basis: FunctionBasis, window: int, stride: int) -> int:
-    """Paths per block of the profile: whole chunks, at least one, that take
-    about WORKING_SET_ELEMENTS entries, counted as one order-2 jet, K (1 +
-    d + d²) entries per path, for each of 2 · window // stride + 2 grid
-    indices. That covers the jets a block keeps and the temporaries of
-    evaluating them: at the defaults (K = 12, d = 1, window 8, stride 4)
-    it counts 216 entries per path, and tracemalloc measures about 218."""
-    d = basis.dim
-    per_chunk = (BLOCK_PATHS * basis.size * (1 + d + d * d)
-                 * (2 * window // stride + 2))
-    return BLOCK_PATHS * max(1, WORKING_SET_ELEMENTS // per_chunk)
-
-
-def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,
-                  basis: FunctionBasis, idxs: list[int], window: int,
-                  rows: int) -> ChunkSums:
+def _profile_sums(paths, spec_P: DiffusionSpec, basis: FunctionBasis,
+                  idxs: list[int], window: int, per_path: int) -> ChunkSums:
     """The per-chunk path sums of the slices centred at idxs, from
-    fokker_planck_residual and gram_matrix on path blocks of `rows` paths.
+    fokker_planck_residual and gram_matrix on the blocks read_blocks reads
+    at per_path entries a path.
 
     Within a block, each grid index is evaluated once, at the highest
     order a slice reads there (2 at a centre, 0 at a difference end), and
@@ -951,17 +941,17 @@ def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     i - window only. P's matrix on a slice is evaluated once for the
     residual and the Gram matrix.
     """
-    n, k = ensemble.n_paths, basis.size
+    n, k, rows = paths.n_paths, basis.size, diffusion.BLOCK_PATHS
     shape = (len(_chunks(n)), len(idxs), k)
     sums = ChunkSums(
-        counts=np.array([min(BLOCK_PATHS, n - lo)
-                         for lo in range(0, n, BLOCK_PATHS)]),
+        counts=np.array([min(rows, n - lo) for lo in range(0, n, rows)]),
         shift=np.empty(shape[1:]), residual=np.empty(shape),
         moments=np.empty(shape + (k,)), gram=np.empty(shape + (k,)))
     centres = set(idxs)
-    for lo in range(0, n, rows):
-        block = ensemble.block(lo, lo + rows)
-        chunks = slice(lo // BLOCK_PATHS, (lo + rows) // BLOCK_PATHS)
+
+    def work(block: PathEnsemble, lo: int, hi: int) -> None:
+        # blocks start on a chunk, and the last may end inside one
+        chunks = slice(lo // rows, -(-hi // rows))
         jets: dict[int, tuple] = {}
         for s, i in enumerate(idxs):
             for j in (i - window, i + window, i):
@@ -969,7 +959,7 @@ def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,
                     jets[j] = basis.jet(block.states[:, j],
                                         2 if j in centres else 0)
             x = block.states[:, i]
-            a = spec_P.matrix_at(float(ensemble.grid.points[i]), x)
+            a = spec_P.matrix_at(float(paths.grid.points[i]), x)
             res = fokker_planck_residual(
                 block, spec_P, basis, i, window, jets=jets, matrix=a,
                 shift=sums.shift[s] if lo else None)
@@ -981,4 +971,6 @@ def _profile_sums(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             sums.gram[chunks, s] = gram.chunk_sums
             jets[i] = jets[i][:1]       # later slices read only its values
             jets = {j: jet for j, jet in jets.items() if j > i - window}
+
+    read_blocks(paths, per_path, work)
     return sums

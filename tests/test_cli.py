@@ -15,8 +15,8 @@ import pytest
 
 from pathkl import (DiffusionSpec, InitialLaw, ModelEvaluationError,
                     PositiveDefinitenessError, TimeGrid, girsanov_entropy,
-                    make_model, refinement_sweep, register_model,
-                    sample_paths)
+                    make_model, mixed_basis, refinement_sweep,
+                    register_model, residual_energy_profile, sample_paths)
 from pathkl.cli import ESTIMATORS, main, run_config
 from pathkl.diffusion import model_ids, model_params
 
@@ -715,14 +715,15 @@ def test_girsanov_run_is_the_library_on_the_whole_ensemble(
 
 
 def test_girsanov_run_holds_one_block_of_paths():
-    # 16384 paths x 257 grid times are two blocks: beside small vectors the
-    # run holds one block of states, one of half-sums and the sampler's
-    # draw scratch, below the whole ensemble and one block of half-sums
+    # 16384 paths x 257 grid times are two blocks of 7 chunks and one of 2:
+    # beside small vectors the run holds one block of states, one of
+    # half-sums and the sampler's draw scratch, below the whole ensemble
+    # and one block of half-sums
     from pathkl import diffusion
 
     n, steps = 16 * diffusion.BLOCK_PATHS, 256
     rows = diffusion.path_blocks(n, steps + 1)[0][1]
-    assert n == 2 * rows + 64
+    assert n == 2 * rows + 2 * diffusion.BLOCK_PATHS
     cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
                         grid={"horizon": 1.0, "steps": steps}, seed=4)
     block = 8 * diffusion.WORKING_SET_ELEMENTS
@@ -814,6 +815,78 @@ def test_girsanov_block_fault_raises_the_whole_ensemble_error(
     with pytest.raises(type(whole.value)) as run:
         run_config(cfg, threads=threads)
     assert str(run.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_profile_of_sampled_paths_is_the_held_ensembles(threads,
+                                                        monkeypatch):
+    # blocks of BLOCK_PATHS paths, 2.5 blocks and a lone path that joins
+    # the last: with an explicit basis, the profile of paths sampled a
+    # block at a time is the one of the held ensemble, bit for bit
+    from pathkl import cli, diffusion
+
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    rows = diffusion.BLOCK_PATHS
+    n, grid = 5 * rows // 2 + 1, TimeGrid.uniform(1.0, 32)
+    spec_mu, spec_p = make_model("ou", {}), make_model("brownian", {})
+    init = InitialLaw.point_mass([0.3])
+    basis = mixed_basis([-2.5], [2.5], 6, 0.7, [], bump_span=(-1.5, 1.5))
+    whole = residual_energy_profile(
+        sample_paths(spec_mu, init, grid, n, 8, threads=threads), spec_p,
+        basis, window=2, stride=2)
+    sampled = _spy(monkeypatch, cli, "sample_paths",
+                   lambda spec, init, grid, n, seed, threads=1, stride=1,
+                   first=0, out=None: (first, n))
+    got = residual_energy_profile(
+        cli._SampledPaths(spec_mu, init, grid, n, 8, threads), spec_p,
+        basis, window=2, stride=2)
+    assert sampled == [(0, rows), (rows, 2 * rows), (2 * rows, n)]
+    for name in ("times", "values", "std_errors"):
+        assert getattr(got, name).tobytes() == \
+            getattr(whole, name).tobytes(), name
+    assert (got.integral.hex(), got.integral_std_error.hex()) == \
+        (whole.integral.hex(), whole.integral_std_error.hex())
+    for name in ("counts", "shift", "residual", "moments", "gram"):
+        assert getattr(got.chunk_sums, name).tobytes() == \
+            getattr(whole.chunk_sums, name).tobytes(), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fault", ["sampler", "generator"])
+def test_profile_block_fault_raises_the_whole_ensemble_error(
+        fault, threads, fault_bound):
+    # the first block fails at a later time than a later block: the
+    # profile of sampled paths raises what the held ensemble's raises, the
+    # error of sampling all paths at once (a diffusion matrix of 0) or of
+    # evaluating all paths at once (a NaN drift of P in the generator term
+    # of a slice), which names the earliest failing time
+    from pathkl import cli
+
+    grid, rows, find = fault_bound
+    n, init = 7 * rows // 2, InitialLaw.point_mass([0.0])
+    if fault == "sampler":
+        bound, t_early = find(slice(0, -1))
+        spec_mu = make_model("zero_diffusion_above", {"bound": bound})
+        spec_p = make_model(SINE_MU["id"], SINE_MU["params"])
+    else:
+        # window 1 and stride 1: P's drift is read at grid indices 1 to 63
+        bound, t_early = find(slice(1, -1))
+        spec_mu = make_model(SINE_MU["id"], SINE_MU["params"])
+        spec_p = make_model("nan_drift_above", {"bound": bound})
+    basis = mixed_basis([-3.0], [3.0], 6)
+
+    def profile(paths):
+        return residual_energy_profile(paths, spec_p, basis, window=1,
+                                       stride=1, t_min_frac=0.0)
+
+    with pytest.raises((ModelEvaluationError,
+                        PositiveDefinitenessError)) as whole:
+        profile(sample_paths(spec_mu, init, grid, n, 3, threads=threads))
+    if fault == "generator" or threads == 1:
+        assert f"at t = {t_early:g} " in str(whole.value) + " "
+    with pytest.raises(type(whole.value)) as got:
+        profile(cli._SampledPaths(spec_mu, init, grid, n, 3, threads))
+    assert str(got.value) == str(whole.value)
 
 
 class _Stop(Exception):

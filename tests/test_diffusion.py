@@ -30,6 +30,8 @@ from pathkl import (
     sample_paths,
     substream_seed,
 )
+from pathkl import girsanov
+from pathkl.chain import _interval_kls
 from pathkl.diffusion import (
     BLOCK_ELEMENTS,
     BLOCK_PATHS,
@@ -514,15 +516,27 @@ def test_path_blocks_are_rows_of_the_full_run(law, threads, monkeypatch):
 def test_a_one_path_run_is_path_zero_of_a_larger_run():
     # in d >= 2 a one-row matrix product goes through gemv, which rounds
     # otherwise than the same row of a larger product; the sampler steps a
-    # lone path beside a copy of itself, so the "first k paths" rule holds
-    # for k = 1 too
+    # lone path beside a copy of itself, and PairCoefficients evaluates one
+    # beside a copy too, so the "first k paths" rule holds for k = 1: for
+    # the sampled paths, girsanov's per-path energies and the chain's
+    # per-path interval terms
     spec, init = STRIDED_LAWS["linear-2d"]
+    spec_p = make_model("linear", {"A": [[-0.5, 0.1], [0.0, -0.2]],
+                                   "a": [[1.0, 0.3], [0.3, 0.5]]}, dim=2)
     grid = TimeGrid.uniform(1.0, 128)
     for seed in range(60):
         one = sample_paths(spec, init, grid, 1, seed)
-        assert np.array_equal(one.states,
-                              sample_paths(spec, init, grid, 50,
-                                           seed).states[:1]), seed
+        many = sample_paths(spec, init, grid, 50, seed)
+        assert np.array_equal(one.states, many.states[:1]), seed
+        energies = [girsanov._drift_gap_energy(spec, spec_p, ens)
+                    for ens in (one, many)]
+        assert energies[0].tobytes() == energies[1][:1].tobytes(), seed
+        pairs = [PairCoefficients(spec, spec_p, ens) for ens in (one, many)]
+        for k in range(grid.n_steps):
+            dt = float(grid.points[k + 1] - grid.points[k])
+            terms = [_interval_kls(pair.interval_parts(k), dt)
+                     for pair in pairs]
+            assert terms[0].tobytes() == terms[1][:1].tobytes(), (seed, k)
 
 
 def test_sampler_calls_the_model_once_per_step():

@@ -464,14 +464,36 @@ def test_drift_gap_energy_rows_do_not_depend_on_blocks(pair, monkeypatch):
 def test_a_lone_path_joins_the_last_block(monkeypatch):
     # numpy takes a matrix product of one row through BLAS gemv, which
     # rounds otherwise than a larger product for some rows (path 1024 of
-    # seed 0 here), so path_blocks leaves no path alone in a block
+    # seed 0 here), so path_blocks leaves no path alone in a block. Its
+    # blocks cover the paths in order and start on whole chunks, at
+    # girsanov's cost per path (grid times: 16 here, 129 and 1001 on the
+    # benchmark's grids) and at the residual-energy profile's default cost
+    # (K (1 + d + d²) (2 · window // stride + 2) = 12 · 3 · 6)
+    def check(n, per_path):
+        blocks = diffusion.path_blocks(n, per_path)
+        assert [lo for lo, _ in blocks] + [n] == \
+            [0] + [hi for _, hi in blocks], (n, per_path)
+        assert all(lo % BLOCK_PATHS == 0 for lo, _ in blocks), (n, per_path)
+        assert n == 1 or all(hi - lo > 1 for lo, hi in blocks), (n, per_path)
+        return blocks
+
+    budget = diffusion.WORKING_SET_ELEMENTS
+    for per_path in (16, 129, 1001, 216):
+        # as many whole chunks as fit in the working set, and at least one
+        rows = check(10 ** 6, per_path)[0][1]
+        assert rows == BLOCK_PATHS or rows * per_path <= budget
+        assert (rows + BLOCK_PATHS) * per_path > budget
+        for n in (1, 2, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1,
+                  rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1,
+                  5 * 10 ** 4 + 1):
+            check(n, per_path)
     monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
     n = BLOCK_PATHS + 1
-    assert diffusion.path_blocks(1, 16) == [(0, 1)]
-    assert diffusion.path_blocks(n, 16) == [(0, n)]
-    assert diffusion.path_blocks(2 * BLOCK_PATHS + 1, 16) == [
+    assert check(1, 16) == [(0, 1)]
+    assert check(n, 16) == [(0, n)]
+    assert check(2 * BLOCK_PATHS + 1, 16) == [
         (0, BLOCK_PATHS), (BLOCK_PATHS, 2 * BLOCK_PATHS + 1)]
-    assert diffusion.path_blocks(2 * BLOCK_PATHS + 2, 16) == [
+    assert check(2 * BLOCK_PATHS + 2, 16) == [
         (0, BLOCK_PATHS), (BLOCK_PATHS, 2 * BLOCK_PATHS),
         (2 * BLOCK_PATHS, 2 * BLOCK_PATHS + 2)]
     spec_mu = make_model("linear", {"A": [[-1.0, 0.5], [0.2, -0.3]],

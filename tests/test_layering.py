@@ -128,6 +128,34 @@ def test_sampling_and_the_match_check_are_called_where_the_trace_wraps():
                 "cli.py:check_constant_drift"}
 
 
+def test_one_block_rule_and_one_fault_rescan():
+    # every blocked reduction over paths takes its blocks from path_blocks
+    # through read_blocks, and only diffusion.py sizes them
+    assert _calls_by_function(_called("path_blocks")) == {
+        "diffusion.py:read_blocks"}
+    named = {path.name for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "WORKING_SET_ELEMENTS" in (getattr(node, "id", None),
+                                           getattr(node, "attr", None),
+                                           getattr(node, "name", None))}
+    assert named == {"diffusion.py"}
+    assert not hasattr(pathkl.variational, "_block_rows")
+    # on a fault, read_blocks alone reads all paths again; girsanov's block
+    # integral catches a coefficient error only to report it non-finite
+    errors = {"ModelEvaluationError", "PositiveDefinitenessError"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.ExceptHandler)
+                          and node.type is not None
+                          and errors & {name.id for name in ast.walk(node.type)
+                                        if isinstance(name, ast.Name)}}
+    assert found == {"diffusion.py:read_blocks", "girsanov.py:_block_energy"}
+
+
 def test_one_rule_joins_the_initial_term_to_the_path_terms():
     # every path-space route clamps through path_space_estimate; only the
     # marginal estimators clamp on their own

@@ -35,7 +35,7 @@ from pathkl import (
     sample_paths,
     windowed_monomial,
 )
-from pathkl import variational
+from pathkl import diffusion, variational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -803,8 +803,13 @@ def test_profile_reports_the_largest_gram_condition():
     assert json.loads(json.dumps(prof.diagnostics)) == prof.diagnostics
 
 
-def _rows_per_block(chunks):
-    return lambda *args: chunks * variational.BLOCK_PATHS
+def _chunks_per_block(monkeypatch, chunks, basis, window, stride):
+    """Make the profile read its paths in blocks of `chunks` chunks: the
+    working set of that many chunks at the profile's per-path cost."""
+    d = basis.dim
+    per_path = basis.size * (1 + d + d * d) * (2 * window // stride + 2)
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS",
+                        chunks * diffusion.BLOCK_PATHS * per_path)
 
 
 @pytest.mark.parametrize("case", sorted(_PROFILE_CASES))
@@ -813,13 +818,21 @@ def test_profile_bits_do_not_depend_on_the_memory_block(case, monkeypatch):
     # Blocks of one chunk, and of three (which divide neither the chunk
     # count nor the path count), give the bits of a single block.
     ens, P, basis = _PROFILE_CASES[case]()
-    monkeypatch.setattr(variational, "BLOCK_PATHS", 256)
+    monkeypatch.setattr(diffusion, "BLOCK_PATHS", 256)
     whole = residual_energy_profile(ens, P, basis, window=3, stride=2)
     assert whole.chunk_sums.counts.tolist() == [256] * 7 + [208]
+    blocks, real = [], diffusion.path_blocks
+
+    def spy(*args):
+        blocks.append(real(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(diffusion, "path_blocks", spy)
     for chunks in (1, 3):
-        monkeypatch.setattr(variational, "_block_rows",
-                            _rows_per_block(chunks))
+        _chunks_per_block(monkeypatch, chunks, basis, window=3, stride=2)
         got = residual_energy_profile(ens, P, basis, window=3, stride=2)
+        assert [lo for lo, _ in blocks.pop()] == list(
+            range(0, 2000, 256 * chunks))
         for name in ("values", "std_errors", "times"):
             assert getattr(got, name).tobytes() == \
                 getattr(whole, name).tobytes(), (chunks, name)
@@ -832,7 +845,7 @@ def test_profile_bits_do_not_depend_on_the_memory_block(case, monkeypatch):
     # and at the real chunk size, blocks of one chunk
     monkeypatch.undo()
     whole = residual_energy_profile(ens, P, basis)
-    monkeypatch.setattr(variational, "_block_rows", _rows_per_block(1))
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
     got = residual_energy_profile(ens, P, basis)
     assert got.values.tobytes() == whole.values.tobytes()
     assert got.std_errors.tobytes() == whole.std_errors.tobytes()
@@ -845,8 +858,8 @@ def test_profile_chunk_sums_add_up_to_the_slices():
     prof = residual_energy_profile(ens, P, basis)
     sums = prof.chunk_sums
     assert sums.residual.shape == (2, prof.times.shape[0], basis.size)
-    assert sums.counts.tolist() == [variational.BLOCK_PATHS,
-                                    2000 - variational.BLOCK_PATHS]
+    assert sums.counts.tolist() == [diffusion.BLOCK_PATHS,
+                                    2000 - diffusion.BLOCK_PATHS]
     for s, t in enumerate(prof.times):
         i = ens.grid.index_of(t)
         res = fokker_planck_residual(ens, P, basis, i, 8)
@@ -859,10 +872,10 @@ def test_profile_chunk_sums_add_up_to_the_slices():
 def _profile_extra_peak(n_chunks, monkeypatch):
     """tracemalloc peak of a profile over n_chunks chunks in one-chunk
     blocks, the ensemble sampled beforehand."""
-    monkeypatch.setattr(variational, "_block_rows", _rows_per_block(1))
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
     ens = sample_paths(make_model("ou", {"gamma": 1.0}),
                        InitialLaw.point_mass([0.0]), TimeGrid.uniform(1.0, 32),
-                       n_chunks * variational.BLOCK_PATHS, 6)
+                       n_chunks * diffusion.BLOCK_PATHS, 6)
     basis = mixed_basis([-2.5], [2.5], 8, 0.7, [], bump_span=(-1.5, 1.5))
     tracemalloc.start()
     try:
@@ -959,9 +972,9 @@ def test_profile_error_names_earliest_time_over_blocks(late, early, error,
     # Gram's +inf and -inf must come from two chunks (within one chunk's
     # GEMM a fused multiply-add keeps the sum infinite), so its -inf path
     # is in the middle block.
-    monkeypatch.setattr(variational, "_block_rows", _rows_per_block(1))
-    n = 2 * variational.BLOCK_PATHS + 5
-    last = (n - 3, variational.BLOCK_PATHS + 7 if early == "gram-nan"
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    n = 2 * diffusion.BLOCK_PATHS + 5
+    last = (n - 3, diffusion.BLOCK_PATHS + 7 if early == "gram-nan"
             else n - 2)
     faults = {late: [(0.75, 5)]}
     faults.setdefault(early, []).extend((0.25, path) for path in last)
