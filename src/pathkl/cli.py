@@ -31,7 +31,6 @@ from .diffusion import (
     make_model,
     model_ids,
     model_params,
-    probe_stride,
     read_blocks,
     sample_paths,
     substream_seed,
@@ -47,7 +46,7 @@ from .errors import (
     exit_code_for,
 )
 from .estimates import path_space_estimate
-from .girsanov import girsanov_entropy, girsanov_match
+from .girsanov import girsanov_entropy
 from .marginal import (OptimizerConfig, dv_estimate, initial_entropy,
                        pooled_dv_basis)
 from .sanov import RateExperiment, empirical_rate
@@ -221,11 +220,12 @@ def _set_params(resolved: dict, *keys: str) -> dict:
 
 class _SampledPaths:
     """Paths 0 to n_paths - 1 of one law's run, sampled through sample_paths
-    a block at a time and never held whole: block(lo, hi) is paths lo to
-    hi - 1, states[lo:hi] of the whole ensemble bit for bit, as
-    PathEnsemble.block gives them. Read through read_blocks, a sampler's
-    error is the one sampling all n_paths paths raises, which names the
-    earliest failing time over them all."""
+    a block at a time and never held whole: a path source, with the grid,
+    n_paths and block(lo, hi, stride=1) of a PathEnsemble. block gives
+    states[lo:hi:stride] of the whole ensemble bit for bit, as
+    PathEnsemble.block does. Read through read_blocks, a sampler's error
+    is the one sampling all n_paths paths raises, which names the earliest
+    failing time over them all."""
 
     # a plain class: a dataclass would add about 1 ms to every import
     def __init__(self, spec: DiffusionSpec, init: InitialLaw, grid: TimeGrid,
@@ -234,22 +234,24 @@ class _SampledPaths:
         self.n_paths, self.seed, self.threads = n_paths, seed, threads
         self.buffer = np.empty(0)
 
-    def sample(self, lo: int, hi: int, stride: int = 1, out=None):
-        """Paths lo, lo + stride, ... < hi."""
+    def block(self, lo: int, hi: int, stride: int = 1) -> PathEnsemble:
+        """Paths lo, lo + stride, ... < hi, valid until the next block is
+        sampled: the blocks share one buffer, which grows to the largest,
+        so a run allocates its states once (and the heap is not left
+        holding the freed blocks). An empty block samples nothing, but
+        refuses mu's constant matrix, as sampling refuses it."""
+        shape = (len(range(lo, hi, stride)), self.grid.points.shape[0],
+                 self.spec.dim)
+        if not shape[0]:
+            self.spec.constant_factor
+            return PathEnsemble(self.grid, np.empty(shape), self.seed,
+                                self.spec.model_id)
+        if self.buffer.size < math.prod(shape):
+            self.buffer = np.empty(0)       # the old one goes first
+            self.buffer = np.empty(math.prod(shape))
         return sample_paths(self.spec, self.init, self.grid, hi, self.seed,
                             threads=self.threads, stride=stride, first=lo,
-                            out=out)
-
-    def block(self, lo: int, hi: int):
-        """Paths lo to hi - 1, valid until the next block is sampled: the
-        blocks share one buffer, which grows to the largest, so a run
-        allocates its states once (and the heap is not left holding the
-        freed blocks)."""
-        size = (hi - lo) * self.grid.points.shape[0] * self.spec.dim
-        if self.buffer.size < size:
-            self.buffer = np.empty(0)       # the old one goes first
-            self.buffer = np.empty(size)
-        return self.sample(lo, hi, out=self.buffer)
+                            out=self.buffer)
 
     def column(self, k: int) -> np.ndarray:
         """The states of all paths at grid index k, an (n_paths, d) array,
@@ -265,27 +267,13 @@ class _SampledPaths:
 
 def _run_girsanov(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
-    n, seed = resolved["n_paths"], resolved["seed"]
-    tol = _set_params(resolved, "tol_match")
-    paths = _SampledPaths(spec_mu, init_mu, grid, n, seed, threads)
-    # the paths the match check reads come first: on a mismatch the
-    # estimate is +inf, and the rest are never sampled; on a match the
-    # probe's report is the full ensemble's, a stride-1 probe is the
-    # ensemble, and otherwise girsanov_entropy samples the paths a block
-    # at a time. A constant pair's check reads no path, so its probe holds
-    # none; mu's matrix is refused first, as sampling refuses it
-    stride = probe_stride(spec_mu, spec_p, n, grid.points.shape[0])
-    if stride:
-        probe = paths.sample(0, n, stride)
-    else:
-        spec_mu.constant_factor
-        probe = PathEnsemble(grid, np.empty((0, grid.points.shape[0],
-                                             spec_mu.dim)), seed)
-    report, est = girsanov_match(spec_mu, spec_p, probe, **tol)
-    if est is None:
-        est = girsanov_entropy(spec_mu, spec_p, init_mu, init_p,
-                               probe if stride == 1 else paths,
-                               report=report)
+    # the match check's probe is sampled first: on a mismatch the estimate
+    # is +inf, and the rest of the paths are never sampled
+    est = girsanov_entropy(
+        spec_mu, spec_p, init_mu, init_p,
+        _SampledPaths(spec_mu, init_mu, grid, resolved["n_paths"],
+                      resolved["seed"], threads),
+        **_set_params(resolved, "tol_match"))
     rows = [{"estimator": "girsanov", "value": est.value,
              "std_error": est.std_error, "is_infinite": est.is_infinite}]
     return {"estimate": _jsonable(est)}, rows, est
@@ -369,12 +357,17 @@ def _run_dv_marginal(resolved, objs, threads):
 def _run_residual_energy(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     params = resolved["estimator_params"]
-    ensemble = sample_paths(spec_mu, init_mu, grid, resolved["n_paths"],
-                            resolved["seed"], threads=threads)
-    basis = basis_from_config(params["basis"]) if "basis" in params \
-        else default_energy_basis(ensemble)
+    paths = _SampledPaths(spec_mu, init_mu, grid, resolved["n_paths"],
+                          resolved["seed"], threads)
+    if "basis" in params:
+        # the profile reads the paths a block at a time
+        basis = basis_from_config(params["basis"])
+    else:
+        # the default basis reads the whole ensemble
+        paths = paths.block(0, paths.n_paths)
+        basis = default_energy_basis(paths)
     profile = residual_energy_profile(
-        ensemble, spec_p, basis,
+        paths, spec_p, basis,
         **_set_params(resolved, "window", "stride", "t_min_frac"))
     initial = initial_entropy(init_mu, init_p)
     total = path_space_estimate(initial, [profile.integral],

@@ -96,8 +96,9 @@ def read_blocks(paths, per_path: int,
                 work: Callable[[PathEnsemble, int, int], object]) -> None:
     """Call work(paths.block(lo, hi), lo, hi) for each range of
     path_blocks(n, per_path), in order: a blocked reduction over the n
-    paths of paths, a PathEnsemble or any source of one with its grid,
-    n_paths and block(lo, hi), the PathEnsemble of paths lo to hi - 1.
+    paths of paths. A path source is a PathEnsemble or anything with the
+    same grid, n_paths and block(lo, hi, stride=1), the PathEnsemble of
+    paths lo, lo + stride, ... < hi.
 
     A later block may fail at an earlier time than the block that failed
     first, so on a ModelEvaluationError or PositiveDefinitenessError from
@@ -333,9 +334,9 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def block(self, lo: int, hi: int) -> "PathEnsemble":
-        """Paths lo to hi - 1, a view of their states."""
-        return replace(self, states=self.states[lo:hi])
+    def block(self, lo: int, hi: int, stride: int = 1) -> "PathEnsemble":
+        """Paths lo, lo + stride, ... < hi, a view of their states."""
+        return replace(self, states=self.states[lo:hi:stride])
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,13 @@ import numpy as np
 from .diffusion import (
     DiffusionSpec,
     InitialLaw,
-    MatchReport,
     PairCoefficients,
     PathEnsemble,
     check_number,
     diffusion_match_check,
     param,
     positive_definite,
+    probe_stride,
     read_blocks,
 )
 from .errors import (ArgumentError, CapabilityError, ModelEvaluationError,
@@ -37,7 +37,6 @@ from .marginal import initial_entropy
 
 __all__ = [
     "girsanov_entropy",
-    "girsanov_match",
     "ScenarioOracle",
     "analytic_entropy",
     "scenario_ids",
@@ -98,67 +97,48 @@ def _block_energy(pair: PairCoefficients, dt: np.ndarray,
     return bool(np.isfinite(half.sum(axis=1, out=out)).all())
 
 
-def girsanov_match(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                   ensemble: PathEnsemble, *, tol_match: float = 1e-6
-                   ) -> tuple[MatchReport, EntropyEstimate | None]:
-    """The diffusion match check's report on ensemble, and girsanov_entropy's
-    +inf estimate of mutually singular laws if it fails (else None).
-
-    ensemble may be the probe of a larger ensemble of n paths on p grid
-    times: sample_paths with the stride s = probe_stride(spec_mu, spec_P,
-    n, p) of the n paths, so it holds exactly the paths the check reads of
-    the larger one. The check reads every path of the probe too, so the
-    report is the larger ensemble's, field for field. With M = MATCH_POINTS
-    and n' = ceil(n / s) probe paths, n p < (s + 1) M: if p <= M then
-    n' p <= (n + s - 1) p / s < 2M, and the probe's own stride is 1; if
-    p > M then s >= n, and the probe is a single path, which any stride
-    reads whole. For a constant pair s is 0: the check reads no path, and
-    ensemble may hold none.
-
-    Raises:
-        ArgumentError: tol_match is not a finite number >= 0.
-    """
-    check_number(tol_match, "tol_match", nonnegative=True)
-    report = diffusion_match_check(spec_mu, spec_P, ensemble,
-                                   tol_match=tol_match)
-    if report.passed:
-        return report, None
-    return report, EntropyEstimate(
-        value=math.inf, std_error=0.0, method="girsanov",
-        diagnostics={"match_report": report, "reason": "diffusion mismatch"})
-
-
 def girsanov_entropy(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                     init_mu: InitialLaw, init_P: InitialLaw,
-                     ensemble_mu, *, tol_match: float = 1e-6,
-                     report: MatchReport | None = None) -> EntropyEstimate:
+                     init_mu: InitialLaw, init_P: InitialLaw, paths, *,
+                     tol_match: float = 1e-6) -> EntropyEstimate:
     """Initial term plus half the expected weighted drift-gap energy.
 
-    ensemble_mu is mu's PathEnsemble, or a source that gives it a block at
-    a time (_drift_gap_energy). Runs the diffusion match check first, on
-    all its paths, unless report is the passing report girsanov_match gave
-    on ensemble_mu or on its probe: a mismatch means mutual singularity,
-    and the estimate is +inf with the report attached rather than a
-    meaningless finite number. path_space_estimate adds the two terms.
+    paths is mu's PathEnsemble of n paths on p grid times, or a source
+    that gives it a block at a time (read_blocks). The diffusion match
+    check runs first, on the probe paths.block(0, n, s): every s-th path,
+    s = probe_stride(spec_mu, spec_P, n, p), exactly the paths the check
+    reads of the whole ensemble, so its report is the ensemble's, field
+    for field. With M = MATCH_POINTS and n' = ceil(n / s) probe paths,
+    n p < (s + 1) M: if p <= M then n' p <= (n + s - 1) p / s < 2M, and
+    the check's stride on the probe is 1; if p > M then s >= n, and the
+    probe is a single path, which any stride reads whole. For a constant
+    pair s is 0: the check reads no path, and the probe holds none. A
+    mismatch means mutual singularity, and the estimate is +inf with the
+    report attached rather than a meaningless finite number; from a
+    source, the paths beyond the probe are then never read. Otherwise the
+    paths are integrated (the probe itself when s is 1), and
+    path_space_estimate adds the two terms.
 
     Returns:
         EntropyEstimate with the match report, the initial term, and the
         two pieces of the total in diagnostics.
 
     Raises:
-        ArgumentError: tol_match is not a finite number >= 0, or report
-            did not pass.
+        ArgumentError: tol_match is not a finite number >= 0.
     """
-    if report is None:
-        report, mismatch = girsanov_match(
-            spec_mu, spec_P, ensemble_mu.block(0, ensemble_mu.n_paths),
-            tol_match=tol_match)
-        if mismatch is not None:
-            return mismatch
-    elif not report.passed:
-        raise ArgumentError("report must be a passing match report")
+    check_number(tol_match, "tol_match", nonnegative=True)
+    n = paths.n_paths
+    s = probe_stride(spec_mu, spec_P, n, paths.grid.points.shape[0])
+    probe = paths.block(0, n if s else 0, s or 1)
+    report = diffusion_match_check(spec_mu, spec_P, probe,
+                                   tol_match=tol_match)
+    if not report.passed:
+        return EntropyEstimate(
+            value=math.inf, std_error=0.0, method="girsanov",
+            diagnostics={"match_report": report,
+                         "reason": "diffusion mismatch"})
     initial = initial_entropy(init_mu, init_P)
-    energies = 0.5 * _drift_gap_energy(spec_mu, spec_P, ensemble_mu)
+    energies = 0.5 * _drift_gap_energy(spec_mu, spec_P,
+                                       probe if s == 1 else paths)
     drift_term, drift_se = path_mean_and_se(energies)
     return path_space_estimate(
         initial, [drift_term], drift_se, "girsanov",

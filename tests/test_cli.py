@@ -503,9 +503,9 @@ def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
     # a mismatched state-dependent pair never samples all n paths; a
     # constant pair's check reads no path, and it samples once, after the
     # check; a check that reads every path samples once; the match check
-    # runs once, on the probe where there is one; the estimate
-    # is the library's on the full ensemble either way, and unless the
-    # check fails it comes from one girsanov_entropy call on that ensemble
+    # runs once, on the probe where there is one; the estimate is the
+    # library's on the full ensemble, from one girsanov_entropy call on
+    # the sampled paths, which samples its own probe
     from pathkl import cli, girsanov
 
     model_mu, model_p, n, expected, checked = PROBE_RUNS[pair]
@@ -521,8 +521,7 @@ def test_girsanov_run_samples_the_checked_paths_first(pair, monkeypatch):
                      ensemble.n_paths)
     est = run_config(cfg)[1]["estimate"]
     assert (sampled, matched) == (expected, [checked])
-    passed = est["diagnostics"]["match_report"]["passed"]
-    assert estimated == ([n] if passed else [])
+    assert estimated == [n]
     spec_mu = make_model(model_mu["id"], model_mu["params"])
     spec_p = make_model(model_p["id"], model_p["params"])
     init, grid = InitialLaw.point_mass([0.0]), TimeGrid.uniform(1.0, 256)
@@ -557,6 +556,20 @@ def test_a_constant_pair_refuses_mu_matrix_before_its_check():
     cfg = _girsanov_cfg(model_mu={"id": "brownian", "params": {"a": -1.0}})
     with pytest.raises(PositiveDefinitenessError, match="constant diffusion"):
         run_config(cfg)
+
+
+def test_a_bad_tol_match_is_refused_before_any_sampling(tmp_path,
+                                                        monkeypatch):
+    # a state-dependent pair has a probe to sample, but tol_match is
+    # checked before it is
+    from pathkl import cli
+
+    sampled = _spy(monkeypatch, cli, "sample_paths", lambda *a, **kw: None)
+    cfg = _girsanov_cfg(model_mu=SINE_P, model_P=SINE_P, n_paths=2000,
+                        grid={"horizon": 1.0, "steps": 256},
+                        estimator_params={"tol_match": -1})
+    assert main(["run", "--config", _write(tmp_path, "t.json", cfg)]) == 2
+    assert sampled == []
 
 
 def _masked_sine(drift_above, diffusion_above):
@@ -738,6 +751,37 @@ def test_girsanov_run_holds_one_block_of_paths():
     assert math.isfinite(est["value"])
     ensemble = 8 * n * (steps + 1)
     assert peak < bound < ensemble + 8 * rows * steps, (peak, bound)
+
+
+def test_residual_energy_run_holds_one_block_of_paths():
+    # with an explicit basis, 16384 paths x 257 grid times are read in a
+    # block of 9 chunks and one of 7, sized by the profile's jets: beside
+    # small sums the run holds one block of states, one of jets and the
+    # sampler's draw scratch, below the whole ensemble and one block of
+    # jets
+    from pathkl import diffusion
+
+    n, steps, count = 16 * diffusion.BLOCK_PATHS, 256, 12
+    per_path = count * 3 * (2 * 8 // 4 + 2)     # d = 1, window 8, stride 4
+    rows = diffusion.path_blocks(n, per_path)[0][1]
+    assert n == rows + 7 * diffusion.BLOCK_PATHS
+    cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
+                        grid={"horizon": 1.0, "steps": steps}, seed=4,
+                        estimator="residual-energy", estimator_params={
+                            "basis": {"box": [-3.0, 3.0], "count": count}})
+    jets = 8 * rows * per_path
+    bound = (8 * rows * (steps + 1) + jets + 8 * diffusion.BLOCK_ELEMENTS
+             + 8 * 16 * rows)
+    run_config(dict(cfg, n_paths=10))   # what a first run imports
+    tracemalloc.start()
+    try:
+        total = run_config(cfg)[1]["total"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(total)
+    ensemble = 8 * n * (steps + 1)
+    assert peak < bound < ensemble + jets, (peak, bound)
 
 
 def _first_faults(states, bound, rows):

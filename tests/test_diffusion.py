@@ -30,7 +30,7 @@ from pathkl import (
     sample_paths,
     substream_seed,
 )
-from pathkl import girsanov
+from pathkl import cli, girsanov
 from pathkl.chain import _interval_kls
 from pathkl.diffusion import (
     BLOCK_ELEMENTS,
@@ -496,6 +496,7 @@ def test_path_blocks_are_rows_of_the_full_run(law, threads, monkeypatch):
     grid, n = TimeGrid.uniform(1.0, 24), 61
     full = sample_paths(spec, init, grid, n, 3, threads=1)
     buffer = np.full(n * 25 * spec.dim, np.nan)
+    source = cli._SampledPaths(spec, init, grid, n, 3, threads)
     for first, hi, stride in [(0, 8, 1), (1, 9, 1), (7, 61, 1), (8, 16, 1),
                               (33, 61, 1), (59, 61, 1), (5, 40, 3),
                               (46, 61, 7)]:
@@ -511,6 +512,11 @@ def test_path_blocks_are_rows_of_the_full_run(law, threads, monkeypatch):
                               full.states[first:hi:stride]), (first, hi)
         assert np.array_equal(full.block(first, hi).states,
                               full.states[first:hi])
+        # and read as a block of a path source, held or sampled
+        for got in (full.block(first, hi, stride),
+                    source.block(first, hi, stride)):
+            assert np.array_equal(got.states,
+                                  full.states[first:hi:stride]), (first, hi)
 
 
 def test_a_one_path_run_is_path_zero_of_a_larger_run():

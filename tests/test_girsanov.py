@@ -27,7 +27,6 @@ from pathkl import (
 from pathkl import diffusion, girsanov
 from pathkl.diffusion import (BLOCK_PATHS, PairCoefficients, PathEnsemble,
                               probe_stride)
-from pathkl.girsanov import girsanov_match
 
 OU_VS_BM_G1 = 0.1419169104045766    # gamma=1, T=1
 OU_VS_BM_G2 = 0.3772894548610918    # gamma=2, T=1
@@ -384,19 +383,10 @@ def test_probe_report_is_the_full_report(size, amplitude_p, monkeypatch):
         assert getattr(got, name) == getattr(want, name), name
     assert want.n_evaluated == probe.n_paths * (steps + 1) < n * (steps + 1)
     assert want.passed == (amplitude_p == 0.5)
-    report, short = girsanov_match(spec_mu, spec_p, probe)
-    assert report == got
-    if want.passed:
-        # the full ensemble's estimate from the probe's report
-        assert short is None
-        assert girsanov_entropy(spec_mu, spec_p, init, init, full,
-                                report=report) \
-            == girsanov_entropy(spec_mu, spec_p, init, init, full)
-    else:
-        assert short == girsanov_entropy(spec_mu, spec_p, init, init, full)
-        with pytest.raises(ArgumentError, match="passing match report"):
-            girsanov_entropy(spec_mu, spec_p, init, init, full,
-                             report=report)
+    # girsanov_entropy checks the full ensemble on its probe
+    est = girsanov_entropy(spec_mu, spec_p, init, init, full)
+    assert est.diagnostics["match_report"] == got
+    assert est.is_infinite == (not want.passed)
 
 
 def test_constant_pairs_have_no_probe(monkeypatch):

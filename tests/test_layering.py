@@ -118,14 +118,31 @@ def test_sampling_and_the_match_check_are_called_where_the_trace_wraps():
             _called(name))}
     assert modules("sample_paths") == {"cli.py", "chain.py"}
     assert modules("diffusion_match_check") == {"girsanov.py"}
-    # girsanov's and dv-marginal's path blocks are sampled by
-    # _SampledPaths.sample, so they are timed and counted like a whole
+    # every route's paths, probe and blocks, are sampled by
+    # _SampledPaths.block, so they are timed and counted like a whole
     # ensemble; the self-test's checks sample their own small ensembles
     assert {site for site in _calls_by_function(_called("sample_paths"))
             if site.startswith("cli.py")} == {
-                "cli.py:sample", "cli.py:_run_residual_energy",
-                "cli.py:_selftest_checks", "cli.py:check_mismatch_step",
-                "cli.py:check_constant_drift"}
+                "cli.py:block", "cli.py:_selftest_checks",
+                "cli.py:check_mismatch_step", "cli.py:check_constant_drift"}
+
+
+def test_the_probe_is_chosen_by_the_library():
+    # girsanov_entropy picks and reads its own probe: only the match check
+    # and girsanov call probe_stride, cli.py does not import it, and the
+    # second entry point that took a probe's report is gone
+    assert {site.split(":")[0] for site in _calls_by_function(
+        _called("probe_stride"))} == {"diffusion.py", "girsanov.py"}
+    imported = {alias.name for node in ast.walk(ast.parse(
+                    (PACKAGE / "cli.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "probe_stride" not in imported
+    defined = [f"{path.name}:{node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "girsanov_match"]
+    assert defined == []
 
 
 def test_one_block_rule_and_one_fault_rescan():
