@@ -24,6 +24,7 @@ from .diffusion import (
     PathEnsemble,
     TimeGrid,
     check_count,
+    # unused: perfbench's trace still wraps chain.sample_paths by name
     sample_paths,
 )
 from .errors import ArgumentError
@@ -198,29 +199,20 @@ def _chain_levels(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
 
 
 def chain_estimate(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                   init_mu: InitialLaw, init_P: InitialLaw,
-                   partition: Partition, n_paths: int = 10_000,
-                   seed: int = 0, *, grid: TimeGrid | None = None,
-                   ensemble: PathEnsemble | None = None,
-                   threads: int = 1) -> ChainEstimate:
+                   init_mu: InitialLaw, init_P: InitialLaw, paths,
+                   partition: Partition) -> ChainEstimate:
     """Initial term plus closed-form interval terms over one partition.
 
     The total is the plain left-to-right sum of the initial term and the
     interval means, and its standard error comes from the per-path totals.
 
     Args:
-        partition: times on the sampling grid.
-        grid: sampling grid when no ensemble is supplied.
-        ensemble: reuse an existing ensemble (its grid must host the
-            partition); n_paths/seed are then taken from it.
+        paths: mu's PathEnsemble, or a source of it (read_blocks), which
+            is read whole, as paths.block(0, n_paths).
+        partition: times on the paths' grid.
     """
-    if ensemble is None:
-        if grid is None:
-            raise ArgumentError("chain_estimate needs a grid or an ensemble")
-        ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
-                                threads=threads)
-    return _chain_levels(spec_mu, spec_P, init_mu, init_P, ensemble,
-                         [partition])[0]
+    return _chain_levels(spec_mu, spec_P, init_mu, init_P,
+                         paths.block(0, paths.n_paths), [partition])[0]
 
 
 def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
@@ -246,10 +238,9 @@ def refine_sequence(grid: TimeGrid, levels: int) -> list[Partition]:
 
 
 def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
-                     init_mu: InitialLaw, init_P: InitialLaw,
-                     grid: TimeGrid, levels: int, n_paths: int = 10_000,
-                     seed: int = 0, *, threads: int = 1) -> SweepResult:
-    """Chain estimates over nested dyadic partitions on one shared ensemble.
+                     init_mu: InitialLaw, init_P: InitialLaw, paths,
+                     levels: int) -> SweepResult:
+    """Chain estimates on mu's paths over nested dyadic partitions.
 
     Reports monotonicity violations beyond 3 combined standard errors (the
     refinement total is nondecreasing in law), a divergence flag when a
@@ -258,11 +249,9 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
     the interval count), and the gap between the last two levels as a
     crude extrapolation diagnostic.
     """
-    partitions = refine_sequence(grid, levels)
-    ensemble = sample_paths(spec_mu, init_mu, grid, n_paths, seed,
-                            threads=threads)
-    estimates = _chain_levels(spec_mu, spec_P, init_mu, init_P, ensemble,
-                              partitions)
+    partitions = refine_sequence(paths.grid, levels)
+    estimates = _chain_levels(spec_mu, spec_P, init_mu, init_P,
+                              paths.block(0, paths.n_paths), partitions)
 
     violations = []
     for prev, curr in zip(estimates, estimates[1:]):
@@ -299,4 +288,4 @@ def refinement_sweep(spec_mu: DiffusionSpec, spec_P: DiffusionSpec,
         diverged=diverged,
         slope_per_interval=slope,
         richardson_gap=richardson,
-        diagnostics={"n_paths": n_paths, "levels": levels, "seed": seed})
+        diagnostics={"n_paths": paths.n_paths, "levels": levels})

@@ -282,10 +282,11 @@ def _run_girsanov(resolved, objs, threads):
 def _run_chain(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     params = resolved["estimator_params"]
+    paths = _SampledPaths(spec_mu, init_mu, grid, resolved["n_paths"],
+                          resolved["seed"], threads)
     if "levels" in params:
-        sweep = refinement_sweep(
-            spec_mu, spec_p, init_mu, init_p, grid, params["levels"],
-            resolved["n_paths"], resolved["seed"], threads=threads)
+        sweep = refinement_sweep(spec_mu, spec_p, init_mu, init_p, paths,
+                                 params["levels"])
         rows = []
         for level, est in enumerate(sweep.estimates, start=1):
             rows.append({
@@ -312,9 +313,7 @@ def _run_chain(resolved, objs, threads):
 
     partition = Partition.from_times(
         grid, params.get("partition_times", grid.points))
-    est = chain_estimate(spec_mu, spec_p, init_mu, init_p, partition,
-                         resolved["n_paths"], resolved["seed"], grid=grid,
-                         threads=threads)
+    est = chain_estimate(spec_mu, spec_p, init_mu, init_p, paths, partition)
     rows = [{"t_lo": c.t_lo, "t_hi": c.t_hi, "value": c.value,
              "std_error": c.std_error} for c in est.contributions]
     rows.append({"t_lo": 0.0, "t_hi": grid.horizon,
@@ -616,8 +615,8 @@ def _selftest_checks():
         spec_p = make_model("brownian", {})
         init = InitialLaw.point_mass([0.0])
         part = Partition.from_times(grid, grid.points)
-        est = chain_estimate(spec_mu, spec_p, init, init, part, 500, 3,
-                             grid=grid)
+        est = chain_estimate(spec_mu, spec_p, init, init,
+                             sample_paths(spec_mu, init, grid, 500, 3), part)
         total = est.initial_term
         for term in est.contributions:
             total = total + term.value

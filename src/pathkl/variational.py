@@ -888,11 +888,13 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     # path, at each of the 2 · window // stride + 2 grid indices it keeps:
     # that covers the jets and the temporaries of evaluating them (at the
     # defaults, K = 12, d = 1, window 8, stride 4, it counts 216 entries
-    # per path, and tracemalloc measures about 218)
+    # per path, and tracemalloc measures about 218); on a long grid a
+    # sampled block's states, (m + 1) d entries a path, cost more, so a
+    # block is sized by the larger
     d = basis.dim
+    jets = basis.size * (1 + d + d * d) * (2 * window // stride + 2)
     sums = _profile_sums(ensemble, spec_P, basis, idxs, window,
-                         basis.size * (1 + d + d * d)
-                         * (2 * window // stride + 2))
+                         max(jets, (m + 1) * d))
     n = ensemble.n_paths
     times = ensemble.grid.points[idxs]
     values, ses, conds = [], [], []

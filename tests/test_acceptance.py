@@ -105,9 +105,10 @@ def test_criterion_02_mean_reverting_closed_form(record):
 def test_criterion_03_partition_sweep_converges(record):
     grid = TimeGrid.uniform(1.0, 256)
     init = InitialLaw.point_mass([0.0])
-    sweep = refinement_sweep(make_model("constant_drift", {"theta": 1.0}),
-                             make_model("brownian", {}), init, init, grid,
-                             levels=9, n_paths=10_000, seed=0)
+    spec_mu = make_model("constant_drift", {"theta": 1.0})
+    sweep = refinement_sweep(spec_mu, make_model("brownian", {}), init, init,
+                             sample_paths(spec_mu, init, grid, 10_000, 0),
+                             levels=9)
     reference = _reference_drift_run()["estimate"].value
     finest = sweep.estimates[-1].total.value
     mesh = sweep.estimates[-1].partition.mesh
@@ -129,8 +130,9 @@ def test_criterion_04_diffusion_mismatch_diverges(record):
     grid = TimeGrid.uniform(1.0, 64)
     ens = sample_paths(spec_mu, init, grid, 1000, 0)
     match = diffusion_match_check(spec_mu, spec_p, ens)
-    sweep = refinement_sweep(spec_mu, spec_p, init, init, grid, levels=6,
-                             n_paths=1000, seed=0)
+    sweep = refinement_sweep(spec_mu, spec_p, init, init,
+                             sample_paths(spec_mu, init, grid, 1000, 0),
+                             levels=6)
     gir = girsanov_entropy(spec_mu, spec_p, init, init, ens)
     slope_ok = (sweep.slope_per_interval is not None
                 and abs(sweep.slope_per_interval - MISMATCH_STEP)
@@ -266,9 +268,9 @@ def test_criterion_09_chain_decomposition_identity(record):
     grid = TimeGrid.uniform(1.0, 128)
     part = Partition.from_times(grid, [0.0, 0.5, 1.0])
     init = InitialLaw.point_mass([0.0])
-    est = chain_estimate(make_model("ou", {"gamma": 1.0}),
-                         make_model("brownian", {}), init, init, part,
-                         n_paths=4000, seed=0, grid=grid)
+    spec_mu = make_model("ou", {"gamma": 1.0})
+    est = chain_estimate(spec_mu, make_model("brownian", {}), init, init,
+                         sample_paths(spec_mu, init, grid, 4000, 0), part)
     total = est.initial_term
     for term in est.contributions:
         total = total + term.value

@@ -117,10 +117,10 @@ ROUTES = {
     "girsanov": lambda mu, p: girsanov_entropy(mu, p, INIT, INIT,
                                                _ensemble()),
     "chain": lambda mu, p: chain_estimate(
-        mu, p, INIT, INIT, Partition.from_times(GRID, [0.0, 0.5, 1.0]),
-        ensemble=_ensemble()),
-    "sweep": lambda mu, p: refinement_sweep(mu, p, INIT, INIT, GRID, 3,
-                                            200, 5),
+        mu, p, INIT, INIT, _ensemble(),
+        Partition.from_times(GRID, [0.0, 0.5, 1.0])),
+    "sweep": lambda mu, p: refinement_sweep(
+        mu, p, INIT, INIT, sample_paths(mu, INIT, GRID, 200, 5), 3),
     "sample_paths": lambda mu, p: sample_paths(p, INIT, GRID, 200, 5),
     "residual-energy": lambda mu, p: residual_energy_profile(
         _ensemble(), p, BASIS),
@@ -190,9 +190,9 @@ def test_nan_and_inf_are_named_apart():
     ens = _ensemble()
     part = Partition.from_times(GRID, [0.0, 0.5, 1.0])
     with pytest.raises(ME, match=r"is NaN on some path at t = 0\.5"):
-        chain_estimate(*DEFECTS["nan-drift"], INIT, INIT, part, ensemble=ens)
+        chain_estimate(*DEFECTS["nan-drift"], INIT, INIT, ens, part)
     with pytest.raises(ME, match=r"is infinite on some path at t = 0\.5"):
-        chain_estimate(*DEFECTS["inf-drift"], INIT, INIT, part, ensemble=ens)
+        chain_estimate(*DEFECTS["inf-drift"], INIT, INIT, ens, part)
 
 
 # The positive-definiteness rule: one verdict per law at every site that
@@ -262,9 +262,8 @@ PD_MODEL_SITES = {
     "girsanov": lambda mu, p, d: girsanov_entropy(
         mu, p, _point(d), _point(d), PD_ENSEMBLES[d]).value,
     "chain": lambda mu, p, d: chain_estimate(
-        mu, p, _point(d), _point(d),
-        Partition.from_times(PD_GRID, [0.0, 0.5, 1.0]),
-        ensemble=PD_ENSEMBLES[d]).total.value,
+        mu, p, _point(d), _point(d), PD_ENSEMBLES[d],
+        Partition.from_times(PD_GRID, [0.0, 0.5, 1.0])).total.value,
     "step_kl": lambda mu, p, d: step_kl(mu, p, PD_ENSEMBLES[d],
                                         (0.5, 1.0))[0],
     "residual-energy": lambda mu, p, d: residual_energy_profile(

@@ -28,6 +28,7 @@ from pathkl import (
 )
 from pathkl import chain
 from pathkl.chain import _chain_levels, _interval_kls
+from pathkl.cli import _SampledPaths
 from pathkl.diffusion import PairCoefficients
 
 OU_VS_BM = 0.1419169104045766                  # gamma=1, T=1
@@ -114,45 +115,39 @@ def test_step_interval_validation():
 
 
 def test_chain_same_law_zero():
-    spec, grid, _ = _ensemble("ou", {"gamma": 1.0}, 64, 300)
+    spec, grid, ens = _ensemble("ou", {"gamma": 1.0}, 64, 300)
     part = Partition.from_times(grid, [0.0, 0.5, 1.0])
     est = chain_estimate(spec, spec, InitialLaw.point_mass([0.0]),
-                         InitialLaw.point_mass([0.0]), part,
-                         n_paths=300, grid=grid)
+                         InitialLaw.point_mass([0.0]), ens, part)
     assert est.total.value <= 1e-12
 
 
 def test_chain_constant_drift_full_grid():
-    grid = TimeGrid.uniform(1.0, 256)
+    spec_mu, grid, ens = _ensemble("constant_drift", {"theta": 1.0}, 256,
+                                   4000, seed=1)
     part = Partition.from_times(grid, grid.points)
-    est = chain_estimate(make_model("constant_drift", {"theta": 1.0}),
-                         make_model("brownian", {}),
+    est = chain_estimate(spec_mu, make_model("brownian", {}),
                          InitialLaw.point_mass([0.0]),
-                         InitialLaw.point_mass([0.0]), part,
-                         n_paths=4000, seed=1, grid=grid)
+                         InitialLaw.point_mass([0.0]), ens, part)
     assert est.total.value == pytest.approx(0.5, rel=0.02)
     assert len(est.contributions) == 256
 
 
 def test_chain_ou_full_grid():
-    grid = TimeGrid.uniform(1.0, 256)
+    spec_mu, grid, ens = _ensemble("ou", {"gamma": 1.0}, 256, 8000, seed=2)
     part = Partition.from_times(grid, grid.points)
-    est = chain_estimate(make_model("ou", {"gamma": 1.0}),
-                         make_model("brownian", {}),
+    est = chain_estimate(spec_mu, make_model("brownian", {}),
                          InitialLaw.point_mass([0.0]),
-                         InitialLaw.point_mass([0.0]), part,
-                         n_paths=8000, seed=2, grid=grid)
+                         InitialLaw.point_mass([0.0]), ens, part)
     assert est.total.value == pytest.approx(OU_VS_BM, rel=0.03)
 
 
 def test_chain_total_is_plain_sum():
-    grid = TimeGrid.uniform(1.0, 8)
+    spec_mu, grid, ens = _ensemble("ou", {"gamma": 1.0}, 8, 500, seed=3)
     part = Partition.from_times(grid, [0.0, 0.5, 1.0])
-    est = chain_estimate(make_model("ou", {"gamma": 1.0}),
-                         make_model("brownian", {}),
+    est = chain_estimate(spec_mu, make_model("brownian", {}),
                          InitialLaw.point_mass([0.0]),
-                         InitialLaw.point_mass([0.0]), part,
-                         n_paths=500, seed=3, grid=grid)
+                         InitialLaw.point_mass([0.0]), ens, part)
     total = est.initial_term
     for term in est.contributions:
         total = total + term.value
@@ -160,25 +155,32 @@ def test_chain_total_is_plain_sum():
 
 
 def test_chain_accepts_prebuilt_ensemble():
-    spec_mu, grid, ens = _ensemble("constant_drift", {"theta": 1.0}, 64,
-                                   800, seed=4)
-    spec_p = make_model("brownian", {})
-    part = Partition.from_times(grid, grid.points)
-    init = InitialLaw.point_mass([0.0])
-    a = chain_estimate(spec_mu, spec_p, init, init, part, ensemble=ens)
-    b = chain_estimate(spec_mu, spec_p, init, init, part, n_paths=800,
-                       seed=4, grid=grid)
-    assert a.total.value == b.total.value
+    # a held ensemble and the sampled source of the same run give the same
+    # chain and sweep, bit for bit, in d = 1 and d = 2
+    for mu, p, dim in [(("constant_drift", {"theta": 1.0}), ("brownian", {}),
+                        1), HOIST_PAIRS[-1][:3]]:
+        spec_mu, spec_p = make_model(*mu, dim=dim), make_model(*p, dim=dim)
+        init = InitialLaw.point_mass([0.0] * dim)
+        grid = TimeGrid.uniform(1.0, 64)
+        held = sample_paths(spec_mu, init, grid, 800, 4)
+        sampled = _SampledPaths(spec_mu, init, grid, 800, 4, 1)
+        part = Partition.from_times(grid, grid.points)
+        a, b = (chain_estimate(spec_mu, spec_p, init, init, paths, part)
+                for paths in (held, sampled))
+        assert (a.total, a.contributions) == (b.total, b.contributions)
+        a, b = (refinement_sweep(spec_mu, spec_p, init, init, paths, 4)
+                for paths in (held, sampled))
+        assert [(e.total, e.contributions) for e in a.estimates] \
+            == [(e.total, e.contributions) for e in b.estimates]
+        assert a.diagnostics == b.diagnostics == {"n_paths": 800,
+                                                  "levels": 4}
 
 
 def test_chain_singular_initial_pair():
-    grid = TimeGrid.uniform(1.0, 8)
+    spec, grid, ens = _ensemble("brownian", {}, 8, 100)
     part = Partition.from_times(grid, [0.0, 1.0])
-    est = chain_estimate(make_model("brownian", {}),
-                         make_model("brownian", {}),
-                         InitialLaw.point_mass([0.0]),
-                         InitialLaw.gaussian([0.0], [[1.0]]), part,
-                         n_paths=100, grid=grid)
+    est = chain_estimate(spec, spec, InitialLaw.point_mass([0.0]),
+                         InitialLaw.gaussian([0.0], [[1.0]]), ens, part)
     assert est.total.value == math.inf
 
 
@@ -211,11 +213,9 @@ def test_refine_sequence_divisibility():
 
 
 def test_sweep_same_law_flat_zero():
-    grid = TimeGrid.uniform(1.0, 64)
-    spec = make_model("ou", {"gamma": 1.0})
+    spec, _, ens = _ensemble("ou", {"gamma": 1.0}, 64, 400, seed=5)
     init = InitialLaw.point_mass([0.0])
-    sweep = refinement_sweep(spec, spec, init, init, grid, levels=4,
-                             n_paths=400, seed=5)
+    sweep = refinement_sweep(spec, spec, init, init, ens, levels=4)
     for est in sweep.estimates:
         assert est.total.value <= 1e-12
     assert not sweep.diverged
@@ -223,11 +223,11 @@ def test_sweep_same_law_flat_zero():
 
 
 def test_sweep_matched_case_monotone():
-    grid = TimeGrid.uniform(1.0, 256)
+    spec_mu, _, ens = _ensemble("constant_drift", {"theta": 1.0}, 256, 3000,
+                                seed=6)
     init = InitialLaw.point_mass([0.0])
-    sweep = refinement_sweep(make_model("constant_drift", {"theta": 1.0}),
-                             make_model("brownian", {}), init, init, grid,
-                             levels=6, n_paths=3000, seed=6)
+    sweep = refinement_sweep(spec_mu, make_model("brownian", {}), init, init,
+                             ens, levels=6)
     totals = [e.total.value for e in sweep.estimates]
     assert sweep.monotonicity_violations == ()
     assert np.all(np.diff(totals) >= -1e-9)
@@ -248,9 +248,9 @@ def test_sweep_records_monotonicity_violations():
 
     mu = dataclasses.replace(brownian, drift=kick, model_id="custom")
     init = InitialLaw.point_mass([0.0])
-    sweep = refinement_sweep(mu, brownian, init, init,
-                             TimeGrid.uniform(1.0, 4), levels=3, n_paths=20,
-                             seed=0)
+    sweep = refinement_sweep(
+        mu, brownian, init, init,
+        sample_paths(mu, init, TimeGrid.uniform(1.0, 4), 20, 0), levels=3)
     assert [e.total.value for e in sweep.estimates] == [2.0, 1.0, 0.5]
     assert sweep.monotonicity_violations == (
         {"coarse_intervals": 1, "fine_intervals": 2, "drop": 1.0,
@@ -262,12 +262,10 @@ def test_sweep_records_monotonicity_violations():
 
 def test_sweep_mismatch_diverges_linearly(monkeypatch):
     monkeypatch.setattr(chain, "DIVERGENCE_THRESHOLD", 2.0)
-    grid = TimeGrid.uniform(1.0, 64)
+    spec_mu, _, ens = _ensemble("brownian", {"a": 2.0}, 64, 200, seed=7)
     init = InitialLaw.point_mass([0.0])
-    sweep = refinement_sweep(make_model("brownian", {"a": 2.0}),
-                             make_model("brownian", {"a": 1.0}),
-                             init, init, grid, levels=5, n_paths=200,
-                             seed=7)
+    sweep = refinement_sweep(spec_mu, make_model("brownian", {"a": 1.0}),
+                             init, init, ens, levels=5)
     totals = np.array([e.total.value for e in sweep.estimates])
     counts = np.array([e.partition.n_intervals for e in sweep.estimates])
     np.testing.assert_allclose(totals, counts * MISMATCH_STEP, rtol=1e-12)
@@ -382,9 +380,10 @@ def test_nan_coefficients_fail_loudly(matrix, spec_p):
     at_time = r"NaN on some path at t = \d"
     part = Partition.from_times(grid, [0.0, 0.5, 1.0])
     with pytest.raises(ModelEvaluationError, match=at_time):
-        chain_estimate(spec_mu, spec_p, init, init, part, ensemble=ens)
+        chain_estimate(spec_mu, spec_p, init, init, ens, part)
     with pytest.raises(ModelEvaluationError, match=at_time):
-        refinement_sweep(spec_mu, spec_p, init, init, grid, 3, 200, 5)
+        refinement_sweep(spec_mu, spec_p, init, init,
+                         sample_paths(spec_mu, init, grid, 200, 5), 3)
     with pytest.raises(ModelEvaluationError, match=r"at t = 0\.5"):
         step_kl(spec_mu, spec_p, ens, (0.5, 1.0))
     with pytest.raises(ModelEvaluationError, match=r"at t = \d"):
@@ -409,7 +408,7 @@ def test_non_pd_constant_matrix_fails_loudly(a):
     with pytest.raises(PositiveDefinitenessError):
         girsanov_entropy(mu, p, init, init, ens)
     with pytest.raises(PositiveDefinitenessError):
-        chain_estimate(mu, p, init, init, part, ensemble=ens)
+        chain_estimate(mu, p, init, init, ens, part)
     with pytest.raises(PositiveDefinitenessError):
         step_kl(mu, p, ens, (0.5, 1.0))
     with pytest.raises(PositiveDefinitenessError):
@@ -426,11 +425,11 @@ def test_chain_clamp_distance_recorded():
     grid = TimeGrid.uniform(1.0, 8)
     ens = sample_paths(spec, init, grid, 20, 1)
     part = Partition.from_times(grid, [0.0, 0.5, 1.0])
-    total = chain_estimate(spec, spec, init, init, part, ensemble=ens).total
+    total = chain_estimate(spec, spec, init, init, ens, part).total
     assert total.value == 0.0
     assert -1e-15 < total.diagnostics["clamped_from"] < 0.0
     ou = make_model("ou", {"gamma": 1.0, "a": a}, dim=2)
-    total = chain_estimate(ou, spec, init, init, part, ensemble=ens).total
+    total = chain_estimate(ou, spec, init, init, ens, part).total
     assert total.value > 0.0
     assert "clamped_from" not in total.diagnostics
 
@@ -472,9 +471,9 @@ def test_chain_constant_diffusion_matches_per_path(mu, p, dim, exact):
     grid = TimeGrid.uniform(1.0, 16)
     ens = sample_paths(spec_mu, init, grid, 200, 4)
     part = Partition.from_times(grid, [0.0, 0.25, 0.3125, 0.75, 1.0])
-    hoisted = chain_estimate(spec_mu, spec_p, init, init, part, ensemble=ens)
+    hoisted = chain_estimate(spec_mu, spec_p, init, init, ens, part)
     generic = chain_estimate(_generic(spec_mu), _generic(spec_p), init, init,
-                             part, ensemble=ens)
+                             ens, part)
     scale = generic.total.value
     _assert_close(hoisted.total.value, generic.total.value, exact)
     _assert_close(hoisted.total.std_error, generic.total.std_error, exact)
@@ -482,10 +481,10 @@ def test_chain_constant_diffusion_matches_per_path(mu, p, dim, exact):
         _assert_close(h.value, g.value, exact, scale)
         _assert_close(h.std_error, g.std_error, exact, scale)
     # only one side constant: hoisted a with per-path c, and the reverse
-    for half in (chain_estimate(spec_mu, _generic(spec_p), init, init, part,
-                                ensemble=ens),
-                 chain_estimate(_generic(spec_mu), spec_p, init, init, part,
-                                ensemble=ens)):
+    for half in (chain_estimate(spec_mu, _generic(spec_p), init, init, ens,
+                                part),
+                 chain_estimate(_generic(spec_mu), spec_p, init, init, ens,
+                                part)):
         _assert_close(half.total.value, generic.total.value, exact)
 
 
@@ -564,12 +563,11 @@ def test_sweep_levels_equal_per_level_chain_estimates(mu, p):
     spec_mu, spec_p = make_model(*mu), make_model(*p)
     init = InitialLaw.point_mass([0.0])
     grid = TimeGrid.uniform(1.0, 32)
-    sweep = refinement_sweep(spec_mu, spec_p, init, init, grid, 6,
-                             n_paths=120, seed=9)
+    sweep = refinement_sweep(spec_mu, spec_p, init, init,
+                             sample_paths(spec_mu, init, grid, 120, 9), 6)
     ens = sample_paths(spec_mu, init, grid, 120, 9)
     for est, part in zip(sweep.estimates, refine_sequence(grid, 6)):
-        alone = chain_estimate(spec_mu, spec_p, init, init, part,
-                               ensemble=ens)
+        alone = chain_estimate(spec_mu, spec_p, init, init, ens, part)
         assert est.total.value == alone.total.value
         assert est.total.std_error == alone.total.std_error
         assert [(t.value, t.std_error) for t in est.contributions] \
@@ -595,12 +593,12 @@ def test_times_just_above_a_grid_point_are_on_the_grid():
 
 
 def test_sweep_1d_state_dependent_makes_no_lapack_call(linalg_calls):
+    spec_mu, _, ens = _ensemble("sine_diffusion",
+                                {"a": 2.0, "amplitude": 0.5}, 64, 50, seed=3)
     init = InitialLaw.point_mass([0.0])
     sweep = refinement_sweep(
-        make_model("sine_diffusion", {"a": 2.0, "amplitude": 0.5}),
-        make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5}),
-        init, init, TimeGrid.uniform(1.0, 64), levels=7, n_paths=50,
-        seed=3)
+        spec_mu, make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5}),
+        init, init, ens, levels=7)
     assert sweep.estimates[-1].partition.n_intervals == 64
     assert linalg_calls == {"solve": 0, "slogdet": 0, "cholesky": 0}
 
@@ -625,8 +623,8 @@ def test_chain_holds_levels_times_paths_floats(mu, p):
     ens = sample_paths(spec_mu, init, grid, n, 11)
     partitions = refine_sequence(grid, levels)
     for run, held in [
-            (lambda: chain_estimate(spec_mu, spec_p, init, init,
-                                    partitions[-1], ensemble=ens), 1),
+            (lambda: chain_estimate(spec_mu, spec_p, init, init, ens,
+                                    partitions[-1]), 1),
             (lambda: _chain_levels(spec_mu, spec_p, init, init, ens,
                                    partitions), levels)]:
         run()

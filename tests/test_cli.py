@@ -173,9 +173,10 @@ def test_run_chain_sweep_needs_only_divisible_steps(tmp_path):
     assert main(["run", "--config", _write(tmp_path, "c.json", cfg),
                  "--out", str(out)]) == 0
     init = InitialLaw.point_mass([0.0])
-    sweep = refinement_sweep(make_model("constant_drift", {"theta": 1.0}),
-                             make_model("brownian", {}), init, init,
-                             TimeGrid.uniform(1.0, 768), 9, 50, 0)
+    spec_mu = make_model("constant_drift", {"theta": 1.0})
+    sweep = refinement_sweep(
+        spec_mu, make_model("brownian", {}), init, init,
+        sample_paths(spec_mu, init, TimeGrid.uniform(1.0, 768), 50, 0), 9)
     got = _report(out)["results"]["sweep"]
     assert [(r["intervals"], r["value"], r["std_error"]) for r in got] == [
         (e.partition.n_intervals, e.total.value, e.total.std_error)
@@ -433,6 +434,18 @@ def test_readme_lists_every_catalogue_model():
                   "| id | drift | params |")}
     assert listed == {model_id: set(model_params(model_id))
                       for model_id in model_ids()}
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the quick start's python block runs as written: one ensemble, read
+    # by girsanov and by a nine-level sweep
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library quick start")[1]
+    block = block.split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(block, namespace)
+    assert len(namespace["sweep"].estimates) == 9
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_run_rejects_unknown_model_record_key(tmp_path, capsys):
@@ -754,34 +767,41 @@ def test_girsanov_run_holds_one_block_of_paths():
 
 
 def test_residual_energy_run_holds_one_block_of_paths():
-    # with an explicit basis, 16384 paths x 257 grid times are read in a
-    # block of 9 chunks and one of 7, sized by the profile's jets: beside
-    # small sums the run holds one block of states, one of jets and the
-    # sampler's draw scratch, below the whole ensemble and one block of
+    # with an explicit basis a block of paths is sized by the larger of its
+    # states and the profile's jets: 16384 paths x 257 grid times with 12
+    # bumps (216 jet entries a path) are two blocks of 7 chunks and one of
+    # 2, and 4096 paths x 1025 grid times with 8 bumps (144) are four blocks
+    # of 1 chunk. Beside the per-chunk sums of at most steps // 4 slices
+    # and small vectors the run holds one block of states, one of jets and
+    # the sampler's draw scratch, below the whole ensemble and one block of
     # jets
     from pathkl import diffusion
 
-    n, steps, count = 16 * diffusion.BLOCK_PATHS, 256, 12
-    per_path = count * 3 * (2 * 8 // 4 + 2)     # d = 1, window 8, stride 4
-    rows = diffusion.path_blocks(n, per_path)[0][1]
-    assert n == rows + 7 * diffusion.BLOCK_PATHS
-    cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
-                        grid={"horizon": 1.0, "steps": steps}, seed=4,
-                        estimator="residual-energy", estimator_params={
-                            "basis": {"box": [-3.0, 3.0], "count": count}})
-    jets = 8 * rows * per_path
-    bound = (8 * rows * (steps + 1) + jets + 8 * diffusion.BLOCK_ELEMENTS
-             + 8 * 16 * rows)
-    run_config(dict(cfg, n_paths=10))   # what a first run imports
-    tracemalloc.start()
-    try:
-        total = run_config(cfg)[1]["total"]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(total)
-    ensemble = 8 * n * (steps + 1)
-    assert peak < bound < ensemble + jets, (peak, bound)
+    # (chunks of paths, steps, bumps, chunks in the first block)
+    for chunks, steps, count, first in ((16, 256, 12, 7), (4, 1024, 8, 1)):
+        n = chunks * diffusion.BLOCK_PATHS
+        jet_entries = count * 3 * (2 * 8 // 4 + 2)  # d = 1, window 8, stride 4
+        rows = diffusion.path_blocks(n, max(jet_entries, steps + 1))[0][1]
+        assert rows == first * diffusion.BLOCK_PATHS
+        cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
+                            grid={"horizon": 1.0, "steps": steps}, seed=4,
+                            estimator="residual-energy", estimator_params={
+                                "basis": {"box": [-3.0, 3.0],
+                                          "count": count}})
+        jets = 8 * rows * jet_entries
+        sums = 8 * chunks * (steps // 4) * count * (2 * count + 1)
+        bound = (8 * rows * (steps + 1) + jets + 8 * diffusion.BLOCK_ELEMENTS
+                 + sums + 8 * 16 * rows)
+        run_config(dict(cfg, n_paths=10))   # what a first run imports
+        tracemalloc.start()
+        try:
+            total = run_config(cfg)[1]["total"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(total)
+        ensemble = 8 * n * (steps + 1)
+        assert peak < bound < ensemble + jets, (steps, peak, bound)
 
 
 def _first_faults(states, bound, rows):

@@ -980,11 +980,15 @@ def test_constant_matrix_stands_in_for_diffusion_matrix():
     same(girsanov_entropy(g_mu, g_p, init, init, ens),
          girsanov_entropy(mu, p, init, init, ens))
     part = Partition.from_times(grid, [0.0, 0.25, 0.5, 1.0])
-    same(chain_estimate(g_mu, g_p, init, init, part, ensemble=ens).total,
-         chain_estimate(mu, p, init, init, part, ensemble=ens).total)
+    same(chain_estimate(g_mu, g_p, init, init, ens, part).total,
+         chain_estimate(mu, p, init, init, ens, part).total)
     for got, want in zip(
-            refinement_sweep(g_mu, g_p, init, init, grid, 4, 300, 7).estimates,
-            refinement_sweep(mu, p, init, init, grid, 4, 300, 7).estimates):
+            refinement_sweep(g_mu, g_p, init, init,
+                             sample_paths(g_mu, init, grid, 300, 7),
+                             4).estimates,
+            refinement_sweep(mu, p, init, init,
+                             sample_paths(mu, init, grid, 300, 7),
+                             4).estimates):
         same(got.total, want.total)
     basis = mixed_basis([-3.0], [3.0], 6)
     got = residual_energy_profile(ens, g_p, basis)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -110,13 +111,13 @@ def _called(name):
 
 
 def test_sampling_and_the_match_check_are_called_where_the_trace_wraps():
-    # the benchmark trace wraps sample_paths where cli.py and chain.py look
-    # it up and diffusion_match_check where girsanov.py does: a call from
-    # anywhere else would do work the trace does not count
+    # the benchmark trace wraps sample_paths where cli.py looks it up and
+    # diffusion_match_check where girsanov.py does: a call from anywhere
+    # else would do work the trace does not count
     def modules(name):
         return {site.split(":")[0] for site in _calls_by_function(
             _called(name))}
-    assert modules("sample_paths") == {"cli.py", "chain.py"}
+    assert modules("sample_paths") == {"cli.py"}
     assert modules("diffusion_match_check") == {"girsanov.py"}
     # every route's paths, probe and blocks, are sampled by
     # _SampledPaths.block, so they are timed and counted like a whole
@@ -124,7 +125,18 @@ def test_sampling_and_the_match_check_are_called_where_the_trace_wraps():
     assert {site for site in _calls_by_function(_called("sample_paths"))
             if site.startswith("cli.py")} == {
                 "cli.py:block", "cli.py:_selftest_checks",
-                "cli.py:check_mismatch_step", "cli.py:check_constant_drift"}
+                "cli.py:check_mismatch_step", "cli.py:check_constant_drift",
+                "cli.py:check_chain_identity"}
+
+
+def test_every_path_space_route_takes_its_paths():
+    # each route reads mu's paths from one argument, a PathEnsemble or a
+    # path source, and none samples them from settings of its own
+    for route in (pathkl.girsanov_entropy, pathkl.chain_estimate,
+                  pathkl.refinement_sweep, pathkl.residual_energy_profile):
+        params = inspect.signature(route).parameters
+        assert not {"n_paths", "seed", "threads", "grid"} & set(params), \
+            route.__name__
 
 
 def test_the_probe_is_chosen_by_the_library():

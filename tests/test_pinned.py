@@ -87,8 +87,9 @@ SWEEP_LEVEL4_TERMS = [
 
 def test_refinement_sweep_pinned(ou_bm):
     ou, bm = ou_bm
-    sweep = refinement_sweep(ou, bm, ZERO, ZERO, TimeGrid.uniform(1.0, 256),
-                             9, n_paths=64, seed=5)
+    sweep = refinement_sweep(
+        ou, bm, ZERO, ZERO,
+        sample_paths(ou, ZERO, TimeGrid.uniform(1.0, 256), 64, 5), 9)
     assert _hex(e.total.value for e in sweep.estimates) == SWEEP_TOTALS
     assert _hex(e.total.std_error for e in sweep.estimates) == SWEEP_SES
     assert _hex(t.value for t in sweep.estimates[3].contributions) \
@@ -212,8 +213,9 @@ def test_sine_mismatch_sweep_pinned():
     # state-dependent diffusions: the per-(path, interval) branch
     mu = make_model("sine_diffusion", {"a": 2.0, "amplitude": 0.5})
     p = make_model("sine_diffusion", {"a": 1.0, "amplitude": 0.5})
-    sweep = refinement_sweep(mu, p, ZERO, ZERO, TimeGrid.uniform(1.0, 64), 5,
-                             n_paths=48, seed=2)
+    sweep = refinement_sweep(
+        mu, p, ZERO, ZERO,
+        sample_paths(mu, ZERO, TimeGrid.uniform(1.0, 64), 48, 2), 5)
     assert _hex(e.total.value for e in sweep.estimates) == SINE_TOTALS
     assert _hex(e.total.std_error for e in sweep.estimates) == SINE_SES
     assert sweep.slope_per_interval.hex() == "0x1.3a37a020b8c23p-3"
