@@ -50,8 +50,7 @@ from .girsanov import girsanov_entropy
 from .marginal import (OptimizerConfig, dv_estimate, initial_entropy,
                        pooled_dv_basis)
 from .sanov import RateExperiment, empirical_rate
-from .variational import (basis_from_config, default_energy_basis,
-                          residual_energy_profile)
+from .variational import basis_from_config, residual_energy_profile
 
 __all__ = ["main", "run_config", "build_report"]
 
@@ -356,17 +355,13 @@ def _run_dv_marginal(resolved, objs, threads):
 def _run_residual_energy(resolved, objs, threads):
     spec_mu, spec_p, init_mu, init_p, grid = objs
     params = resolved["estimator_params"]
-    paths = _SampledPaths(spec_mu, init_mu, grid, resolved["n_paths"],
-                          resolved["seed"], threads)
-    if "basis" in params:
-        # the profile reads the paths a block at a time
-        basis = basis_from_config(params["basis"])
-    else:
-        # the default basis reads the whole ensemble
-        paths = paths.block(0, paths.n_paths)
-        basis = default_energy_basis(paths)
+    # the profile reads the paths a block at a time; a default basis is
+    # sized on the first block's first chunk
+    basis = basis_from_config(params["basis"]) if "basis" in params \
+        else None
     profile = residual_energy_profile(
-        paths, spec_p, basis,
+        _SampledPaths(spec_mu, init_mu, grid, resolved["n_paths"],
+                      resolved["seed"], threads), spec_p, basis,
         **_set_params(resolved, "window", "stride", "t_min_frac"))
     initial = initial_entropy(init_mu, init_p)
     total = path_space_estimate(initial, [profile.integral],
@@ -382,7 +377,12 @@ def _run_residual_energy(resolved, objs, threads):
         "total": total.value,
         "total_std_error": total.std_error,
         "profile": rows,
-        "basis": basis.describe(),
+        "basis": basis.describe() if basis is not None else {
+            # every slice has the same functions, each on its own box
+            "functions": profile.bases[0].describe(),
+            "boxes": [{"t": float(t), "lo": b.lo.tolist(),
+                       "hi": b.hi.tolist()}
+                      for t, b in zip(profile.times, profile.bases)]},
         "diagnostics": total.diagnostics,
     }
     return results, rows, total

@@ -18,6 +18,7 @@ value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,7 +45,7 @@ __all__ = [
     "windowed_monomial",
     "mixed_basis",
     "basis_from_config",
-    "default_energy_basis",
+    "slice_energy_basis",
     "gram_matrix",
     "fokker_planck_residual",
     "dual_energy",
@@ -55,6 +56,14 @@ __all__ = [
 # Pseudo-inverse cutoff relative to the largest singular value; duplicated or
 # near-collinear basis functions degrade gracefully instead of exploding.
 SVD_RCOND = 1e-8
+
+# residual_energy_profile's default basis on a slice (slice_energy_basis):
+# monomials of total degree 1 to ENERGY_DEGREE, on the box of the mean ±
+# ENERGY_BOX_SDS SDs of the first chunk's states there. Degree 4 is the
+# least that resolves a double-well drift x - x³; 6 SDs cover the noise of
+# a 1024-path chunk's moments.
+ENERGY_DEGREE = 4
+ENERGY_BOX_SDS = 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +130,10 @@ def _axis_product(p: np.ndarray, dp, ddp, order: int):
     second derivatives dp and ddp (needed only up to `order`). Products over
     the other axes are taken directly, so a vanishing factor is safe."""
     d = p.shape[-1]
+    if d == 1:
+        # the product of one factor: the bits of the general rule below
+        return (p[..., 0], dp if order >= 1 else None,
+                ddp[..., None] if order >= 2 else None)
     value = np.prod(p, axis=-1)
     grad = hess = None
     if order >= 1:
@@ -193,16 +206,23 @@ class _MonomialCore:
     def stack(cores, x: np.ndarray, order: int):
         """Same contract as _BumpCore.stack; the cores share one window."""
         window = cores[0].window
-        degs = _leading(np.stack([c.degree for c in cores]), x)
+        exps = np.stack([c.degree for c in cores])          # (K, d)
+        degs = _leading(exps, x)
         half = window.half
         u = (x - window.center) / half
+        # u ** e for e = 0 ... the top degree, axis first, by products,
+        # u ** e = u ** (e - 1) * u: numpy's pow gives u ** 2 the bits of
+        # u * u, but is many times slower above that and rounds otherwise
+        table = np.empty((max(2, exps.max() + 1),) + u.shape)
+        table[0], table[1] = 1.0, u
+        for e in range(2, table.shape[0]):
+            np.multiply(table[e - 1], u, out=table[e])
+        table = np.moveaxis(table, -1, 1)                   # (e, d, ...)
+        axes = np.arange(exps.shape[1])
 
         def powers(drop):
-            # u ** max(degree - drop, 0) per core: numpy's power rounds
-            # differently when an exponent is broadcast along its inner
-            # loop, so each core keeps the single-function operand shapes.
-            return np.stack([u ** np.maximum(c.degree - drop, 0)
-                             for c in cores])
+            # u ** max(degree - drop, 0) per core, (K, ..., d)
+            return np.moveaxis(table[np.maximum(exps - drop, 0), axes], 1, -1)
 
         dp = ddp = None
         if order >= 1:
@@ -805,7 +825,7 @@ class ChunkSums:
 @dataclass(frozen=True)
 class EnergyProfile:
     """Per-slice debiased dual values and their time integral, with the
-    per-chunk path sums they were solved from."""
+    per-chunk path sums they were solved from and each slice's basis."""
 
     times: np.ndarray
     values: np.ndarray
@@ -814,19 +834,29 @@ class EnergyProfile:
     integral_std_error: float
     diagnostics: dict
     chunk_sums: ChunkSums = field(repr=False, compare=False)
+    bases: tuple[FunctionBasis, ...] = field(repr=False, compare=False)
 
 
-def default_energy_basis(ensemble: PathEnsemble) -> FunctionBasis:
-    """residual_energy_profile's default: twelve local bumps, which resolve
-    the marginals' gradients, over the central 99.8% of the states in the
-    second half of the horizon. ArgumentError unless the paths are 1-d."""
-    if ensemble.dim != 1:
-        raise ArgumentError("the default energy basis is one-dimensional")
-    states = ensemble.states[:, ensemble.grid.n_steps // 2:]
-    lo, hi = (float(q) for q in np.quantile(states, [0.001, 0.999]))
-    pad = 0.3 * (hi - lo)
-    return mixed_basis([lo - pad], [hi + pad], n_bumps=12,
-                       bump_scale=1.5 * (hi - lo) / 11, degrees=[])
+def slice_energy_basis(x: np.ndarray) -> FunctionBasis:
+    """residual_energy_profile's default basis for one slice, sized on its
+    states x (n, d): the windowed monomials of total degree 1 to
+    ENERGY_DEGREE on the box of the states' mean ± ENERGY_BOX_SDS SDs per
+    axis, C(d + ENERGY_DEGREE, d) - 1 functions in any dimension.
+
+    Raises:
+        ArgumentError: the states do not spread on some axis (SD 0).
+    """
+    mean, sd = x.mean(axis=0), x.std(axis=0)
+    if not np.all(sd > 0):
+        raise ArgumentError("the default energy basis needs states with a "
+                            "positive SD on every axis")
+    lo, hi = mean - ENERGY_BOX_SDS * sd, mean + ENERGY_BOX_SDS * sd
+    d = x.shape[1]
+    fns = [windowed_monomial(np.bincount(axes, minlength=d), lo, hi)
+           for total in range(1, ENERGY_DEGREE + 1)
+           for axes in itertools.combinations_with_replacement(range(d),
+                                                              total)]
+    return FunctionBasis(functions=tuple(fns), lo=lo, hi=hi)
 
 
 def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
@@ -854,19 +884,21 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
 
     Args:
         ensemble: paths sampled under the law being measured, a
-            PathEnsemble or any source of one that read_blocks reads (the
-            default basis reads a PathEnsemble).
+            PathEnsemble or any source of one that read_blocks reads.
         spec_P: reference law.
-        basis: test functions for every slice; default_energy_basis of
-            the ensemble when None.
+        basis: test functions for every slice; when None, each slice
+            takes slice_energy_basis of the first chunk's states there
+            (the first BLOCK_PATHS paths, or all if fewer), which the
+            first block holds.
         window: central-difference half-width in grid steps.
         stride: grid steps between evaluated slices.
         t_min_frac: burn-in fraction of the horizon.
 
     Raises:
         ArgumentError: a window or stride that is not an integer >= 1, a
-            t_min_frac outside [0, 1), no slice on the grid, or a basis of
-            another dimension.
+            t_min_frac outside [0, 1), no slice on the grid, a basis of
+            another dimension, or a default basis on states that do not
+            spread.
         PositiveDefinitenessError, ModelEvaluationError: as
             fokker_planck_residual and gram_matrix, for the earliest slice.
     """
@@ -881,20 +913,21 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             if ensemble.grid.points[i] >= t_min_frac * horizon]
     if not idxs:
         raise ArgumentError("no usable slices: grid too coarse for window")
-    if basis is None:
-        basis = default_energy_basis(ensemble)
 
     # a block costs about one order-2 jet, K (1 + d + d²) entries per
-    # path, at each of the 2 · window // stride + 2 grid indices it keeps:
-    # that covers the jets and the temporaries of evaluating them (at the
-    # defaults, K = 12, d = 1, window 8, stride 4, it counts 216 entries
-    # per path, and tracemalloc measures about 218); on a long grid a
+    # path, at each grid index it keeps: 2 · window // stride + 2 for a
+    # basis shared by all slices (at the defaults, with 12 bumps in d = 1,
+    # that counts 216 entries per path, and tracemalloc measures about
+    # 218), and a slice's 3 for a basis of its own; on a long grid a
     # sampled block's states, (m + 1) d entries a path, cost more, so a
-    # block is sized by the larger
-    d = basis.dim
-    jets = basis.size * (1 + d + d * d) * (2 * window // stride + 2)
-    sums = _profile_sums(ensemble, spec_P, basis, idxs, window,
-                         max(jets, (m + 1) * d))
+    # block is sized by the larger (an empty block gives the dimension)
+    if basis is None:
+        d = ensemble.block(0, 0).dim
+        k, kept = math.comb(d + ENERGY_DEGREE, d) - 1, 3
+    else:
+        d, k, kept = basis.dim, basis.size, 2 * window // stride + 2
+    sums, bases = _profile_sums(ensemble, spec_P, basis, idxs, window,
+                                max(k * (1 + d + d * d) * kept, (m + 1) * d))
     n = ensemble.n_paths
     times = ensemble.grid.points[idxs]
     values, ses, conds = [], [], []
@@ -928,51 +961,67 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
             "slice_correlation": "ignored",
             "gram_condition_max": max(conds),
         },
-        chunk_sums=sums)
+        chunk_sums=sums, bases=tuple(bases))
 
 
-def _profile_sums(paths, spec_P: DiffusionSpec, basis: FunctionBasis,
-                  idxs: list[int], window: int, per_path: int) -> ChunkSums:
+def _profile_sums(paths, spec_P: DiffusionSpec, basis: FunctionBasis | None,
+                  idxs: list[int], window: int, per_path: int
+                  ) -> tuple[ChunkSums, list[FunctionBasis]]:
     """The per-chunk path sums of the slices centred at idxs, from
     fokker_planck_residual and gram_matrix on the blocks read_blocks reads
-    at per_path entries a path.
+    at per_path entries a path, and the basis of each slice: basis, or
+    when None slice_energy_basis of the first chunk's states there, which
+    the first block holds.
 
-    Within a block, each grid index is evaluated once, at the highest
-    order a slice reads there (2 at a centre, 0 at a difference end), and
-    kept only while a later slice can read it: those read indices above
-    i - window only. P's matrix on a slice is evaluated once for the
-    residual and the Gram matrix.
+    Within a block, the jets are keyed by grid index and basis: each is
+    evaluated once, at the highest order a slice reads it (2 at a centre
+    of a slice on that basis, 0 at a difference end), and kept only while
+    a later slice reads it. P's matrix on a slice is evaluated once for
+    the residual and the Gram matrix.
     """
-    n, k, rows = paths.n_paths, basis.size, diffusion.BLOCK_PATHS
-    shape = (len(_chunks(n)), len(idxs), k)
-    sums = ChunkSums(
-        counts=np.array([min(rows, n - lo) for lo in range(0, n, rows)]),
-        shift=np.empty(shape[1:]), residual=np.empty(shape),
-        moments=np.empty(shape + (k,)), gram=np.empty(shape + (k,)))
-    centres = set(idxs)
+    n, rows = paths.n_paths, diffusion.BLOCK_PATHS
+    bases = [basis] * len(idxs)
+    sums = None
 
     def work(block: PathEnsemble, lo: int, hi: int) -> None:
+        nonlocal sums
+        if not lo:
+            if basis is None:
+                bases[:] = [slice_energy_basis(block.states[:rows, i])
+                            for i in idxs]
+            shape = (len(_chunks(n)), len(idxs), bases[0].size)
+            sums = ChunkSums(
+                counts=np.array([min(rows, n - c) for c in range(0, n, rows)]),
+                shift=np.empty(shape[1:]), residual=np.empty(shape),
+                moments=np.empty(shape + shape[-1:]),
+                gram=np.empty(shape + shape[-1:]))
+        # (grid index, basis) -> the last slice that reads it
+        last = {(j, id(b)): s for s, (i, b) in enumerate(zip(idxs, bases))
+                for j in (i - window, i + window, i)}
+        centres = {(i, id(b)) for i, b in zip(idxs, bases)}
         # blocks start on a chunk, and the last may end inside one
         chunks = slice(lo // rows, -(-hi // rows))
-        jets: dict[int, tuple] = {}
-        for s, i in enumerate(idxs):
-            for j in (i - window, i + window, i):
-                if j not in jets:
-                    jets[j] = basis.jet(block.states[:, j],
-                                        2 if j in centres else 0)
+        jets: dict[tuple, tuple] = {}
+        for s, (i, b) in enumerate(zip(idxs, bases)):
+            reads = (i - window, i + window, i)
+            for j in reads:
+                if (j, id(b)) not in jets:
+                    jets[j, id(b)] = b.jet(block.states[:, j],
+                                           2 if (j, id(b)) in centres else 0)
             x = block.states[:, i]
             a = spec_P.matrix_at(float(paths.grid.points[i]), x)
             res = fokker_planck_residual(
-                block, spec_P, basis, i, window, jets=jets, matrix=a,
+                block, spec_P, b, i, window,
+                jets={j: jets[j, id(b)] for j in reads}, matrix=a,
                 shift=sums.shift[s] if lo else None)
-            gram = gram_matrix(spec_P, res.t, x, basis,
-                               gradients=jets[i][1], matrix=a)
+            gram = gram_matrix(spec_P, res.t, x, b,
+                               gradients=jets[i, id(b)][1], matrix=a)
             sums.shift[s] = res.shift
             sums.residual[chunks, s] = res.chunk_sums
             sums.moments[chunks, s] = res.chunk_moments
             sums.gram[chunks, s] = gram.chunk_sums
-            jets[i] = jets[i][:1]       # later slices read only its values
-            jets = {j: jet for j, jet in jets.items() if j > i - window}
+            jets[i, id(b)] = jets[i, id(b)][:1]   # later reads are values
+            jets = {key: jet for key, jet in jets.items() if last[key] > s}
 
     read_blocks(paths, per_path, work)
-    return sums
+    return sums, bases

@@ -803,6 +803,47 @@ def test_residual_energy_run_holds_one_block_of_paths():
         ensemble = 8 * n * (steps + 1)
         assert peak < bound < ensemble + jets, (steps, peak, bound)
 
+    # the default basis, each slice's 4 monomials on a box sized on the
+    # first block's first chunk: 16384 paths x 257 grid times are read in
+    # blocks of 7 chunks, sized by the states (257 entries a path against
+    # a slice's three jets, 36), and the run holds one block of states,
+    # one slice's jets and the draw scratch, below the whole ensemble.
+    # Three runs in a row with the cyclic collector off hold no more: no
+    # run leaves its buffer alive in a reference cycle
+    n, steps = 16 * diffusion.BLOCK_PATHS, 256
+    rows = diffusion.path_blocks(n, steps + 1)[0][1]
+    assert rows == 7 * diffusion.BLOCK_PATHS
+    cfg = _girsanov_cfg(model_mu={"id": "ou", "params": {}}, n_paths=n,
+                        grid={"horizon": 1.0, "steps": steps}, seed=4,
+                        estimator="residual-energy")
+    jets = 8 * rows * 4 * 3 * 3
+    sums = 8 * 16 * (steps // 4) * 4 * (2 * 4 + 1)
+    bound = (8 * rows * (steps + 1) + jets + 8 * diffusion.BLOCK_ELEMENTS
+             + sums + 8 * 16 * rows)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        totals = [run_config(cfg)[1]["total"] for _ in range(3)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert totals[0] == totals[1] == totals[2]
+    assert peak < bound < 8 * n * (steps + 1), (peak, bound)
+
+
+def test_residual_energy_default_report_lists_each_slice_box():
+    # without a basis every slice has the 4 monomials, each slice on the
+    # box of its first chunk's states
+    results = run_config(_residual_cfg())[1]
+    basis = results["basis"]
+    assert basis["functions"] == [{"family": "poly", "degree": [k]}
+                                  for k in (1, 2, 3, 4)]
+    assert [box["t"] for box in basis["boxes"]] == [
+        row["t"] for row in results["profile"]]
+    assert all(box["lo"][0] < box["hi"][0] for box in basis["boxes"])
+    assert results["diagnostics"]["gram_condition_max"] <= 1e4
+
 
 def _first_faults(states, bound, rows):
     """The first grid index at which a path of each block of rows paths

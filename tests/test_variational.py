@@ -28,6 +28,7 @@ from pathkl import (
     dv_estimate,
     fokker_planck_residual,
     gaussian_bump,
+    girsanov_entropy,
     gram_matrix,
     make_model,
     mixed_basis,
@@ -73,6 +74,8 @@ def _fd_hessian(f, x, h=1e-5):
     lambda: windowed_monomial(1, [-2.0], [2.0]),
     lambda: windowed_monomial(2, [-1.0], [3.0], margin=0.3),
     lambda: windowed_monomial(0, [-2.0], [2.0]),
+    lambda: windowed_monomial(3, [-1.5], [2.5]),
+    lambda: windowed_monomial(4, [-2.0], [2.0], margin=0.3),
 ])
 def test_derivatives_match_finite_differences(maker):
     f = maker()
@@ -84,6 +87,38 @@ def test_derivatives_match_finite_differences(maker):
                                    rtol=2e-4, atol=2e-5)
         np.testing.assert_allclose(f.hessian(x), _fd_hessian(f, x),
                                    rtol=2e-3, atol=2e-4)
+
+
+@pytest.mark.parametrize("degree", [[3], [4], [3, 1], [2, 2], [0, 4]])
+def test_high_degree_monomials_match_their_analytic_jets(degree):
+    # on the window's flat core a monomial is prod_i u_i^e_i exactly, with
+    # u = (x - center) / half; its powers above 2 are products of u
+    e = np.array(degree)
+    lo, hi = -1.0 - 0.5 * np.arange(e.size), 2.0 + np.arange(e.size)
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    u = np.random.default_rng(3).uniform(-0.7, 0.7, size=(200, e.size))
+    value, grad, hess = FunctionBasis(
+        (windowed_monomial(degree, lo, hi),), lo, hi).jet(center + half * u, 2)
+
+    def power(k):
+        return np.where(k >= 0, u ** np.maximum(k, 0), 0.0)
+
+    want_grad = np.empty_like(u)
+    want_hess = np.empty(u.shape + (e.size,))
+    for i in range(e.size):
+        di = np.eye(e.size, dtype=int)[i]
+        want_grad[:, i] = e[i] * np.prod(power(e - di), axis=-1) / half[i]
+        for j in range(e.size):
+            dj = np.eye(e.size, dtype=int)[j]
+            coef = e[i] * (e[j] - (i == j))
+            want_hess[:, i, j] = coef * np.prod(power(e - di - dj),
+                                                axis=-1) / (half[i] * half[j])
+    np.testing.assert_allclose(value[:, 0], np.prod(u ** e, axis=-1),
+                               rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(grad[:, 0], want_grad, rtol=1e-13,
+                               atol=1e-15)
+    np.testing.assert_allclose(hess[:, 0], want_hess, rtol=1e-13,
+                               atol=1e-15)
 
 
 def test_compact_support_exact():
@@ -502,7 +537,12 @@ STACK_BASES = pytest.mark.parametrize("make", [
                         bump_span=(-1.0, 1.0)),
     _basis_2d,
     _basis_mixed_with_custom,
-], ids=["bumps", "mixed", "mixed-span", "2d", "with-custom"])
+    lambda: variational.slice_energy_basis(
+        np.random.default_rng(1).normal(0.3, 0.5, size=(300, 1))),
+    lambda: variational.slice_energy_basis(
+        np.random.default_rng(1).normal(0.3, [0.5, 0.4], size=(300, 2))),
+], ids=["bumps", "mixed", "mixed-span", "2d", "with-custom", "slice-1d",
+        "slice-2d"])
 
 
 @STACK_BASES
@@ -988,19 +1028,130 @@ def test_profile_error_names_earliest_time_over_blocks(late, early, error,
 # defaults and bad reference laws
 
 
+# a drift gap A x with a symmetric A is the gradient of x'Ax / 2, which the
+# marginal flow shows in full; a rotation would be invisible to it
+LINEAR_2D = {"A": [[-1.0, 0.5], [0.5, -0.8]]}
+
+
 def test_profile_defaults_to_the_energy_basis():
+    # each slice takes slice_energy_basis of the first chunk's states there
+    # and is the slice that a profile on that basis computes, bit for bit,
+    # in one dimension and in two (the default used to refuse d = 2)
     grid = TimeGrid.uniform(1.0, 32)
+    head = diffusion.BLOCK_PATHS
+    for mu, P, k in ((make_model("ou", {"gamma": 1.0}),
+                      make_model("brownian", {}), 4),
+                     (make_model("linear", LINEAR_2D, dim=2),
+                      make_model("brownian", {}, dim=2), 14)):
+        ens = sample_paths(mu, InitialLaw.point_mass([0.0] * mu.dim), grid,
+                           head + 300, 4)
+        prof = residual_energy_profile(ens, P, window=4, stride=4)
+        assert len(prof.bases) == prof.times.shape[0] == 6
+        for s, (t, basis) in enumerate(zip(prof.times, prof.bases)):
+            want = variational.slice_energy_basis(
+                ens.states[:head, grid.index_of(t)])
+            assert basis.size == k
+            assert basis.lo.tobytes() == want.lo.tobytes()
+            assert basis.hi.tobytes() == want.hi.tobytes()
+            values, ses = _profile_by_slice(ens, P, basis, 4, 4)
+            assert values[s] == prof.values[s]
+            assert ses[s] == prof.std_errors[s]
+
+
+def test_default_energy_basis_rule():
+    # monomials of total degree 1 to 4, C(d + 4, d) - 1 of them, on the
+    # box of the mean +- 6 SDs, and no box for states that do not spread
+    rng = np.random.default_rng(2)
+    x = rng.normal([0.5, -1.0], [0.2, 3.0], size=(500, 2))
+    basis = variational.slice_energy_basis(x)
+    assert [f["degree"] for f in basis.describe()] == [
+        [1, 0], [0, 1], [2, 0], [1, 1], [0, 2], [3, 0], [2, 1], [1, 2],
+        [0, 3], [4, 0], [3, 1], [2, 2], [1, 3], [0, 4]]
+    np.testing.assert_array_equal(basis.lo, x.mean(axis=0)
+                                  - 6.0 * x.std(axis=0))
+    np.testing.assert_array_equal(basis.hi, x.mean(axis=0)
+                                  + 6.0 * x.std(axis=0))
+    assert variational.slice_energy_basis(x[:, :1]).size == 4
+    with pytest.raises(ArgumentError, match="positive SD"):
+        variational.slice_energy_basis(np.c_[x[:, 0], np.ones(500)])
+    ens = sample_paths(make_model("ou", {}), InitialLaw.point_mass([0.0]),
+                       TimeGrid.uniform(1.0, 32), 1, 4)
+    with pytest.raises(ArgumentError, match="positive SD"):
+        residual_energy_profile(ens, make_model("brownian", {}))
+
+
+def test_default_profile_bits_do_not_depend_on_the_memory_block(
+        monkeypatch):
+    # the boxes come from the first chunk, which every first block holds
+    ens = _one_d_case(None)[0]
+    P = make_model("brownian", {})
+    monkeypatch.setattr(diffusion, "BLOCK_PATHS", 256)
+    whole = residual_energy_profile(ens, P)
+    monkeypatch.setattr(diffusion, "WORKING_SET_ELEMENTS", 1)
+    got = residual_energy_profile(ens, P)
+    assert got.values.tobytes() == whole.values.tobytes()
+    assert got.std_errors.tobytes() == whole.std_errors.tobytes()
+    assert [b.lo.tobytes() for b in got.bases] == [
+        variational.slice_energy_basis(
+            ens.states[:256, ens.grid.index_of(t)]).lo.tobytes()
+        for t in got.times]
+
+
+def test_default_profile_agrees_with_girsanov_in_two_dimensions():
+    # the same paths of a 2-d linear pair with a non-diagonal A against
+    # Brownian motion; both routes estimate R(mu || P)
+    mu = make_model("linear", LINEAR_2D, dim=2)
+    P = make_model("brownian", {}, dim=2)
+    init = InitialLaw.point_mass([0.0, 0.0])
+    for seed in (1, 2, 3):
+        ens = sample_paths(mu, init, TimeGrid.uniform(1.0, 64), 2000, seed)
+        prof = residual_energy_profile(ens, P)
+        est = girsanov_entropy(mu, P, init, init, ens)
+        se = math.hypot(prof.integral_std_error, est.std_error)
+        assert abs(prof.integral - est.value) <= 4 * se, (seed, prof.integral,
+                                                          est.value, se)
+
+
+def test_default_profile_is_well_conditioned_on_ou():
+    # the 12-bump box it replaced read Gram condition numbers of 3e8 to
+    # 2e9 on the early, narrow OU marginals
+    for seed in (1, 2, 3):
+        ens = sample_paths(make_model("ou", {"gamma": 1.0}),
+                           InitialLaw.point_mass([0.0]),
+                           TimeGrid.uniform(1.0, 128), 4000, seed)
+        prof = residual_energy_profile(ens, make_model("brownian", {}))
+        assert prof.diagnostics["gram_condition_max"] <= 1e4, seed
+
+
+def _bump_box_basis(ens):
+    """The 12-bump basis the per-slice default replaced: one box over the
+    central 99.8% of the states in the second half of the horizon, padded
+    by 30% of its width on each side."""
+    states = ens.states[:, ens.grid.n_steps // 2:]
+    lo, hi = (float(q) for q in np.quantile(states, [0.001, 0.999]))
+    pad = 0.3 * (hi - lo)
+    return mixed_basis([lo - pad], [hi + pad], 12,
+                       bump_scale=1.5 * (hi - lo) / 11)
+
+
+def test_default_profile_resolves_a_double_well_drift(monkeypatch):
+    # the drift gap x - x^3 needs a degree-4 test function: on the same
+    # double-well paths the default agrees with the 12 bumps within 2%,
+    # and monomials of degree 2 at most miss most of the energy
     bm = make_model("brownian", {})
-    ens = sample_paths(make_model("ou", {"gamma": 1.0}),
-                       InitialLaw.point_mass([0.0]), grid, 300, 4)
-    default = residual_energy_profile(ens, bm)
-    explicit = residual_energy_profile(
-        ens, bm, variational.default_energy_basis(ens))
-    assert default.integral == explicit.integral
-    ens2 = sample_paths(make_model("brownian", {}, dim=2),
-                        InitialLaw.point_mass([0.0, 0.0]), grid, 50, 4)
-    with pytest.raises(ArgumentError, match="one-dimensional"):
-        residual_energy_profile(ens2, make_model("brownian", {}, dim=2))
+    runs = [sample_paths(make_model("double_well", {}),
+                         InitialLaw.point_mass([0.0]),
+                         TimeGrid.uniform(1.0, 128), 8000, seed)
+            for seed in (1, 2, 3)]
+    for ens in runs:
+        bumps = residual_energy_profile(ens, bm, _bump_box_basis(ens))
+        default = residual_energy_profile(ens, bm)
+        assert abs(default.integral - bumps.integral) <= \
+            0.02 * bumps.integral, (default.integral, bumps.integral)
+    monkeypatch.setattr(variational, "ENERGY_DEGREE", 2)
+    quadratic = residual_energy_profile(runs[0], bm)
+    assert quadratic.bases[0].size == 2
+    assert abs(quadratic.integral - bumps.integral) > 0.02 * bumps.integral
 
 
 def _nan_above_half(x, on):
