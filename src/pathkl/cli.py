@@ -377,7 +377,7 @@ def _run_residual_energy(resolved, objs, threads):
         "total": total.value,
         "total_std_error": total.std_error,
         "profile": rows,
-        "basis": basis.describe() if basis is not None else {
+        "basis": {
             # every slice has the same functions, each on its own box
             "functions": profile.bases[0].describe(),
             "boxes": [{"t": float(t), "lo": b.lo.tolist(),

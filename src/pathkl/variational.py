@@ -130,10 +130,6 @@ def _axis_product(p: np.ndarray, dp, ddp, order: int):
     second derivatives dp and ddp (needed only up to `order`). Products over
     the other axes are taken directly, so a vanishing factor is safe."""
     d = p.shape[-1]
-    if d == 1:
-        # the product of one factor: the bits of the general rule below
-        return (p[..., 0], dp if order >= 1 else None,
-                ddp[..., None] if order >= 2 else None)
     value = np.prod(p, axis=-1)
     grad = hess = None
     if order >= 1:
@@ -851,12 +847,18 @@ def slice_energy_basis(x: np.ndarray) -> FunctionBasis:
         raise ArgumentError("the default energy basis needs states with a "
                             "positive SD on every axis")
     lo, hi = mean - ENERGY_BOX_SDS * sd, mean + ENERGY_BOX_SDS * sd
-    d = x.shape[1]
-    fns = [windowed_monomial(np.bincount(axes, minlength=d), lo, hi)
-           for total in range(1, ENERGY_DEGREE + 1)
-           for axes in itertools.combinations_with_replacement(range(d),
-                                                              total)]
+    fns = [windowed_monomial(e, lo, hi)
+           for e in _energy_exponents(x.shape[1])]
     return FunctionBasis(functions=tuple(fns), lo=lo, hi=hi)
+
+
+def _energy_exponents(d: int) -> list[np.ndarray]:
+    """The exponents of slice_energy_basis's monomials in d dimensions,
+    C(d + ENERGY_DEGREE, d) - 1 of them."""
+    return [np.bincount(axes, minlength=d)
+            for total in range(1, ENERGY_DEGREE + 1)
+            for axes in itertools.combinations_with_replacement(range(d),
+                                                              total)]
 
 
 def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
@@ -923,7 +925,7 @@ def residual_energy_profile(ensemble: PathEnsemble, spec_P: DiffusionSpec,
     # block is sized by the larger (an empty block gives the dimension)
     if basis is None:
         d = ensemble.block(0, 0).dim
-        k, kept = math.comb(d + ENERGY_DEGREE, d) - 1, 3
+        k, kept = len(_energy_exponents(d)), 3
     else:
         d, k, kept = basis.dim, basis.size, 2 * window // stride + 2
     sums, bases = _profile_sums(ensemble, spec_P, basis, idxs, window,

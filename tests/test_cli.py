@@ -19,6 +19,7 @@ from pathkl import (DiffusionSpec, InitialLaw, ModelEvaluationError,
                     register_model, residual_energy_profile, sample_paths)
 from pathkl.cli import ESTIMATORS, main, run_config
 from pathkl.diffusion import model_ids, model_params
+from pathkl.variational import basis_from_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -843,6 +844,17 @@ def test_residual_energy_default_report_lists_each_slice_box():
         row["t"] for row in results["profile"]]
     assert all(box["lo"][0] < box["hi"][0] for box in basis["boxes"])
     assert results["diagnostics"]["gram_condition_max"] <= 1e4
+
+
+def test_residual_energy_explicit_report_has_the_default_shape():
+    # an explicit basis is reported as the default is, every slice on its
+    # one box
+    cfg = {"box": [-3.0, 3.0], "count": 4}
+    results = run_config(_residual_cfg(basis=cfg))[1]
+    basis = results["basis"]
+    assert basis["functions"] == basis_from_config(cfg).describe()
+    assert basis["boxes"] == [{"t": row["t"], "lo": [-3.0], "hi": [3.0]}
+                              for row in results["profile"]]
 
 
 def _first_faults(states, bound, rows):

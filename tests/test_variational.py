@@ -1148,6 +1148,7 @@ def test_default_profile_resolves_a_double_well_drift(monkeypatch):
         default = residual_energy_profile(ens, bm)
         assert abs(default.integral - bumps.integral) <= \
             0.02 * bumps.integral, (default.integral, bumps.integral)
+    bumps = residual_energy_profile(runs[0], bm, _bump_box_basis(runs[0]))
     monkeypatch.setattr(variational, "ENERGY_DEGREE", 2)
     quadratic = residual_energy_profile(runs[0], bm)
     assert quadratic.bases[0].size == 2
