@@ -833,28 +833,25 @@ def test_residual_energy_run_holds_one_block_of_paths():
     assert peak < bound < 8 * n * (steps + 1), (peak, bound)
 
 
-def test_residual_energy_default_report_lists_each_slice_box():
-    # without a basis every slice has the 4 monomials, each slice on the
-    # box of its first chunk's states
-    results = run_config(_residual_cfg())[1]
-    basis = results["basis"]
-    assert basis["functions"] == [{"family": "poly", "degree": [k]}
-                                  for k in (1, 2, 3, 4)]
-    assert [box["t"] for box in basis["boxes"]] == [
-        row["t"] for row in results["profile"]]
-    assert all(box["lo"][0] < box["hi"][0] for box in basis["boxes"])
-    assert results["diagnostics"]["gram_condition_max"] <= 1e4
-
-
-def test_residual_energy_explicit_report_has_the_default_shape():
-    # an explicit basis is reported as the default is, every slice on its
-    # one box
-    cfg = {"box": [-3.0, 3.0], "count": 4}
-    results = run_config(_residual_cfg(basis=cfg))[1]
-    basis = results["basis"]
-    assert basis["functions"] == basis_from_config(cfg).describe()
-    assert basis["boxes"] == [{"t": row["t"], "lo": [-3.0], "hi": [3.0]}
-                              for row in results["profile"]]
+@pytest.mark.parametrize("cfg", [None, {"box": [-3.0, 3.0], "count": 4}],
+                         ids=["default", "explicit"])
+def test_residual_energy_report_lists_each_slice_box(cfg):
+    # with or without a basis the report lists the functions every slice
+    # shares and each slice's box: without one, the 4 monomials on the box
+    # of the slice's first chunk's states; with one, its box at every slice
+    results = run_config(_residual_cfg(**({} if cfg is None else
+                                          {"basis": cfg})))[1]
+    basis, times = results["basis"], [row["t"] for row in results["profile"]]
+    if cfg is None:
+        assert basis["functions"] == [{"family": "poly", "degree": [k]}
+                                      for k in (1, 2, 3, 4)]
+        assert [box["t"] for box in basis["boxes"]] == times
+        assert all(box["lo"][0] < box["hi"][0] for box in basis["boxes"])
+        assert results["diagnostics"]["gram_condition_max"] <= 1e4
+    else:
+        assert basis["functions"] == basis_from_config(cfg).describe()
+        assert basis["boxes"] == [{"t": t, "lo": [-3.0], "hi": [3.0]}
+                                  for t in times]
 
 
 def _first_faults(states, bound, rows):
